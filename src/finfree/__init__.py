@@ -45,7 +45,6 @@ from .polynomial import (
     x_power,
 )
 from .transforms import (
-    JOIN_FORM_SIGN,
     CumulantVector,
     coefficients_from_cumulants,
     coefficients_from_moments,
@@ -55,12 +54,15 @@ from .transforms import (
     moment_from_cumulants,
     moments_from_coefficients,
     moments_from_cumulants,
+    rescale_cumulants,
+    truncated_r_transform,
+)
+from .lattice import (
+    JOIN_FORM_SIGN,
     p_sigma,
     p_sigma_defining_sum,
     p_sigma_join_form,
     q_sigma,
-    rescale_cumulants,
-    truncated_r_transform,
 )
 from .convolution import boxplus, boxplus_power
 from .freeprob import (

@@ -3,15 +3,15 @@
 Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
 0 success, 2 unknown subcommand, 3 malformed input, 4 partition cap
-exceeded, 5 domain errors.
+exceeded (partitions and converge), 5 domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 
 from .convolution import boxplus, boxplus_power
 from .divisibility import (
@@ -19,14 +19,7 @@ from .divisibility import (
     infinite_divisibility_report,
     real_rooted_threshold,
 )
-from .errors import (
-    DimensionError,
-    DomainError,
-    FinFreeError,
-    InputFormatError,
-    RootConvergenceError,
-    SizeCapError,
-)
+from .errors import FinFreeError, InputFormatError, SizeCapError
 from .families import finite_poisson, hermite_clt
 from .freeprob import FreeCumulantVector, convergence_report
 from .matrix_oracle import mc_boxplus
@@ -49,7 +42,11 @@ from .transforms import (
     rescale_cumulants,
     truncated_r_transform,
 )
-from .util import format_rational, parse_rational
+from .util import format_rational, parse_int, parse_rational
+
+
+# Every error type maps to the first matching row; the rest are exit 5.
+_EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 
 
 class _UsageError(Exception):
@@ -73,7 +70,7 @@ def _load_json_arg(text: str):
             raise InputFormatError("cannot read %s: %s" % (text, exc)) from exc
     try:
         return json.loads(s)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputFormatError("invalid JSON: %s" % exc) from exc
 
 
@@ -106,18 +103,19 @@ def _settings(ns) -> dict:
         if not isinstance(raw, dict):
             raise InputFormatError("config must be a JSON object")
         cfg = raw
-    out = {
-        "nmax": cfg.get("nmax", DEFAULT_N_MAX),
-        "tol": cfg.get("tol", 1e-9),
-        "seed": cfg.get("seed", 0),
-    }
-    for key in ("nmax", "tol", "seed"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            out[key] = val
-    out["nmax"] = int(out["nmax"])
-    out["seed"] = int(out["seed"])
-    out["tol"] = float(out["tol"])
+    out = {}
+    for key, default in (("nmax", DEFAULT_N_MAX), ("tol", 1e-9), ("seed", 0)):
+        flag = getattr(ns, key, None)
+        out[key] = cfg.get(key, default) if flag is None else flag
+    out["nmax"] = parse_int(out["nmax"], "nmax")
+    out["seed"] = parse_int(out["seed"], "seed")
+    try:
+        tol = math.nan if isinstance(out["tol"], bool) else float(out["tol"])
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise InputFormatError("tol must be finite and positive: %.40r" % (out["tol"],))
+    out["tol"] = tol
     return out
 
 
@@ -133,43 +131,36 @@ def _cmd_convolve(ns):
 
 
 def _cmd_power(ns):
-    s = _settings(ns)
     p = _poly_from_args(ns)
-    return boxplus_power(p, parse_rational(ns.t), n_max=s["nmax"]).to_json()
+    return boxplus_power(p, parse_rational(ns.t)).to_json()
 
 
 def _cmd_cumulants(ns):
-    s = _settings(ns)
-    k = cumulants_from_coefficients(_poly_from_args(ns), n_max=s["nmax"])
+    k = cumulants_from_coefficients(_poly_from_args(ns))
     if ns.rescaled:
         k = rescale_cumulants(k)
     return k.to_json()
 
 
 def _cmd_moments(ns):
-    s = _settings(ns)
-    p = _poly_from_args(ns)
-    return moments_from_coefficients(p, ns.N, n_max=s["nmax"]).to_json()
+    return moments_from_coefficients(_poly_from_args(ns), ns.N).to_json()
 
 
 def _cmd_coeffs(ns):
-    s = _settings(ns)
     obj = _load_json_arg(ns.data)
     if "kappa" in obj:
-        k = CumulantVector.from_json(obj)
-        return coefficients_from_cumulants(k, n_max=s["nmax"]).to_json()
+        return coefficients_from_cumulants(CumulantVector.from_json(obj)).to_json()
     if "m" in obj:
         m = MomentSequence.from_json(obj)
         d = ns.d if ns.d is not None else m.degree_context
         if d is None:
             raise InputFormatError("moment input needs --d or a 'd' field")
-        return coefficients_from_moments(m, d, n_max=s["nmax"]).to_json()
+        return coefficients_from_moments(m, d).to_json()
     raise InputFormatError("expected a 'kappa' or 'm' field")
 
 
 def _cmd_rtransform(ns):
-    s = _settings(ns)
-    return truncated_r_transform(_poly_from_args(ns), n_max=s["nmax"]).to_json()
+    return truncated_r_transform(_poly_from_args(ns)).to_json()
 
 
 def _cmd_family(ns):
@@ -181,37 +172,30 @@ def _cmd_family(ns):
 
 
 def _cmd_converge(ns):
-    s = _settings(ns)
     r = FreeCumulantVector.make(_rational_list(ns.r))
-    d_values = [int(x) for x in _rational_list(ns.d)]
-    return convergence_report(r, ns.n, d_values, n_max=s["nmax"]).to_json()
-
-
-def _cmd_check_id(ns):
-    s = _settings(ns)
-    return infinite_divisibility_report(
-        _poly_from_args(ns), n_max=s["nmax"]
+    d_values = [parse_int(x, "--d") for x in _rational_list(ns.d)]
+    return convergence_report(
+        r, ns.n, d_values, n_max=ns.settings["nmax"]
     ).to_json()
 
 
+def _cmd_check_id(ns):
+    return infinite_divisibility_report(_poly_from_args(ns)).to_json()
+
+
 def _cmd_threshold(ns):
-    s = _settings(ns)
     t = real_rooted_threshold(
-        _poly_from_args(ns), parse_rational(ns.tmax), steps=ns.steps,
-        n_max=s["nmax"],
+        _poly_from_args(ns), parse_rational(ns.tmax), steps=ns.steps
     )
     return {"threshold": None if t is None else format_rational(t)}
 
 
 def _cmd_cramer(ns):
-    s = _settings(ns)
-    return cramer_counterexample(
-        ns.d, parse_rational(ns.eps), n_max=s["nmax"]
-    ).to_json()
+    return cramer_counterexample(ns.d, parse_rational(ns.eps)).to_json()
 
 
 def _cmd_verify_mc(ns):
-    s = _settings(ns)
+    s = ns.settings
     p = MonicPoly.from_json(_load_json_arg(ns.p))
     q = MonicPoly.from_json(_load_json_arg(ns.q))
     est = mc_boxplus(p, q, ns.samples, seed=s["seed"], tol=s["tol"])
@@ -240,8 +224,9 @@ def _cmd_verify_mc(ns):
 
 
 def _cmd_partitions(ns):
-    s = _settings(ns)
     n = ns.n
+    if n < 1:
+        raise InputFormatError("--n must be >= 1, got %d" % n)
     if ns.types:
         rows = []
         for t in iter_types(n):
@@ -255,7 +240,7 @@ def _cmd_partitions(ns):
             )
         return {"n": n, "types": rows}
     rows = []
-    for pi in enumerate_partitions(n, s["nmax"]):
+    for pi in enumerate_partitions(n, ns.settings["nmax"]):
         nc = is_noncrossing(pi)
         if ns.noncrossing and not nc:
             continue
@@ -290,7 +275,8 @@ _COMMANDS = {
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--nmax", type=int, default=None,
-                        help="partition-size cap (default 12)")
+                        help="partition-size cap for partitions and converge "
+                             "(default 12)")
     common.add_argument("--tol", type=float, default=None,
                         help="float tolerance for root finding")
     common.add_argument("--seed", type=int, default=None,
@@ -414,21 +400,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     try:
-        out = ns.func(ns)
-    except (InputFormatError,) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 3
-    except SizeCapError as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 4
-    except (DomainError, DimensionError, RootConvergenceError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 5
+        ns.settings = _settings(ns)
+        text = json.dumps(ns.func(ns), indent=2)
     except FinFreeError as exc:
         _emit_error(type(exc).__name__, str(exc))
-        return 5
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    sys.stdout.write(text + "\n")
     return 0
 
 

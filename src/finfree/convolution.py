@@ -12,7 +12,6 @@ from .transforms import (
     coefficients_from_cumulants,
     cumulants_from_coefficients,
 )
-from .partitions import DEFAULT_N_MAX
 
 
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
@@ -41,7 +40,7 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     return MonicPoly(d, tuple(a))
 
 
-def boxplus_power(p: MonicPoly, t, n_max: int = DEFAULT_N_MAX) -> MonicPoly:
+def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     """Convolution power p^{boxplus t} for rational t > 0.
 
     Cumulants are additive under boxplus, so the power is defined by
@@ -50,6 +49,6 @@ def boxplus_power(p: MonicPoly, t, n_max: int = DEFAULT_N_MAX) -> MonicPoly:
     t = Fraction(t)
     if t <= 0:
         raise DomainError("convolution power needs t > 0, got %s" % t)
-    k = cumulants_from_coefficients(p, n_max=n_max)
+    k = cumulants_from_coefficients(p)
     scaled = CumulantVector(k.d, tuple(t * v for v in k.kappa))
-    return coefficients_from_cumulants(scaled, n_max=n_max)
+    return coefficients_from_cumulants(scaled)

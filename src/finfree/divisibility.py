@@ -12,7 +12,6 @@ from math import isqrt
 from .convolution import boxplus, boxplus_power
 from .errors import DomainError
 from .families import hermite_clt
-from .partitions import DEFAULT_N_MAX
 from .polynomial import MonicPoly, is_real_rooted
 from .transforms import (
     CumulantVector,
@@ -88,9 +87,7 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
-def infinite_divisibility_report(
-    p: MonicPoly, n_max: int = DEFAULT_N_MAX
-) -> IDReport:
+def infinite_divisibility_report(p: MonicPoly) -> IDReport:
     """Classify a real-rooted polynomial: infinitely divisible iff, after
     centering, every cumulant of order >= 3 vanishes (the Hermite case, or
     x^d when kappa_2 = 0).
@@ -104,14 +101,14 @@ def infinite_divisibility_report(
     if is_real_rooted(p) == "no":
         raise DomainError("infinite divisibility is defined for real-rooted input")
     d = p.d
-    k = cumulants_from_coefficients(p, n_max=n_max)
+    k = cumulants_from_coefficients(p)
     q = p.translate(k.kappa[0]) if k.kappa[0] != 0 else p
-    kq = cumulants_from_coefficients(q, n_max=n_max)
+    kq = cumulants_from_coefficients(q)
     if d >= 2 and kq.kappa[1] > 0:
         s = _rational_sqrt(kq.kappa[1])
         if s is not None and s != 1:
             q = q.dilate(s)  # kappa_n -> kappa_n / s^n, so kappa_2 -> 1
-            kq = cumulants_from_coefficients(q, n_max=n_max)
+            kq = cumulants_from_coefficients(q)
     higher_zero = all(v == 0 for v in kq.kappa[2:])
     if d >= 2:
         cpd_std = is_conditionally_positive_definite(kq.kappa)
@@ -122,9 +119,7 @@ def infinite_divisibility_report(
     return IDReport(q, cpd_std, cpd_res, higher_zero, verdict)
 
 
-def real_rooted_threshold(
-    p: MonicPoly, t_max, steps: int = 16, n_max: int = DEFAULT_N_MAX
-):
+def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """Smallest t found such that p^{boxplus s} has d distinct real roots for
     every sampled s >= t; None if no such t <= t_max shows up.
 
@@ -139,9 +134,7 @@ def real_rooted_threshold(
         raise DomainError("t_max must be positive")
 
     def ok(t) -> bool:
-        return is_real_rooted(
-            boxplus_power(p, t, n_max=n_max), require_distinct=True
-        ) == "yes"
+        return is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
 
     grid = []
     t = Fraction(1, 16)
@@ -184,7 +177,7 @@ class CramerPair:
         }
 
 
-def cramer_counterexample(d: int, eps, n_max: int = DEFAULT_N_MAX) -> CramerPair:
+def cramer_counterexample(d: int, eps) -> CramerPair:
     """p± with cumulants (0, 1, ±eps, 0, ..., 0) and their convolution.
 
     The convolution has cumulants (0, 2, 0, ..., 0), a sqrt(2)-dilate of the
@@ -202,9 +195,9 @@ def cramer_counterexample(d: int, eps, n_max: int = DEFAULT_N_MAX) -> CramerPair
     kap = [Fraction(0)] * d
     kap[1] = Fraction(1)
     kap[2] = eps
-    p_plus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)), n_max=n_max)
+    p_plus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)))
     kap[2] = -eps
-    p_minus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)), n_max=n_max)
+    p_minus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)))
     return CramerPair(
         p_plus,
         p_minus,

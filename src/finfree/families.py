@@ -8,7 +8,6 @@ from math import factorial, isqrt
 
 from .convolution import boxplus_power
 from .errors import DomainError
-from .partitions import DEFAULT_N_MAX
 from .polynomial import MonicPoly
 from .transforms import cumulants_from_coefficients
 from .util import falling
@@ -65,7 +64,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     return MonicPoly(d, tuple(a))
 
 
-def clt_rescaled_sum(p: MonicPoly, n: int, n_max: int = DEFAULT_N_MAX) -> MonicPoly:
+def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     """The n-fold convolution of p with itself, rescaled: kappa_r picks up
     the factor n^{1 - r/2}.
 
@@ -75,14 +74,14 @@ def clt_rescaled_sum(p: MonicPoly, n: int, n_max: int = DEFAULT_N_MAX) -> MonicP
     """
     if n < 1:
         raise DomainError("need n >= 1, got %d" % n)
-    k = cumulants_from_coefficients(p, n_max=n_max)
+    k = cumulants_from_coefficients(p)
     if k.kappa[0] != 0:
         raise DomainError(
             "kappa_1 = %s; center the polynomial before rescaling" % k.kappa[0]
         )
     if n == 1:
         return p
-    pw = boxplus_power(p, n, n_max=n_max)
+    pw = boxplus_power(p, n)
     root = isqrt(n)
     if root * root == n:
         lam = Fraction(root)

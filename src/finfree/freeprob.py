@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError, SizeCapError
-from .partitions import (
-    DEFAULT_N_MAX,
-    count_by_type,
-    enumerate_noncrossing,
-    iter_types,
-    multiplicative_extension,
-)
+from .partitions import DEFAULT_N_MAX, count_by_type, iter_types
 from .polynomial import MomentSequence
 from .transforms import cumulant_from_moments
 from .util import format_rational, parse_rational
@@ -54,62 +48,45 @@ class FreeCumulantVector:
         return cls.make([parse_rational(x) for x in raw])
 
 
+def _nc_sum(rv, n: int, proper: bool = False) -> Fraction:
+    """sum over NC(n) (without 1_n when proper) of r_pi.  Summands depend on
+    pi only through its type, so the sum is taken type by type with the
+    non-crossing counts."""
+    s = Fraction(0)
+    for t in iter_types(n):
+        if proper and t.num_blocks == 1:
+            continue
+        prod = Fraction(1)
+        for i, ri in enumerate(t.r, start=1):
+            if ri:
+                prod *= rv[i - 1] ** ri
+        if prod:
+            s += count_by_type(t, "noncrossing") * prod
+    return s
+
+
 def free_moments_from_free_cumulants(
-    r: FreeCumulantVector, N: int, method: str = "grouped",
-    n_max: int = DEFAULT_N_MAX,
+    r: FreeCumulantVector, N: int, n_max: int = DEFAULT_N_MAX
 ) -> MomentSequence:
     """m_n = sum over NC(n) of r_pi, n = 1..N."""
     if N > n_max:
         raise SizeCapError(N, n_max)
-    if method not in ("grouped", "enumerate"):
-        raise InputFormatError("method must be 'grouped' or 'enumerate'")
     # entries past the stored length are zero
     rv = r.entries + (Fraction(0),) * max(0, N - len(r))
-    out = []
-    for n in range(1, N + 1):
-        if method == "grouped":
-            s = Fraction(0)
-            for t in iter_types(n):
-                prod = Fraction(1)
-                for i, ri in enumerate(t.r, start=1):
-                    prod *= rv[i - 1] ** ri
-                if prod:
-                    s += count_by_type(t, "noncrossing") * prod
-        else:
-            s = sum(
-                (multiplicative_extension(rv, pi)
-                 for pi in enumerate_noncrossing(n, n_max)),
-                Fraction(0),
-            )
-        out.append(s)
-    return MomentSequence(tuple(out))
+    return MomentSequence(tuple(_nc_sum(rv, n) for n in range(1, N + 1)))
 
 
 def free_cumulants_from_moments(
     m: MomentSequence, N: int, n_max: int = DEFAULT_N_MAX
 ) -> FreeCumulantVector:
-    """Triangular inversion: r_n = m_n - sum over NC(n) \\ {1_n} of r_pi.
-
-    Summands depend on pi only through its type, so the lower sum is taken
-    type by type with the non-crossing counts.
-    """
+    """Triangular inversion: r_n = m_n - sum over NC(n) \\ {1_n} of r_pi."""
     if N > n_max:
         raise SizeCapError(N, n_max)
     if len(m) < N:
         raise DomainError("need %d moments, got %d" % (N, len(m)))
     rv = []
     for n in range(1, N + 1):
-        lower = Fraction(0)
-        for t in iter_types(n):
-            if t.num_blocks == 1:
-                continue
-            prod = Fraction(1)
-            for i, ri in enumerate(t.r, start=1):
-                if ri:
-                    prod *= rv[i - 1] ** ri
-            if prod:
-                lower += count_by_type(t, "noncrossing") * prod
-        rv.append(m.entries[n - 1] - lower)
+        rv.append(m.entries[n - 1] - _nc_sum(rv, n, proper=True))
     return FreeCumulantVector(tuple(rv))
 
 
@@ -143,9 +120,10 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Exact |kappa_n^{(d)} - r_n| for each d.
 
-    The lattice sums run over P(n), so d may be large (10^3 and beyond) at
-    no extra cost; what must hold is d >= n, else the finite cumulant of
-    order n does not exist at degree d.
+    d may be large (10^3 and beyond): the cost grows with n, not d.  What
+    must hold is d >= n, else the finite cumulant of order n does not exist
+    at degree d.
+    The free moments are a sum over NC(n), so n is bounded by n_max.
     """
     if n > n_max:
         raise SizeCapError(n, n_max)
@@ -154,7 +132,7 @@ def convergence_report(
         if d < n:
             raise DomainError("d = %d below the cumulant order n = %d" % (d, n))
     m = free_moments_from_free_cumulants(r, n, n_max=n_max)
-    finite = tuple(cumulant_from_moments(m, d, n, n_max) for d in ds)
+    finite = tuple(cumulant_from_moments(m, d, n) for d in ds)
     target = r.entries[n - 1] if n <= len(r) else Fraction(0)
     errors = tuple(abs(k - target) for k in finite)
     return ConvergenceReport(n, ds, finite, target, errors)

@@ -1,0 +1,328 @@
+"""The paper's moment-cumulant formulas as sums over the set partition lattice.
+
+This is the reference the production transforms are checked against, not a
+production path: every conversion in transforms.py runs through O(d^2)
+series recurrences, and the tests assert that those give values `==` to the
+sums here.  Nothing else in the package calls the sums; the lattice
+polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here because
+they share _p_sigma_poly with the moment kernel.
+
+Every sum runs over P(n), so each is bounded by the partition cap n_max.
+Summands depend on a partition only through its type (the multiset of block
+sizes), so the single sums group P(n) by type and weigh each type with its
+exact closed-form count; that is the same finite sum, reassociated.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, prod
+
+from .errors import DomainError
+from .partitions import (
+    DEFAULT_N_MAX,
+    SetPartition,
+    _check_cap,
+    block_size_product,
+    count_by_type,
+    enumerate_noncrossing,
+    iter_partitions,
+    iter_types,
+    lattice_table,
+    mobius_of_type,
+    multiplicative_extension,
+    refines,
+    rgs_strings,
+)
+from .polynomial import MomentSequence, MonicPoly
+from .transforms import CumulantVector, _standardize
+from .util import VarPoly, falling, falling_poly
+
+# Established by exhaustive comparison of the two sums for every sigma in
+# P(n), n <= 6, and re-checked by the test suite up to n = 8:
+# p_sigma_join_form(sigma) == JOIN_FORM_SIGN * p_sigma(sigma).
+JOIN_FORM_SIGN = -1
+
+
+# ---------------------------------------------------------------------------
+# type bookkeeping
+# ---------------------------------------------------------------------------
+
+_type_cache: dict = {}
+_p_sigma_cache: dict = {}
+
+
+def _types(n: int) -> tuple:
+    """Per type of P(n): (count, num_blocks, mu, N!_t, sizes)."""
+    table = _type_cache.get(n)
+    if table is None:
+        table = _type_cache[n] = tuple(
+            (count_by_type(t, "all"), t.num_blocks, mobius_of_type(t),
+             prod(factorial(s) for s in t.sizes()), t.sizes())
+            for t in iter_types(n)
+        )
+    return table
+
+
+def _seq_over_sizes(f, sizes) -> Fraction:
+    """prod f[s-1] over s in sizes; f indexed by 1..n."""
+    return prod((f[s - 1] for s in sizes), start=Fraction(1))
+
+
+def _mobius_sum(f, d: Fraction, n: int, inner=None) -> Fraction:
+    """sum over sigma in P(n) of d^{|sigma|} mu(0,sigma) f_sigma, each nonzero
+    term times inner(block sizes of sigma) when inner is given."""
+    s = Fraction(0)
+    for cnt, m, mu, _, sizes in _types(n):
+        v = _seq_over_sizes(f, sizes)
+        if v and inner:
+            v *= inner(sizes)
+        s += cnt * d**m * mu * v
+    return s
+
+
+def _newton_sum(a, n: int, poch=None) -> Fraction:
+    """sum over P(n) of (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, each term divided
+    by prod over blocks of poch[|V| - 1] when poch is given."""
+    s = Fraction(0)
+    for cnt, m, _, nfac, sizes in _types(n):
+        den = _seq_over_sizes(poch, sizes) if poch else 1
+        if den == 0:
+            raise DomainError("Pochhammer denominator vanished at n = %d" % n)
+        c = Fraction(cnt * (-1) ** m * nfac * factorial(m - 1))
+        s += c * _seq_over_sizes(a, sizes) / den
+    return s
+
+
+def _merged_products_stream(sizes: tuple):
+    """Yield (c, merged) over pi >= sigma, for sigma with the given block
+    sizes: merged is the block sizes of pi and c = (-1)^{|pi|} (|pi|-1)!,
+    times the number of such pi when they are grouped."""
+    if len(set(sizes)) == 1:
+        # the interval collapses by type: merged sizes are s0 * (type sizes)
+        for cnt, nb, _, _, tsizes in _types(len(sizes)):
+            c = cnt * (-1) ** nb * factorial(nb - 1)
+            yield c, [sizes[0] * t for t in tsizes]
+        return
+    # otherwise one pi per set partition of sigma's labeled blocks
+    for rgs in rgs_strings(len(sizes)):
+        merged = [0] * (max(rgs) + 1)
+        for i, lab in enumerate(rgs):
+            merged[lab] += sizes[i]
+        yield (-1) ** len(merged) * factorial(len(merged) - 1), merged
+
+
+def _p_sigma_poly(sizes: tuple) -> VarPoly:
+    """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)! as an
+    exact polynomial in d, for sigma with the given block sizes."""
+    out = _p_sigma_cache.get(sizes)
+    if out is None:
+        out = VarPoly.zero("d")
+        for c, merged in _merged_products_stream(sizes):
+            term = VarPoly.constant("d", c)
+            for t in merged:
+                term = term * falling_poly(t)
+            out = out + term
+        _p_sigma_cache[sizes] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# single lattice sums: coefficients <-> cumulants, coefficients <-> moments
+# ---------------------------------------------------------------------------
+
+
+def coefficients_from_cumulants(
+    k: CumulantVector, n_max: int = DEFAULT_N_MAX
+) -> MonicPoly:
+    """a_n = (d)_n / (d^n n!) * sum over P(n) of d^{|pi|} mu(0,pi) kappa_pi."""
+    d = k.d
+    _check_cap(d, n_max)
+    dq, kap = Fraction(d), _standardize(k)
+    return MonicPoly(d, (Fraction(1),) + tuple(
+        falling(dq, n) / (dq**n * factorial(n)) * _mobius_sum(kap, dq, n)
+        for n in range(1, d + 1)
+    ))
+
+
+def cumulants_from_coefficients(
+    p: MonicPoly, n_max: int = DEFAULT_N_MAX
+) -> CumulantVector:
+    """kappa_n = (-d)^n / (d (n-1)!) * sum over P(n) of
+    (-1)^{|pi|} N!_pi a_pi (|pi|-1)! / (d)_pi."""
+    d = p.d
+    _check_cap(d, n_max)
+    dq = Fraction(d)
+    poch = [falling(dq, j) for j in range(1, d + 1)]
+    return CumulantVector(d, tuple(
+        (-dq) ** n / (dq * factorial(n - 1)) * _newton_sum(p.a[1:], n, poch)
+        for n in range(1, d + 1)
+    ))
+
+
+def coefficients_from_moments(
+    m: MomentSequence, d: int, n_max: int = DEFAULT_N_MAX
+) -> MonicPoly:
+    """a_n = (1/n!) * sum over P(n) of d^{|pi|} mu(0,pi) m_pi."""
+    _check_cap(d, n_max)
+    if len(m) < d:
+        raise DomainError("need %d moments, got %d" % (d, len(m)))
+    return MonicPoly(d, (Fraction(1),) + tuple(
+        _mobius_sum(m.entries, Fraction(d), n) / factorial(n) for n in range(1, d + 1)
+    ))
+
+
+def moments_from_coefficients(
+    p: MonicPoly, N: int, n_max: int = DEFAULT_N_MAX
+) -> MomentSequence:
+    """m_n = (-1)^n / (d (n-1)!) * sum over P(n) of
+    (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, with a_k = 0 past the degree."""
+    _check_cap(N, n_max)
+    avals = p.a[1:] + (Fraction(0),) * max(0, N - p.d)
+    return MomentSequence(tuple(
+        Fraction((-1) ** n, p.d * factorial(n - 1)) * _newton_sum(avals, n)
+        for n in range(1, N + 1)
+    ), degree_context=p.d)
+
+
+def free_moments_from_free_cumulants(r, N: int, n_max: int = DEFAULT_N_MAX) -> tuple:
+    """m_n = sum over NC(n) of r_pi, n = 1..N, by enumerating NC(n); r is a
+    FreeCumulantVector, zero past its end."""
+    rv = r.entries + (Fraction(0),) * max(0, N - len(r))
+    return tuple(
+        sum(
+            (multiplicative_extension(rv, pi)
+             for pi in enumerate_noncrossing(n, n_max)),
+            Fraction(0),
+        )
+        for n in range(1, N + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# double lattice sums: moments <-> cumulants directly
+# ---------------------------------------------------------------------------
+
+
+def _inner_cum_mom(sizes: tuple, d: Fraction) -> Fraction:
+    """sum over pi >= sigma of (-1)^{|pi|} (|pi|-1)! / (d)_pi, where sigma has
+    the given block sizes.  Depends on sigma only through the sizes."""
+    poch = [falling(d, j) for j in range(sum(sizes) + 1)]
+    if 0 in poch:
+        raise DomainError(
+            "(d)_%d vanishes at d = %s; need d >= n for this sum" % (poch.index(0), d)
+        )
+    return sum(
+        (c / _seq_over_sizes(poch[1:], merged)
+         for c, merged in _merged_products_stream(sizes)),
+        Fraction(0),
+    )
+
+
+def cumulant_from_moments(m, d, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
+    """Single kappa_n from the first n moments at degree (or parameter) d.
+
+    kappa_n = (-1)^n d^{n-1} / (n-1)! * sum over sigma in P(n) of
+    d^{|sigma|} mu(0,sigma) m_sigma * sum over pi >= sigma of
+    (-1)^{|pi|} (|pi|-1)! / (d)_pi.
+
+    d may exceed the lattice cap (the sum runs over P(n), not P(d)); it must
+    not be an integer below n, where (d)_pi vanishes.
+    """
+    _check_cap(n, n_max)
+    mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
+    if len(mv) < n:
+        raise DomainError("need %d moments, got %d" % (n, len(mv)))
+    dq = Fraction(d)
+    if dq == int(dq) and int(dq) < n:
+        raise DomainError("integer d = %s below the order n = %d" % (d, n))
+    s = _mobius_sum(mv, dq, n, lambda sizes: _inner_cum_mom(sizes, dq))
+    return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s
+
+
+def moment_from_cumulants(
+    k: CumulantVector, n: int, n_max: int = DEFAULT_N_MAX
+) -> Fraction:
+    """Single m_n from cumulants, valid for any n >= 1 (kappa_j = 0 past d).
+
+    m_n = (-1)^n / (d^{n+1} (n-1)!) * sum over sigma in P(n) of
+    d^{|sigma|} mu(0,sigma) kappa_sigma P_sigma(d), with P_sigma the inner
+    sum over {pi >= sigma} of (-1)^{|pi|} (d)_pi (|pi|-1)!.
+    """
+    _check_cap(n, n_max)
+    kap = list(_standardize(k)) + [Fraction(0)] * max(0, n - k.d)
+    dq = Fraction(k.d)
+    s = _mobius_sum(kap, dq, n, lambda sizes: _p_sigma_poly(sizes)(dq))
+    return Fraction((-1) ** n) / (dq ** (n + 1) * factorial(n - 1)) * s
+
+
+# ---------------------------------------------------------------------------
+# the lattice polynomials P_sigma(d), Q_sigma(d) and the join-form sum
+# ---------------------------------------------------------------------------
+
+
+def p_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+    """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)!.
+
+    Computed over the interval [sigma, 1_n], which is the partition lattice
+    of sigma's blocks; the value depends only on sigma's block sizes.
+    """
+    _check_cap(sigma.n, n_max)
+    return _p_sigma_poly(tuple(sorted(sigma.block_sizes(), reverse=True)))
+
+
+def p_sigma_defining_sum(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+    """P_sigma by literally filtering the full enumeration of P(n)."""
+    out = VarPoly.zero("d")
+    for pi in iter_partitions(sigma.n, n_max):
+        if refines(sigma, pi):
+            r = len(pi.blocks)
+            term = VarPoly.constant("d", (-1) ** r * factorial(r - 1))
+            for block in pi.blocks:
+                term = term * falling_poly(len(block))
+            out = out + term
+    return out
+
+
+def p_sigma_join_form(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+    """sum over {rho : rho v sigma = 1_n} of d^{|rho|} mu(0,rho).
+
+    Literal scan over P(n) with a connectivity test on block bitmasks.
+    Relation to p_sigma: this equals JOIN_FORM_SIGN * p_sigma(sigma).
+    """
+    n = sigma.n
+    sig_masks = [sum(1 << (e - 1) for e in block) for block in sigma.blocks]
+    full = (1 << n) - 1
+    nsig = len(sig_masks)
+    coeffs = [0] * (n + 1)
+    for rho_masks, nb, mu in lattice_table(n, n_max):
+        if nb + nsig > n + 1:  # |rho| + |sigma| <= n + 1 is necessary for cospan
+            continue
+        comp = sig_masks[0]
+        pending = list(rho_masks) + sig_masks[1:]
+        changed = True
+        while changed and comp != full:
+            changed = False
+            nxt = []
+            for b in pending:
+                if b & comp:
+                    if b | comp != comp:
+                        comp |= b
+                        changed = True
+                else:
+                    nxt.append(b)
+            pending = nxt
+        if comp == full:
+            coeffs[nb] += mu
+    return VarPoly.make("d", coeffs)
+
+
+def q_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+    """Q_sigma(d) = (n+1-|sigma|)! / ((-1)^{|sigma|} (n-1)! n_sigma) P_sigma(d);
+    monic of degree n+1-|sigma|."""
+    n = sigma.n
+    m = len(sigma.blocks)
+    scale = Fraction(
+        factorial(n + 1 - m), (-1) ** m * factorial(n - 1) * block_size_product(sigma)
+    )
+    return p_sigma(sigma, n_max).scale(scale)

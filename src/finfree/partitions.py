@@ -11,12 +11,11 @@ the contract: callers may cache against it.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import DimensionError, InputFormatError, SizeCapError
+from .errors import DimensionError, FinFreeError, InputFormatError, SizeCapError
 from .util import VarPoly
 
 DEFAULT_N_MAX = 12
@@ -26,12 +25,11 @@ DEFAULT_N_MAX = 12
 _TABLE_MEMO_CAP = 9
 
 _tables: dict = {}
-_tables_lock = threading.Lock()
 
 
 def _check_cap(n: int, n_max: int) -> None:
     if n < 1:
-        raise SizeCapError(n, n_max)
+        raise InputFormatError("ground-set size must be >= 1, got %d" % n)
     if n > n_max:
         raise SizeCapError(n, n_max)
 
@@ -310,7 +308,8 @@ def count_by_type(t: PartitionType, mode: str = "all") -> int:
     else:
         raise InputFormatError("mode must be 'all' or 'noncrossing'")
     q, rem = divmod(num, den)
-    assert rem == 0, "type count is not integral"
+    if rem:
+        raise FinFreeError("type count %d/%d is not integral" % (num, den))
     return q
 
 
@@ -361,8 +360,7 @@ def partition_lattice_charpoly(n: int, n_max: int = DEFAULT_N_MAX) -> VarPoly:
 def lattice_table(n: int, n_max: int = DEFAULT_N_MAX) -> tuple:
     """Rows (block_bitmasks, num_blocks, mu) for all of P(n), RGS order.
 
-    Bitmask bit e-1 stands for element e.  Memoized for small n with a
-    single writer; rows are immutable after publication.
+    Bitmask bit e-1 stands for element e.  Memoized for small n.
     """
     _check_cap(n, n_max)
     cached = _tables.get(n)
@@ -382,13 +380,10 @@ def lattice_table(n: int, n_max: int = DEFAULT_N_MAX) -> tuple:
         rows.append((tuple(masks), nb, mu))
     table = tuple(rows)
     if n <= _TABLE_MEMO_CAP:
-        with _tables_lock:
-            _tables.setdefault(n, table)
-            table = _tables[n]
+        _tables[n] = table
     return table
 
 
 def enumerate_noncrossing(n: int, n_max: int = DEFAULT_N_MAX) -> list:
     """All non-crossing partitions of {1..n}, RGS order; length Catalan(n)."""
-    _check_cap(n, n_max)
     return [pi for pi in iter_partitions(n, n_max) if is_noncrossing(pi)]

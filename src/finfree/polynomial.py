@@ -22,11 +22,12 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FinFreeError,
     InputFormatError,
     NonMonicError,
     RootConvergenceError,
 )
-from .util import format_rational, parse_rational
+from .util import format_rational, parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,11 @@ class MonicPoly:
     @classmethod
     def from_json(cls, obj) -> "MonicPoly":
         try:
-            d = int(obj["degree"])
+            d = obj["degree"]
             a = obj["a"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputFormatError("polynomial JSON needs 'degree' and 'a'") from exc
+        d = parse_int(d, "'degree'")
         if len(a) != d + 1:
             raise InputFormatError(
                 "degree %d needs %d coefficients, got %d" % (d, d + 1, len(a))
@@ -212,7 +214,7 @@ class MomentSequence:
         except (KeyError, TypeError) as exc:
             raise InputFormatError("moment JSON needs 'm'") from exc
         d = obj.get("d")
-        return cls(entries, degree_context=int(d) if d is not None else None)
+        return cls(entries, degree_context=None if d is None else parse_int(d, "'d'"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,8 @@ def _squarefree_part(c):
     if len(g) <= 1:
         return list(c)
     q, r = _poly_divmod(c, g)
-    assert not r, "gcd does not divide"
+    if r:
+        raise FinFreeError("gcd does not divide the polynomial")
     return q
 
 
@@ -304,8 +307,7 @@ def _count_distinct_real_roots(c) -> int:
 
 def count_distinct_real_roots(p: MonicPoly) -> int:
     """Exact number of distinct real roots of p (Sturm on the squarefree part)."""
-    plain = p.plain_coefficients()
-    ascending = list(reversed(plain))
+    ascending = list(reversed(p.plain_coefficients()))
     return _count_distinct_real_roots(_squarefree_part(ascending))
 
 
@@ -315,8 +317,7 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
     "yes" iff all d roots (with multiplicity) are real.  With
     require_distinct=True, repeated real roots answer "boundary" instead.
     """
-    plain = p.plain_coefficients()
-    ascending = list(reversed(plain))
+    ascending = list(reversed(p.plain_coefficients()))
     square_free = _squarefree_part(ascending)
     distinct = _count_distinct_real_roots(square_free)
     if distinct != len(square_free) - 1:

@@ -1,11 +1,16 @@
 """The transform triangle: coefficients, moments, cumulants.
 
-Every map here is a finite lattice sum over P(n).  Summands depend on a
-partition only through its type (the multiset of block sizes), so the
-production path groups each sum by type and weighs it with the exact
-closed-form counts; that is the same finite sum, reassociated.  The
-method="enumerate" path performs the naive enumeration instead and exists
-so the two can be checked against each other.
+Each conversion is one O(d^2) recurrence on formal power series.  With
+S(s) = sum_{i<=d} (-d)^i a_i s^i / (d)_i, the cumulants are
+kappa_{k+1} = -(1/d) [s^k] S'/S, and the inverse is the exp recurrence
+i S_i = -d sum_{j<=i} kappa_j S_{i-j}.  Moments and coefficients are related
+by Newton's identities with power sums p_i = d m_i; moments <-> cumulants
+compose the two steps.  There d enters only as a parameter, so
+cumulant_from_moments works at any rational d except an integer below the
+order n, where (d)_n vanishes.
+
+The paper states these maps as sums over the set partition lattice; those
+sums live in lattice.py, the reference the tests compare this module with.
 
 Cumulants here are the finite free cumulants kappa_1..kappa_d of a monic
 degree-d polynomial: coefficients of the truncated R-transform, additive
@@ -14,33 +19,12 @@ under the finite free convolution, homogeneous of weight n under dilation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
-from .errors import DomainError, InputFormatError, SizeCapError
-from .partitions import (
-    DEFAULT_N_MAX,
-    SetPartition,
-    count_by_type,
-    iter_partitions,
-    iter_types,
-    lattice_table,
-    mobius_from_zero,
-    mobius_of_type,
-    multiplicative_extension,
-    block_size_product,
-    refines,
-    rgs_strings,
-)
-from .polynomial import MomentSequence, MonicPoly, moments as newton_moments
-from .util import VarPoly, falling, falling_poly, format_rational, parse_rational
-
-# Established by exhaustive comparison of the two sums for every sigma in
-# P(n), n <= 6, and re-checked by the test suite up to n = 8:
-# p_sigma_join_form(sigma) == JOIN_FORM_SIGN * p_sigma(sigma).
-JOIN_FORM_SIGN = -1
+from .errors import DomainError, InputFormatError
+from .polynomial import MomentSequence, MonicPoly, moments
+from .util import VarPoly, falling, format_rational, parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -79,11 +63,11 @@ class CumulantVector:
     @classmethod
     def from_json(cls, obj) -> "CumulantVector":
         try:
-            d = int(obj["d"])
+            d = obj["d"]
             kappa = obj["kappa"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputFormatError("cumulant JSON needs 'd' and 'kappa'") from exc
-        return cls.make(d, [parse_rational(k) for k in kappa],
+        return cls.make(parse_int(d, "'d'"), [parse_rational(k) for k in kappa],
                         obj.get("variant", "standard"))
 
 
@@ -111,424 +95,119 @@ def rescale_cumulants(k: CumulantVector) -> CumulantVector:
 
 
 # ---------------------------------------------------------------------------
-# type bookkeeping
+# the recurrences
 # ---------------------------------------------------------------------------
 
 
-def _type_data(n: int) -> tuple:
-    """Per type of P(n): (count, num_blocks, mu, N!_t, sizes)."""
-    out = []
-    for t in iter_types(n):
-        nfac = 1
-        for i, ri in enumerate(t.r, start=1):
-            nfac *= factorial(i) ** ri
-        out.append(
-            (count_by_type(t, "all"), t.num_blocks, mobius_of_type(t), nfac,
-             t.sizes())
+def _series_weights(d: Fraction, n: int) -> list:
+    """w_i = (-d)^i / (d)_i for i = 0..n, so that S_i = w_i a_i; d must not
+    be an integer in 0..n-1."""
+    w = [Fraction(1)]
+    for i in range(1, n + 1):
+        w.append(w[-1] * -d / (d - i + 1))
+    return w
+
+
+def _log_derivative(S: list, d: Fraction, n: int) -> tuple:
+    """kappa_1..kappa_n with kappa_{k+1} = -(1/d) [s^k] S'/S, where S_0 = 1."""
+    T = []
+    for k in range(n):
+        lower = sum((T[j] * S[k - j] for j in range(k)), Fraction(0))
+        T.append((k + 1) * S[k + 1] - lower)
+    return tuple(-t / d for t in T)
+
+
+def _exp_series(kappa, d: Fraction, n: int) -> list:
+    """S_0..S_n from i S_i = -d sum_{j=1}^{i} kappa_j S_{i-j}, S_0 = 1."""
+    S = [Fraction(1)]
+    for i in range(1, n + 1):
+        acc = sum((kappa[j - 1] * S[i - j] for j in range(1, i + 1)), Fraction(0))
+        S.append(-d * acc / i)
+    return S
+
+
+def _elementary(power_sums, n: int) -> list:
+    """e_0..e_n from the power sums p_1..p_n by Newton's identities,
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i."""
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = sum(
+            ((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1)),
+            Fraction(0),
         )
-    return tuple(out)
-
-
-_type_cache: dict = {}
-
-
-def _types(n: int) -> tuple:
-    table = _type_cache.get(n)
-    if table is None:
-        table = _type_data(n)
-        _type_cache.setdefault(n, table)
-    return table
-
-
-def _seq_over_sizes(f, sizes) -> Fraction:
-    """prod f[s-1] over s in sizes; f indexed by 1..n."""
-    v = Fraction(1)
-    for s in sizes:
-        v *= f[s - 1]
-    return v
-
-
-def _check_method(method: str) -> None:
-    if method not in ("grouped", "enumerate"):
-        raise InputFormatError("method must be 'grouped' or 'enumerate'")
+        e.append(acc / k)
+    return e
 
 
 # ---------------------------------------------------------------------------
-# single lattice sums: coefficients <-> cumulants, coefficients <-> moments
+# the six directions
 # ---------------------------------------------------------------------------
 
 
-def coefficients_from_cumulants(
-    k: CumulantVector, method: str = "grouped", n_max: int = DEFAULT_N_MAX
-) -> MonicPoly:
-    """a_n = (d)_n / (d^n n!) * sum over P(n) of d^{|pi|} mu(0,pi) kappa_pi."""
-    _check_method(method)
+def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
+    """a_i = S_i (d)_i / (-d)^i with S from the exp recurrence."""
     d = k.d
-    if d > n_max:
-        raise SizeCapError(d, n_max)
-    kap = _standardize(k)
     dq = Fraction(d)
-    a = [Fraction(1)]
-    for n in range(1, d + 1):
-        if method == "grouped":
-            s = Fraction(0)
-            for cnt, m, mu, _, sizes in _types(n):
-                s += cnt * dq**m * mu * _seq_over_sizes(kap, sizes)
-        else:
-            s = sum(
-                (
-                    dq ** len(pi.blocks)
-                    * mobius_from_zero(pi)
-                    * multiplicative_extension(kap, pi)
-                    for pi in iter_partitions(n, n_max)
-                ),
-                Fraction(0),
-            )
-        a.append(falling(dq, n) / (dq**n * factorial(n)) * s)
-    return MonicPoly(d, tuple(a))
+    S = _exp_series(_standardize(k), dq, d)
+    return MonicPoly(d, tuple(s / w for s, w in zip(S, _series_weights(dq, d))))
 
 
-def cumulants_from_coefficients(
-    p: MonicPoly, method: str = "grouped", n_max: int = DEFAULT_N_MAX
-) -> CumulantVector:
-    """kappa_n = (-d)^n / (d (n-1)!) * sum over P(n) of
-    (-1)^{|pi|} N!_pi a_pi (|pi|-1)! / (d)_pi."""
-    _check_method(method)
+def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
+    """kappa_n = -(1/d) [s^{n-1}] S'/S."""
     d = p.d
-    if d > n_max:
-        raise SizeCapError(d, n_max)
     dq = Fraction(d)
-    avals = p.a[1:]  # a_1..a_d indexed by block size
-    poch = [falling(dq, j) for j in range(0, d + 1)]
-    kap = []
-    for n in range(1, d + 1):
-        if method == "grouped":
-            s = Fraction(0)
-            for cnt, m, _, nfac, sizes in _types(n):
-                den = Fraction(1)
-                for sz in sizes:
-                    den *= poch[sz]
-                assert den != 0, "Pochhammer denominator vanished below degree"
-                s += (
-                    Fraction(cnt * (-1) ** m * nfac * factorial(m - 1))
-                    * _seq_over_sizes(avals, sizes)
-                    / den
-                )
-        else:
-            s = Fraction(0)
-            for pi in iter_partitions(n, n_max):
-                m = len(pi.blocks)
-                num = Fraction((-1) ** m * factorial(m - 1))
-                den = Fraction(1)
-                for block in pi.blocks:
-                    num *= factorial(len(block)) * avals[len(block) - 1]
-                    den *= poch[len(block)]
-                s += num / den
-        kap.append((-dq) ** n / (dq * factorial(n - 1)) * s)
-    return CumulantVector(d, tuple(kap))
+    S = [w * a for w, a in zip(_series_weights(dq, d), p.a)]
+    return CumulantVector(d, _log_derivative(S, dq, d))
 
 
-def coefficients_from_moments(
-    m: MomentSequence, d: int, method: str = "grouped", n_max: int = DEFAULT_N_MAX
-) -> MonicPoly:
-    """a_n = (1/n!) * sum over P(n) of d^{|pi|} mu(0,pi) m_pi."""
-    _check_method(method)
-    if d > n_max:
-        raise SizeCapError(d, n_max)
+def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
+    """a_1..a_d by Newton's identities from the power sums p_i = d m_i."""
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
-    mv = m.entries
-    dq = Fraction(d)
-    a = [Fraction(1)]
-    for n in range(1, d + 1):
-        if method == "grouped":
-            s = Fraction(0)
-            for cnt, mm, mu, _, sizes in _types(n):
-                s += cnt * dq**mm * mu * _seq_over_sizes(mv, sizes)
-        else:
-            s = sum(
-                (
-                    dq ** len(pi.blocks)
-                    * mobius_from_zero(pi)
-                    * multiplicative_extension(mv, pi)
-                    for pi in iter_partitions(n, n_max)
-                ),
-                Fraction(0),
-            )
-        a.append(s / factorial(n))
-    return MonicPoly(d, tuple(a))
+    return MonicPoly(d, tuple(_elementary([d * x for x in m.entries[:d]], d)))
 
 
-def moments_from_coefficients(
-    p: MonicPoly, N: int, method: str = "grouped", n_max: int = DEFAULT_N_MAX
-) -> MomentSequence:
-    """m_n = (-1)^n / (d (n-1)!) * sum over P(n) of
-    (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, with a_k = 0 past the degree.
-
-    Above the lattice cap this delegates to the Newton-identity path,
-    which computes the same values.
-    """
-    _check_method(method)
-    if N > n_max:
-        return newton_moments(p, N)
-    avals = list(p.a[1:]) + [Fraction(0)] * max(0, N - p.d)
-    dq = Fraction(p.d)
-    out = []
-    for n in range(1, N + 1):
-        if method == "grouped":
-            s = Fraction(0)
-            for cnt, m, _, nfac, sizes in _types(n):
-                s += (
-                    Fraction(cnt * (-1) ** m * nfac * factorial(m - 1))
-                    * _seq_over_sizes(avals, sizes)
-                )
-        else:
-            s = Fraction(0)
-            for pi in iter_partitions(n, n_max):
-                m = len(pi.blocks)
-                term = Fraction((-1) ** m * factorial(m - 1))
-                for block in pi.blocks:
-                    term *= factorial(len(block)) * avals[len(block) - 1]
-                s += term
-        out.append(Fraction((-1) ** n) / (dq * factorial(n - 1)) * s)
-    return MomentSequence(tuple(out), degree_context=p.d)
+def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
+    """m_1..m_N by Newton's identities, with a_k = 0 past the degree."""
+    if N < 1:
+        raise InputFormatError("need N >= 1 moments, got %d" % N)
+    return moments(p, N)
 
 
-# ---------------------------------------------------------------------------
-# double lattice sums: moments <-> cumulants directly
-# ---------------------------------------------------------------------------
-
-_inner_cm_cache: dict = {}
-_p_sigma_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
-def _merged_products_stream(sizes):
-    """Yield (num_blocks, merged_sizes) over all set partitions of the
-    multiset of block sizes (one per partition of the m labeled blocks)."""
-    m = len(sizes)
-    for rgs in rgs_strings(m):
-        nb = max(rgs) + 1
-        merged = [0] * nb
-        for i, lab in enumerate(rgs):
-            merged[lab] += sizes[i]
-        yield nb, merged
-
-
-def _inner_cum_mom(sizes: tuple, d) -> Fraction:
-    """sum over pi >= sigma of (-1)^{|pi|} (|pi|-1)! / (d)_pi, where sigma has
-    the given block sizes.  Depends on sigma only through the sizes."""
-    key = (sizes, d)
-    hit = _inner_cm_cache.get(key)
-    if hit is not None:
-        return hit
-    n = sum(sizes)
-    poch = [falling(Fraction(d), j) for j in range(n + 1)]
-    for j in range(1, n + 1):
-        if poch[j] == 0:
-            raise DomainError(
-                "(d)_%d vanishes at d = %s; need d >= n for this sum" % (j, d)
-            )
-    s = Fraction(0)
-    if len(set(sizes)) == 1:
-        # quotient sum collapses by type: merged sizes are s0 * (type sizes)
-        s0 = sizes[0]
-        m = len(sizes)
-        for cnt, nb, _, _, tsizes in _types(m):
-            den = Fraction(1)
-            for t in tsizes:
-                den *= poch[s0 * t]
-            s += Fraction(cnt * (-1) ** nb * factorial(nb - 1)) / den
-    else:
-        for nb, merged in _merged_products_stream(sizes):
-            den = Fraction(1)
-            for t in merged:
-                den *= poch[t]
-            s += Fraction((-1) ** nb * factorial(nb - 1)) / den
-    with _cache_lock:
-        _inner_cm_cache.setdefault(key, s)
-    return s
-
-
-def _p_sigma_poly(sizes: tuple) -> VarPoly:
-    """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)! as an
-    exact polynomial in d, for sigma with the given block sizes."""
-    hit = _p_sigma_cache.get(sizes)
-    if hit is not None:
-        return hit
-    out = VarPoly.zero("d")
-    if len(set(sizes)) == 1:
-        s0 = sizes[0]
-        m = len(sizes)
-        for cnt, nb, _, _, tsizes in _types(m):
-            term = VarPoly.constant("d", cnt * (-1) ** nb * factorial(nb - 1))
-            for t in tsizes:
-                term = term * falling_poly(s0 * t)
-            out = out + term
-    else:
-        for nb, merged in _merged_products_stream(sizes):
-            term = VarPoly.constant("d", (-1) ** nb * factorial(nb - 1))
-            for t in merged:
-                term = term * falling_poly(t)
-            out = out + term
-    with _cache_lock:
-        _p_sigma_cache.setdefault(sizes, out)
-    return out
-
-
-def cumulant_from_moments(m, d, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
+def cumulant_from_moments(m, d, n: int) -> Fraction:
     """Single kappa_n from the first n moments at degree (or parameter) d.
 
-    kappa_n = (-1)^n d^{n-1} / (n-1)! * sum over sigma in P(n) of
-    d^{|sigma|} mu(0,sigma) m_sigma * sum over pi >= sigma of
-    (-1)^{|pi|} (|pi|-1)! / (d)_pi.
-
-    d may exceed the lattice cap (the sum runs over P(n), not P(d)); it must
-    not be an integer below n, where (d)_pi vanishes.
+    d may be any rational except an integer below n; the cost is O(n^2)
+    whatever d is.
     """
-    if n > n_max:
-        raise SizeCapError(n, n_max)
     mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
+    if n < 1:
+        raise DomainError("cumulant order must be >= 1, got %d" % n)
     if len(mv) < n:
         raise DomainError("need %d moments, got %d" % (n, len(mv)))
     dq = Fraction(d)
-    if dq == int(dq) and int(dq) < n:
+    if dq.denominator == 1 and dq < n:
         raise DomainError("integer d = %s below the order n = %d" % (d, n))
-    s = Fraction(0)
-    for cnt, mm, mu, _, sizes in _types(n):
-        s += (
-            cnt * dq**mm * mu * _seq_over_sizes(mv, sizes)
-            * _inner_cum_mom(sizes, dq)
-        )
-    return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s
+    e = _elementary([dq * x for x in mv[:n]], n)
+    S = [w * x for w, x in zip(_series_weights(dq, n), e)]
+    return _log_derivative(S, dq, n)[-1]
 
 
-def cumulants_from_moments(
-    m: MomentSequence, d: int, n_max: int = DEFAULT_N_MAX
-) -> CumulantVector:
-    """All d cumulants from the first d moments (double lattice sum)."""
-    if d > n_max:
-        raise SizeCapError(d, n_max)
-    if len(m) < d:
-        raise DomainError("need %d moments, got %d" % (d, len(m)))
-    return CumulantVector(
-        d, tuple(cumulant_from_moments(m, d, n, n_max) for n in range(1, d + 1))
-    )
+def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
+    """All d cumulants from the first d moments."""
+    return cumulants_from_coefficients(coefficients_from_moments(m, d))
 
 
-def moment_from_cumulants(k: CumulantVector, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
-    """Single m_n from cumulants, valid for any n >= 1 (kappa_j = 0 past d).
-
-    m_n = (-1)^n / (d^{n+1} (n-1)!) * sum over sigma in P(n) of
-    d^{|sigma|} mu(0,sigma) kappa_sigma P_sigma(d), with P_sigma the inner
-    sum over {pi >= sigma} of (-1)^{|pi|} (d)_pi (|pi|-1)!.
-    """
-    if n > n_max:
-        raise SizeCapError(n, n_max)
-    kap = list(_standardize(k)) + [Fraction(0)] * max(0, n - k.d)
-    dq = Fraction(k.d)
-    s = Fraction(0)
-    for cnt, mm, mu, _, sizes in _types(n):
-        kprod = _seq_over_sizes(kap, sizes)
-        if kprod == 0:
-            continue
-        s += cnt * dq**mm * mu * kprod * _p_sigma_poly(sizes)(dq)
-    return Fraction((-1) ** n) / (dq ** (n + 1) * factorial(n - 1)) * s
+def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
+    """First N moments from the cumulant vector; N may exceed d."""
+    return moments_from_coefficients(coefficients_from_cumulants(k), N)
 
 
-def moments_from_cumulants(
-    k: CumulantVector, N: int, n_max: int = DEFAULT_N_MAX
-) -> MomentSequence:
-    """First N moments from the cumulant vector (double lattice sum)."""
-    return MomentSequence(
-        tuple(moment_from_cumulants(k, n, n_max) for n in range(1, N + 1)),
-        degree_context=k.d,
-    )
+def moment_from_cumulants(k: CumulantVector, n: int) -> Fraction:
+    """Single m_n from cumulants, valid for any n >= 1 (kappa_j = 0 past d)."""
+    return moments_from_cumulants(k, n)[n - 1]
 
 
-def truncated_r_transform(p: MonicPoly, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def truncated_r_transform(p: MonicPoly) -> VarPoly:
     """sum_{j=0}^{d-1} kappa_{j+1} s^j, the first d terms of the R-transform."""
-    k = cumulants_from_coefficients(p, n_max=n_max)
-    return VarPoly.make("s", k.kappa)
-
-
-# ---------------------------------------------------------------------------
-# the lattice polynomials P_sigma(d), Q_sigma(d) and the join-form sum
-# ---------------------------------------------------------------------------
-
-
-def p_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
-    """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)!.
-
-    Computed over the interval [sigma, 1_n], which is the partition lattice
-    of sigma's blocks; the value depends only on sigma's block sizes.
-    """
-    if sigma.n > n_max:
-        raise SizeCapError(sigma.n, n_max)
-    return _p_sigma_poly(tuple(sorted(sigma.block_sizes(), reverse=True)))
-
-
-def p_sigma_defining_sum(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
-    """P_sigma by literally filtering the full enumeration of P(n)."""
-    if sigma.n > n_max:
-        raise SizeCapError(sigma.n, n_max)
-    out = VarPoly.zero("d")
-    for pi in iter_partitions(sigma.n, n_max):
-        if refines(sigma, pi):
-            r = len(pi.blocks)
-            term = VarPoly.constant("d", (-1) ** r * factorial(r - 1))
-            for block in pi.blocks:
-                term = term * falling_poly(len(block))
-            out = out + term
-    return out
-
-
-def p_sigma_join_form(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
-    """sum over {rho : rho v sigma = 1_n} of d^{|rho|} mu(0,rho).
-
-    Literal scan over P(n) with a connectivity test on block bitmasks.
-    Relation to p_sigma: this equals JOIN_FORM_SIGN * p_sigma(sigma).
-    """
-    n = sigma.n
-    if n > n_max:
-        raise SizeCapError(n, n_max)
-    sig_masks = []
-    for block in sigma.blocks:
-        mask = 0
-        for e in block:
-            mask |= 1 << (e - 1)
-        sig_masks.append(mask)
-    full = (1 << n) - 1
-    nsig = len(sig_masks)
-    coeffs = [0] * (n + 1)
-    for rho_masks, nb, mu in lattice_table(n, n_max):
-        if nb + nsig > n + 1:  # |rho| + |sigma| <= n + 1 is necessary for cospan
-            continue
-        comp = sig_masks[0]
-        pending = list(rho_masks) + sig_masks[1:]
-        changed = True
-        while changed and comp != full:
-            changed = False
-            nxt = []
-            for b in pending:
-                if b & comp:
-                    if b | comp != comp:
-                        comp |= b
-                        changed = True
-                else:
-                    nxt.append(b)
-            pending = nxt
-        if comp == full:
-            coeffs[nb] += mu
-    return VarPoly.make("d", coeffs)
-
-
-def q_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
-    """Q_sigma(d) = (n+1-|sigma|)! / ((-1)^{|sigma|} (n-1)! n_sigma) P_sigma(d);
-    monic of degree n+1-|sigma|."""
-    n = sigma.n
-    m = len(sigma.blocks)
-    scale = Fraction(
-        factorial(n + 1 - m), (-1) ** m * factorial(n - 1) * block_size_product(sigma)
-    )
-    return p_sigma(sigma, n_max).scale(scale)
+    return VarPoly.make("s", cumulants_from_coefficients(p).kappa)

@@ -8,10 +8,16 @@ R-transform in s, and the lattice characteristic polynomial in t.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputFormatError
+from .errors import DomainError, InputFormatError
+
+# The exponent of a decimal literal such as "1.5e-3"; Fraction would build
+# 10**exponent before reducing.
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def parse_rational(text) -> Fraction:
@@ -24,15 +30,48 @@ def parse_rational(text) -> Fraction:
         raise InputFormatError(
             "refusing float %r for an exact slot; pass a string like '1/3'" % text
         )
+    literal = str(text).strip()
+    # the interpreter's int/str digit limit (CPython >= 3.10.7), 0 when off
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or float("inf")
+    exp = _EXPONENT.search(literal)
     try:
-        return Fraction(str(text).strip())
+        # "M.Fe<x>" is int(MF) * 10**(x - len(F)): its numerator and
+        # denominator have fewer than len(literal) + |x| digits
+        too_long = exp is not None and len(literal) + abs(int(exp.group(1))) > limit
+        value = None if too_long else Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputFormatError("not a rational: %r" % (text,)) from exc
+        raise InputFormatError("not a rational: %.80r" % (literal,)) from exc
+    if too_long:
+        raise InputFormatError(
+            "rational literal %.80r would have more than %d digits" % (literal, limit)
+        )
+    return value
+
+
+def parse_int(value, what: str = "value") -> int:
+    """An exact integer from JSON or text: an int, or an integral float,
+    Fraction or rational string.  Booleans and non-integral numbers are
+    refused, not truncated."""
+    if isinstance(value, str):
+        value = parse_rational(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputFormatError("%s must be an integer, got %.80r" % (what, value))
 
 
 def format_rational(q: Fraction) -> str:
-    """Render exactly: integers bare ("3"), everything else as "num/den"."""
-    return str(Fraction(q))
+    """Render exactly: integers bare ("3"), everything else as "num/den".
+
+    A value with more digits than the interpreter prints raises DomainError.
+    """
+    try:
+        return str(Fraction(q))
+    except ValueError as exc:
+        raise DomainError("a result has too many digits to print") from exc
 
 
 @dataclass(frozen=True)

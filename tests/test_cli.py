@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -172,6 +173,10 @@ def test_malformed_input_exits_3(capsys):
 def test_size_cap_exits_4(capsys):
     code, _, err = run(capsys, "partitions", "--n", "15")
     assert code == 4 and err["error"]["type"] == "SizeCapError"
+    code, _, err = run(capsys, "partitions", "--n", "13")
+    assert code == 4 and err["error"]["type"] == "SizeCapError"
+    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "13", "--d", "20")
+    assert code == 4 and err["error"]["type"] == "SizeCapError"
     # raising the cap on the command line clears it
     code, out, _ = run(capsys, "partitions", "--n", "13", "--types")
     assert code == 0 and out["n"] == 13
@@ -228,3 +233,74 @@ def test_round_trip_through_cli_json(capsys):
     assert code == 0
     code, kj2, _ = run(capsys, "cumulants", json.dumps(pj))
     assert code == 0 and kj2 == kj
+
+
+def test_conversions_have_no_partition_cap(capsys):
+    roots = ",".join(str(i) for i in range(1, 14))
+    code, out, _ = run(capsys, "cumulants", "--roots", roots)
+    assert code == 0 and len(out["kappa"]) == 13 and out["kappa"][0] == "7"
+    # --nmax bounds only partitions and converge
+    code, out, _ = run(capsys, "cumulants", "--roots", roots, "--nmax", "2")
+    assert code == 0 and len(out["kappa"]) == 13
+
+
+def test_documented_errors_keep_their_codes(capsys):
+    code, _, err = run(capsys, "moments", "--roots", "1,-1", "--N", "0")
+    assert code == 3 and err["error"]["type"] == "InputFormatError"
+    # an integer degree below the cumulant order
+    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "4", "--d", "3")
+    assert code == 5 and err["error"]["type"] == "DomainError"
+    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "2", "--d", "5/2")
+    assert code == 3 and err["error"]["type"] == "InputFormatError"
+
+
+def test_big_rational_literals(capsys):
+    # refused before the integer is built, however large the exponent
+    for roots in ("1e5000,0", "1e10000000,0", "1e-5000,0"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cumulants", "--roots", roots)
+        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError"
+        assert time.perf_counter() - start < 1.0
+    # inputs that parse, with a result too long to print
+    big = '{"degree": 2, "a": ["1", "1e4000", "0"]}'
+    code, out, err = run(capsys, "convolve", big, big)
+    assert code == 5 and out is None and err["error"]["type"] == "DomainError"
+    code, out, err = run(capsys, "cumulants", "{\"degree\": 1, \"a\": [\"1\", %s]}" % ("7" * 5000))
+    assert code == 3 and out is None and err["error"]["type"] == "InputFormatError"
+
+
+def test_degrees_must_be_integers(capsys):
+    inputs = [
+        ("cumulants", '{"degree": true, "a": ["1", "2"]}'),
+        ("cumulants", '{"degree": 2.5, "a": ["1", "2", "3"]}'),
+        ("coeffs", '{"d": true, "kappa": ["1"]}'),
+        ("coeffs", '{"d": 2.5, "kappa": ["0", "1"]}'),
+        ("coeffs", '{"m": ["0", "1"], "d": true}'),
+        ("coeffs", '{"m": ["0", "1"], "d": 2.5}'),
+    ]
+    for cmd, doc in inputs:
+        code, out, err = run(capsys, cmd, doc)
+        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", doc
+    # integral values in other spellings still parse
+    code, out, _ = run(capsys, "coeffs", '{"d": 2.0, "kappa": ["0", "1"]}')
+    assert code == 0 and out["degree"] == 2
+
+
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys):
+    for tol in ("nan", "inf", "0", "-1"):
+        code, _, err = run(capsys, "check-id", "--roots", "1,-1", "--tol", tol)
+        assert code == 3 and err["error"]["type"] == "InputFormatError", tol
+    code, _, err = run(
+        capsys, "verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "10", "--tol", "nan"
+    )
+    assert code == 3 and err["error"]["type"] == "InputFormatError"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": "abc"}')
+    code, _, err = run(capsys, "family", "hermite", "--d", "2", "--config", str(cfg))
+    assert code == 3 and err["error"]["type"] == "InputFormatError"
+
+
+def test_partitions_needs_n_at_least_1(capsys):
+    for argv in (["--n", "0"], ["--n", "0", "--types"], ["--n", "-1"], ["--n", "-1", "--types"]):
+        code, out, err = run(capsys, "partitions", *argv)
+        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", argv

@@ -1,10 +1,8 @@
 """Transform triangle tests.
 
-The load-bearing checks are cross-path: the grouped lattice sums against
-naive enumeration, against the double-sum kernels, and against a third
-derivation of the cumulants through formal series division (the log
-derivative of the coefficient generating series), which shares no code
-with the lattice sums at all.
+The load-bearing checks are cross-path: the series recurrences of the
+production path against the paper's lattice sums (finfree.lattice), and
+the cumulants against a separate series division written out here.
 """
 
 import json
@@ -27,6 +25,7 @@ from finfree import (
     cumulants_from_moments,
     enumerate_partitions,
     falling,
+    lattice,
     moment_from_cumulants,
     moments,
     moments_from_coefficients,
@@ -87,27 +86,32 @@ def test_first_two_cumulants_closed_form():
         assert k.kappa[1] == Fraction(d, d - 1) * (m[1] - m[0] ** 2)
 
 
-def test_grouped_equals_enumerate():
+def assert_matches_reference(p, moment_orders=None):
+    """All six directions at p against the lattice sums; the moments from
+    cumulants are compared up to moment_orders (default: the degree)."""
+    d = p.d
+    k = cumulants_from_coefficients(p)
+    m = moments_from_coefficients(p, d)
+    assert k == lattice.cumulants_from_coefficients(p)
+    assert m.entries == lattice.moments_from_coefficients(p, d).entries
+    assert coefficients_from_cumulants(k) == lattice.coefficients_from_cumulants(k)
+    assert coefficients_from_moments(m, d) == lattice.coefficients_from_moments(m, d)
+    assert cumulants_from_moments(m, d).kappa == tuple(
+        lattice.cumulant_from_moments(m, d, n) for n in range(1, d + 1)
+    )
+    top = moment_orders or d
+    assert moments_from_cumulants(k, top).entries == tuple(
+        lattice.moment_from_cumulants(k, n) for n in range(1, top + 1)
+    )
+
+
+def test_series_equals_lattice_reference():
     rng = random.Random(31)
     for _ in range(12):
-        d = rng.randint(1, 7)
-        p = rand_poly(rng, d)
-        assert cumulants_from_coefficients(p) == cumulants_from_coefficients(
-            p, method="enumerate"
-        )
-        assert moments_from_coefficients(p, d).entries == moments_from_coefficients(
-            p, d, method="enumerate"
-        ).entries
-        k = cumulants_from_coefficients(p)
-        assert coefficients_from_cumulants(k) == coefficients_from_cumulants(
-            k, method="enumerate"
-        )
-        m = moments_from_coefficients(p, d)
-        assert coefficients_from_moments(m, d) == coefficients_from_moments(
-            m, d, method="enumerate"
-        )
-    with pytest.raises(InputFormatError):
-        cumulants_from_coefficients(p, method="fast")
+        assert_matches_reference(rand_poly(rng, rng.randint(1, 8)))
+    # at d = 10 the reference's P_sigma(d) tables for n = 9, 10 take about
+    # 25 s to build, so the moments are compared up to order 8
+    assert_matches_reference(rand_poly(rng, 10), moment_orders=8)
 
 
 def test_series_division_third_path():
@@ -138,10 +142,7 @@ def test_moments_agree_with_newton_path():
         d = rng.randint(1, 7)
         p = rand_poly(rng, d)
         n = d + rng.randint(0, 4)
-        assert moments_from_coefficients(p, n).entries == moments(p, n).entries
-    # above the cap the lattice path delegates; values still match Newton
-    p = rand_poly(rng, 4)
-    assert moments_from_coefficients(p, 20).entries == moments(p, 20).entries
+        assert lattice.moments_from_coefficients(p, n).entries == moments(p, n).entries
 
 
 def test_moments_from_cumulants_past_degree():
@@ -153,10 +154,11 @@ def test_moments_from_cumulants_past_degree():
         k = cumulants_from_coefficients(p)
         n = d + rng.randint(1, 3)
         assert moments_from_cumulants(k, n).entries == moments(p, n).entries
+        assert lattice.moment_from_cumulants(k, n) == moments(p, n)[n - 1]
 
 
 def test_kernel_large_d():
-    # the sums run over P(n), so d far above the cap is fine
+    # the cost depends on n, not d, so d far above the lattice cap is fine
     m = [Fraction(0), Fraction(1), Fraction(1), Fraction(2)]
     v = cumulant_from_moments(m, 10**6, 4)
     assert abs(v - Fraction(0)) < Fraction(1, 10**5)  # free kappa_4 of these moments is 0
@@ -222,15 +224,19 @@ def test_truncated_r_transform():
 
 
 def test_size_caps():
+    # the lattice reference stops at the partition cap; the series path does not
     rng = random.Random(67)
     p = rand_poly(rng, 13)
     with pytest.raises(SizeCapError):
-        cumulants_from_coefficients(p)
+        lattice.cumulants_from_coefficients(p)
     with pytest.raises(SizeCapError):
-        cumulant_from_moments([Fraction(1)] * 13, 13, 13)
+        lattice.cumulant_from_moments([Fraction(1)] * 13, 13, 13)
     k = CumulantVector.make(4, [0, 1, 0, 0])
     with pytest.raises(SizeCapError):
-        moments_from_cumulants(k, 13)
+        lattice.moment_from_cumulants(k, 13)
+    with pytest.raises(SizeCapError):
+        p_sigma(SetPartition.parse("{1,2|3}"), n_max=2)
+    assert cumulants_from_coefficients(p).kappa == series_cumulants(p)
 
 
 def test_p_sigma_agrees_with_defining_sum():
