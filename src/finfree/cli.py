@@ -2,8 +2,9 @@
 
 Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
-0 success, 2 unknown subcommand, 3 malformed input, 4 partition cap
-exceeded (partitions and converge), 5 domain errors.
+0 success, 2 unknown subcommand, 3 malformed input, 4 size cap exceeded
+(the partition cap of partitions and converge, or a fixed bound below),
+5 domain errors.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ from .util import format_rational, parse_int, parse_rational
 
 # Every error type maps to the first matching row; the rest are exit 5.
 _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
+
+# Fixed bounds where no partition cap guards the work, so a few bytes of
+# input cannot ask for an unbounded amount: the Sturm tests of cramer take a
+# few seconds at degree 100, and the type table of partitions --n 30 --types
+# is about 1.4 MB.
+MAX_DEGREE = 100
+MAX_TYPES_N = 30
+
+
+def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
+    if n > bound:
+        raise SizeCapError(n, bound, what, cap)
 
 
 class _UsageError(Exception):
@@ -164,6 +177,7 @@ def _cmd_rtransform(ns):
 
 
 def _cmd_family(ns):
+    _check_bound(ns.d, MAX_DEGREE, "--d", "the bound MAX_DEGREE")
     if ns.which == "hermite":
         return hermite_clt(ns.d, marcus_scaling=ns.marcus).to_json()
     if ns.lam is None:
@@ -191,6 +205,7 @@ def _cmd_threshold(ns):
 
 
 def _cmd_cramer(ns):
+    _check_bound(ns.d, MAX_DEGREE, "--d", "the bound MAX_DEGREE")
     return cramer_counterexample(ns.d, parse_rational(ns.eps)).to_json()
 
 
@@ -228,6 +243,7 @@ def _cmd_partitions(ns):
     if n < 1:
         raise InputFormatError("--n must be >= 1, got %d" % n)
     if ns.types:
+        _check_bound(n, MAX_TYPES_N, "--n", "the --types bound MAX_TYPES_N")
         rows = []
         for t in iter_types(n):
             rows.append(
@@ -331,7 +347,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("family", parents=[common],
                         help="closed-form families")
     sp.add_argument("which", choices=["hermite", "poisson"])
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=int, required=True,
+                    help="degree, at most %d" % MAX_DEGREE)
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--marcus", action="store_true",
                     help="hermite with variance 1 - 1/d")
@@ -356,7 +373,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("cramer", parents=[common],
                         help="Cramer-failure pair with third cumulant +-eps")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=int, required=True,
+                    help="degree, at most %d" % MAX_DEGREE)
     sp.add_argument("--eps", required=True)
     sp.set_defaults(func=_cmd_cramer)
 
@@ -371,7 +389,9 @@ def _build_parser() -> _Parser:
                         help="list set partitions, types, and counts")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--noncrossing", action="store_true")
-    sp.add_argument("--types", action="store_true")
+    sp.add_argument("--types", action="store_true",
+                    help="one row per integer partition of n, n at most %d"
+                         % MAX_TYPES_N)
     sp.set_defaults(func=_cmd_partitions)
 
     return top

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .convolution import boxplus, boxplus_power
+from .convolution import boxplus
 from .errors import DomainError
 from .families import hermite_clt
 from .polynomial import MonicPoly, is_real_rooted
@@ -123,30 +123,33 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """Smallest t found such that p^{boxplus s} has d distinct real roots for
     every sampled s >= t; None if no such t <= t_max shows up.
 
-    Grid: t = 1/16, 1/8, ..., doubling up to t_max, then one bisection
-    refinement (steps iterations) between the last failing and the first
-    persistently passing grid point.
+    Grid: t = 1/16, 1/8, ..., doubling up to t_max, walked down from the top
+    until the first failing point, then one bisection refinement (steps
+    iterations) between that point and the grid point above it.  Each probe
+    scales kappa(p), computed once, as boxplus_power does.
     """
     if all(v == 0 for v in p.a[1:]):
         raise DomainError("x^d is excluded: every convolution power is x^d")
     t_max = Fraction(t_max)
     if t_max <= 0:
         raise DomainError("t_max must be positive")
+    kappa = cumulants_from_coefficients(p).kappa
 
     def ok(t) -> bool:
-        return is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+        scaled = CumulantVector(p.d, tuple(t * v for v in kappa))
+        power = coefficients_from_cumulants(scaled)
+        return is_real_rooted(power, require_distinct=True) == "yes"
 
     grid = []
     t = Fraction(1, 16)
     while t <= t_max:
         grid.append(t)
         t *= 2
-    if not grid or not ok(grid[-1]):
-        return None
-    results = [ok(t) for t in grid[:-1]] + [True]
-    first = len(grid) - 1
-    while first > 0 and results[first - 1]:
+    first = len(grid)  # grid[first:] all pass
+    while first > 0 and ok(grid[first - 1]):
         first -= 1
+    if first == len(grid):
+        return None
     if first == 0:
         return grid[0]
     lo, hi = grid[first - 1], grid[first]  # ok fails at lo, holds at hi

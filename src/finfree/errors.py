@@ -3,7 +3,7 @@
 The CLI maps these onto stable exit codes, so the distinctions matter:
 malformed input is not the same thing as a well-formed request that falls
 outside an operation's domain, and neither is a request that would exceed
-the partition-lattice size cap.
+a size cap.
 """
 
 
@@ -23,14 +23,13 @@ class NonMonicError(InputFormatError):
 
 
 class SizeCapError(FinFreeError):
-    """A lattice operation was asked to exceed the configured cap n_max."""
+    """A request would exceed a size cap: the configured partition cap n_max
+    of a lattice operation, or a fixed bound of the command line."""
 
-    def __init__(self, n, n_max):
+    def __init__(self, n, n_max, what="ground-set size", cap="the partition cap n_max"):
         self.n = n
         self.n_max = n_max
-        super().__init__(
-            "ground-set size %d exceeds the partition cap n_max = %d" % (n, n_max)
-        )
+        super().__init__("%s %d exceeds %s = %d" % (what, n, cap, n_max))
 
 
 class DimensionError(FinFreeError):

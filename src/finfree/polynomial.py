@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import (
     DomainError,
-    FinFreeError,
     InputFormatError,
     NonMonicError,
     RootConvergenceError,
@@ -218,97 +218,69 @@ class MomentSequence:
 
 
 # ---------------------------------------------------------------------------
-# dense exact polynomial helpers (ascending Fraction lists) and Sturm chains
+# real-rootedness: one primitive integer Sturm chain
 # ---------------------------------------------------------------------------
 
 
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _primitive(c):
+    """c divided by its positive content; signs are kept."""
+    g = gcd(c[0], c[-1])
+    if any(x % g for x in c):  # cheaper than a gcd over every coefficient
+        g = gcd(g, *c)
+    return c if g == 1 else [x // g for x in c]
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+def _remainder(a, b):
+    """A positive multiple of the remainder of a by b, descending integers.
+
+    Each step scales a by u > 0 and subtracts a multiple of b, so the sign
+    of the Euclidean remainder survives without any Fractions.
+    """
+    lb, n = b[0], len(b)
+    while len(a) >= n:
+        la = a[0]
+        if la:
+            g = gcd(la, lb)
+            u, v = lb // g, la // g
+            if u < 0:
+                u, v = -u, -v
+            a = [u * x - v * y for x, y in zip(a, b)] + [u * x for x in a[n:]]
+        a = a[1:]
+    lead = next((i for i, x in enumerate(a) if x), len(a))
+    return a[lead:]
+
+
+def _sturm_counts(p: MonicPoly):
+    """(distinct real roots, distinct roots) of p from one Sturm chain.
+
+    The chain is p, p', then minus each remainder, all as primitive integer
+    polynomials: positive multiples of the Euclidean chain, so the signs
+    Sturm's theorem reads are unchanged.  Its last element is gcd(p, p');
+    dividing it out leaves a Sturm chain of the squarefree part, so
+    V(-oo) - V(+oo) counts the distinct real roots, and d - deg(gcd) the
+    distinct roots.
+    """
+    plain = p.plain_coefficients()
+    den = lcm(*(c.denominator for c in plain))
+    f = _primitive([c.numerator * (den // c.denominator) for c in plain])
+    chain = [f, _primitive([c * (p.d - i) for i, c in enumerate(f[:-1])])]
     while True:
-        _trim(num)
-        if len(num) < len(den):
-            break
-        c = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        q[shift] = c
-        for i, b in enumerate(den):
-            num[shift + i] -= c * b
-        num.pop()
-    return _trim(q), num
-
-
-def _poly_deriv(c):
-    return [c[i] * i for i in range(1, len(c))]
-
-
-def _poly_gcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _squarefree_part(c):
-    g = _poly_gcd(c, _poly_deriv(c))
-    if len(g) <= 1:
-        return list(c)
-    q, r = _poly_divmod(c, g)
-    if r:
-        raise FinFreeError("gcd does not divide the polynomial")
-    return q
-
-
-def _sturm_chain(c):
-    chain = [list(c), _poly_deriv(c)]
-    while _trim(chain[-1]):
-        _, r = _poly_divmod(chain[-2], chain[-1])
+        r = _remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-x for x in r])
-    if not _trim(chain[-1]):
-        chain.pop()
-    return chain
-
-
-def _sign_variations_at_infinity(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if not q:
-            continue
-        s = 1 if q[-1] > 0 else -1
-        if not positive and (len(q) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
-
-
-def _count_distinct_real_roots(c) -> int:
-    """Distinct real roots of the squarefree polynomial c (ascending)."""
-    if len(c) <= 1:
-        return 0
-    chain = _sturm_chain(c)
-    return _sign_variations_at_infinity(chain, False) - _sign_variations_at_infinity(
-        chain, True
+        chain.append([-x for x in _primitive(r)])
+    # sign at +oo is that of the leading coefficient; at -oo flip odd degrees
+    plus = [q[0] > 0 for q in chain]
+    minus = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]
+    real = sum(x != y for x, y in zip(minus, minus[1:])) - sum(
+        x != y for x, y in zip(plus, plus[1:])
     )
+    return real, p.d - (len(chain[-1]) - 1)
 
 
 def count_distinct_real_roots(p: MonicPoly) -> int:
-    """Exact number of distinct real roots of p (Sturm on the squarefree part)."""
-    ascending = list(reversed(p.plain_coefficients()))
-    return _count_distinct_real_roots(_squarefree_part(ascending))
+    """Exact number of distinct real roots of p (Sturm's theorem)."""
+    return _sturm_counts(p)[0]
 
 
 def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
@@ -317,12 +289,10 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
     "yes" iff all d roots (with multiplicity) are real.  With
     require_distinct=True, repeated real roots answer "boundary" instead.
     """
-    ascending = list(reversed(p.plain_coefficients()))
-    square_free = _squarefree_part(ascending)
-    distinct = _count_distinct_real_roots(square_free)
-    if distinct != len(square_free) - 1:
+    real, distinct = _sturm_counts(p)
+    if real != distinct:
         return "no"
-    if require_distinct and len(square_free) - 1 != p.d:
+    if require_distinct and distinct != p.d:
         return "boundary"
     return "yes"
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from finfree.cli import main
+from finfree.cli import MAX_DEGREE, MAX_TYPES_N, main
 
 SEMICIRCLE2 = '{"degree": 2, "a": ["1", "0", "-1/2"]}'
 
@@ -304,3 +304,30 @@ def test_partitions_needs_n_at_least_1(capsys):
     for argv in (["--n", "0"], ["--n", "0", "--types"], ["--n", "-1"], ["--n", "-1", "--types"]):
         code, out, err = run(capsys, "partitions", *argv)
         assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", argv
+
+
+def test_fixed_bounds_exit_4(capsys):
+    for argv in (
+        ["cramer", "--d", "101", "--eps", "1/32"],
+        ["cramer", "--d", "1000000000", "--eps", "1/32"],
+        ["family", "hermite", "--d", "101"],
+        ["family", "poisson", "--lambda", "1", "--d", "101"],
+        ["partitions", "--n", "31", "--types"],
+        ["partitions", "--n", "1000000000", "--types"],
+        # the bounds are fixed: a larger --nmax does not lift them
+        ["partitions", "--n", "31", "--types", "--nmax", "40"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out is None and err["error"]["type"] == "SizeCapError", argv
+
+
+def test_largest_allowed_sizes(capsys):
+    assert (MAX_DEGREE, MAX_TYPES_N) == (100, 30)
+    code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
+    assert code == 0 and out["convolution"]["degree"] == 100
+    code, out, _ = run(capsys, "family", "hermite", "--d", "100")
+    assert code == 0 and out["degree"] == 100
+    code, out, _ = run(capsys, "family", "poisson", "--lambda", "1", "--d", "100")
+    assert code == 0 and out["degree"] == 100
+    code, out, _ = run(capsys, "partitions", "--n", "30", "--types")
+    assert code == 0 and len(out["types"]) == 5604  # integer partitions of 30

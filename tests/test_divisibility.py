@@ -156,6 +156,56 @@ def test_threshold_poisson_quarter():
     assert is_real_rooted(boxplus_power(p, 2 * t), require_distinct=True) == "yes"
 
 
+def _threshold_by_full_grid(p, t_max, steps=16):
+    """The threshold search as it was first written: every grid point probed
+    bottom to top, each probe recomputing kappa(p) through boxplus_power."""
+
+    def ok(t):
+        return is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+
+    grid = []
+    t = Fraction(1, 16)
+    while t <= t_max:
+        grid.append(t)
+        t *= 2
+    if not grid or not ok(grid[-1]):
+        return None
+    results = [ok(t) for t in grid[:-1]] + [True]
+    first = len(grid) - 1
+    while first > 0 and results[first - 1]:
+        first -= 1
+    if first == 0:
+        return grid[0]
+    lo, hi = grid[first - 1], grid[first]
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_threshold_matches_full_grid_search():
+    rng = random.Random(139)
+    grid = [Fraction(i, 2) for i in range(-10, 11)]
+    for d in range(2, 11):
+        inputs = [
+            MonicPoly.from_roots(rng.sample(grid, d)),
+            rand_real_rooted(rng, d),
+            MonicPoly.from_signed(
+                [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+            ),
+        ]
+        for p in inputs:
+            if all(v == 0 for v in p.a[1:]):
+                continue
+            for t_max, steps in ((2**20, 16), (Fraction(3, 4), 5)):
+                assert real_rooted_threshold(p, t_max, steps) == _threshold_by_full_grid(
+                    p, t_max, steps
+                ), (p, t_max)
+
+
 def test_threshold_none_when_tmax_too_small():
     p = finite_poisson(Fraction(1, 4), 4)
     assert real_rooted_threshold(p, 1) is None

@@ -2,12 +2,18 @@
 
 The series path of finfree.transforms against the lattice sums of
 finfree.lattice, the additivity of the cumulants, round trips past the
-lattice cap, and the domain of cumulant_from_moments.  The settings are
-derandomized and keep no example database, so every run draws the same
-examples.
+lattice cap, the domain of cumulant_from_moments, the Sturm counts against
+Hermite's criterion, and the error contract of the command line.  The
+settings are derandomized and keep no example database, so every run draws
+the same examples.
 """
 
+import contextlib
+import io
+import json
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,15 +24,19 @@ from finfree import (
     boxplus,
     coefficients_from_cumulants,
     coefficients_from_moments,
+    count_distinct_real_roots,
     cumulant_from_moments,
     cumulants_from_coefficients,
     cumulants_from_moments,
+    is_real_rooted,
     lattice,
     moment_from_cumulants,
+    moments,
     moments_from_coefficients,
     moments_from_cumulants,
     rescale_cumulants,
 )
+from finfree.cli import main
 from finfree.errors import DomainError
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -114,3 +124,201 @@ def test_integer_d_below_the_order_is_a_domain_error(nd, mv):
             fn(mv, d, n)
         with pytest.raises(DomainError):
             fn(mv, Fraction(d), n)
+
+
+# ---------------------------------------------------------------------------
+# Sturm counts against Hermite's criterion
+# ---------------------------------------------------------------------------
+
+
+def _charpoly(h):
+    """Coefficients c_0 = 1, c_1, ..., c_n of det(x I - h), highest power
+    first, by the Faddeev-LeVerrier recurrence."""
+    n = len(h)
+    c = [Fraction(1)]
+    hm = [[0] * n for _ in range(n)]  # h M_0 with M_0 = 0
+    for k in range(1, n + 1):
+        m = [[hm[i][j] + (c[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+        hm = [[sum(h[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        c.append(-sum(hm[i][i] for i in range(n)) / k)
+    return c
+
+
+def _variations(seq):
+    signs = [x > 0 for x in seq if x != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def hermite_inertia(p):
+    """(positive, negative, rank) of the Hankel matrix of power sums of p.
+
+    By Hermite's theorem, H_ij = p_{i+j}, 0 <= i, j < d, has the number of
+    distinct real roots as its signature (positive - negative) and the
+    number of distinct roots as its rank; p is real-rooted iff H is PSD.  H is
+    symmetric, so its characteristic polynomial is real-rooted and Descartes'
+    rule of signs counts its positive and negative roots exactly.  Scaling H
+    by a positive integer to clear denominators leaves the inertia alone.
+    """
+    d = p.d
+    m = (Fraction(1),) + moments(p, max(1, 2 * d - 2)).entries
+    scale = lcm(*(x.denominator for x in m))
+    h = [[int(m[i + j] * scale) for j in range(d)] for i in range(d)]
+    c = _charpoly(h)
+    positive = _variations(c)
+    negative = _variations([x * (-1) ** k for k, x in enumerate(c)])
+    zero = next(k for k, x in enumerate(reversed(c)) if x != 0)
+    return positive, negative, d - zero
+
+
+def _times_quadratic(plain, c):
+    """Plain coefficients of (descending plain) * (x^2 + c)."""
+    out = list(plain) + [Fraction(0), Fraction(0)]
+    for i, x in enumerate(plain):
+        out[i + 2] += c * x
+    return out
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def factored_polys(draw, min_d=1, max_d=12, quadratics=True):
+    """Rational roots, repeats likely, times x^2 + c factors (c < 0 gives a
+    real pair, c = 0 a double root at 0, c > 0 a complex pair)."""
+    d = draw(st.integers(min_d, max_d))
+    cs = draw(st.lists(small, max_size=d // 2 if quadratics else 0))
+    n_roots = d - 2 * len(cs)
+    roots = draw(st.lists(small, min_size=n_roots, max_size=n_roots))
+    plain = MonicPoly.from_roots(roots).plain_coefficients() if roots else [Fraction(1)]
+    for c in cs:
+        plain = _times_quadratic(plain, c)
+    return MonicPoly.from_plain_coefficients(plain)
+
+
+def boxplus_outputs(quadratics):
+    return st.integers(1, 12).flatmap(
+        lambda d: st.tuples(*(factored_polys(d, d, quadratics) for _ in range(2)))
+    ).map(lambda pq: boxplus(*pq))
+
+
+@settings(PROPS, max_examples=60)
+@given(st.one_of(factored_polys(), boxplus_outputs(True), boxplus_outputs(False)))
+def test_sturm_agrees_with_hermite(p):
+    positive, negative, rank = hermite_inertia(p)
+    assert count_distinct_real_roots(p) == positive - negative
+    want = "yes" if negative == 0 else "no"  # real-rooted iff H is PSD
+    assert is_real_rooted(p) == want
+    if want == "yes" and rank < p.d:
+        want = "boundary"
+    assert is_real_rooted(p, require_distinct=True) == want
+
+
+def test_boxplus_real_rooted_at_d40():
+    rng = random.Random(40)
+    p, q = (
+        MonicPoly.from_roots([Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(40)])
+        for _ in range(2)
+    )
+    assert is_real_rooted(boxplus(p, q)) == "yes"
+
+
+# ---------------------------------------------------------------------------
+# command-line error contract
+# ---------------------------------------------------------------------------
+
+POLY_ARGS = [
+    '{"degree": 2, "a": ["1", "0", "-1/2"]}',
+    '{"degree": 3, "a": ["1", "0", "1", "0"]}',
+    '{"degree": 2, "a": ["2", "0", "0"]}',
+    '{"degree": true, "a": ["1", "2"]}',
+    '{"degree": 2, "a": [',
+    '{"kappa": ["0", "1"], "d": 2}',
+    '{"m": ["0", "1"]}',
+    '{"m": "x"}',
+    "[]",
+    "missing.json",
+]
+# Every value stays cheap in any combination: degrees past MAX_DEGREE and
+# sizes past the caps are refused, and no --nmax lifts the partition cap.
+INTS = ["-1", "0", "1", "2", "3", "13", "31", "40", "101", "x"]
+RATIONALS = INTS + ["1/2", "-1/3", "nan", "1e999999"]
+FLAG_VALUES = {
+    "--roots": ["1,-1", "0,0,1", "1/2,x", ","],
+    "--plain": ["1,0,1", "2,1", "1,0,-1/2"],
+    "--t": RATIONALS,
+    "--N": INTS,
+    "--d": INTS + ["16,32", "5/2"],
+    "--n": INTS,
+    "--tmax": RATIONALS,
+    "--steps": INTS,
+    "--eps": RATIONALS,
+    "--lambda": RATIONALS,
+    "--r": ["0,1,1", "x", "1"],
+    "--samples": ["-1", "0", "10", "x"],
+    "--nmax": ["-1", "2", "x"],
+    "--tol": ["nan", "0", "1e-9", "x"],
+    "--seed": ["0", "x", "1.5"],
+    "--config": ['{"nmax": 3}', '{"tol": "abc"}', '{"seed": true}', "[]", "missing.json"],
+}
+SWITCHES = ["--types", "--noncrossing", "--rescaled", "--marcus"]
+# The arguments each command needs, before a few random extras: a "poly"
+# slot is a positional JSON argument, "poly_in" may also be --roots/--plain.
+TEMPLATES = {
+    "convolve": ["poly", "poly"],
+    "power": ["poly_in", "--t"],
+    "cumulants": ["poly_in"],
+    "moments": ["poly_in", "--N"],
+    "coeffs": ["poly"],
+    "rtransform": ["poly_in"],
+    "family": ["which", "--d"],
+    "converge": ["--r", "--n", "--d"],
+    "check-id": ["poly_in"],
+    "threshold": ["poly_in", "--tmax"],
+    "cramer": ["--d", "--eps"],
+    "verify-mc": ["poly", "poly", "--samples"],
+    "partitions": ["--n"],
+}
+
+
+def _flag(name):
+    return st.sampled_from(FLAG_VALUES[name]).map(lambda v: [name, v])
+
+
+_poly = st.sampled_from(POLY_ARGS).map(lambda a: [a])
+SLOTS = {
+    "poly": _poly,
+    "poly_in": st.one_of(_poly, _flag("--roots"), _flag("--plain")),
+    "which": st.sampled_from(["hermite", "poisson"]).map(lambda a: [a]),
+}
+# a third of the extras are the global flags every command takes
+extras = st.one_of(
+    st.sampled_from(["--nmax", "--tol", "--seed", "--config"]).flatmap(_flag),
+    st.sampled_from(SWITCHES).map(lambda a: [a]),
+    st.sampled_from(sorted(FLAG_VALUES)).flatmap(_flag),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(TEMPLATES)))
+    groups = [draw(SLOTS[slot] if slot in SLOTS else _flag(slot)) for slot in TEMPLATES[command]]
+    groups += draw(st.lists(extras, max_size=2))
+    return [command] + [a for g in groups for a in g]
+
+
+@settings(PROPS, max_examples=500)
+@given(cli_argv())
+def test_cli_failures_are_one_json_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+        return
+    assert code in (3, 4, 5)
+    assert out == ""
+    assert "Traceback" not in err
+    doc = json.loads(err)  # one object: trailing data would not parse
+    assert set(doc) == {"error"} and set(doc["error"]) == {"type", "message"}
