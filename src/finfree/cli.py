@@ -2,9 +2,9 @@
 
 Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
-0 success, 2 unknown subcommand, 3 malformed input, 4 size cap exceeded
-(the partition cap of partitions and converge, or a fixed bound below),
-5 domain errors.
+0 success, 2 unknown subcommand, 3 malformed input, 4 a fixed size bound
+exceeded (the bounds below; converge --n at the partition cap), 5 domain
+errors.
 """
 
 from __future__ import annotations
@@ -49,12 +49,19 @@ from .util import format_rational, parse_int, parse_rational
 # Every error type maps to the first matching row; the rest are exit 5.
 _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 
-# Fixed bounds where no partition cap guards the work, so a few bytes of
-# input cannot ask for an unbounded amount: the Sturm tests of cramer take a
-# few seconds at degree 100, and the type table of partitions --n 30 --types
-# is about 1.4 MB.
+# Fixed bounds, so that a few bytes of input cannot ask for an unbounded
+# amount of work.  On a 2-vCPU host: cramer --d 100 spends a few seconds in
+# Sturm tests; partitions --n 30 --types prints about 1.4 MB; partitions
+# --n 10 lists Bell(10) = 115975 rows in about 4 s, and each step in n costs
+# about 6 times more; moments --roots 1,-1/3 --N 1000 prints 0.5 MB in 0.3 s;
+# each bisection step of threshold doubles the probe's denominator;
+# verify-mc --samples 1000000 takes about 1 s at degree 2.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
+MAX_LIST_N = 10
+MAX_MOMENTS = 1000
+MAX_STEPS = 200
+MAX_SAMPLES = 10**6
 
 
 def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
@@ -117,10 +124,9 @@ def _settings(ns) -> dict:
             raise InputFormatError("config must be a JSON object")
         cfg = raw
     out = {}
-    for key, default in (("nmax", DEFAULT_N_MAX), ("tol", 1e-9), ("seed", 0)):
+    for key, default in (("tol", 1e-9), ("seed", 0)):
         flag = getattr(ns, key, None)
         out[key] = cfg.get(key, default) if flag is None else flag
-    out["nmax"] = parse_int(out["nmax"], "nmax")
     out["seed"] = parse_int(out["seed"], "seed")
     try:
         tol = math.nan if isinstance(out["tol"], bool) else float(out["tol"])
@@ -156,6 +162,7 @@ def _cmd_cumulants(ns):
 
 
 def _cmd_moments(ns):
+    _check_bound(ns.N, MAX_MOMENTS, "--N", "the bound MAX_MOMENTS")
     return moments_from_coefficients(_poly_from_args(ns), ns.N).to_json()
 
 
@@ -188,9 +195,8 @@ def _cmd_family(ns):
 def _cmd_converge(ns):
     r = FreeCumulantVector.make(_rational_list(ns.r))
     d_values = [parse_int(x, "--d") for x in _rational_list(ns.d)]
-    return convergence_report(
-        r, ns.n, d_values, n_max=ns.settings["nmax"]
-    ).to_json()
+    _check_bound(ns.n, DEFAULT_N_MAX, "--n", "the bound DEFAULT_N_MAX")
+    return convergence_report(r, ns.n, d_values).to_json()
 
 
 def _cmd_check_id(ns):
@@ -198,6 +204,7 @@ def _cmd_check_id(ns):
 
 
 def _cmd_threshold(ns):
+    _check_bound(ns.steps, MAX_STEPS, "--steps", "the bound MAX_STEPS")
     t = real_rooted_threshold(
         _poly_from_args(ns), parse_rational(ns.tmax), steps=ns.steps
     )
@@ -210,6 +217,7 @@ def _cmd_cramer(ns):
 
 
 def _cmd_verify_mc(ns):
+    _check_bound(ns.samples, MAX_SAMPLES, "--samples", "the bound MAX_SAMPLES")
     s = ns.settings
     p = MonicPoly.from_json(_load_json_arg(ns.p))
     q = MonicPoly.from_json(_load_json_arg(ns.q))
@@ -255,8 +263,9 @@ def _cmd_partitions(ns):
                 }
             )
         return {"n": n, "types": rows}
+    _check_bound(n, MAX_LIST_N, "--n", "the listing bound MAX_LIST_N")
     rows = []
-    for pi in enumerate_partitions(n, ns.settings["nmax"]):
+    for pi in enumerate_partitions(n):
         nc = is_noncrossing(pi)
         if ns.noncrossing and not nc:
             continue
@@ -290,15 +299,12 @@ _COMMANDS = {
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--nmax", type=int, default=None,
-                        help="partition-size cap for partitions and converge "
-                             "(default 12)")
     common.add_argument("--tol", type=float, default=None,
                         help="float tolerance for root finding")
     common.add_argument("--seed", type=int, default=None,
                         help="random seed for sampling commands")
     common.add_argument("--config", default=None,
-                        help="JSON file with nmax/tol/seed defaults")
+                        help="JSON file with tol/seed defaults")
 
     poly_in = _Parser(add_help=False)
     poly_in.add_argument("poly", nargs="?", default=None,
@@ -330,7 +336,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("moments", parents=[common, poly_in],
                         help="moments of the root distribution")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=int, required=True,
+                    help="number of moments, at most %d" % MAX_MOMENTS)
     sp.set_defaults(func=_cmd_moments)
 
     sp = sub.add_parser("coeffs", parents=[common],
@@ -357,7 +364,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("converge", parents=[common],
                         help="finite-to-free cumulant convergence report")
     sp.add_argument("--r", required=True, help="comma list of free cumulants")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True,
+                    help="cumulant order, at most %d" % DEFAULT_N_MAX)
     sp.add_argument("--d", required=True, help="comma list of degrees")
     sp.set_defaults(func=_cmd_converge)
 
@@ -368,7 +376,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("threshold", parents=[common, poly_in],
                         help="real-rootedness threshold for convolution powers")
     sp.add_argument("--tmax", required=True)
-    sp.add_argument("--steps", type=int, default=16)
+    sp.add_argument("--steps", type=int, default=16,
+                    help="bisection steps, at most %d" % MAX_STEPS)
     sp.set_defaults(func=_cmd_threshold)
 
     sp = sub.add_parser("cramer", parents=[common],
@@ -382,12 +391,15 @@ def _build_parser() -> _Parser:
                         help="Monte-Carlo check of the convolution")
     sp.add_argument("p")
     sp.add_argument("q")
-    sp.add_argument("--samples", type=int, default=100000)
+    sp.add_argument("--samples", type=int, default=100000,
+                    help="sample pairs, at most %d" % MAX_SAMPLES)
     sp.set_defaults(func=_cmd_verify_mc)
 
     sp = sub.add_parser("partitions", parents=[common],
                         help="list set partitions, types, and counts")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True,
+                    help="ground-set size, at most %d (%d with --types)"
+                         % (MAX_LIST_N, MAX_TYPES_N))
     sp.add_argument("--noncrossing", action="store_true")
     sp.add_argument("--types", action="store_true",
                     help="one row per integer partition of n, n at most %d"

@@ -23,13 +23,14 @@ class NonMonicError(InputFormatError):
 
 
 class SizeCapError(FinFreeError):
-    """A request would exceed a size cap: the configured partition cap n_max
-    of a lattice operation, or a fixed bound of the command line."""
+    """A request would exceed a fixed size bound: the partition cap
+    DEFAULT_N_MAX of an enumeration of P(n), or a bound of the command line."""
 
-    def __init__(self, n, n_max, what="ground-set size", cap="the partition cap n_max"):
+    def __init__(self, n, bound, what="ground-set size",
+                 cap="the partition cap DEFAULT_N_MAX"):
         self.n = n
-        self.n_max = n_max
-        super().__init__("%s %d exceeds %s = %d" % (what, n, cap, n_max))
+        self.bound = bound
+        super().__init__("%s %d exceeds %s = %d" % (what, n, cap, bound))
 
 
 class DimensionError(FinFreeError):

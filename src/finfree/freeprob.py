@@ -1,10 +1,15 @@
-"""Free cumulants over non-crossing partitions and d -> infinity diagnostics.
+"""Free cumulants and d -> infinity diagnostics.
 
 The finite cumulants of degree-d polynomials converge, order by order, to
 the free cumulants of the limiting distribution.  convergence_report makes
 this quantitative: it takes a target free-cumulant vector, produces the
-matching moment sequence over NC(n), and evaluates the exact finite
-cumulant of that moment data at each requested d.
+matching moment sequence, and evaluates the exact finite cumulant of that
+moment data at each requested d.
+
+Free moments and free cumulants are related by M(z) = 1 + R(z M(z)) with
+M(z) = 1 + sum m_n z^n and R(w) = sum r_k w^k; Lagrange inversion gives
+m_n = [w^n] (1 + R(w))^{n+1} / (n+1), an O(n^2) recurrence with no cap on n.
+The paper's sum over non-crossing partitions is lattice.py's reference.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputFormatError, SizeCapError
-from .partitions import DEFAULT_N_MAX, count_by_type, iter_types
+from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence
 from .transforms import cumulant_from_moments
 from .util import format_rational, parse_rational
@@ -48,45 +52,35 @@ class FreeCumulantVector:
         return cls.make([parse_rational(x) for x in raw])
 
 
-def _nc_sum(rv, n: int, proper: bool = False) -> Fraction:
-    """sum over NC(n) (without 1_n when proper) of r_pi.  Summands depend on
-    pi only through its type, so the sum is taken type by type with the
-    non-crossing counts."""
-    s = Fraction(0)
-    for t in iter_types(n):
-        if proper and t.num_blocks == 1:
-            continue
-        prod = Fraction(1)
-        for i, ri in enumerate(t.r, start=1):
-            if ri:
-                prod *= rv[i - 1] ** ri
-        if prod:
-            s += count_by_type(t, "noncrossing") * prod
-    return s
+def _lagrange_moment(rv, n: int) -> Fraction:
+    """[w^n] (1 + sum_k r_k w^k)^{n+1} / (n+1), with r_k = rv[k-1].  The power
+    c = (1 + R)^{n+1} comes from Miller's recurrence
+    k c_k = sum_{j<=k} ((n+2) j - k) r_j c_{k-j}."""
+    c = [Fraction(1)]
+    for k in range(1, n + 1):
+        acc = sum(
+            (((n + 2) * j - k) * rv[j - 1] * c[k - j] for j in range(1, k + 1)),
+            Fraction(0),
+        )
+        c.append(acc / k)
+    return c[n] / (n + 1)
 
 
-def free_moments_from_free_cumulants(
-    r: FreeCumulantVector, N: int, n_max: int = DEFAULT_N_MAX
-) -> MomentSequence:
-    """m_n = sum over NC(n) of r_pi, n = 1..N."""
-    if N > n_max:
-        raise SizeCapError(N, n_max)
+def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
+    """m_n = sum over NC(n) of r_pi, n = 1..N, by Lagrange inversion."""
     # entries past the stored length are zero
     rv = r.entries + (Fraction(0),) * max(0, N - len(r))
-    return MomentSequence(tuple(_nc_sum(rv, n) for n in range(1, N + 1)))
+    return MomentSequence(tuple(_lagrange_moment(rv, n) for n in range(1, N + 1)))
 
 
-def free_cumulants_from_moments(
-    m: MomentSequence, N: int, n_max: int = DEFAULT_N_MAX
-) -> FreeCumulantVector:
-    """Triangular inversion: r_n = m_n - sum over NC(n) \\ {1_n} of r_pi."""
-    if N > n_max:
-        raise SizeCapError(N, n_max)
+def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
+    """Triangular inversion: r_n enters m_n only as the term r_n itself, so
+    r_n = m_n - (m_n with r_n = 0)."""
     if len(m) < N:
         raise DomainError("need %d moments, got %d" % (N, len(m)))
     rv = []
     for n in range(1, N + 1):
-        rv.append(m.entries[n - 1] - _nc_sum(rv, n, proper=True))
+        rv.append(m.entries[n - 1] - _lagrange_moment(rv + [Fraction(0)], n))
     return FreeCumulantVector(tuple(rv))
 
 
@@ -115,23 +109,18 @@ class ConvergenceReport:
         }
 
 
-def convergence_report(
-    r: FreeCumulantVector, n: int, d_values, n_max: int = DEFAULT_N_MAX
-) -> ConvergenceReport:
+def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceReport:
     """Exact |kappa_n^{(d)} - r_n| for each d.
 
     d may be large (10^3 and beyond): the cost grows with n, not d.  What
     must hold is d >= n, else the finite cumulant of order n does not exist
     at degree d.
-    The free moments are a sum over NC(n), so n is bounded by n_max.
     """
-    if n > n_max:
-        raise SizeCapError(n, n_max)
     ds = tuple(int(d) for d in d_values)
     for d in ds:
         if d < n:
             raise DomainError("d = %d below the cumulant order n = %d" % (d, n))
-    m = free_moments_from_free_cumulants(r, n, n_max=n_max)
+    m = free_moments_from_free_cumulants(r, n)
     finite = tuple(cumulant_from_moments(m, d, n) for d in ds)
     target = r.entries[n - 1] if n <= len(r) else Fraction(0)
     errors = tuple(abs(k - target) for k in finite)

@@ -7,7 +7,8 @@ sums here.  Nothing else in the package calls the sums; the lattice
 polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here because
 they share _p_sigma_poly with the moment kernel.
 
-Every sum runs over P(n), so each is bounded by the partition cap n_max.
+Every sum runs over P(n), so each is bounded by the partition cap
+partitions.DEFAULT_N_MAX.
 Summands depend on a partition only through its type (the multiset of block
 sizes), so the single sums group P(n) by type and weigh each type with its
 exact closed-form count; that is the same finite sum, reassociated.
@@ -20,7 +21,6 @@ from math import factorial, prod
 
 from .errors import DomainError
 from .partitions import (
-    DEFAULT_N_MAX,
     SetPartition,
     _check_cap,
     block_size_product,
@@ -132,12 +132,10 @@ def _p_sigma_poly(sizes: tuple) -> VarPoly:
 # ---------------------------------------------------------------------------
 
 
-def coefficients_from_cumulants(
-    k: CumulantVector, n_max: int = DEFAULT_N_MAX
-) -> MonicPoly:
+def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
     """a_n = (d)_n / (d^n n!) * sum over P(n) of d^{|pi|} mu(0,pi) kappa_pi."""
     d = k.d
-    _check_cap(d, n_max)
+    _check_cap(d)
     dq, kap = Fraction(d), _standardize(k)
     return MonicPoly(d, (Fraction(1),) + tuple(
         falling(dq, n) / (dq**n * factorial(n)) * _mobius_sum(kap, dq, n)
@@ -145,13 +143,11 @@ def coefficients_from_cumulants(
     ))
 
 
-def cumulants_from_coefficients(
-    p: MonicPoly, n_max: int = DEFAULT_N_MAX
-) -> CumulantVector:
+def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
     """kappa_n = (-d)^n / (d (n-1)!) * sum over P(n) of
     (-1)^{|pi|} N!_pi a_pi (|pi|-1)! / (d)_pi."""
     d = p.d
-    _check_cap(d, n_max)
+    _check_cap(d)
     dq = Fraction(d)
     poch = [falling(dq, j) for j in range(1, d + 1)]
     return CumulantVector(d, tuple(
@@ -160,11 +156,9 @@ def cumulants_from_coefficients(
     ))
 
 
-def coefficients_from_moments(
-    m: MomentSequence, d: int, n_max: int = DEFAULT_N_MAX
-) -> MonicPoly:
+def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_n = (1/n!) * sum over P(n) of d^{|pi|} mu(0,pi) m_pi."""
-    _check_cap(d, n_max)
+    _check_cap(d)
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
     return MonicPoly(d, (Fraction(1),) + tuple(
@@ -172,12 +166,10 @@ def coefficients_from_moments(
     ))
 
 
-def moments_from_coefficients(
-    p: MonicPoly, N: int, n_max: int = DEFAULT_N_MAX
-) -> MomentSequence:
+def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
     """m_n = (-1)^n / (d (n-1)!) * sum over P(n) of
     (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, with a_k = 0 past the degree."""
-    _check_cap(N, n_max)
+    _check_cap(N)
     avals = p.a[1:] + (Fraction(0),) * max(0, N - p.d)
     return MomentSequence(tuple(
         Fraction((-1) ** n, p.d * factorial(n - 1)) * _newton_sum(avals, n)
@@ -185,14 +177,14 @@ def moments_from_coefficients(
     ), degree_context=p.d)
 
 
-def free_moments_from_free_cumulants(r, N: int, n_max: int = DEFAULT_N_MAX) -> tuple:
+def free_moments_from_free_cumulants(r, N: int) -> tuple:
     """m_n = sum over NC(n) of r_pi, n = 1..N, by enumerating NC(n); r is a
     FreeCumulantVector, zero past its end."""
     rv = r.entries + (Fraction(0),) * max(0, N - len(r))
     return tuple(
         sum(
             (multiplicative_extension(rv, pi)
-             for pi in enumerate_noncrossing(n, n_max)),
+             for pi in enumerate_noncrossing(n)),
             Fraction(0),
         )
         for n in range(1, N + 1)
@@ -219,7 +211,7 @@ def _inner_cum_mom(sizes: tuple, d: Fraction) -> Fraction:
     )
 
 
-def cumulant_from_moments(m, d, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
+def cumulant_from_moments(m, d, n: int) -> Fraction:
     """Single kappa_n from the first n moments at degree (or parameter) d.
 
     kappa_n = (-1)^n d^{n-1} / (n-1)! * sum over sigma in P(n) of
@@ -229,7 +221,7 @@ def cumulant_from_moments(m, d, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
     d may exceed the lattice cap (the sum runs over P(n), not P(d)); it must
     not be an integer below n, where (d)_pi vanishes.
     """
-    _check_cap(n, n_max)
+    _check_cap(n)
     mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
     if len(mv) < n:
         raise DomainError("need %d moments, got %d" % (n, len(mv)))
@@ -240,16 +232,14 @@ def cumulant_from_moments(m, d, n: int, n_max: int = DEFAULT_N_MAX) -> Fraction:
     return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s
 
 
-def moment_from_cumulants(
-    k: CumulantVector, n: int, n_max: int = DEFAULT_N_MAX
-) -> Fraction:
+def moment_from_cumulants(k: CumulantVector, n: int) -> Fraction:
     """Single m_n from cumulants, valid for any n >= 1 (kappa_j = 0 past d).
 
     m_n = (-1)^n / (d^{n+1} (n-1)!) * sum over sigma in P(n) of
     d^{|sigma|} mu(0,sigma) kappa_sigma P_sigma(d), with P_sigma the inner
     sum over {pi >= sigma} of (-1)^{|pi|} (d)_pi (|pi|-1)!.
     """
-    _check_cap(n, n_max)
+    _check_cap(n)
     kap = list(_standardize(k)) + [Fraction(0)] * max(0, n - k.d)
     dq = Fraction(k.d)
     s = _mobius_sum(kap, dq, n, lambda sizes: _p_sigma_poly(sizes)(dq))
@@ -261,20 +251,20 @@ def moment_from_cumulants(
 # ---------------------------------------------------------------------------
 
 
-def p_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def p_sigma(sigma: SetPartition) -> VarPoly:
     """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)!.
 
     Computed over the interval [sigma, 1_n], which is the partition lattice
     of sigma's blocks; the value depends only on sigma's block sizes.
     """
-    _check_cap(sigma.n, n_max)
+    _check_cap(sigma.n)
     return _p_sigma_poly(tuple(sorted(sigma.block_sizes(), reverse=True)))
 
 
-def p_sigma_defining_sum(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def p_sigma_defining_sum(sigma: SetPartition) -> VarPoly:
     """P_sigma by literally filtering the full enumeration of P(n)."""
     out = VarPoly.zero("d")
-    for pi in iter_partitions(sigma.n, n_max):
+    for pi in iter_partitions(sigma.n):
         if refines(sigma, pi):
             r = len(pi.blocks)
             term = VarPoly.constant("d", (-1) ** r * factorial(r - 1))
@@ -284,7 +274,7 @@ def p_sigma_defining_sum(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> Var
     return out
 
 
-def p_sigma_join_form(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def p_sigma_join_form(sigma: SetPartition) -> VarPoly:
     """sum over {rho : rho v sigma = 1_n} of d^{|rho|} mu(0,rho).
 
     Literal scan over P(n) with a connectivity test on block bitmasks.
@@ -295,7 +285,7 @@ def p_sigma_join_form(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPol
     full = (1 << n) - 1
     nsig = len(sig_masks)
     coeffs = [0] * (n + 1)
-    for rho_masks, nb, mu in lattice_table(n, n_max):
+    for rho_masks, nb, mu in lattice_table(n):
         if nb + nsig > n + 1:  # |rho| + |sigma| <= n + 1 is necessary for cospan
             continue
         comp = sig_masks[0]
@@ -317,7 +307,7 @@ def p_sigma_join_form(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPol
     return VarPoly.make("d", coeffs)
 
 
-def q_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def q_sigma(sigma: SetPartition) -> VarPoly:
     """Q_sigma(d) = (n+1-|sigma|)! / ((-1)^{|sigma|} (n-1)! n_sigma) P_sigma(d);
     monic of degree n+1-|sigma|."""
     n = sigma.n
@@ -325,4 +315,4 @@ def q_sigma(sigma: SetPartition, n_max: int = DEFAULT_N_MAX) -> VarPoly:
     scale = Fraction(
         factorial(n + 1 - m), (-1) ** m * factorial(n - 1) * block_size_product(sigma)
     )
-    return p_sigma(sigma, n_max).scale(scale)
+    return p_sigma(sigma).scale(scale)

@@ -27,11 +27,11 @@ _TABLE_MEMO_CAP = 9
 _tables: dict = {}
 
 
-def _check_cap(n: int, n_max: int) -> None:
+def _check_cap(n: int) -> None:
     if n < 1:
         raise InputFormatError("ground-set size must be >= 1, got %d" % n)
-    if n > n_max:
-        raise SizeCapError(n, n_max)
+    if n > DEFAULT_N_MAX:
+        raise SizeCapError(n, DEFAULT_N_MAX)
 
 
 @dataclass(frozen=True)
@@ -150,16 +150,16 @@ def rgs_strings(n: int):
             m[j] = m[i]
 
 
-def iter_partitions(n: int, n_max: int = DEFAULT_N_MAX):
+def iter_partitions(n: int):
     """Yield all of P(n) in RGS-lexicographic order without materializing."""
-    _check_cap(n, n_max)
+    _check_cap(n)
     for rgs in rgs_strings(n):
         yield SetPartition.from_rgs(rgs)
 
 
-def enumerate_partitions(n: int, n_max: int = DEFAULT_N_MAX) -> list:
+def enumerate_partitions(n: int) -> list:
     """All of P(n), RGS-lexicographic; length is Bell(n)."""
-    return list(iter_partitions(n, n_max))
+    return list(iter_partitions(n))
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -345,24 +345,24 @@ def block_size_product(sigma: SetPartition) -> int:
     return v
 
 
-def partition_lattice_charpoly(n: int, n_max: int = DEFAULT_N_MAX) -> VarPoly:
+def partition_lattice_charpoly(n: int) -> VarPoly:
     """Sum over P(n) of mu(0,pi) t^{|pi|}; equals the falling factorial (t)_n.
 
     Grouped by type: every summand depends on pi only through its type.
     """
-    _check_cap(n, n_max)
+    _check_cap(n)
     coeffs = [0] * (n + 1)
     for t in iter_types(n):
         coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
     return VarPoly.make("t", coeffs)
 
 
-def lattice_table(n: int, n_max: int = DEFAULT_N_MAX) -> tuple:
+def lattice_table(n: int) -> tuple:
     """Rows (block_bitmasks, num_blocks, mu) for all of P(n), RGS order.
 
     Bitmask bit e-1 stands for element e.  Memoized for small n.
     """
-    _check_cap(n, n_max)
+    _check_cap(n)
     cached = _tables.get(n)
     if cached is not None:
         return cached
@@ -384,6 +384,6 @@ def lattice_table(n: int, n_max: int = DEFAULT_N_MAX) -> tuple:
     return table
 
 
-def enumerate_noncrossing(n: int, n_max: int = DEFAULT_N_MAX) -> list:
+def enumerate_noncrossing(n: int) -> list:
     """All non-crossing partitions of {1..n}, RGS order; length Catalan(n)."""
-    return [pi for pi in iter_partitions(n, n_max) if is_noncrossing(pi)]
+    return [pi for pi in iter_partitions(n) if is_noncrossing(pi)]

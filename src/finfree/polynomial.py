@@ -164,24 +164,45 @@ def x_power(d: int) -> MonicPoly:
 
 
 def moments(p: MonicPoly, N: int) -> "MomentSequence":
-    """First N moments m_n = (power sum of roots)/d via Newton's identities.
+    """First N moments m_n = (power sum of roots)/d, by Newton's identities.
 
-    The recursion k a_k = sum_{i=1}^{k} (-1)^{i-1} a_{k-i} b_i runs in exact
-    arithmetic with a_k = 0 past the degree, so N may exceed d.  Roots are
-    never computed.
+    S(s) = sum_i (-1)^i a_i s^i is prod (1 - r s) over the roots r, so
+    -(1/d) S'/S is the moment series; a_k = 0 past the degree, so N may
+    exceed d and costs O(N d).  Roots are never computed.
     """
     if N < 1:
         raise DomainError("need N >= 1 moments")
-    a = list(p.a) + [Fraction(0)] * max(0, N - p.d)
-    b = [Fraction(0)] * (N + 1)  # b[k] = k-th power sum
-    for k in range(1, N + 1):
-        acc = Fraction((-1) ** (k - 1) * k) * a[k]
-        for i in range(1, k):
-            acc -= Fraction((-1) ** (k - i)) * a[k - i] * b[i]
-        b[k] = acc
     return MomentSequence(
-        tuple(b[n] / p.d for n in range(1, N + 1)), degree_context=p.d
+        _log_derivative(_alternate(p.a), p.d, N), degree_context=p.d
     )
+
+
+def _alternate(v) -> list:
+    """(-1)^i v_i: the coefficients a_i and those of prod (1 - r s)."""
+    return [-x if i % 2 else x for i, x in enumerate(v)]
+
+
+def _log_derivative(S, d, n: int) -> tuple:
+    """c_1..c_n with c_{k+1} = -(1/d) [s^k] S'/S, where S_0 = 1 and S_j = 0
+    past the end of S, so each step sums over at most len(S) - 1 terms."""
+    top = len(S) - 1
+    T = []
+    for k in range(n):
+        lower = sum(
+            (T[j] * S[k - j] for j in range(max(0, k - top), k)), Fraction(0)
+        )
+        T.append(((k + 1) * S[k + 1] if k < top else 0) - lower)
+    return tuple(-t / d for t in T)
+
+
+def _exp_series(c, d, n: int) -> list:
+    """S_0..S_n from i S_i = -d sum_{j=1}^{i} c_j S_{i-j}, S_0 = 1: the inverse
+    of _log_derivative."""
+    S = [Fraction(1)]
+    for i in range(1, n + 1):
+        acc = sum((c[j - 1] * S[i - j] for j in range(1, i + 1)), Fraction(0))
+        S.append(-d * acc / i)
+    return S
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """The transform triangle: coefficients, moments, cumulants.
 
-Each conversion is one O(d^2) recurrence on formal power series.  With
-S(s) = sum_{i<=d} (-d)^i a_i s^i / (d)_i, the cumulants are
-kappa_{k+1} = -(1/d) [s^k] S'/S, and the inverse is the exp recurrence
-i S_i = -d sum_{j<=i} kappa_j S_{i-j}.  Moments and coefficients are related
-by Newton's identities with power sums p_i = d m_i; moments <-> cumulants
-compose the two steps.  There d enters only as a parameter, so
-cumulant_from_moments works at any rational d except an integer below the
-order n, where (d)_n vanishes.
+Each conversion is one O(d^2) recurrence on formal power series, from the
+log/exp pair in polynomial.py.  With S(s) = sum_{i<=d} (-d)^i a_i s^i / (d)_i,
+the cumulants are kappa_{k+1} = -(1/d) [s^k] S'/S, and the inverse is the exp
+recurrence i S_i = -d sum_{j<=i} kappa_j S_{i-j}.  With the weights (-1)^i in
+place of (-d)^i / (d)_i the same pair gives the moments (Newton's identities
+with power sums p_i = d m_i) and back; moments <-> cumulants compose the two
+steps.  There d enters only as a parameter, so cumulant_from_moments works at
+any rational d except an integer below the order n, where (d)_n vanishes.
 
 The paper states these maps as sums over the set partition lattice; those
 sums live in lattice.py, the reference the tests compare this module with.
@@ -23,7 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError
-from .polynomial import MomentSequence, MonicPoly, moments
+from .polynomial import (
+    MomentSequence,
+    MonicPoly,
+    _alternate,
+    _exp_series,
+    _log_derivative,
+    moments,
+)
 from .util import VarPoly, falling, format_rational, parse_int, parse_rational
 
 
@@ -95,7 +102,7 @@ def rescale_cumulants(k: CumulantVector) -> CumulantVector:
 
 
 # ---------------------------------------------------------------------------
-# the recurrences
+# the six directions
 # ---------------------------------------------------------------------------
 
 
@@ -106,42 +113,6 @@ def _series_weights(d: Fraction, n: int) -> list:
     for i in range(1, n + 1):
         w.append(w[-1] * -d / (d - i + 1))
     return w
-
-
-def _log_derivative(S: list, d: Fraction, n: int) -> tuple:
-    """kappa_1..kappa_n with kappa_{k+1} = -(1/d) [s^k] S'/S, where S_0 = 1."""
-    T = []
-    for k in range(n):
-        lower = sum((T[j] * S[k - j] for j in range(k)), Fraction(0))
-        T.append((k + 1) * S[k + 1] - lower)
-    return tuple(-t / d for t in T)
-
-
-def _exp_series(kappa, d: Fraction, n: int) -> list:
-    """S_0..S_n from i S_i = -d sum_{j=1}^{i} kappa_j S_{i-j}, S_0 = 1."""
-    S = [Fraction(1)]
-    for i in range(1, n + 1):
-        acc = sum((kappa[j - 1] * S[i - j] for j in range(1, i + 1)), Fraction(0))
-        S.append(-d * acc / i)
-    return S
-
-
-def _elementary(power_sums, n: int) -> list:
-    """e_0..e_n from the power sums p_1..p_n by Newton's identities,
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i."""
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = sum(
-            ((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1)),
-            Fraction(0),
-        )
-        e.append(acc / k)
-    return e
-
-
-# ---------------------------------------------------------------------------
-# the six directions
-# ---------------------------------------------------------------------------
 
 
 def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
@@ -161,14 +132,15 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
 
 
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
-    """a_1..a_d by Newton's identities from the power sums p_i = d m_i."""
+    """a_i = (-1)^i S_i with S the exp of the moment series: Newton's
+    identities with power sums p_i = d m_i."""
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
-    return MonicPoly(d, tuple(_elementary([d * x for x in m.entries[:d]], d)))
+    return MonicPoly(d, tuple(_alternate(_exp_series(m.entries, d, d))))
 
 
 def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
-    """m_1..m_N by Newton's identities, with a_k = 0 past the degree."""
+    """m_1..m_N by the log-derivative, with a_k = 0 past the degree."""
     if N < 1:
         raise InputFormatError("need N >= 1 moments, got %d" % N)
     return moments(p, N)
@@ -188,7 +160,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     dq = Fraction(d)
     if dq.denominator == 1 and dq < n:
         raise DomainError("integer d = %s below the order n = %d" % (d, n))
-    e = _elementary([dq * x for x in mv[:n]], n)
+    e = _alternate(_exp_series(mv, dq, n))
     S = [w * x for w, x in zip(_series_weights(dq, n), e)]
     return _log_derivative(S, dq, n)[-1]
 

@@ -4,10 +4,19 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from finfree.cli import MAX_DEGREE, MAX_TYPES_N, main
+from finfree.cli import (
+    MAX_DEGREE,
+    MAX_LIST_N,
+    MAX_MOMENTS,
+    MAX_SAMPLES,
+    MAX_STEPS,
+    MAX_TYPES_N,
+    main,
+)
 
 SEMICIRCLE2 = '{"degree": 2, "a": ["1", "0", "-1/2"]}'
 
@@ -202,14 +211,16 @@ def test_plain_input_and_file_input(tmp_path, capsys):
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"nmax": 3}')
-    code, _, err = run(capsys, "partitions", "--n", "5", "--config", str(cfg))
-    assert code == 4 and err["error"]["type"] == "SizeCapError"
+    cfg.write_text('{"seed": 3}')
+    mc = ["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "1000"]
+    _, seed3, _ = run(capsys, *mc, "--seed", "3")
+    _, seed5, _ = run(capsys, *mc, "--seed", "5")
+    assert seed3["estimate"] != seed5["estimate"]
+    code, out, _ = run(capsys, *mc, "--config", str(cfg))
+    assert code == 0 and out == seed3
     # an explicit flag wins over the config value
-    code, out, _ = run(
-        capsys, "partitions", "--n", "5", "--config", str(cfg), "--nmax", "6"
-    )
-    assert code == 0 and out["count"] == 52
+    code, out, _ = run(capsys, *mc, "--config", str(cfg), "--seed", "5")
+    assert code == 0 and out == seed5
 
 
 def test_help_exits_0(capsys):
@@ -239,9 +250,9 @@ def test_conversions_have_no_partition_cap(capsys):
     roots = ",".join(str(i) for i in range(1, 14))
     code, out, _ = run(capsys, "cumulants", "--roots", roots)
     assert code == 0 and len(out["kappa"]) == 13 and out["kappa"][0] == "7"
-    # --nmax bounds only partitions and converge
-    code, out, _ = run(capsys, "cumulants", "--roots", roots, "--nmax", "2")
-    assert code == 0 and len(out["kappa"]) == 13
+    # the partition cap is a constant: there is no --nmax to set it
+    code, out, err = run(capsys, "partitions", "--n", "5", "--nmax", "6")
+    assert code == 3 and out is None and err["error"]["type"] == "UsageError"
 
 
 def test_documented_errors_keep_their_codes(capsys):
@@ -314,15 +325,20 @@ def test_fixed_bounds_exit_4(capsys):
         ["family", "poisson", "--lambda", "1", "--d", "101"],
         ["partitions", "--n", "31", "--types"],
         ["partitions", "--n", "1000000000", "--types"],
-        # the bounds are fixed: a larger --nmax does not lift them
-        ["partitions", "--n", "31", "--types", "--nmax", "40"],
+        ["partitions", "--n", "11"],
+        ["partitions", "--n", "13", "--noncrossing"],
+        ["converge", "--r", "0,1", "--n", "13", "--d", "16"],
+        ["moments", "--roots", "1,-1/3", "--N", "1001"],
+        ["threshold", "--roots", "0,0,1,3", "--tmax", "16", "--steps", "201"],
+        ["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "1000001"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out is None and err["error"]["type"] == "SizeCapError", argv
 
 
 def test_largest_allowed_sizes(capsys):
-    assert (MAX_DEGREE, MAX_TYPES_N) == (100, 30)
+    assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
+    assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")
@@ -331,3 +347,7 @@ def test_largest_allowed_sizes(capsys):
     assert code == 0 and out["degree"] == 100
     code, out, _ = run(capsys, "partitions", "--n", "30", "--types")
     assert code == 0 and len(out["types"]) == 5604  # integer partitions of 30
+    code, out, _ = run(capsys, "partitions", "--n", "10")
+    assert code == 0 and out["count"] == 115975  # Bell(10)
+    code, out, _ = run(capsys, "moments", "--roots", "1,-1/3", "--N", "1000")
+    assert code == 0 and out["m"][999] == str((1 + Fraction(-1, 3) ** 1000) / 2)

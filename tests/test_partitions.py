@@ -209,10 +209,6 @@ def test_lattice_table_agrees_with_objects():
 def test_size_cap():
     with pytest.raises(SizeCapError):
         enumerate_partitions(13)
-    with pytest.raises(SizeCapError):
-        enumerate_partitions(9, n_max=8)
-    # raising the cap is allowed
-    assert len(enumerate_partitions(4, n_max=4)) == 15
 
 
 def test_partition_validation():

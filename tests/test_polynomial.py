@@ -109,6 +109,12 @@ def test_moments_newton():
         m = moments(MonicPoly.from_roots(rs), d + 3)
         for n in range(1, d + 4):
             assert m[n - 1] == sum(r**n for r in rs) / d
+    # far past the degree, where each step sums over the d nonzero a_i only
+    for _ in range(8):
+        d = rng.randint(1, 4)
+        rs = rand_roots(rng, d)
+        m = moments(MonicPoly.from_roots(rs), 200)
+        assert m.entries == tuple(sum(r**n for r in rs) / d for n in range(1, 201))
 
 
 def test_moment_sequence_json():

@@ -1,11 +1,12 @@
 """Property tests on inputs drawn by hypothesis.
 
 The series path of finfree.transforms against the lattice sums of
-finfree.lattice, the additivity of the cumulants, round trips past the
-lattice cap, the domain of cumulant_from_moments, the Sturm counts against
-Hermite's criterion, and the error contract of the command line.  The
-settings are derandomized and keep no example database, so every run draws
-the same examples.
+finfree.lattice, the additivity of the cumulants, their homogeneity under
+dilation and translation, round trips past the lattice cap, the free series
+of finfree.freeprob against the non-crossing enumeration, the domain of
+cumulant_from_moments, the Sturm counts against Hermite's criterion, and the
+error contract of the command line.  The settings are derandomized and keep
+no example database, so every run draws the same examples.
 """
 
 import contextlib
@@ -13,13 +14,14 @@ import io
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finfree import (
+    FreeCumulantVector,
     MonicPoly,
     boxplus,
     coefficients_from_cumulants,
@@ -28,6 +30,8 @@ from finfree import (
     cumulant_from_moments,
     cumulants_from_coefficients,
     cumulants_from_moments,
+    free_cumulants_from_moments,
+    free_moments_from_free_cumulants,
     is_real_rooted,
     lattice,
     moment_from_cumulants,
@@ -108,6 +112,39 @@ def test_round_trips_at_d50(p):
     assert cumulants_from_moments(m, 50) == k
     assert moments_from_cumulants(k, 50).entries == m.entries
     assert coefficients_from_cumulants(rescale_cumulants(k)) == p
+
+
+@PROPS
+@given(polys(), rationals.filter(bool), rationals)
+def test_dilation_and_translation(p, lam, c):
+    k = cumulants_from_coefficients(p).kappa
+    assert cumulants_from_coefficients(p.dilate(lam)).kappa == tuple(
+        kn / lam**n for n, kn in enumerate(k, start=1)
+    )
+    # p(x + c) moves every root by -c: only the mean kappa_1 changes
+    assert cumulants_from_coefficients(p.translate(c)).kappa == (k[0] - c,) + k[1:]
+
+
+@PROPS
+@given(st.lists(rationals, min_size=1, max_size=10), st.integers(1, KERNEL_ORDERS))
+def test_free_series_equals_nc_enumeration(rv, N):
+    r = FreeCumulantVector.make(rv)
+    m = free_moments_from_free_cumulants(r, N)
+    assert m.entries == lattice.free_moments_from_free_cumulants(r, N)
+    assert free_cumulants_from_moments(m, N).entries == (r.entries + (0,) * N)[:N]
+
+
+@settings(PROPS, max_examples=5)
+@given(st.lists(rationals, min_size=40, max_size=40))
+def test_free_round_trip_past_the_old_cap(rv):
+    r = FreeCumulantVector.make(rv)
+    assert free_cumulants_from_moments(free_moments_from_free_cumulants(r, 40), 40) == r
+
+
+def test_free_poisson_moments_are_catalan():
+    # r_n = 1 for every n: the moments are the Catalan numbers, |NC(n)|
+    m = free_moments_from_free_cumulants(FreeCumulantVector.make([1] * 40), 40)
+    assert m.entries == tuple(comb(2 * n, n) // (n + 1) for n in range(1, 41))
 
 
 @PROPS
@@ -239,7 +276,7 @@ POLY_ARGS = [
     "missing.json",
 ]
 # Every value stays cheap in any combination: degrees past MAX_DEGREE and
-# sizes past the caps are refused, and no --nmax lifts the partition cap.
+# sizes past the caps are refused, and the removed --nmax flag is refused.
 INTS = ["-1", "0", "1", "2", "3", "13", "31", "40", "101", "x"]
 RATIONALS = INTS + ["1/2", "-1/3", "nan", "1e999999"]
 FLAG_VALUES = {

@@ -1,6 +1,8 @@
 """Rules about the source of src/finfree itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import finfree
@@ -18,4 +20,25 @@ def test_no_invariant_depends_on_assert():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_no_public_callable_takes_n_max():
+    # the partition cap is the constant DEFAULT_N_MAX, not a parameter
+    modules = [finfree] + [
+        importlib.import_module("finfree." + path.stem)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    found = []
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            if "n_max" in params:
+                found.append("%s.%s" % (mod.__name__, name))
     assert found == []

@@ -235,7 +235,7 @@ def test_size_caps():
     with pytest.raises(SizeCapError):
         lattice.moment_from_cumulants(k, 13)
     with pytest.raises(SizeCapError):
-        p_sigma(SetPartition.parse("{1,2|3}"), n_max=2)
+        p_sigma(SetPartition.parse("{1,2|3,4,5,6,7,8,9,10,11,12,13}"))
     assert cumulants_from_coefficients(p).kappa == series_cumulants(p)
 
 
