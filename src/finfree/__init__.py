@@ -41,7 +41,6 @@ from .polynomial import (
     count_distinct_real_roots,
     is_real_rooted,
     moments,
-    roots,
     x_power,
 )
 from .transforms import (
@@ -81,6 +80,12 @@ from .divisibility import (
     is_conditionally_positive_definite,
     real_rooted_threshold,
 )
-from .matrix_oracle import MCEstimate, char_poly, mc_boxplus, sample_haar_orthogonal
+from .matrix_oracle import (
+    MCEstimate,
+    char_poly,
+    mc_boxplus,
+    roots,
+    sample_haar_orthogonal,
+)
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
 0 success, 2 unknown subcommand, 3 malformed input, 4 a fixed size bound
 exceeded (the bounds below; converge --n at the partition cap), 5 domain
-errors.
+errors.  The exact commands have no tolerance or seed to set; only
+verify-mc, the Monte-Carlo check, takes --tol and --seed.
 """
 
 from __future__ import annotations
@@ -54,14 +55,19 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # Sturm tests; partitions --n 30 --types prints about 1.4 MB; partitions
 # --n 10 lists Bell(10) = 115975 rows in about 4 s, and each step in n costs
 # about 6 times more; moments --roots 1,-1/3 --N 1000 prints 0.5 MB in 0.3 s;
-# each bisection step of threshold doubles the probe's denominator;
-# verify-mc --samples 1000000 takes about 1 s at degree 2.
+# each bisection step of threshold doubles the probe's denominator, and its
+# grid has log2(tmax) + 5 points; converge at d = 10^12 takes milliseconds,
+# while a 4000-digit d takes seconds; verify-mc --samples 1000000 takes
+# about 1 s at degree 2, and each sample costs about d^3.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
 MAX_LIST_N = 10
 MAX_MOMENTS = 1000
 MAX_STEPS = 200
+MAX_TMAX = 2**64
+MAX_CONVERGE_D = 10**12
 MAX_SAMPLES = 10**6
+MAX_MC_DEGREE = 12
 
 
 def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
@@ -114,28 +120,6 @@ def _poly_from_args(ns, attr: str = "poly") -> MonicPoly:
     if given is None:
         raise InputFormatError("no polynomial given")
     return MonicPoly.from_json(_load_json_arg(given))
-
-
-def _settings(ns) -> dict:
-    cfg = {}
-    if getattr(ns, "config", None):
-        raw = _load_json_arg(ns.config)
-        if not isinstance(raw, dict):
-            raise InputFormatError("config must be a JSON object")
-        cfg = raw
-    out = {}
-    for key, default in (("tol", 1e-9), ("seed", 0)):
-        flag = getattr(ns, key, None)
-        out[key] = cfg.get(key, default) if flag is None else flag
-    out["seed"] = parse_int(out["seed"], "seed")
-    try:
-        tol = math.nan if isinstance(out["tol"], bool) else float(out["tol"])
-    except (TypeError, ValueError):
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise InputFormatError("tol must be finite and positive: %.40r" % (out["tol"],))
-    out["tol"] = tol
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +179,8 @@ def _cmd_family(ns):
 def _cmd_converge(ns):
     r = FreeCumulantVector.make(_rational_list(ns.r))
     d_values = [parse_int(x, "--d") for x in _rational_list(ns.d)]
+    for d in d_values:
+        _check_bound(d, MAX_CONVERGE_D, "--d", "the bound MAX_CONVERGE_D")
     _check_bound(ns.n, DEFAULT_N_MAX, "--n", "the bound DEFAULT_N_MAX")
     return convergence_report(r, ns.n, d_values).to_json()
 
@@ -205,9 +191,10 @@ def _cmd_check_id(ns):
 
 def _cmd_threshold(ns):
     _check_bound(ns.steps, MAX_STEPS, "--steps", "the bound MAX_STEPS")
-    t = real_rooted_threshold(
-        _poly_from_args(ns), parse_rational(ns.tmax), steps=ns.steps
-    )
+    p = _poly_from_args(ns)
+    tmax = parse_rational(ns.tmax)
+    _check_bound(math.ceil(tmax), MAX_TMAX, "--tmax", "the bound MAX_TMAX")
+    t = real_rooted_threshold(p, tmax, steps=ns.steps)
     return {"threshold": None if t is None else format_rational(t)}
 
 
@@ -217,11 +204,15 @@ def _cmd_cramer(ns):
 
 
 def _cmd_verify_mc(ns):
+    if not 0 < ns.tol < math.inf:
+        raise InputFormatError("tol must be finite and positive: %r" % ns.tol)
+    if ns.seed < 0:
+        raise InputFormatError("seed must be >= 0, got %d" % ns.seed)
     _check_bound(ns.samples, MAX_SAMPLES, "--samples", "the bound MAX_SAMPLES")
-    s = ns.settings
     p = MonicPoly.from_json(_load_json_arg(ns.p))
     q = MonicPoly.from_json(_load_json_arg(ns.q))
-    est = mc_boxplus(p, q, ns.samples, seed=s["seed"], tol=s["tol"])
+    _check_bound(max(p.d, q.d), MAX_MC_DEGREE, "degree", "the bound MAX_MC_DEGREE")
+    est = mc_boxplus(p, q, ns.samples, seed=ns.seed, tol=ns.tol)
     exact = boxplus(p, q)
     rows = []
     all_pass = True
@@ -298,14 +289,6 @@ _COMMANDS = {
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
-                        help="float tolerance for root finding")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed for sampling commands")
-    common.add_argument("--config", default=None,
-                        help="JSON file with tol/seed defaults")
-
     poly_in = _Parser(add_help=False)
     poly_in.add_argument("poly", nargs="?", default=None,
                          help="polynomial JSON, inline or a file path")
@@ -317,85 +300,74 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="finfree", description=__doc__)
     sub = top.add_subparsers(dest="command")
 
-    sp = sub.add_parser("convolve", parents=[common],
-                        help="additive convolution of two polynomials")
+    sp = sub.add_parser("convolve", help="additive convolution of two polynomials")
     sp.add_argument("p")
     sp.add_argument("q")
-    sp.set_defaults(func=_cmd_convolve)
 
-    sp = sub.add_parser("power", parents=[common, poly_in],
+    sp = sub.add_parser("power", parents=[poly_in],
                         help="fractional convolution power")
     sp.add_argument("--t", required=True, help="rational exponent > 0")
-    sp.set_defaults(func=_cmd_power)
 
-    sp = sub.add_parser("cumulants", parents=[common, poly_in],
+    sp = sub.add_parser("cumulants", parents=[poly_in],
                         help="finite free cumulants of a polynomial")
     sp.add_argument("--rescaled", action="store_true",
                     help="emit kappa~_n = ((d)_n/d^n) kappa_n")
-    sp.set_defaults(func=_cmd_cumulants)
 
-    sp = sub.add_parser("moments", parents=[common, poly_in],
+    sp = sub.add_parser("moments", parents=[poly_in],
                         help="moments of the root distribution")
     sp.add_argument("--N", type=int, required=True,
                     help="number of moments, at most %d" % MAX_MOMENTS)
-    sp.set_defaults(func=_cmd_moments)
 
-    sp = sub.add_parser("coeffs", parents=[common],
-                        help="polynomial from cumulants or moments")
+    sp = sub.add_parser("coeffs", help="polynomial from cumulants or moments")
     sp.add_argument("data", help="JSON with 'kappa' or with 'm'")
     sp.add_argument("--d", type=int, default=None,
                     help="degree (required for moment input without 'd')")
-    sp.set_defaults(func=_cmd_coeffs)
 
-    sp = sub.add_parser("rtransform", parents=[common, poly_in],
-                        help="truncated R-transform coefficients")
-    sp.set_defaults(func=_cmd_rtransform)
+    sub.add_parser("rtransform", parents=[poly_in],
+                   help="truncated R-transform coefficients")
 
-    sp = sub.add_parser("family", parents=[common],
-                        help="closed-form families")
+    sp = sub.add_parser("family", help="closed-form families")
     sp.add_argument("which", choices=["hermite", "poisson"])
     sp.add_argument("--d", type=int, required=True,
                     help="degree, at most %d" % MAX_DEGREE)
     sp.add_argument("--lambda", dest="lam", default=None)
     sp.add_argument("--marcus", action="store_true",
                     help="hermite with variance 1 - 1/d")
-    sp.set_defaults(func=_cmd_family)
 
-    sp = sub.add_parser("converge", parents=[common],
+    sp = sub.add_parser("converge",
                         help="finite-to-free cumulant convergence report")
     sp.add_argument("--r", required=True, help="comma list of free cumulants")
     sp.add_argument("--n", type=int, required=True,
                     help="cumulant order, at most %d" % DEFAULT_N_MAX)
-    sp.add_argument("--d", required=True, help="comma list of degrees")
-    sp.set_defaults(func=_cmd_converge)
+    sp.add_argument("--d", required=True,
+                    help="comma list of degrees, each at most %d" % MAX_CONVERGE_D)
 
-    sp = sub.add_parser("check-id", parents=[common, poly_in],
-                        help="infinite divisibility report")
-    sp.set_defaults(func=_cmd_check_id)
+    sub.add_parser("check-id", parents=[poly_in],
+                   help="infinite divisibility report")
 
-    sp = sub.add_parser("threshold", parents=[common, poly_in],
+    sp = sub.add_parser("threshold", parents=[poly_in],
                         help="real-rootedness threshold for convolution powers")
-    sp.add_argument("--tmax", required=True)
+    sp.add_argument("--tmax", required=True,
+                    help="largest power probed, at most 2^64")
     sp.add_argument("--steps", type=int, default=16,
                     help="bisection steps, at most %d" % MAX_STEPS)
-    sp.set_defaults(func=_cmd_threshold)
 
-    sp = sub.add_parser("cramer", parents=[common],
+    sp = sub.add_parser("cramer",
                         help="Cramer-failure pair with third cumulant +-eps")
     sp.add_argument("--d", type=int, required=True,
                     help="degree, at most %d" % MAX_DEGREE)
     sp.add_argument("--eps", required=True)
-    sp.set_defaults(func=_cmd_cramer)
 
-    sp = sub.add_parser("verify-mc", parents=[common],
-                        help="Monte-Carlo check of the convolution")
+    sp = sub.add_parser("verify-mc", help="Monte-Carlo check of the convolution")
     sp.add_argument("p")
     sp.add_argument("q")
     sp.add_argument("--samples", type=int, default=100000,
                     help="sample pairs, at most %d" % MAX_SAMPLES)
-    sp.set_defaults(func=_cmd_verify_mc)
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="float tolerance for root finding")
+    sp.add_argument("--seed", type=int, default=0, help="random seed")
 
-    sp = sub.add_parser("partitions", parents=[common],
+    sp = sub.add_parser("partitions",
                         help="list set partitions, types, and counts")
     sp.add_argument("--n", type=int, required=True,
                     help="ground-set size, at most %d (%d with --types)"
@@ -404,7 +376,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--types", action="store_true",
                     help="one row per integer partition of n, n at most %d"
                          % MAX_TYPES_N)
-    sp.set_defaults(func=_cmd_partitions)
 
     return top
 
@@ -432,8 +403,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     try:
-        ns.settings = _settings(ns)
-        text = json.dumps(ns.func(ns), indent=2)
+        text = json.dumps(_COMMANDS[ns.command](ns), indent=2)
     except FinFreeError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -5,6 +5,10 @@ the expected characteristic polynomial of A + Q B Q^T with Q Haar
 orthogonal.  mc_boxplus estimates that expectation by direct sampling and
 reports per-coefficient standard errors, giving a verification path that
 shares no code with the combinatorial implementation.
+
+This is the one module that works in floating point: the float root
+finder, its tolerance and the sampling live here; everything else in the
+package is exact.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .polynomial import MonicPoly, is_real_rooted, roots
+from .errors import DomainError, RootConvergenceError
+from .polynomial import MonicPoly, is_real_rooted
 
 _CHUNK = 4096
 _SYMMETRY_TOL = 1e-10
@@ -88,6 +92,36 @@ def char_poly(M) -> tuple:
         )
     plain = _char_poly_plain_batch(m[None, :, :])[0]
     return tuple(float(((-1) ** i) * plain[i]) for i in range(len(plain)))
+
+
+def roots(p: MonicPoly, tol: float = 1e-12) -> list:
+    """All d roots as complex floats (companion-matrix eigenvalues).
+
+    Deterministic for a given p; each root is residual-checked against
+    tol * max(1, sum of term magnitudes at the root) and failure raises
+    with the residuals attached.  Sorted by (real, imag).
+    """
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    plain = [float(c) for c in p.plain_coefficients()]
+    rts = np.roots(plain)
+    resid = []
+    ok = True
+    for r in rts:
+        val = 0.0 + 0.0j
+        scale = 0.0
+        for c in plain:
+            val = val * r + c
+            scale = scale * abs(r) + abs(c)
+        rel = abs(val) / max(1.0, scale)
+        resid.append(rel)
+        if not (rel <= tol):
+            ok = False
+    if not ok:
+        raise RootConvergenceError(
+            "root refinement missed tolerance %g" % tol, resid
+        )
+    return sorted((complex(r) for r in rts), key=lambda z: (z.real, z.imag))
 
 
 def _real_roots(p: MonicPoly, tol: float) -> np.ndarray:

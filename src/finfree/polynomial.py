@@ -9,8 +9,8 @@ so a_i is the i-th elementary symmetric function of the roots.  All
 transform identities downstream are stated in these a_i; ordinary
 ("plain") coefficients appear only at the I/O boundary.
 
-Exact rational arithmetic throughout, except roots(), which is floating
-point on purpose.
+Exact rational arithmetic throughout; float roots live in matrix_oracle,
+the one module that works in floating point.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
-from .errors import (
-    DomainError,
-    InputFormatError,
-    NonMonicError,
-    RootConvergenceError,
-)
+from .errors import InputFormatError, NonMonicError
 from .util import format_rational, parse_int, parse_rational
 
 
@@ -171,7 +164,7 @@ def moments(p: MonicPoly, N: int) -> "MomentSequence":
     exceed d and costs O(N d).  Roots are never computed.
     """
     if N < 1:
-        raise DomainError("need N >= 1 moments")
+        raise InputFormatError("need N >= 1 moments, got %d" % N)
     return MomentSequence(
         _log_derivative(_alternate(p.a), p.d, N), degree_context=p.d
     )
@@ -317,32 +310,3 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
         return "boundary"
     return "yes"
 
-
-def roots(p: MonicPoly, tol: float = 1e-12) -> list:
-    """All d roots as complex floats (companion-matrix eigenvalues).
-
-    Deterministic for a given p; each root is residual-checked against
-    tol * max(1, sum of term magnitudes at the root) and failure raises
-    with the residuals attached.  Sorted by (real, imag).
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    plain = [float(c) for c in p.plain_coefficients()]
-    rts = np.roots(plain)
-    resid = []
-    ok = True
-    for r in rts:
-        val = 0.0 + 0.0j
-        scale = 0.0
-        for c in plain:
-            val = val * r + c
-            scale = scale * abs(r) + abs(c)
-        rel = abs(val) / max(1.0, scale)
-        resid.append(rel)
-        if not (rel <= tol):
-            ok = False
-    if not ok:
-        raise RootConvergenceError(
-            "root refinement missed tolerance %g" % tol, resid
-        )
-    return sorted((complex(r) for r in rts), key=lambda z: (z.real, z.imag))

@@ -141,8 +141,6 @@ def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
 
 def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
     """m_1..m_N by the log-derivative, with a_k = 0 past the degree."""
-    if N < 1:
-        raise InputFormatError("need N >= 1 moments, got %d" % N)
     return moments(p, N)
 
 

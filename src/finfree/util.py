@@ -120,12 +120,6 @@ class VarPoly:
             out[i] += c
         return VarPoly.make(self.var, out)
 
-    def __neg__(self) -> "VarPoly":
-        return VarPoly(self.var, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "VarPoly") -> "VarPoly":
-        return self + (-other)
-
     def __mul__(self, other: "VarPoly") -> "VarPoly":
         if not self.coeffs or not other.coeffs:
             return VarPoly.zero(self.var)
@@ -151,30 +145,6 @@ class VarPoly:
 
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj) -> "VarPoly":
-        try:
-            var = obj["var"]
-            coeffs = obj["coeffs"]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError("VarPoly JSON needs 'var' and 'coeffs'") from exc
-        return cls.make(var, [parse_rational(c) for c in coeffs])
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            elif i == 1:
-                parts.append("%s*%s" % (format_rational(c), self.var))
-            else:
-                parts.append("%s*%s^%d" % (format_rational(c), self.var, i))
-        return " + ".join(parts)
 
 
 def falling(x, n: int):

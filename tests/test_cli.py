@@ -8,17 +8,24 @@ from fractions import Fraction
 
 import pytest
 
+from finfree import MonicPoly
 from finfree.cli import (
+    _COMMANDS,
+    MAX_CONVERGE_D,
     MAX_DEGREE,
     MAX_LIST_N,
+    MAX_MC_DEGREE,
     MAX_MOMENTS,
     MAX_SAMPLES,
     MAX_STEPS,
+    MAX_TMAX,
     MAX_TYPES_N,
     main,
 )
 
 SEMICIRCLE2 = '{"degree": 2, "a": ["1", "0", "-1/2"]}'
+# roots 0..d-1, one degree either side of the verify-mc bound
+POLY12, POLY13 = (json.dumps(MonicPoly.from_roots(range(d)).to_json()) for d in (12, 13))
 
 
 def run(capsys, *argv):
@@ -210,17 +217,47 @@ def test_plain_input_and_file_input(tmp_path, capsys):
 
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"seed": 3}')
+    # the seed is a verify-mc flag; there is no config file to set it
     mc = ["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "1000"]
     _, seed3, _ = run(capsys, *mc, "--seed", "3")
     _, seed5, _ = run(capsys, *mc, "--seed", "5")
     assert seed3["estimate"] != seed5["estimate"]
-    code, out, _ = run(capsys, *mc, "--config", str(cfg))
+    code, out, _ = run(capsys, *mc, "--seed", "3")
     assert code == 0 and out == seed3
-    # an explicit flag wins over the config value
-    code, out, _ = run(capsys, *mc, "--config", str(cfg), "--seed", "5")
-    assert code == 0 and out == seed5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 3}')
+    code, out, err = run(capsys, *mc, "--config", str(cfg))
+    assert code == 3 and out is None and err["error"]["type"] == "UsageError"
+
+
+# argv that each exact command accepts; only verify-mc takes --tol and --seed
+EXACT_COMMANDS = {
+    "convolve": [SEMICIRCLE2, SEMICIRCLE2],
+    "power": ["--roots", "1,-1", "--t", "2"],
+    "cumulants": ["--roots", "1,-1"],
+    "moments": ["--roots", "1,-1", "--N", "2"],
+    "coeffs": ['{"m": ["0", "1"]}', "--d", "2"],
+    "rtransform": ["--roots", "1,-1"],
+    "family": ["hermite", "--d", "2"],
+    "converge": ["--r", "0,1", "--n", "2", "--d", "4"],
+    "check-id": ["--roots", "1,-1"],
+    "threshold": ["--roots", "1,-1", "--tmax", "16"],
+    "cramer": ["--d", "4", "--eps", "1/32"],
+    "partitions": ["--n", "3"],
+}
+
+
+def test_exact_commands_refuse_settings(tmp_path, capsys):
+    assert sorted(EXACT_COMMANDS) + ["verify-mc"] == sorted(_COMMANDS)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 1e-9, "seed": 0}')
+    for command, argv in EXACT_COMMANDS.items():
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0 and out is not None, command
+        for flag in (["--tol", "1e-9"], ["--seed", "0"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, command, *argv, *flag)
+            assert code == 3 and out is None, (command, flag)
+            assert err["error"]["type"] == "UsageError", (command, flag)
 
 
 def test_help_exits_0(capsys):
@@ -298,17 +335,24 @@ def test_degrees_must_be_integers(capsys):
 
 
 def test_tolerance_must_be_finite_and_positive(tmp_path, capsys):
+    mc = ["verify-mc", SEMICIRCLE2, SEMICIRCLE2]
     for tol in ("nan", "inf", "0", "-1"):
-        code, _, err = run(capsys, "check-id", "--roots", "1,-1", "--tol", tol)
-        assert code == 3 and err["error"]["type"] == "InputFormatError", tol
-    code, _, err = run(
-        capsys, "verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "10", "--tol", "nan"
-    )
+        code, out, err = run(capsys, *mc, "--samples", "1000", "--tol", tol)
+        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", tol
+    # the tolerance is checked before the sample bound
+    code, _, err = run(capsys, *mc, "--samples", "2000000", "--tol", "nan")
     assert code == 3 and err["error"]["type"] == "InputFormatError"
+    code, _, err = run(capsys, *mc, "--samples", "1000", "--seed", "-1")
+    assert code == 3 and err["error"]["type"] == "InputFormatError"
+    code, out, _ = run(capsys, *mc, "--samples", "1000", "--tol", "1e-6")
+    assert code == 0 and out["all_pass"]
+    # the exact commands take no tolerance and no config file
+    code, _, err = run(capsys, "check-id", "--roots", "1,-1", "--tol", "nan")
+    assert code == 3 and err["error"]["type"] == "UsageError"
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"tol": "abc"}')
     code, _, err = run(capsys, "family", "hermite", "--d", "2", "--config", str(cfg))
-    assert code == 3 and err["error"]["type"] == "InputFormatError"
+    assert code == 3 and err["error"]["type"] == "UsageError"
 
 
 def test_partitions_needs_n_at_least_1(capsys):
@@ -330,7 +374,13 @@ def test_fixed_bounds_exit_4(capsys):
         ["converge", "--r", "0,1", "--n", "13", "--d", "16"],
         ["moments", "--roots", "1,-1/3", "--N", "1001"],
         ["threshold", "--roots", "0,0,1,3", "--tmax", "16", "--steps", "201"],
+        ["threshold", "--roots", "0,0,1,3", "--tmax", "1e4000"],
+        ["threshold", "--roots", "0,0,1,3", "--tmax", "18446744073709551617"],
+        ["threshold", "--roots", "0,0,1,3", "--tmax", "36893488147419103233/2"],
+        ["converge", "--r", "0,1,1", "--n", "12", "--d", "16,1000000000001"],
+        ["converge", "--r", "0,1,1", "--n", "12", "--d", "1e4000"],
         ["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "1000001"],
+        ["verify-mc", POLY13, POLY13, "--samples", "1000"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out is None and err["error"]["type"] == "SizeCapError", argv
@@ -339,6 +389,7 @@ def test_fixed_bounds_exit_4(capsys):
 def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
+    assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")
@@ -351,3 +402,9 @@ def test_largest_allowed_sizes(capsys):
     assert code == 0 and out["count"] == 115975  # Bell(10)
     code, out, _ = run(capsys, "moments", "--roots", "1,-1/3", "--N", "1000")
     assert code == 0 and out["m"][999] == str((1 + Fraction(-1, 3) ** 1000) / 2)
+    code, out, _ = run(capsys, "threshold", "--roots", "0,0,1,3", "--tmax", str(2**64))
+    assert code == 0 and out["threshold"] is not None
+    code, out, _ = run(capsys, "converge", "--r", "0,1,1", "--n", "12", "--d", "16,1000000000000")
+    assert code == 0 and [row["d"] for row in out["rows"]] == [16, 10**12]
+    code, out, _ = run(capsys, "verify-mc", POLY12, POLY12, "--samples", "1000")
+    assert code == 0 and out["estimate"]["d"] == 12 and out["all_pass"]

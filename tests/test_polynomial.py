@@ -12,6 +12,7 @@ from finfree import (
     count_distinct_real_roots,
     is_real_rooted,
     moments,
+    moments_from_coefficients,
     roots,
     x_power,
 )
@@ -115,6 +116,15 @@ def test_moments_newton():
         rs = rand_roots(rng, d)
         m = moments(MonicPoly.from_roots(rs), 200)
         assert m.entries == tuple(sum(r**n for r in rs) / d for n in range(1, 201))
+
+
+def test_moment_count_below_one_is_input_error():
+    # one fault, one error type, whichever entry point sees it
+    p = MonicPoly.from_roots([1, -1])
+    for entry in (moments, moments_from_coefficients):
+        for N in (0, -1):
+            with pytest.raises(InputFormatError):
+                entry(p, N)
 
 
 def test_moment_sequence_json():

@@ -42,3 +42,20 @@ def test_no_public_callable_takes_n_max():
             if "n_max" in params:
                 found.append("%s.%s" % (mod.__name__, name))
     assert found == []
+
+
+def test_only_the_monte_carlo_oracle_imports_numpy():
+    # floating point is confined to matrix_oracle; the rest is exact
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                found.append(path.name)
+    assert sorted(set(found)) == ["matrix_oracle.py"]
