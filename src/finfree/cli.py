@@ -107,13 +107,13 @@ def _rational_list(text: str):
     return [parse_rational(t) for t in items]
 
 
-def _poly_from_args(ns, attr: str = "poly") -> MonicPoly:
-    given = getattr(ns, attr, None)
-    if getattr(ns, "roots", None) is not None:
+def _poly_from_args(ns) -> MonicPoly:
+    given = ns.poly
+    if ns.roots is not None:
         if given is not None:
             raise InputFormatError("give either a polynomial or --roots, not both")
         return MonicPoly.from_roots(_rational_list(ns.roots))
-    if getattr(ns, "plain", None) is not None:
+    if ns.plain is not None:
         if given is not None:
             raise InputFormatError("give either a polynomial or --plain, not both")
         return MonicPoly.from_plain_coefficients(_rational_list(ns.plain))

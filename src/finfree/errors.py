@@ -22,6 +22,13 @@ class NonMonicError(InputFormatError):
     """
 
 
+def _digits(v: int) -> str:
+    """v in full up to 40 digits, else its leading digits and digit count,
+    so that a refused value of thousands of digits keeps the message short."""
+    s = "%d" % v
+    return s if len(s) <= 40 else "%s...(%d digits)" % (s[:20], len(s))
+
+
 class SizeCapError(FinFreeError):
     """A request would exceed a fixed size bound: the partition cap
     DEFAULT_N_MAX of an enumeration of P(n), or a bound of the command line."""
@@ -30,7 +37,7 @@ class SizeCapError(FinFreeError):
                  cap="the partition cap DEFAULT_N_MAX"):
         self.n = n
         self.bound = bound
-        super().__init__("%s %d exceeds %s = %d" % (what, n, cap, bound))
+        super().__init__("%s %s exceeds %s = %d" % (what, _digits(n), cap, bound))
 
 
 class DimensionError(FinFreeError):

@@ -12,10 +12,6 @@ from .polynomial import MonicPoly
 from .transforms import cumulants_from_coefficients
 from .util import falling
 
-# 1/sqrt(n) for non-square n is carried as a rational correct to this many
-# digits; perfect squares (the tested cases) stay exact.
-_SQRT_DIGITS = 50
-
 
 def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     """The CLT fixed point: kappa = (0, 1, 0, ..., 0).
@@ -68,23 +64,14 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     """The n-fold convolution of p with itself, rescaled: kappa_r picks up
     the factor n^{1 - r/2}.
 
-    Requires kappa_1(p) = 0; center first.  For square n the sqrt is exact;
-    otherwise it is a 50-digit rational approximation, so only the even
-    cumulants of the result are exactly n^{1-r/2} kappa_r.
+    Requires kappa_1(p) = 0; center first.  n must be a perfect square, so
+    that the rescaling by sqrt(n) stays exact.
     """
-    if n < 1:
-        raise DomainError("need n >= 1, got %d" % n)
+    if n < 1 or isqrt(n) ** 2 != n:
+        raise DomainError("need a perfect square n >= 1, got %d" % n)
     k = cumulants_from_coefficients(p)
     if k.kappa[0] != 0:
         raise DomainError(
             "kappa_1 = %s; center the polynomial before rescaling" % k.kappa[0]
         )
-    if n == 1:
-        return p
-    pw = boxplus_power(p, n)
-    root = isqrt(n)
-    if root * root == n:
-        lam = Fraction(root)
-    else:
-        lam = Fraction(isqrt(n * 10 ** (2 * _SQRT_DIGITS)), 10**_SQRT_DIGITS)
-    return pw.dilate(lam)
+    return boxplus_power(p, n).dilate(isqrt(n))

@@ -8,7 +8,8 @@ moment data at each requested d.
 
 Free moments and free cumulants are related by M(z) = 1 + R(z M(z)) with
 M(z) = 1 + sum m_n z^n and R(w) = sum r_k w^k; Lagrange inversion gives
-m_n = [w^n] (1 + R(w))^{n+1} / (n+1), an O(n^2) recurrence with no cap on n.
+m_n = [w^n] (1 + R(w))^{n+1} / (n+1), with the power from the same log/exp
+series pair as the finite cumulants: O(n^2) per moment, no cap on n.
 The paper's sum over non-crossing partitions is lattice.py's reference.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError
-from .polynomial import MomentSequence
+from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
 from .util import format_rational, parse_rational
 
@@ -52,36 +53,31 @@ class FreeCumulantVector:
         return cls.make([parse_rational(x) for x in raw])
 
 
-def _lagrange_moment(rv, n: int) -> Fraction:
-    """[w^n] (1 + sum_k r_k w^k)^{n+1} / (n+1), with r_k = rv[k-1].  The power
-    c = (1 + R)^{n+1} comes from Miller's recurrence
-    k c_k = sum_{j<=k} ((n+2) j - k) r_j c_{k-j}."""
-    c = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = sum(
-            (((n + 2) * j - k) * rv[j - 1] * c[k - j] for j in range(1, k + 1)),
-            Fraction(0),
-        )
-        c.append(acc / k)
-    return c[n] / (n + 1)
+def _lagrange_moment(log, n: int) -> Fraction:
+    """[w^n] (1 + R(w))^{n+1} / (n+1) = [w^n] exp((n+1) log(1 + R)) / (n+1),
+    from polynomial's log/exp series pair; log is _log_derivative of the
+    series 1 + R, and only its first n entries are read."""
+    return _exp_series(log, n + 1, n)[n] / (n + 1)
 
 
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
     """m_n = sum over NC(n) of r_pi, n = 1..N, by Lagrange inversion."""
-    # entries past the stored length are zero
-    rv = r.entries + (Fraction(0),) * max(0, N - len(r))
-    return MomentSequence(tuple(_lagrange_moment(rv, n) for n in range(1, N + 1)))
+    # _log_derivative takes the entries past the stored length as zero
+    log = _log_derivative((1, *r.entries[:N]), 1, N)
+    return MomentSequence(tuple(_lagrange_moment(log, n) for n in range(1, N + 1)))
 
 
 def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
-    """Triangular inversion: r_n enters m_n only as the term r_n itself, so
-    r_n = m_n - (m_n with r_n = 0)."""
+    """Triangular inversion in L = log(1 + R): L_n enters m_n only as the term
+    L_n itself, so L_n = m_n - (m_n with L_n = 0); then 1 + R = exp(L).  The
+    log series holds -n L_n, as _log_derivative writes it."""
     if len(m) < N:
         raise DomainError("need %d moments, got %d" % (N, len(m)))
-    rv = []
+    log = []
     for n in range(1, N + 1):
-        rv.append(m.entries[n - 1] - _lagrange_moment(rv + [Fraction(0)], n))
-    return FreeCumulantVector(tuple(rv))
+        log.append(0)
+        log[-1] = -n * (m.entries[n - 1] - _lagrange_moment(log, n))
+    return FreeCumulantVector(tuple(_exp_series(log, 1, N)[1:]))
 
 
 @dataclass(frozen=True)

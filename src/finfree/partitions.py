@@ -6,7 +6,11 @@ combinatorics; the closed forms for the Moebius function and the per-type
 counts make recursive poset inversion unnecessary.
 
 Enumeration order is restricted-growth-string lexicographic and is part of
-the contract: callers may cache against it.
+the contract: callers may cache against it.  One recursion over restricted
+growth strings walks both P(n) and NC(n); in NC(n) an element may only join
+a block that is still open, so the walk visits Catalan(n) leaves, not
+Bell(n).  Partitions are checked where outside data enters (from_blocks,
+parse, from_rgs); the walks build them unchecked, valid by construction.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from .util import VarPoly
 
 DEFAULT_N_MAX = 12
 
-# Tables of (blocks, mu, sizes) are memoized per n up to this bound; larger
-# ground sets are streamed fresh on every call (Bell(12) alone is 4.2M).
+# Tables of (masks, num_blocks, mu) are memoized per n up to this bound; for
+# larger n every call builds all rows again and drops them after use (Bell(12)
+# alone is 4.2M).
 _TABLE_MEMO_CAP = 9
 
 _tables: dict = {}
@@ -39,46 +44,41 @@ class SetPartition:
     """A partition of {1..n} in canonical form.
 
     blocks are sorted internally and ordered by least element, so equal
-    partitions compare equal and hash equally.
+    partitions compare equal and hash equally.  The bare constructor trusts
+    its arguments and serves the package's own walks, whose restricted growth
+    strings give valid partitions by construction; outside data enters
+    through from_blocks, parse or from_rgs, which check it.
     """
 
     n: int
     blocks: tuple
 
-    def __post_init__(self):
-        seen = [False] * (self.n + 1)
-        prev_min = 0
-        for block in self.blocks:
-            if not block:
-                raise InputFormatError("empty block in partition")
-            if list(block) != sorted(block):
-                raise InputFormatError("block %r not sorted" % (block,))
-            if block[0] <= prev_min:
-                raise InputFormatError("blocks not ordered by least element")
-            prev_min = block[0]
-            for e in block:
-                if not (1 <= e <= self.n) or seen[e]:
-                    raise InputFormatError(
-                        "elements of %r do not cover {1..%d} exactly once"
-                        % (self.blocks, self.n)
-                    )
-                seen[e] = True
-        if not all(seen[1:]):
-            raise InputFormatError("partition does not cover {1..%d}" % self.n)
-
     @classmethod
     def from_blocks(cls, n, blocks) -> "SetPartition":
+        """Check that the blocks are nonempty and cover {1..n} exactly once."""
         canon = sorted(tuple(sorted(b)) for b in blocks)
+        elements = sorted(e for b in canon for e in b)
+        # lengths first: parse takes n from the largest element, however large
+        if not all(canon) or len(elements) != n or elements != list(range(1, n + 1)):
+            raise InputFormatError(
+                "blocks %.80r do not cover {1..%d} exactly once" % (canon, n)
+            )
         return cls(n, tuple(canon))
 
     @classmethod
     def from_rgs(cls, rgs) -> "SetPartition":
-        """Build from a restricted growth string (0-based labels)."""
-        nb = max(rgs) + 1
-        buckets = [[] for _ in range(nb)]
-        for i, lab in enumerate(rgs):
-            buckets[lab].append(i + 1)
-        return cls(len(rgs), tuple(tuple(b) for b in buckets))
+        """Build from a restricted growth string (0-based labels): each label
+        is at least 0 and at most 1 above the largest one before it."""
+        blocks = []
+        for e, lab in enumerate(rgs, start=1):
+            if not isinstance(lab, int) or lab not in range(len(blocks) + 1):
+                raise InputFormatError(
+                    "%.80r is not a restricted growth string" % (list(rgs),)
+                )
+            if lab == len(blocks):
+                blocks.append([])
+            blocks[lab].append(e)
+        return cls(len(rgs), tuple(map(tuple, blocks)))
 
     @classmethod
     def parse(cls, text: str) -> "SetPartition":
@@ -129,37 +129,52 @@ def one_partition(n: int) -> SetPartition:
     return SetPartition(n, (tuple(range(1, n + 1)),))
 
 
+def _walk(n: int, noncrossing: bool):
+    """Yield (rgs, blocks) for the restricted growth strings of length n,
+    lexicographically.
+
+    Element e joins an open block or opens a new one.  In P(n) every block
+    stays open; in NC(n) joining a block closes every block opened after it,
+    since a later element of those would cross the one just placed.
+    """
+
+    def grow(s, blocks, open_):
+        if len(s) == n:
+            yield s, blocks
+            return
+        e = len(s) + 1
+        for k, lab in enumerate(open_):
+            joined = blocks[:lab] + (blocks[lab] + (e,),) + blocks[lab + 1 :]
+            still_open = open_[: k + 1] if noncrossing else open_
+            yield from grow(s + (lab,), joined, still_open)
+        nb = len(blocks)
+        yield from grow(s + (nb,), blocks + ((e,),), open_ + (nb,))
+
+    return grow((), (), ())
+
+
 def rgs_strings(n: int):
     """Yield all restricted growth strings of length n, lexicographically.
 
     s[0] = 0 and s[i] <= 1 + max(s[:i]); one string per partition of {1..n}.
     """
-    s = [0] * n
-    m = [0] * n
-    while True:
-        yield tuple(s)
-        i = n - 1
-        while i > 0 and s[i] > m[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        s[i] += 1
-        m[i] = max(m[i - 1], s[i])
-        for j in range(i + 1, n):
-            s[j] = 0
-            m[j] = m[i]
+    return (s for s, _ in _walk(n, False))
+
+
+def _partitions(n: int, noncrossing: bool):
+    _check_cap(n)
+    for _, blocks in _walk(n, noncrossing):
+        yield SetPartition(n, blocks)
 
 
 def iter_partitions(n: int):
     """Yield all of P(n) in RGS-lexicographic order without materializing."""
-    _check_cap(n)
-    for rgs in rgs_strings(n):
-        yield SetPartition.from_rgs(rgs)
+    return _partitions(n, False)
 
 
 def enumerate_partitions(n: int) -> list:
     """All of P(n), RGS-lexicographic; length is Bell(n)."""
-    return list(iter_partitions(n))
+    return list(_partitions(n, False))
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -189,26 +204,17 @@ def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
         raise DimensionError(
             "join over different ground sets: %d vs %d" % (pi.n, sigma.n)
         )
-    n = pi.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (pi, sigma):
-        for block in part.blocks:
-            root = find(block[0])
-            for e in block[1:]:
-                r = find(e)
-                if r != root:
-                    parent[r] = root
-    groups = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return SetPartition.from_blocks(n, groups.values())
+    components = []
+    for block in pi.blocks + sigma.blocks:
+        merged = set(block)
+        apart = []
+        for c in components:
+            if merged.isdisjoint(c):
+                apart.append(c)
+            else:
+                merged |= c
+        components = apart + [merged]
+    return SetPartition.from_blocks(pi.n, components)
 
 
 def refines(pi: SetPartition, sigma: SetPartition) -> bool:
@@ -366,19 +372,14 @@ def lattice_table(n: int) -> tuple:
     cached = _tables.get(n)
     if cached is not None:
         return cached
-    rows = []
-    for rgs in rgs_strings(n):
-        nb = max(rgs) + 1
-        masks = [0] * nb
-        mu = 1
-        counts = [0] * nb
-        for i, lab in enumerate(rgs):
-            masks[lab] |= 1 << i
-            counts[lab] += 1
-        for c in counts:
-            mu *= (-1) ** (c - 1) * factorial(c - 1)
-        rows.append((tuple(masks), nb, mu))
-    table = tuple(rows)
+    table = tuple(
+        (
+            tuple(sum(1 << (e - 1) for e in block) for block in pi.blocks),
+            len(pi.blocks),
+            mobius_from_zero(pi),
+        )
+        for pi in iter_partitions(n)
+    )
     if n <= _TABLE_MEMO_CAP:
         _tables[n] = table
     return table
@@ -386,4 +387,4 @@ def lattice_table(n: int) -> tuple:
 
 def enumerate_noncrossing(n: int) -> list:
     """All non-crossing partitions of {1..n}, RGS order; length Catalan(n)."""
-    return [pi for pi in iter_partitions(n) if is_noncrossing(pi)]
+    return list(_partitions(n, True))

@@ -384,6 +384,15 @@ def test_fixed_bounds_exit_4(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out is None and err["error"]["type"] == "SizeCapError", argv
+    # a refused value of thousands of digits is shortened in the error line
+    for argv in (
+        ["threshold", "--roots", "0,1", "--tmax", "1e4000"],
+        ["converge", "--r", "0,1,1", "--n", "12", "--d", "1e4000"],
+    ):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300, argv
+        assert json.loads(err)["error"]["type"] == "SizeCapError"
 
 
 def test_largest_allowed_sizes(capsys):

@@ -130,14 +130,12 @@ def test_clt_cumulant_scaling_square_n():
 
 
 def test_clt_odd_cumulants_decay_non_square_n():
-    # non-square n: sqrt carried at 50 digits, so compare squares with slack
+    # sqrt(n) is irrational for non-square n, and every export stays exact
     k = CumulantVector.make(4, [0, 1, Fraction(1, 2), Fraction(1, 3)])
     p = coefficients_from_cumulants(k)
     for n in (2, 3, 10):
-        got = cumulants_from_coefficients(clt_rescaled_sum(p, n)).kappa
-        assert got[1] - 1 == pytest.approx(0, abs=1e-40)
-        want_sq = Fraction(1, 4) / n  # (kappa_3 n^{-1/2})^2
-        assert float(got[2] ** 2 - want_sq) == pytest.approx(0, abs=1e-40)
+        with pytest.raises(DomainError):
+            clt_rescaled_sum(p, n)
 
 
 def test_clt_approaches_hermite():

@@ -46,11 +46,17 @@ def rand_partition(n, rng):
 def test_bell_counts():
     for n in range(1, 11):
         assert len(enumerate_partitions(n)) == BELL[n]
+        strings = list(rgs_strings(n))
+        assert len(strings) == BELL[n]
+        assert all(a < b for a, b in zip(strings, strings[1:]))
 
 
 def test_catalan_counts():
     for n in range(1, 11):
-        assert len(enumerate_noncrossing(n)) == CATALAN[n]
+        nc = enumerate_noncrossing(n)
+        assert len(nc) == CATALAN[n]
+        # the direct walk against the Bell(n) filter, order included
+        assert nc == [pi for pi in enumerate_partitions(n) if is_noncrossing(pi)]
 
 
 def test_enumeration_order_deterministic():
@@ -218,3 +224,10 @@ def test_partition_validation():
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
     with pytest.raises(InputFormatError):
         SetPartition.from_blocks(2, [[0, 1]])
+    with pytest.raises(InputFormatError):
+        SetPartition.from_blocks(2, [[1, 2], []])
+    for rgs in ([0, -1], [0, 2], [1], [0, 1.0]):
+        with pytest.raises(InputFormatError):
+            SetPartition.from_rgs(rgs)
+    with pytest.raises(InputFormatError):
+        SetPartition.parse("{1,2|4}")
