@@ -28,6 +28,7 @@ from .matrix_oracle import mc_boxplus
 from .partitions import (
     DEFAULT_N_MAX,
     count_by_type,
+    enumerate_noncrossing,
     enumerate_partitions,
     is_noncrossing,
     iter_types,
@@ -58,7 +59,9 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # each bisection step of threshold doubles the probe's denominator, and its
 # grid has log2(tmax) + 5 points; converge at d = 10^12 takes milliseconds,
 # while a 4000-digit d takes seconds; verify-mc --samples 1000000 takes
-# about 1 s at degree 2, and each sample costs about d^3.
+# about 1 s at degree 2, and each sample costs about d^3; cramer at d = 100
+# takes about 8 s with eps = 1/32 and 13 s with 1/255, while at d = 40 an
+# eps of 1e-100 takes about 50 s.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
 MAX_LIST_N = 10
@@ -68,6 +71,7 @@ MAX_TMAX = 2**64
 MAX_CONVERGE_D = 10**12
 MAX_SAMPLES = 10**6
 MAX_MC_DEGREE = 12
+MAX_EPS_PART = 256
 
 
 def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
@@ -85,8 +89,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_json_arg(text: str):
-    """Inline JSON if it looks like JSON, else a file path to read."""
+def _load_json_arg(text: str) -> dict:
+    """A JSON object, inline if it looks like one, else from a file path."""
     s = text.strip()
     if not s.startswith("{"):
         try:
@@ -95,9 +99,12 @@ def _load_json_arg(text: str):
         except OSError as exc:
             raise InputFormatError("cannot read %s: %s" % (text, exc)) from exc
     try:
-        return json.loads(s)
+        obj = json.loads(s)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InputFormatError("invalid JSON: %s" % exc) from exc
+    if not isinstance(obj, dict):
+        raise InputFormatError("expected a JSON object, got %.80r" % (obj,))
+    return obj
 
 
 def _rational_list(text: str):
@@ -200,7 +207,10 @@ def _cmd_threshold(ns):
 
 def _cmd_cramer(ns):
     _check_bound(ns.d, MAX_DEGREE, "--d", "the bound MAX_DEGREE")
-    return cramer_counterexample(ns.d, parse_rational(ns.eps)).to_json()
+    eps = parse_rational(ns.eps)
+    _check_bound(max(abs(eps.numerator), eps.denominator), MAX_EPS_PART,
+                 "--eps numerator or denominator", "the bound MAX_EPS_PART")
+    return cramer_counterexample(ns.d, eps).to_json()
 
 
 def _cmd_verify_mc(ns):
@@ -243,31 +253,27 @@ def _cmd_partitions(ns):
         raise InputFormatError("--n must be >= 1, got %d" % n)
     if ns.types:
         _check_bound(n, MAX_TYPES_N, "--n", "the --types bound MAX_TYPES_N")
-        rows = []
-        for t in iter_types(n):
-            rows.append(
-                {
-                    "sizes": list(t.sizes()),
-                    "count_all": count_by_type(t, "all"),
-                    "count_noncrossing": count_by_type(t, "noncrossing"),
-                    "mobius": mobius_of_type(t),
-                }
-            )
+        rows = [
+            {
+                "sizes": list(t.sizes()),
+                "count_all": count_by_type(t, "all"),
+                "count_noncrossing": count_by_type(t, "noncrossing"),
+                "mobius": mobius_of_type(t),
+            }
+            for t in iter_types(n)
+        ]
         return {"n": n, "types": rows}
     _check_bound(n, MAX_LIST_N, "--n", "the listing bound MAX_LIST_N")
-    rows = []
-    for pi in enumerate_partitions(n):
-        nc = is_noncrossing(pi)
-        if ns.noncrossing and not nc:
-            continue
-        rows.append(
-            {
-                "partition": str(pi),
-                "blocks": len(pi.blocks),
-                "mobius": mobius_from_zero(pi),
-                "noncrossing": nc,
-            }
-        )
+    listing = enumerate_noncrossing if ns.noncrossing else enumerate_partitions
+    rows = [
+        {
+            "partition": str(pi),
+            "blocks": len(pi.blocks),
+            "mobius": mobius_from_zero(pi),
+            "noncrossing": ns.noncrossing or is_noncrossing(pi),
+        }
+        for pi in listing(n)
+    ]
     return {"n": n, "count": len(rows), "partitions": rows}
 
 
@@ -356,7 +362,9 @@ def _build_parser() -> _Parser:
                         help="Cramer-failure pair with third cumulant +-eps")
     sp.add_argument("--d", type=int, required=True,
                     help="degree, at most %d" % MAX_DEGREE)
-    sp.add_argument("--eps", required=True)
+    sp.add_argument("--eps", required=True,
+                    help="rational >= 0 with numerator and denominator at most %d"
+                         % MAX_EPS_PART)
 
     sp = sub.add_parser("verify-mc", help="Monte-Carlo check of the convolution")
     sp.add_argument("p")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
-from .util import format_rational, parse_rational
+from .util import format_rational, parse_rational_array
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class FreeCumulantVector:
             raw = obj["r"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError("free cumulant JSON needs 'r'") from exc
-        return cls.make([parse_rational(x) for x in raw])
+        return cls.make(parse_rational_array(raw, "'r'"))
 
 
 def _lagrange_moment(log, n: int) -> Fraction:

@@ -11,13 +11,18 @@ Every sum runs over P(n), so each is bounded by the partition cap
 partitions.DEFAULT_N_MAX.
 Summands depend on a partition only through its type (the multiset of block
 sizes), so the single sums group P(n) by type and weigh each type with its
-exact closed-form count; that is the same finite sum, reassociated.
+exact closed-form count; that is the same finite sum, reassociated.  The
+join form is the exception: it tests rho v sigma = 1_n for every rho in
+P(n), all at once on a bit-sliced index of P(n) that is cached for one n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import factorial, prod
+from operator import and_
 
 from .errors import DomainError
 from .partitions import (
@@ -28,7 +33,6 @@ from .partitions import (
     enumerate_noncrossing,
     iter_partitions,
     iter_types,
-    lattice_table,
     mobius_of_type,
     multiplicative_extension,
     refines,
@@ -274,36 +278,54 @@ def p_sigma_defining_sum(sigma: SetPartition) -> VarPoly:
     return out
 
 
+@lru_cache(maxsize=1)
+def _scan_index(n: int) -> tuple:
+    """A bit-sliced index of P(n), bit j for the j-th partition in RGS order:
+    pairs[e, f], e < f, holds the partitions in which e and f share a block,
+    and types[sizes] those whose block sizes, descending, are sizes.
+
+    Bits are set in bytearrays and each is converted to an int once; setting
+    them on a growing int would rewrite it for every partition.
+    """
+    _check_cap(n)
+    nbytes = (sum(row[0] for row in _types(n)) + 7) // 8
+    pairs = {ef: bytearray(nbytes) for ef in combinations(range(1, n + 1), 2)}
+    types = {row[4]: bytearray(nbytes) for row in _types(n)}
+    for j, pi in enumerate(iter_partitions(n)):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for block in pi.blocks:
+            for ef in combinations(block, 2):
+                pairs[ef][byte] |= bit
+        types[tuple(sorted(map(len, pi.blocks), reverse=True))][byte] |= bit
+    return tuple({k: int.from_bytes(v, "little") for k, v in bits.items()}
+                 for bits in (pairs, types))
+
+
 def p_sigma_join_form(sigma: SetPartition) -> VarPoly:
     """sum over {rho : rho v sigma = 1_n} of d^{|rho|} mu(0,rho).
 
-    Literal scan over P(n) with a connectivity test on block bitmasks.
+    A literal test of rho v sigma = 1_n for every rho in P(n) at once, on the
+    index _scan_index(n): rho links sigma's blocks a and b when one of its
+    blocks meets both, and rho v sigma = 1_n when the links connect all of
+    sigma's blocks, which relaxing reachability from block 0 decides.
     Relation to p_sigma: this equals JOIN_FORM_SIGN * p_sigma(sigma).
     """
-    n = sigma.n
-    sig_masks = [sum(1 << (e - 1) for e in block) for block in sigma.blocks]
-    full = (1 << n) - 1
-    nsig = len(sig_masks)
+    n, blocks = sigma.n, sigma.blocks
+    pairs, types = _scan_index(n)
+    k = len(blocks)
+    meets = [[0] * k for _ in blocks]
+    for a, b in combinations(range(k), 2):
+        for e, f in product(blocks[a], blocks[b]):
+            meets[a][b] |= pairs[min(e, f), max(e, f)]
+        meets[b][a] = meets[a][b]
+    reach = [-1] + [0] * (k - 1)  # -1 has every bit set: each rho reaches block 0
+    for _ in range(k - 1):
+        for a, b in product(range(k), range(1, k)):
+            reach[b] |= reach[a] & meets[a][b]
+    connected = reduce(and_, reach)
     coeffs = [0] * (n + 1)
-    for rho_masks, nb, mu in lattice_table(n):
-        if nb + nsig > n + 1:  # |rho| + |sigma| <= n + 1 is necessary for cospan
-            continue
-        comp = sig_masks[0]
-        pending = list(rho_masks) + sig_masks[1:]
-        changed = True
-        while changed and comp != full:
-            changed = False
-            nxt = []
-            for b in pending:
-                if b & comp:
-                    if b | comp != comp:
-                        comp |= b
-                        changed = True
-                else:
-                    nxt.append(b)
-            pending = nxt
-        if comp == full:
-            coeffs[nb] += mu
+    for _, m, mu, _, sizes in _types(n):
+        coeffs[m] += mu * (connected & types[sizes]).bit_count()
     return VarPoly.make("d", coeffs)
 
 

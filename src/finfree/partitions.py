@@ -17,19 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import DimensionError, FinFreeError, InputFormatError, SizeCapError
 from .util import VarPoly
 
 DEFAULT_N_MAX = 12
-
-# Tables of (masks, num_blocks, mu) are memoized per n up to this bound; for
-# larger n every call builds all rows again and drops them after use (Bell(12)
-# alone is 4.2M).
-_TABLE_MEMO_CAP = 9
-
-_tables: dict = {}
 
 
 def _check_cap(n: int) -> None:
@@ -224,21 +217,12 @@ def refines(pi: SetPartition, sigma: SetPartition) -> bool:
             "refinement over different ground sets: %d vs %d" % (pi.n, sigma.n)
         )
     lab = sigma.labels()
-    for block in pi.blocks:
-        first = lab[block[0]]
-        for e in block[1:]:
-            if lab[e] != first:
-                return False
-    return True
+    return all(lab[e] == lab[block[0]] for block in pi.blocks for e in block)
 
 
 def mobius_from_zero(pi: SetPartition) -> int:
     """mu(0_n, pi) = product over blocks V of (-1)^{|V|-1} (|V|-1)!."""
-    v = 1
-    for block in pi.blocks:
-        s = len(block)
-        v *= (-1) ** (s - 1) * factorial(s - 1)
-    return v
+    return prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in pi.blocks)
 
 
 def mobius_to_one(pi: SetPartition) -> int:
@@ -285,11 +269,8 @@ def partition_type(pi: SetPartition) -> PartitionType:
 
 def mobius_of_type(t: PartitionType) -> int:
     """mu(0_n, pi) for any pi of type t (it only depends on the type)."""
-    v = 1
-    for i, ri in enumerate(t.r, start=1):
-        if ri:
-            v *= ((-1) ** (i - 1) * factorial(i - 1)) ** ri
-    return v
+    return prod(((-1) ** (i - 1) * factorial(i - 1)) ** ri
+                for i, ri in enumerate(t.r, start=1))
 
 
 def count_by_type(t: PartitionType, mode: str = "all") -> int:
@@ -298,21 +279,14 @@ def count_by_type(t: PartitionType, mode: str = "all") -> int:
     all:         n! / (prod_i r_i! * prod_i (i!)^{r_i})
     noncrossing: n! / (prod_i r_i! * (n - m + 1)!)   with m blocks total
     """
-    n = t.n
-    p_r = 1
-    for ri in t.r:
-        p_r *= factorial(ri)
+    p_r = prod(map(factorial, t.r))
     if mode == "noncrossing":
-        m = t.num_blocks
-        num = factorial(n)
-        den = p_r * factorial(n - m + 1)
+        den = p_r * factorial(t.n - t.num_blocks + 1)
     elif mode == "all":
-        num = factorial(n)
-        den = p_r
-        for i, ri in enumerate(t.r, start=1):
-            den *= factorial(i) ** ri
+        den = p_r * prod(factorial(i) ** ri for i, ri in enumerate(t.r, start=1))
     else:
         raise InputFormatError("mode must be 'all' or 'noncrossing'")
+    num = factorial(t.n)
     q, rem = divmod(num, den)
     if rem:
         raise FinFreeError("type count %d/%d is not integral" % (num, den))
@@ -337,18 +311,12 @@ def multiplicative_extension(f, pi: SetPartition) -> Fraction:
 
     Raises IndexError when f is shorter than the largest block.
     """
-    v = Fraction(1)
-    for block in pi.blocks:
-        v *= Fraction(f[len(block) - 1])
-    return v
+    return prod((Fraction(f[len(b) - 1]) for b in pi.blocks), start=Fraction(1))
 
 
 def block_size_product(sigma: SetPartition) -> int:
     """Product of all block sizes of sigma."""
-    v = 1
-    for block in sigma.blocks:
-        v *= len(block)
-    return v
+    return prod(map(len, sigma.blocks))
 
 
 def partition_lattice_charpoly(n: int) -> VarPoly:
@@ -361,28 +329,6 @@ def partition_lattice_charpoly(n: int) -> VarPoly:
     for t in iter_types(n):
         coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
     return VarPoly.make("t", coeffs)
-
-
-def lattice_table(n: int) -> tuple:
-    """Rows (block_bitmasks, num_blocks, mu) for all of P(n), RGS order.
-
-    Bitmask bit e-1 stands for element e.  Memoized for small n.
-    """
-    _check_cap(n)
-    cached = _tables.get(n)
-    if cached is not None:
-        return cached
-    table = tuple(
-        (
-            tuple(sum(1 << (e - 1) for e in block) for block in pi.blocks),
-            len(pi.blocks),
-            mobius_from_zero(pi),
-        )
-        for pi in iter_partitions(n)
-    )
-    if n <= _TABLE_MEMO_CAP:
-        _tables[n] = table
-    return table
 
 
 def enumerate_noncrossing(n: int) -> list:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputFormatError, NonMonicError
-from .util import format_rational, parse_int, parse_rational
+from .util import format_rational, parse_int, parse_rational_array
 
 
 @dataclass(frozen=True)
@@ -128,11 +128,12 @@ class MonicPoly:
         except (KeyError, TypeError) as exc:
             raise InputFormatError("polynomial JSON needs 'degree' and 'a'") from exc
         d = parse_int(d, "'degree'")
+        a = parse_rational_array(a, "'a'")
         if len(a) != d + 1:
             raise InputFormatError(
                 "degree %d needs %d coefficients, got %d" % (d, d + 1, len(a))
             )
-        return cls.from_signed([parse_rational(x) for x in a])
+        return cls.from_signed(a)
 
     def __str__(self):
         terms = []
@@ -224,7 +225,7 @@ class MomentSequence:
     @classmethod
     def from_json(cls, obj) -> "MomentSequence":
         try:
-            entries = tuple(parse_rational(x) for x in obj["m"])
+            entries = parse_rational_array(obj["m"], "'m'")
         except (KeyError, TypeError) as exc:
             raise InputFormatError("moment JSON needs 'm'") from exc
         d = obj.get("d")

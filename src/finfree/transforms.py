@@ -31,7 +31,7 @@ from .polynomial import (
     _log_derivative,
     moments,
 )
-from .util import VarPoly, falling, format_rational, parse_int, parse_rational
+from .util import VarPoly, falling, format_rational, parse_int, parse_rational_array
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class CumulantVector:
             kappa = obj["kappa"]
         except (KeyError, TypeError) as exc:
             raise InputFormatError("cumulant JSON needs 'd' and 'kappa'") from exc
-        return cls.make(parse_int(d, "'d'"), [parse_rational(k) for k in kappa],
+        return cls.make(parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'"),
                         obj.get("variant", "standard"))
 
 

@@ -48,6 +48,15 @@ def parse_rational(text) -> Fraction:
     return value
 
 
+def parse_rational_array(value, what: str) -> tuple:
+    """The entries of a JSON array of exact rationals.  Anything else, a
+    string or a number in place of the array, or a boolean inside it, is
+    refused rather than iterated."""
+    if not isinstance(value, list) or any(isinstance(x, bool) for x in value):
+        raise InputFormatError("%s must be an array of rationals, got %.80r" % (what, value))
+    return tuple(parse_rational(x) for x in value)
+
+
 def parse_int(value, what: str = "value") -> int:
     """An exact integer from JSON or text: an int, or an integral float,
     Fraction or rational string.  Booleans and non-integral numbers are

@@ -13,6 +13,7 @@ from finfree.cli import (
     _COMMANDS,
     MAX_CONVERGE_D,
     MAX_DEGREE,
+    MAX_EPS_PART,
     MAX_LIST_N,
     MAX_MC_DEGREE,
     MAX_MOMENTS,
@@ -169,7 +170,7 @@ def test_unknown_command_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_malformed_input_exits_3(capsys):
+def test_malformed_input_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "convolve", '{"degree": 2', "{}")
     assert code == 3 and err["error"]["type"] == "InputFormatError"
     # non-monic leading coefficient
@@ -184,6 +185,21 @@ def test_malformed_input_exits_3(capsys):
     # both a polynomial and --roots
     code, _, err = run(capsys, "cumulants", SEMICIRCLE2, "--roots", "1,-1")
     assert code == 3 and err["error"]["type"] == "InputFormatError"
+    # exact JSON of the wrong shape: a number or a string where an array of
+    # rationals belongs, or top-level JSON that is not an object
+    five = tmp_path / "five.json"
+    five.write_text("5")
+    for argv in (
+        ["cumulants", '{"degree": 2, "a": 5}'],
+        ["cumulants", '{"degree": 2, "a": "123"}'],
+        ["coeffs", '{"d": 2, "kappa": 7}'],
+        ["coeffs", '{"d": 2, "kappa": "01"}'],
+        ["coeffs", '{"m": "01", "d": 2}'],
+        ["coeffs", str(five)],
+        ["cumulants", str(five)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", argv
 
 
 def test_size_cap_exits_4(capsys):
@@ -365,6 +381,9 @@ def test_fixed_bounds_exit_4(capsys):
     for argv in (
         ["cramer", "--d", "101", "--eps", "1/32"],
         ["cramer", "--d", "1000000000", "--eps", "1/32"],
+        ["cramer", "--d", "4", "--eps", "1e-100"],
+        ["cramer", "--d", "4", "--eps", "1/257"],
+        ["cramer", "--d", "4", "--eps", "257"],
         ["family", "hermite", "--d", "101"],
         ["family", "poisson", "--lambda", "1", "--d", "101"],
         ["partitions", "--n", "31", "--types"],
@@ -399,6 +418,7 @@ def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
+    assert MAX_EPS_PART == 256
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")

@@ -26,7 +26,7 @@ from finfree import (
     zero_partition,
 )
 from finfree.errors import DimensionError, InputFormatError, SizeCapError
-from finfree.partitions import lattice_table, rgs_strings
+from finfree.partitions import rgs_strings
 from finfree.util import falling_poly
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -198,18 +198,6 @@ def test_multiplicative_extension():
     assert multiplicative_extension(f, one_partition(3)) == 5
     assert block_size_product(pi) == 2
     assert block_size_product(zero_partition(6)) == 1
-
-
-def test_lattice_table_agrees_with_objects():
-    for n in range(1, 7):
-        rows = lattice_table(n)
-        parts = enumerate_partitions(n)
-        assert len(rows) == len(parts)
-        for (masks, nb, mu), pi in zip(rows, parts):
-            assert nb == len(pi.blocks)
-            assert mu == mobius_from_zero(pi)
-            got = [sorted(e + 1 for e in range(n) if m >> e & 1) for m in masks]
-            assert got == [list(b) for b in pi.blocks]
 
 
 def test_size_cap():

@@ -269,6 +269,8 @@ POLY_ARGS = [
     '{"degree": 2, "a": ["2", "0", "0"]}',
     '{"degree": true, "a": ["1", "2"]}',
     '{"degree": 2, "a": [',
+    '{"degree": 2, "a": 5}',
+    '{"d": 2, "kappa": 7}',
     '{"kappa": ["0", "1"], "d": 2}',
     '{"m": ["0", "1"]}',
     '{"m": "x"}',

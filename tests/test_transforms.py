@@ -25,11 +25,14 @@ from finfree import (
     cumulants_from_moments,
     enumerate_partitions,
     falling,
+    join,
     lattice,
     moment_from_cumulants,
     moments,
     moments_from_coefficients,
     moments_from_cumulants,
+    mobius_from_zero,
+    one_partition,
     p_sigma,
     p_sigma_defining_sum,
     p_sigma_join_form,
@@ -39,6 +42,7 @@ from finfree import (
     x_power,
 )
 from finfree.errors import DomainError, InputFormatError, SizeCapError
+from finfree.util import VarPoly
 
 
 def rand_poly(rng, d):
@@ -234,8 +238,11 @@ def test_size_caps():
     k = CumulantVector.make(4, [0, 1, 0, 0])
     with pytest.raises(SizeCapError):
         lattice.moment_from_cumulants(k, 13)
+    sigma13 = SetPartition.parse("{1,2|3,4,5,6,7,8,9,10,11,12,13}")
     with pytest.raises(SizeCapError):
-        p_sigma(SetPartition.parse("{1,2|3,4,5,6,7,8,9,10,11,12,13}"))
+        p_sigma(sigma13)
+    with pytest.raises(SizeCapError):
+        p_sigma_join_form(sigma13)
     assert cumulants_from_coefficients(p).kappa == series_cumulants(p)
 
 
@@ -255,10 +262,17 @@ def test_p_sigma_smallest_cases():
 def test_join_form_sign():
     assert JOIN_FORM_SIGN == -1
     for n in range(1, 7):
-        for sig in enumerate_partitions(n):
+        rhos = enumerate_partitions(n)
+        for sig in rhos:
             got = p_sigma_join_form(sig)
             want = p_sigma(sig).scale(JOIN_FORM_SIGN)
             assert got.coeffs == want.coeffs, sig
+            # the join form written out with the public join
+            coeffs = [0] * (n + 1)
+            for rho in rhos:
+                if join(rho, sig) == one_partition(n):
+                    coeffs[len(rho)] += mobius_from_zero(rho)
+            assert got == VarPoly.make("d", coeffs), sig
 
 
 def test_q_sigma_monic_with_expected_degree():
