@@ -115,18 +115,13 @@ def _rational_list(text: str):
 
 
 def _poly_from_args(ns) -> MonicPoly:
-    given = ns.poly
+    if [ns.poly, ns.roots, ns.plain].count(None) != 2:
+        raise InputFormatError("give exactly one of a polynomial, --roots or --plain")
     if ns.roots is not None:
-        if given is not None:
-            raise InputFormatError("give either a polynomial or --roots, not both")
         return MonicPoly.from_roots(_rational_list(ns.roots))
     if ns.plain is not None:
-        if given is not None:
-            raise InputFormatError("give either a polynomial or --plain, not both")
         return MonicPoly.from_plain_coefficients(_rational_list(ns.plain))
-    if given is None:
-        raise InputFormatError("no polynomial given")
-    return MonicPoly.from_json(_load_json_arg(given))
+    return MonicPoly.from_json(_load_json_arg(ns.poly))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +154,17 @@ def _cmd_moments(ns):
 
 def _cmd_coeffs(ns):
     obj = _load_json_arg(ns.data)
+    if ("kappa" in obj) == ("m" in obj):
+        raise InputFormatError("expected exactly one of a 'kappa' or 'm' field")
     if "kappa" in obj:
+        if ns.d is not None:
+            raise InputFormatError("--d is for moment input; cumulants carry 'd'")
         return coefficients_from_cumulants(CumulantVector.from_json(obj)).to_json()
-    if "m" in obj:
-        m = MomentSequence.from_json(obj)
-        d = ns.d if ns.d is not None else m.degree_context
-        if d is None:
-            raise InputFormatError("moment input needs --d or a 'd' field")
-        return coefficients_from_moments(m, d).to_json()
-    raise InputFormatError("expected a 'kappa' or 'm' field")
+    m = MomentSequence.from_json(obj)
+    if (ns.d is None) == (m.degree_context is None):
+        raise InputFormatError("moment input needs exactly one of --d or a 'd' field")
+    d = ns.d if m.degree_context is None else m.degree_context
+    return coefficients_from_moments(m, d).to_json()
 
 
 def _cmd_rtransform(ns):
@@ -177,9 +174,11 @@ def _cmd_rtransform(ns):
 def _cmd_family(ns):
     _check_bound(ns.d, MAX_DEGREE, "--d", "the bound MAX_DEGREE")
     if ns.which == "hermite":
+        if ns.lam is not None:
+            raise InputFormatError("hermite takes no --lambda")
         return hermite_clt(ns.d, marcus_scaling=ns.marcus).to_json()
-    if ns.lam is None:
-        raise InputFormatError("poisson needs --lambda")
+    if ns.lam is None or ns.marcus:
+        raise InputFormatError("poisson needs --lambda and takes no --marcus")
     return finite_poisson(parse_rational(ns.lam), ns.d).to_json()
 
 
@@ -252,6 +251,8 @@ def _cmd_partitions(ns):
     if n < 1:
         raise InputFormatError("--n must be >= 1, got %d" % n)
     if ns.types:
+        if ns.noncrossing:
+            raise InputFormatError("--types counts both kinds; drop --noncrossing")
         _check_bound(n, MAX_TYPES_N, "--n", "the --types bound MAX_TYPES_N")
         rows = [
             {

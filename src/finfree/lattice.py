@@ -3,23 +3,27 @@
 This is the reference the production transforms are checked against, not a
 production path: every conversion in transforms.py runs through O(d^2)
 series recurrences, and the tests assert that those give values `==` to the
-sums here.  Nothing else in the package calls the sums; the lattice
-polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here because
-they share _p_sigma_poly with the moment kernel.
+sums here.  Nothing else in the package calls the sums.  The lattice
+polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here too.
 
-Every sum runs over P(n), so each is bounded by the partition cap
-partitions.DEFAULT_N_MAX.
-Summands depend on a partition only through its type (the multiset of block
-sizes), so the single sums group P(n) by type and weigh each type with its
-exact closed-form count; that is the same finite sum, reassociated.  The
-join form is the exception: it tests rho v sigma = 1_n for every rho in
-P(n), all at once on a bit-sliced index of P(n) that is cached for one n.
+The sums have two shapes: over sigma in P(n) weighted by d^{|sigma|}
+mu(0,sigma) (_mobius_sum), and over an interval [sigma, 1_n] weighted by
+(-1)^{|pi|} (|pi|-1)! (_interval_sum).  Each coefficient direction is one
+of them; the direct moment <-> cumulant kernels nest the second in the first.
+
+Every sum runs within P(n), so each is bounded by the partition cap
+partitions.DEFAULT_N_MAX.  Summands depend on a partition only through its
+type (the multiset of block sizes), so a sum over all of P(n) groups it by
+type and weighs each type with its exact closed-form count; that is the
+same finite sum, reassociated.  The join form is the exception: it tests
+rho v sigma = 1_n for every rho in P(n), all at once on a bit-sliced index
+of P(n) that is cached for one n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations, product
 from math import factorial, prod
 from operator import and_
@@ -52,20 +56,13 @@ JOIN_FORM_SIGN = -1
 # type bookkeeping
 # ---------------------------------------------------------------------------
 
-_type_cache: dict = {}
-_p_sigma_cache: dict = {}
-
-
+@cache
 def _types(n: int) -> tuple:
-    """Per type of P(n): (count, num_blocks, mu, N!_t, sizes)."""
-    table = _type_cache.get(n)
-    if table is None:
-        table = _type_cache[n] = tuple(
-            (count_by_type(t, "all"), t.num_blocks, mobius_of_type(t),
-             prod(factorial(s) for s in t.sizes()), t.sizes())
-            for t in iter_types(n)
-        )
-    return table
+    """Per type of P(n): (count, num_blocks, mu, sizes)."""
+    return tuple(
+        (count_by_type(t, "all"), t.num_blocks, mobius_of_type(t), t.sizes())
+        for t in iter_types(n)
+    )
 
 
 def _seq_over_sizes(f, sizes) -> Fraction:
@@ -77,24 +74,11 @@ def _mobius_sum(f, d: Fraction, n: int, inner=None) -> Fraction:
     """sum over sigma in P(n) of d^{|sigma|} mu(0,sigma) f_sigma, each nonzero
     term times inner(block sizes of sigma) when inner is given."""
     s = Fraction(0)
-    for cnt, m, mu, _, sizes in _types(n):
+    for cnt, m, mu, sizes in _types(n):
         v = _seq_over_sizes(f, sizes)
         if v and inner:
             v *= inner(sizes)
         s += cnt * d**m * mu * v
-    return s
-
-
-def _newton_sum(a, n: int, poch=None) -> Fraction:
-    """sum over P(n) of (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, each term divided
-    by prod over blocks of poch[|V| - 1] when poch is given."""
-    s = Fraction(0)
-    for cnt, m, _, nfac, sizes in _types(n):
-        den = _seq_over_sizes(poch, sizes) if poch else 1
-        if den == 0:
-            raise DomainError("Pochhammer denominator vanished at n = %d" % n)
-        c = Fraction(cnt * (-1) ** m * nfac * factorial(m - 1))
-        s += c * _seq_over_sizes(a, sizes) / den
     return s
 
 
@@ -104,7 +88,7 @@ def _merged_products_stream(sizes: tuple):
     times the number of such pi when they are grouped."""
     if len(set(sizes)) == 1:
         # the interval collapses by type: merged sizes are s0 * (type sizes)
-        for cnt, nb, _, _, tsizes in _types(len(sizes)):
+        for cnt, nb, _, tsizes in _types(len(sizes)):
             c = cnt * (-1) ** nb * factorial(nb - 1)
             yield c, [sizes[0] * t for t in tsizes]
         return
@@ -116,18 +100,23 @@ def _merged_products_stream(sizes: tuple):
         yield (-1) ** len(merged) * factorial(len(merged) - 1), merged
 
 
+def _interval_sum(sizes: tuple, f) -> Fraction:
+    """sum over pi >= sigma of (-1)^{|pi|} (|pi|-1)! f_pi, for sigma with the
+    given block sizes; f_pi = prod over blocks V of pi of f[|V| - 1]."""
+    return sum((c * _seq_over_sizes(f, merged)
+                for c, merged in _merged_products_stream(sizes)), Fraction(0))
+
+
+@cache
 def _p_sigma_poly(sizes: tuple) -> VarPoly:
     """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)! as an
     exact polynomial in d, for sigma with the given block sizes."""
-    out = _p_sigma_cache.get(sizes)
-    if out is None:
-        out = VarPoly.zero("d")
-        for c, merged in _merged_products_stream(sizes):
-            term = VarPoly.constant("d", c)
-            for t in merged:
-                term = term * falling_poly(t)
-            out = out + term
-        _p_sigma_cache[sizes] = out
+    out = VarPoly.zero("d")
+    for c, merged in _merged_products_stream(sizes):
+        term = VarPoly.constant("d", c)
+        for t in merged:
+            term = term * falling_poly(t)
+        out = out + term
     return out
 
 
@@ -153,9 +142,9 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
     d = p.d
     _check_cap(d)
     dq = Fraction(d)
-    poch = [falling(dq, j) for j in range(1, d + 1)]
+    f = [factorial(t) * a / falling(dq, t) for t, a in enumerate(p.a[1:], 1)]
     return CumulantVector(d, tuple(
-        (-dq) ** n / (dq * factorial(n - 1)) * _newton_sum(p.a[1:], n, poch)
+        (-dq) ** n / (dq * factorial(n - 1)) * _interval_sum((1,) * n, f)
         for n in range(1, d + 1)
     ))
 
@@ -174,9 +163,10 @@ def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
     """m_n = (-1)^n / (d (n-1)!) * sum over P(n) of
     (-1)^{|pi|} N!_pi (|pi|-1)! a_pi, with a_k = 0 past the degree."""
     _check_cap(N)
-    avals = p.a[1:] + (Fraction(0),) * max(0, N - p.d)
+    avals = (p.a[1:] + (Fraction(0),) * N)[:N]
+    f = [factorial(t) * a for t, a in enumerate(avals, 1)]
     return MomentSequence(tuple(
-        Fraction((-1) ** n, p.d * factorial(n - 1)) * _newton_sum(avals, n)
+        Fraction((-1) ** n, p.d * factorial(n - 1)) * _interval_sum((1,) * n, f)
         for n in range(1, N + 1)
     ), degree_context=p.d)
 
@@ -200,21 +190,6 @@ def free_moments_from_free_cumulants(r, N: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _inner_cum_mom(sizes: tuple, d: Fraction) -> Fraction:
-    """sum over pi >= sigma of (-1)^{|pi|} (|pi|-1)! / (d)_pi, where sigma has
-    the given block sizes.  Depends on sigma only through the sizes."""
-    poch = [falling(d, j) for j in range(sum(sizes) + 1)]
-    if 0 in poch:
-        raise DomainError(
-            "(d)_%d vanishes at d = %s; need d >= n for this sum" % (poch.index(0), d)
-        )
-    return sum(
-        (c / _seq_over_sizes(poch[1:], merged)
-         for c, merged in _merged_products_stream(sizes)),
-        Fraction(0),
-    )
-
-
 def cumulant_from_moments(m, d, n: int) -> Fraction:
     """Single kappa_n from the first n moments at degree (or parameter) d.
 
@@ -232,7 +207,8 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     dq = Fraction(d)
     if dq == int(dq) and int(dq) < n:
         raise DomainError("integer d = %s below the order n = %d" % (d, n))
-    s = _mobius_sum(mv, dq, n, lambda sizes: _inner_cum_mom(sizes, dq))
+    f = [1 / falling(dq, t) for t in range(1, n + 1)]
+    s = _mobius_sum(mv, dq, n, lambda sizes: _interval_sum(sizes, f))
     return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s
 
 
@@ -246,7 +222,8 @@ def moment_from_cumulants(k: CumulantVector, n: int) -> Fraction:
     _check_cap(n)
     kap = list(_standardize(k)) + [Fraction(0)] * max(0, n - k.d)
     dq = Fraction(k.d)
-    s = _mobius_sum(kap, dq, n, lambda sizes: _p_sigma_poly(sizes)(dq))
+    f = [falling(k.d, t) for t in range(1, n + 1)]
+    s = _mobius_sum(kap, dq, n, lambda sizes: _interval_sum(sizes, f))
     return Fraction((-1) ** n) / (dq ** (n + 1) * factorial(n - 1)) * s
 
 
@@ -290,7 +267,7 @@ def _scan_index(n: int) -> tuple:
     _check_cap(n)
     nbytes = (sum(row[0] for row in _types(n)) + 7) // 8
     pairs = {ef: bytearray(nbytes) for ef in combinations(range(1, n + 1), 2)}
-    types = {row[4]: bytearray(nbytes) for row in _types(n)}
+    types = {row[3]: bytearray(nbytes) for row in _types(n)}
     for j, pi in enumerate(iter_partitions(n)):
         byte, bit = j >> 3, 1 << (j & 7)
         for block in pi.blocks:
@@ -324,7 +301,7 @@ def p_sigma_join_form(sigma: SetPartition) -> VarPoly:
             reach[b] |= reach[a] & meets[a][b]
     connected = reduce(and_, reach)
     coeffs = [0] * (n + 1)
-    for _, m, mu, _, sizes in _types(n):
+    for _, m, mu, sizes in _types(n):
         coeffs[m] += mu * (connected & types[sizes]).bit_count()
     return VarPoly.make("d", coeffs)
 

@@ -90,10 +90,6 @@ class SetPartition:
         n = max(max(b) for b in blocks)
         return cls.from_blocks(n, blocks)
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def block_sizes(self) -> tuple:
         return tuple(len(b) for b in self.blocks)
 
@@ -107,9 +103,6 @@ class SetPartition:
 
     def __str__(self):
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
-
-    def __len__(self):
-        return len(self.blocks)
 
 
 def zero_partition(n: int) -> SetPartition:

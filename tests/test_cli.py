@@ -197,6 +197,14 @@ def test_malformed_input_exits_3(tmp_path, capsys):
         ["coeffs", '{"m": "01", "d": 2}'],
         ["coeffs", str(five)],
         ["cumulants", str(five)],
+        # an input that the command would silently drop
+        ["cumulants", "--roots", "1,-1", "--plain", "1,0,5"],
+        ["coeffs", '{"d":2,"kappa":["0","1"],"m":["5","7"]}'],
+        ["coeffs", '{"d":2,"kappa":["0","1"]}', "--d", "7"],
+        ["coeffs", '{"m":["0","1"],"d":3}', "--d", "2"],
+        ["partitions", "--n", "3", "--types", "--noncrossing"],
+        ["family", "hermite", "--d", "3", "--lambda", "5"],
+        ["family", "poisson", "--d", "4", "--lambda", "1", "--marcus"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", argv

@@ -59,3 +59,40 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 found.append(path.name)
     assert sorted(set(found)) == ["matrix_oracle.py"]
+
+
+# methods that change a list, dict or set in place
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "add",
+            "pop", "popitem", "clear", "remove", "discard"}
+
+
+def _written_container(node):
+    """What a subscript store or an in-place method call writes into."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in MUTATORS:
+        return node.func.value
+    return None
+
+
+def test_no_function_writes_module_state():
+    # memo tables go through functools, whose caches the partition cap bounds
+    # and cache_info() reports; a hand-rolled module-level dict does neither
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module_names = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                module_names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                module_names.add(node.target.id)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    "%s:%d" % (path.relative_to(SRC), node.lineno)
+                    for node in ast.walk(func)
+                    if getattr(_written_container(node), "id", None) in module_names
+                ]
+    assert found == []

@@ -8,7 +8,7 @@ the cumulants against a separate series division written out here.
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -90,9 +90,8 @@ def test_first_two_cumulants_closed_form():
         assert k.kappa[1] == Fraction(d, d - 1) * (m[1] - m[0] ** 2)
 
 
-def assert_matches_reference(p, moment_orders=None):
-    """All six directions at p against the lattice sums; the moments from
-    cumulants are compared up to moment_orders (default: the degree)."""
+def assert_matches_reference(p):
+    """All six directions at p against the lattice sums."""
     d = p.d
     k = cumulants_from_coefficients(p)
     m = moments_from_coefficients(p, d)
@@ -103,9 +102,8 @@ def assert_matches_reference(p, moment_orders=None):
     assert cumulants_from_moments(m, d).kappa == tuple(
         lattice.cumulant_from_moments(m, d, n) for n in range(1, d + 1)
     )
-    top = moment_orders or d
-    assert moments_from_cumulants(k, top).entries == tuple(
-        lattice.moment_from_cumulants(k, n) for n in range(1, top + 1)
+    assert moments_from_cumulants(k, d).entries == tuple(
+        lattice.moment_from_cumulants(k, n) for n in range(1, d + 1)
     )
 
 
@@ -113,9 +111,26 @@ def test_series_equals_lattice_reference():
     rng = random.Random(31)
     for _ in range(12):
         assert_matches_reference(rand_poly(rng, rng.randint(1, 8)))
-    # at d = 10 the reference's P_sigma(d) tables for n = 9, 10 take about
-    # 25 s to build, so the moments are compared up to order 8
-    assert_matches_reference(rand_poly(rng, 10), moment_orders=8)
+    assert_matches_reference(rand_poly(rng, 10))
+
+
+def test_moment_kernel_is_the_p_sigma_formula():
+    # m_n = (-1)^n / (d^{n+1} (n-1)!) * sum over sigma in P(n) of
+    # d^{|sigma|} mu(0,sigma) kappa_sigma P_sigma(d), written out literally
+    rng = random.Random(37)
+    for d in (3, 6):
+        k = CumulantVector.make(
+            d, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)]
+        )
+        kap = k.kappa + (Fraction(0),) * 7
+        for n in range(1, 8):
+            s = sum(
+                Fraction(d) ** len(sig.blocks) * mobius_from_zero(sig)
+                * prod(kap[len(b) - 1] for b in sig.blocks) * p_sigma(sig)(d)
+                for sig in enumerate_partitions(n)
+            )
+            want = (-1) ** n * s / (Fraction(d) ** (n + 1) * factorial(n - 1))
+            assert lattice.moment_from_cumulants(k, n) == want, (d, n)
 
 
 def test_series_division_third_path():
@@ -271,7 +286,7 @@ def test_join_form_sign():
             coeffs = [0] * (n + 1)
             for rho in rhos:
                 if join(rho, sig) == one_partition(n):
-                    coeffs[len(rho)] += mobius_from_zero(rho)
+                    coeffs[len(rho.blocks)] += mobius_from_zero(rho)
             assert got == VarPoly.make("d", coeffs), sig
 
 
