@@ -108,10 +108,7 @@ def _load_json_arg(text: str) -> dict:
 
 
 def _rational_list(text: str):
-    items = [t.strip() for t in text.split(",") if t.strip() != ""]
-    if not items:
-        raise InputFormatError("empty list")
-    return [parse_rational(t) for t in items]
+    return [parse_rational(t) for t in text.split(",")]
 
 
 def _poly_from_args(ns) -> MonicPoly:
@@ -154,8 +151,6 @@ def _cmd_moments(ns):
 
 def _cmd_coeffs(ns):
     obj = _load_json_arg(ns.data)
-    if ("kappa" in obj) == ("m" in obj):
-        raise InputFormatError("expected exactly one of a 'kappa' or 'm' field")
     if "kappa" in obj:
         if ns.d is not None:
             raise InputFormatError("--d is for moment input; cumulants carry 'd'")
@@ -196,6 +191,8 @@ def _cmd_check_id(ns):
 
 
 def _cmd_threshold(ns):
+    if ns.steps < 0:
+        raise InputFormatError("--steps must be >= 0, got %d" % ns.steps)
     _check_bound(ns.steps, MAX_STEPS, "--steps", "the bound MAX_STEPS")
     p = _poly_from_args(ns)
     tmax = parse_rational(ns.tmax)

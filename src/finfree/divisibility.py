@@ -92,23 +92,23 @@ def infinite_divisibility_report(p: MonicPoly) -> IDReport:
     centering, every cumulant of order >= 3 vanishes (the Hermite case, or
     x^d when kappa_2 = 0).
 
-    Centering is the exact shift x -> x + kappa_1.  Scaling to kappa_2 = 1
-    happens only when kappa_2 is a perfect rational square; zeroness of the
-    higher cumulants is scale-invariant (homogeneity), so the verdict never
-    depends on that.  Both conditional-positive-definiteness necessary
-    conditions are reported alongside; for d = 1 they hold vacuously.
+    Both steps act on the cumulants, computed once: centering (the shift
+    x -> x + kappa_1) sets kappa_1 to 0, and dilating by s = sqrt(kappa_2)
+    divides kappa_n by s^n.  The dilation happens only when kappa_2 is a
+    perfect rational square; zeroness of the higher cumulants is
+    scale-invariant (homogeneity), so the verdict never depends on that.
+    Both conditional-positive-definiteness necessary conditions are reported
+    alongside; for d = 1 they hold vacuously.
     """
     if is_real_rooted(p) == "no":
         raise DomainError("infinite divisibility is defined for real-rooted input")
     d = p.d
-    k = cumulants_from_coefficients(p)
-    q = p.translate(k.kappa[0]) if k.kappa[0] != 0 else p
-    kq = cumulants_from_coefficients(q)
-    if d >= 2 and kq.kappa[1] > 0:
-        s = _rational_sqrt(kq.kappa[1])
-        if s is not None and s != 1:
-            q = q.dilate(s)  # kappa_n -> kappa_n / s^n, so kappa_2 -> 1
-            kq = cumulants_from_coefficients(q)
+    kappa = (Fraction(0),) + cumulants_from_coefficients(p).kappa[1:]
+    s = _rational_sqrt(kappa[1]) if d >= 2 and kappa[1] > 0 else None
+    if s is not None:
+        kappa = tuple(v / s**n for n, v in enumerate(kappa, start=1))
+    kq = CumulantVector(d, kappa)
+    q = coefficients_from_cumulants(kq)
     higher_zero = all(v == 0 for v in kq.kappa[2:])
     if d >= 2:
         cpd_std = is_conditionally_positive_definite(kq.kappa)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
-from .util import format_rational, parse_rational_array
+from .util import format_rational, parse_int
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,6 @@ class FreeCumulantVector:
 
     def to_json(self) -> dict:
         return {"r": [format_rational(x) for x in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj) -> "FreeCumulantVector":
-        try:
-            raw = obj["r"]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError("free cumulant JSON needs 'r'") from exc
-        return cls.make(parse_rational_array(raw, "'r'"))
 
 
 def _lagrange_moment(log, n: int) -> Fraction:
@@ -112,7 +104,7 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     must hold is d >= n, else the finite cumulant of order n does not exist
     at degree d.
     """
-    ds = tuple(int(d) for d in d_values)
+    ds = tuple(parse_int(d, "d") for d in d_values)
     for d in ds:
         if d < n:
             raise DomainError("d = %d below the cumulant order n = %d" % (d, n))

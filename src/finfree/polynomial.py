@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputFormatError, NonMonicError
-from .util import format_rational, parse_int, parse_rational_array
+from .util import format_rational, parse_int, parse_rational_array, read_record
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,12 @@ class MonicPoly:
             raise InputFormatError("degree must be >= 1")
         if len(self.a) != self.d + 1:
             raise InputFormatError(
-                "need %d signed coefficients, got %d" % (self.d + 1, len(self.a))
+                "degree %d needs d + 1 signed coefficients, got %d" % (self.d, len(self.a))
             )
         if self.a[0] != 1:
-            raise NonMonicError("a_0 must be 1, got %s" % (self.a[0],))
+            raise NonMonicError(
+                "leading coefficient a_0 must be exactly 1, got %s" % (self.a[0],)
+            )
 
     @classmethod
     def from_signed(cls, a) -> "MonicPoly":
@@ -49,13 +51,7 @@ class MonicPoly:
 
         c[0] must be exactly 1; a_i = (-1)^i c_i.  No silent normalization.
         """
-        c = [Fraction(x) for x in c]
-        if not c or c[0] != 1:
-            raise NonMonicError(
-                "leading coefficient must be exactly 1, got %s"
-                % (c[0] if c else "nothing",)
-            )
-        return cls.from_signed([(-1) ** i * ci for i, ci in enumerate(c)])
+        return cls.from_signed([(-1) ** i * Fraction(ci) for i, ci in enumerate(c)])
 
     @classmethod
     def from_roots(cls, roots) -> "MonicPoly":
@@ -64,8 +60,6 @@ class MonicPoly:
         a_i comes out as the i-th elementary symmetric function.
         """
         rs = [Fraction(r) for r in roots]
-        if not rs:
-            raise InputFormatError("need at least one root")
         e = [Fraction(1)]
         for r in rs:
             new = e + [Fraction(0)]
@@ -122,18 +116,8 @@ class MonicPoly:
 
     @classmethod
     def from_json(cls, obj) -> "MonicPoly":
-        try:
-            d = obj["degree"]
-            a = obj["a"]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError("polynomial JSON needs 'degree' and 'a'") from exc
-        d = parse_int(d, "'degree'")
-        a = parse_rational_array(a, "'a'")
-        if len(a) != d + 1:
-            raise InputFormatError(
-                "degree %d needs %d coefficients, got %d" % (d, d + 1, len(a))
-            )
-        return cls.from_signed(a)
+        d, a = read_record(obj, "polynomial", ("degree", "a"))
+        return cls(parse_int(d, "'degree'"), parse_rational_array(a, "'a'"))
 
     def __str__(self):
         terms = []
@@ -224,12 +208,9 @@ class MomentSequence:
 
     @classmethod
     def from_json(cls, obj) -> "MomentSequence":
-        try:
-            entries = parse_rational_array(obj["m"], "'m'")
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError("moment JSON needs 'm'") from exc
-        d = obj.get("d")
-        return cls(entries, degree_context=None if d is None else parse_int(d, "'d'"))
+        m, d = read_record(obj, "moment", ("m",), ("d",))
+        return cls(parse_rational_array(m, "'m'"),
+                   None if d is None else parse_int(d, "'d'"))
 
 
 # ---------------------------------------------------------------------------

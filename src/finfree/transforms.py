@@ -31,7 +31,8 @@ from .polynomial import (
     _log_derivative,
     moments,
 )
-from .util import VarPoly, falling, format_rational, parse_int, parse_rational_array
+from .util import (VarPoly, falling, format_rational, parse_int,
+                   parse_rational_array, read_record)
 
 
 @dataclass(frozen=True)
@@ -69,13 +70,9 @@ class CumulantVector:
 
     @classmethod
     def from_json(cls, obj) -> "CumulantVector":
-        try:
-            d = obj["d"]
-            kappa = obj["kappa"]
-        except (KeyError, TypeError) as exc:
-            raise InputFormatError("cumulant JSON needs 'd' and 'kappa'") from exc
-        return cls.make(parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'"),
-                        obj.get("variant", "standard"))
+        d, kappa, variant = read_record(obj, "cumulant", ("d", "kappa"), ("variant",))
+        return cls(parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'"),
+                   "standard" if variant is None else variant)
 
 
 def _standardize(k: CumulantVector) -> tuple:

@@ -1,4 +1,4 @@
-"""Small shared pieces: exact rational I/O and dense univariate polynomials.
+"""Small shared pieces: exact rational and JSON I/O and dense polynomials.
 
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
 everything exact is a fractions.Fraction.  VarPoly is the exact polynomial
@@ -55,6 +55,22 @@ def parse_rational_array(value, what: str) -> tuple:
     if not isinstance(value, list) or any(isinstance(x, bool) for x in value):
         raise InputFormatError("%s must be an array of rationals, got %.80r" % (what, value))
     return tuple(parse_rational(x) for x in value)
+
+
+def read_record(obj, what: str, required, optional=()) -> tuple:
+    """The fields of a JSON record: the required values in order, then the
+    optional ones, None where absent or null.  Anything but an object, a
+    missing required field and a field outside both lists are refused;
+    whether the values make a valid record is the constructor's to check."""
+    if not isinstance(obj, dict):
+        raise InputFormatError("%s JSON must be an object, got %.80r" % (what, obj))
+    for key in required:
+        if key not in obj:
+            raise InputFormatError("%s JSON needs %r" % (what, key))
+    for key in obj:
+        if key not in required and key not in optional:
+            raise InputFormatError("%s JSON takes no field %.80r" % (what, key))
+    return tuple(obj[k] for k in required) + tuple(obj.get(k) for k in optional)
 
 
 def parse_int(value, what: str = "value") -> int:

@@ -205,6 +205,16 @@ def test_malformed_input_exits_3(tmp_path, capsys):
         ["partitions", "--n", "3", "--types", "--noncrossing"],
         ["family", "hermite", "--d", "3", "--lambda", "5"],
         ["family", "poisson", "--d", "4", "--lambda", "1", "--marcus"],
+        # a field the record does not take, an empty item in a comma list
+        ["coeffs", '{"d":2,"kappa":["0","1"],"varient":"rescaled"}'],
+        ["cumulants", '{"degree":2,"a":["1","0","-1/2"],"roots":["5","7"]}'],
+        ["coeffs", '{"m":["0","1"],"d":2,"extra":1}'],
+        ["cumulants", "--roots", "1,,2"],
+        ["cumulants", "--roots", "1,2,"],
+        ["converge", "--r", "0,1", "--n", "2", "--d", "16,,32"],
+        ["threshold", "--roots", "0,0,1,3", "--tmax", "16", "--steps", "-1"],
+        # d + 1 has one digit more than the interpreter prints
+        ["cumulants", '{"degree":%s,"a":["1"]}' % ("9" * 4300)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", argv

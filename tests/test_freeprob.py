@@ -15,7 +15,7 @@ from finfree import (
     multiplicative_extension,
     q_sigma,
 )
-from finfree.errors import DomainError
+from finfree.errors import DomainError, InputFormatError
 
 
 def test_semicircle_moments_are_catalan():
@@ -105,6 +105,11 @@ def test_convergence_rejects_small_d():
     r = FreeCumulantVector.make([0, 1, 0, 0])
     with pytest.raises(DomainError):
         convergence_report(r, 4, [16, 3])
+    # a degree is an integer: 7/2 and 10.9 are refused, not truncated
+    for bad in (Fraction(7, 2), 10.9):
+        with pytest.raises(InputFormatError):
+            convergence_report(r, 3, [bad])
+    assert convergence_report(r, 3, [Fraction(16)]).d_values == (16,)
     # the order is not capped here (the command line bounds it)
     assert convergence_report(r, 13, [16]).free_kappa == 0
 

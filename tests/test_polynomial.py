@@ -134,6 +134,10 @@ def test_moment_sequence_json():
     assert MomentSequence.from_json({"m": ["1/2"]}).degree_context is None
     with pytest.raises(InputFormatError):
         MomentSequence.from_json({})
+    assert MomentSequence.from_json({"m": ["1/2"], "d": None}).degree_context is None
+    for bad in ({"m": ["1/2"], "extra": 1}, ["1/2"], "m", 5, None):
+        with pytest.raises(InputFormatError):
+            MomentSequence.from_json(bad)
 
 
 def test_poly_json_roundtrip():
@@ -145,6 +149,9 @@ def test_poly_json_roundtrip():
     assert MonicPoly.from_json({"degree": 1, "a": ["1", "0.5"]}).a[1] == Fraction(1, 2)
     with pytest.raises(InputFormatError):
         MonicPoly.from_json({"degree": 1, "a": ["1", 0.5]})
+    for bad in ({"degree": 1, "a": ["1", "0"], "roots": ["5"]}, ["1", "0"], "a", 5, None):
+        with pytest.raises(InputFormatError):
+            MonicPoly.from_json(bad)
 
 
 def test_str():

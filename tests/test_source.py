@@ -96,3 +96,18 @@ def test_no_function_writes_module_state():
                     if getattr(_written_container(node), "id", None) in module_names
                 ]
     assert found == []
+
+
+def test_every_json_reader_goes_through_read_record():
+    # which keys a record has is decided in one place, util.read_record
+    readers, found = 0, []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "from_json":
+                readers += 1
+                calls = {c.func.id for c in ast.walk(node)
+                         if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                if "read_record" not in calls:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert readers > 0 and found == []

@@ -233,6 +233,11 @@ def test_cumulant_vector_json():
         CumulantVector.make(3, [1, 2])
     with pytest.raises(InputFormatError):
         CumulantVector.make(2, [1, 2], variant="other")
+    assert CumulantVector.from_json({"d": 3, "kappa": ["0", "1", "-2/3"], "variant": None}) == k
+    for bad in ({"d": 3, "kappa": ["0", "1", "-2/3"], "varient": "rescaled"},
+                ["0", "1", "-2/3"], "kappa", 5, None):
+        with pytest.raises(InputFormatError):
+            CumulantVector.from_json(bad)
 
 
 def test_truncated_r_transform():
