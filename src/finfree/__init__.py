@@ -56,13 +56,6 @@ from .transforms import (
     rescale_cumulants,
     truncated_r_transform,
 )
-from .lattice import (
-    JOIN_FORM_SIGN,
-    p_sigma,
-    p_sigma_defining_sum,
-    p_sigma_join_form,
-    q_sigma,
-)
 from .convolution import boxplus, boxplus_power
 from .freeprob import (
     ConvergenceReport,
@@ -80,12 +73,34 @@ from .divisibility import (
     is_conditionally_positive_definite,
     real_rooted_threshold,
 )
-from .matrix_oracle import (
-    MCEstimate,
-    char_poly,
-    mc_boxplus,
-    roots,
-    sample_haar_orthogonal,
-)
 
 __version__ = "0.1.0"
+
+# Loaded on first use (PEP 562): matrix_oracle brings in numpy, which only
+# the Monte Carlo check needs, and lattice is the tests' reference.
+_LAZY = {
+    "MCEstimate": "matrix_oracle",
+    "char_poly": "matrix_oracle",
+    "mc_boxplus": "matrix_oracle",
+    "roots": "matrix_oracle",
+    "sample_haar_orthogonal": "matrix_oracle",
+    "JOIN_FORM_SIGN": "lattice",
+    "p_sigma": "lattice",
+    "p_sigma_defining_sum": "lattice",
+    "p_sigma_join_form": "lattice",
+    "q_sigma": "lattice",
+}
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _LAZY.values():  # finfree.lattice without importing it first
+        return import_module("." + name, __name__)
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _LAZY[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

@@ -24,7 +24,6 @@ from .divisibility import (
 from .errors import FinFreeError, InputFormatError, SizeCapError
 from .families import finite_poisson, hermite_clt
 from .freeprob import FreeCumulantVector, convergence_report
-from .matrix_oracle import mc_boxplus
 from .partitions import (
     DEFAULT_N_MAX,
     count_by_type,
@@ -52,16 +51,18 @@ from .util import format_rational, parse_int, parse_rational
 _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 
 # Fixed bounds, so that a few bytes of input cannot ask for an unbounded
-# amount of work.  On a 2-vCPU host: cramer --d 100 spends a few seconds in
-# Sturm tests; partitions --n 30 --types prints about 1.4 MB; partitions
-# --n 10 lists Bell(10) = 115975 rows in about 4 s, and each step in n costs
-# about 6 times more; moments --roots 1,-1/3 --N 1000 prints 0.5 MB in 0.3 s;
-# each bisection step of threshold doubles the probe's denominator, and its
-# grid has log2(tmax) + 5 points; converge at d = 10^12 takes milliseconds,
-# while a 4000-digit d takes seconds; verify-mc --samples 1000000 takes
-# about 1 s at degree 2, and each sample costs about d^3; cramer at d = 100
-# takes about 8 s with eps = 1/32 and 13 s with 1/255, while at d = 40 an
-# eps of 1e-100 takes about 50 s.
+# amount of work.  On a 2-vCPU host: partitions --n 30 --types prints about
+# 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows in about 4 s, and
+# each step in n costs about 6 times more; moments --roots 1,-1/3 --N 1000
+# prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
+# probe's denominator, and its grid has log2(tmax) + 5 points; converge at
+# d = 10^12 takes milliseconds, while a 4000-digit d takes seconds;
+# verify-mc --samples 1000000 takes about 1 s at degree 2, and each sample
+# costs about d^3; cramer at d = 100 takes about 8 s with eps = 1/32 and
+# 13 s with 1/255, almost all of it in Sturm tests, while at d = 40 an eps
+# of 1e-100 takes about 50 s.  A JSON file is read up to MAX_JSON_BYTES, so
+# a path such as /dev/zero cannot fill memory; the largest record one
+# command prints for another to read, moments --N 1000, is 0.5 MB.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
 MAX_LIST_N = 10
@@ -72,6 +73,7 @@ MAX_CONVERGE_D = 10**12
 MAX_SAMPLES = 10**6
 MAX_MC_DEGREE = 12
 MAX_EPS_PART = 256
+MAX_JSON_BYTES = 2**24
 
 
 def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
@@ -94,10 +96,17 @@ def _load_json_arg(text: str) -> dict:
     s = text.strip()
     if not s.startswith("{"):
         try:
-            with open(text) as fh:
-                s = fh.read()
+            with open(text, "rb") as fh:
+                raw = fh.read(MAX_JSON_BYTES + 1)
         except OSError as exc:
             raise InputFormatError("cannot read %s: %s" % (text, exc)) from exc
+        if len(raw) > MAX_JSON_BYTES:
+            raise SizeCapError(len(raw), MAX_JSON_BYTES,
+                               "%s: a size of at least" % text, "the bound MAX_JSON_BYTES")
+        try:
+            s = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputFormatError("%s is not UTF-8: %s" % (text, exc)) from exc
     try:
         obj = json.loads(s)
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
@@ -210,6 +219,8 @@ def _cmd_cramer(ns):
 
 
 def _cmd_verify_mc(ns):
+    from .matrix_oracle import mc_boxplus  # numpy loads for this command alone
+
     if not 0 < ns.tol < math.inf:
         raise InputFormatError("tol must be finite and positive: %r" % ns.tol)
     if ns.seed < 0:

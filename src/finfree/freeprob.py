@@ -104,6 +104,8 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     must hold is d >= n, else the finite cumulant of order n does not exist
     at degree d.
     """
+    if n < 1:
+        raise InputFormatError("cumulant order n must be >= 1, got %d" % n)
     ds = tuple(parse_int(d, "d") for d in d_values)
     for d in ds:
         if d < n:

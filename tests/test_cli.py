@@ -14,6 +14,7 @@ from finfree.cli import (
     MAX_CONVERGE_D,
     MAX_DEGREE,
     MAX_EPS_PART,
+    MAX_JSON_BYTES,
     MAX_LIST_N,
     MAX_MC_DEGREE,
     MAX_MOMENTS,
@@ -189,6 +190,8 @@ def test_malformed_input_exits_3(tmp_path, capsys):
     # rationals belongs, or top-level JSON that is not an object
     five = tmp_path / "five.json"
     five.write_text("5")
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe{")
     for argv in (
         ["cumulants", '{"degree": 2, "a": 5}'],
         ["cumulants", '{"degree": 2, "a": "123"}'],
@@ -197,6 +200,7 @@ def test_malformed_input_exits_3(tmp_path, capsys):
         ["coeffs", '{"m": "01", "d": 2}'],
         ["coeffs", str(five)],
         ["cumulants", str(five)],
+        ["convolve", str(undecodable), SEMICIRCLE2],
         # an input that the command would silently drop
         ["cumulants", "--roots", "1,-1", "--plain", "1,0,5"],
         ["coeffs", '{"d":2,"kappa":["0","1"],"m":["5","7"]}'],
@@ -213,6 +217,8 @@ def test_malformed_input_exits_3(tmp_path, capsys):
         ["cumulants", "--roots", "1,2,"],
         ["converge", "--r", "0,1", "--n", "2", "--d", "16,,32"],
         ["threshold", "--roots", "0,0,1,3", "--tmax", "16", "--steps", "-1"],
+        ["converge", "--r", "0,1", "--n", "0", "--d", "16"],
+        ["converge", "--r", "0,1", "--n", "-2", "--d", "16"],
         # d + 1 has one digit more than the interpreter prints
         ["cumulants", '{"degree":%s,"a":["1"]}' % ("9" * 4300)],
     ):
@@ -432,11 +438,27 @@ def test_fixed_bounds_exit_4(capsys):
         assert json.loads(err)["error"]["type"] == "SizeCapError"
 
 
+def test_json_files_are_read_up_to_a_bound(tmp_path, capsys):
+    # an endless file is refused after MAX_JSON_BYTES + 1 bytes, not read into memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, "convolve", "/dev/zero", "/dev/zero")
+    assert code == 4 and out is None and err["error"]["type"] == "SizeCapError"
+    assert time.perf_counter() - start < 5.0
+    # the bound itself is allowed, one byte more is not
+    path = tmp_path / "padded.json"
+    path.write_text(SEMICIRCLE2.ljust(MAX_JSON_BYTES))
+    code, out, _ = run(capsys, "cumulants", str(path))
+    assert code == 0 and out["kappa"] == ["0", "1"]
+    path.write_text(SEMICIRCLE2.ljust(MAX_JSON_BYTES + 1))
+    code, out, err = run(capsys, "cumulants", str(path))
+    assert code == 4 and out is None and err["error"]["type"] == "SizeCapError"
+
+
 def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
-    assert MAX_EPS_PART == 256
+    assert (MAX_EPS_PART, MAX_JSON_BYTES) == (256, 2**24)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")

@@ -114,6 +114,13 @@ def test_convergence_rejects_small_d():
     assert convergence_report(r, 13, [16]).free_kappa == 0
 
 
+def test_convergence_rejects_order_below_1():
+    r = FreeCumulantVector.make([0, 1])
+    for n in (0, -2):
+        with pytest.raises(InputFormatError, match="cumulant order"):
+            convergence_report(r, n, [16])
+
+
 def test_nc_collapse_identity():
     """d^{n+1} m_n = sum over NC(n) of Q_sigma(d) d^{|sigma|} kappa_sigma,
     as exact polynomials in d (the mechanism behind the 1/d rate: each

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import finfree
 
@@ -59,6 +63,70 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 found.append(path.name)
     assert sorted(set(found)) == ["matrix_oracle.py"]
+
+
+# what finfree/__init__ loads on first use, by module
+LAZY_NAMES = {
+    "matrix_oracle": ("MCEstimate", "char_poly", "mc_boxplus", "roots",
+                      "sample_haar_orthogonal"),
+    "lattice": ("JOIN_FORM_SIGN", "p_sigma", "p_sigma_defining_sum",
+                "p_sigma_join_form", "q_sigma"),
+}
+
+
+def _imports(node, func=None):
+    """(import statement, name of the function holding it or None)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, func
+        is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _imports(child, child.name if is_func else func)
+
+
+LOADED = """
+import sys
+heavy = ("numpy", "finfree.lattice", "finfree.matrix_oracle")
+import finfree.cli
+print(sorted(m for m in heavy if m in sys.modules))
+import finfree
+finfree.mc_boxplus, finfree.lattice.q_sigma
+print(sorted(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_the_cli_imports_neither_numpy_nor_the_lattice_reference():
+    # both load on first use of one of their names, and not before
+    proc = subprocess.run([sys.executable, "-c", LOADED], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == [
+        "[]", "['finfree.lattice', 'finfree.matrix_oracle', 'numpy']"]
+
+
+def test_lazy_names_resolve_to_their_module_attributes():
+    for module, names in LAZY_NAMES.items():
+        for name in names:
+            value = getattr(finfree, name)
+            assert value is getattr(importlib.import_module("finfree." + module), name)
+            assert name in dir(finfree), name
+        assert module in dir(finfree)
+    with pytest.raises(AttributeError):
+        finfree.no_such_name
+
+
+def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
+    # finfree/__init__ reaches both through its lazy table, and the CLI
+    # imports the oracle inside the one command that needs numpy
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, func in _imports(tree):
+            if isinstance(node, ast.Import):
+                parts = {p for alias in node.names for p in alias.name.split(".")}
+            else:
+                parts = set((node.module or "").split(".")) | {a.name for a in node.names}
+            if parts & set(LAZY_NAMES):
+                found.append((path.name, func))
+    assert found == [("cli.py", "_cmd_verify_mc")]
 
 
 # methods that change a list, dict or set in place
