@@ -12,28 +12,18 @@ from .errors import (
     RootConvergenceError,
     SizeCapError,
 )
-from .util import VarPoly, falling, falling_poly, format_rational, parse_rational
+from .util import VarPoly, falling, format_rational, parse_rational
 from .partitions import (
     DEFAULT_N_MAX,
     PartitionType,
     SetPartition,
-    block_size_product,
     count_by_type,
     enumerate_noncrossing,
     enumerate_partitions,
     is_noncrossing,
-    iter_partitions,
     iter_types,
-    join,
     mobius_from_zero,
     mobius_of_type,
-    mobius_to_one,
-    multiplicative_extension,
-    one_partition,
-    partition_lattice_charpoly,
-    partition_type,
-    refines,
-    zero_partition,
 )
 from .polynomial import (
     MomentSequence,
@@ -77,18 +67,16 @@ from .divisibility import (
 __version__ = "0.1.0"
 
 # Loaded on first use (PEP 562): matrix_oracle brings in numpy, which only
-# the Monte Carlo check needs, and lattice is the tests' reference.
+# the Monte Carlo check needs, and lattice is the tests' reference, with the
+# partition-lattice helpers that only it and the tests use.
 _LAZY = {
-    "MCEstimate": "matrix_oracle",
-    "char_poly": "matrix_oracle",
-    "mc_boxplus": "matrix_oracle",
-    "roots": "matrix_oracle",
-    "sample_haar_orthogonal": "matrix_oracle",
-    "JOIN_FORM_SIGN": "lattice",
-    "p_sigma": "lattice",
-    "p_sigma_defining_sum": "lattice",
-    "p_sigma_join_form": "lattice",
-    "q_sigma": "lattice",
+    **dict.fromkeys(("MCEstimate", "char_poly", "mc_boxplus", "roots",
+                     "sample_haar_orthogonal"), "matrix_oracle"),
+    **dict.fromkeys(("JOIN_FORM_SIGN", "block_size_product", "falling_poly", "join",
+                     "multiplicative_extension", "one_partition", "p_sigma",
+                     "p_sigma_defining_sum", "p_sigma_join_form",
+                     "partition_lattice_charpoly", "partition_type", "q_sigma",
+                     "refines", "zero_partition"), "lattice"),
 }
 
 

@@ -60,7 +60,9 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # verify-mc --samples 1000000 takes about 1 s at degree 2, and each sample
 # costs about d^3; cramer at d = 100 takes about 8 s with eps = 1/32 and
 # 13 s with 1/255, almost all of it in Sturm tests, while at d = 40 an eps
-# of 1e-100 takes about 50 s.  A JSON file is read up to MAX_JSON_BYTES, so
+# of 1e-100 takes about 50 s; power on 100 integer roots computes for 20 s
+# with --t 1e4000 before its result is too long to print, and under 1 s
+# with parts of --t at 2^64.  A JSON file is read up to MAX_JSON_BYTES, so
 # a path such as /dev/zero cannot fill memory; the largest record one
 # command prints for another to read, moments --N 1000, is 0.5 MB.
 MAX_DEGREE = 100
@@ -73,6 +75,7 @@ MAX_CONVERGE_D = 10**12
 MAX_SAMPLES = 10**6
 MAX_MC_DEGREE = 12
 MAX_EPS_PART = 256
+MAX_T_PART = 2**64
 MAX_JSON_BYTES = 2**24
 
 
@@ -142,8 +145,10 @@ def _cmd_convolve(ns):
 
 
 def _cmd_power(ns):
-    p = _poly_from_args(ns)
-    return boxplus_power(p, parse_rational(ns.t)).to_json()
+    t = parse_rational(ns.t)
+    _check_bound(max(abs(t.numerator), t.denominator), MAX_T_PART,
+                 "--t numerator or denominator", "the bound MAX_T_PART")
+    return boxplus_power(_poly_from_args(ns), t).to_json()
 
 
 def _cmd_cumulants(ns):
@@ -308,9 +313,11 @@ def _build_parser() -> _Parser:
     poly_in.add_argument("poly", nargs="?", default=None,
                          help="polynomial JSON, inline or a file path")
     poly_in.add_argument("--roots", default=None,
-                         help="comma list of rational roots")
+                         help="comma list of rational roots, as --roots=-1,2 "
+                              "when the list starts with '-'")
     poly_in.add_argument("--plain", default=None,
-                         help="comma list of plain descending coefficients")
+                         help="comma list of plain descending coefficients, as "
+                              "--plain=LIST when the list starts with '-'")
 
     top = _Parser(prog="finfree", description=__doc__)
     sub = top.add_subparsers(dest="command")
@@ -321,7 +328,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("power", parents=[poly_in],
                         help="fractional convolution power")
-    sp.add_argument("--t", required=True, help="rational exponent > 0")
+    sp.add_argument("--t", required=True,
+                    help="rational exponent > 0, numerator and denominator at most 2^64")
 
     sp = sub.add_parser("cumulants", parents=[poly_in],
                         help="finite free cumulants of a polynomial")

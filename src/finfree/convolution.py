@@ -28,16 +28,15 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
             "degree mismatch: %d vs %d" % (p.d, q.d)
         )
     d = p.d
+    # the weight factors: alpha_i = (d-i)! a_i(p), beta_j = (d-j)! a_j(q)
+    alpha = [factorial(d - i) * a for i, a in enumerate(p.a)]
+    beta = [factorial(d - j) * b for j, b in enumerate(q.a)]
     dfac = factorial(d)
-    a = []
-    for k in range(d + 1):
-        s = Fraction(0)
-        for i in range(k + 1):
-            j = k - i
-            w = Fraction(factorial(d - i) * factorial(d - j), dfac * factorial(d - k))
-            s += w * p.a[i] * q.a[j]
-        a.append(s)
-    return MonicPoly(d, tuple(a))
+    return MonicPoly(d, tuple(
+        Fraction(sum(alpha[i] * beta[k - i] for i in range(k + 1)),
+                 dfac * factorial(d - k))
+        for k in range(d + 1)
+    ))
 
 
 def boxplus_power(p: MonicPoly, t) -> MonicPoly:

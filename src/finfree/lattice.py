@@ -4,7 +4,11 @@ This is the reference the production transforms are checked against, not a
 production path: every conversion in transforms.py runs through O(d^2)
 series recurrences, and the tests assert that those give values `==` to the
 sums here.  Nothing else in the package calls the sums.  The lattice
-polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here too.
+polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here too, and
+so does every partition helper that only these sums and the tests use: the
+order of P(n) (refines, join), 0_n and 1_n, restricted growth strings,
+partition types, multiplicative extensions, block-size products, the
+characteristic polynomial of P(n) and the falling factorial as a polynomial.
 
 The sums have two shapes: over sigma in P(n) weighted by d^{|sigma|}
 mu(0,sigma) (_mobius_sum), and over an interval [sigma, 1_n] weighted by
@@ -28,28 +32,114 @@ from itertools import combinations, product
 from math import factorial, prod
 from operator import and_
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .partitions import (
+    PartitionType,
     SetPartition,
     _check_cap,
-    block_size_product,
+    _partitions,
+    _walk,
     count_by_type,
     enumerate_noncrossing,
-    iter_partitions,
     iter_types,
     mobius_of_type,
-    multiplicative_extension,
-    refines,
-    rgs_strings,
 )
 from .polynomial import MomentSequence, MonicPoly
 from .transforms import CumulantVector, _standardize
-from .util import VarPoly, falling, falling_poly
+from .util import VarPoly, falling
 
 # Established by exhaustive comparison of the two sums for every sigma in
 # P(n), n <= 6, and re-checked by the test suite up to n = 8:
 # p_sigma_join_form(sigma) == JOIN_FORM_SIGN * p_sigma(sigma).
 JOIN_FORM_SIGN = -1
+
+
+# ---------------------------------------------------------------------------
+# the partition lattice: 0_n, 1_n, order, join and per-partition products
+# ---------------------------------------------------------------------------
+
+def zero_partition(n: int) -> SetPartition:
+    """0_n, the all-singletons partition."""
+    return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
+
+
+def one_partition(n: int) -> SetPartition:
+    """1_n, the single-block partition."""
+    return SetPartition(n, (tuple(range(1, n + 1)),))
+
+
+def rgs_strings(n: int):
+    """Yield all restricted growth strings of length n, lexicographically.
+
+    s[0] = 0 and s[i] <= 1 + max(s[:i]); one string per partition of {1..n}.
+    """
+    return (s for s, _ in _walk(n, False))
+
+
+def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
+    """Least upper bound of pi and sigma in reverse refinement order."""
+    if pi.n != sigma.n:
+        raise DimensionError(
+            "join over different ground sets: %d vs %d" % (pi.n, sigma.n)
+        )
+    components = []
+    for block in pi.blocks + sigma.blocks:
+        merged = set(block)
+        apart = []
+        for c in components:
+            if merged.isdisjoint(c):
+                apart.append(c)
+            else:
+                merged |= c
+        components = apart + [merged]
+    return SetPartition.from_blocks(pi.n, components)
+
+
+def refines(pi: SetPartition, sigma: SetPartition) -> bool:
+    """True iff pi <= sigma (every block of pi lies inside a block of sigma)."""
+    if pi.n != sigma.n:
+        raise DimensionError(
+            "refinement over different ground sets: %d vs %d" % (pi.n, sigma.n)
+        )
+    lab = sigma.labels()
+    return all(lab[e] == lab[block[0]] for block in pi.blocks for e in block)
+
+
+def partition_type(pi: SetPartition) -> PartitionType:
+    return PartitionType.from_sizes(pi.n, pi.block_sizes())
+
+
+def multiplicative_extension(f, pi: SetPartition) -> Fraction:
+    """prod over blocks V of f[|V| - 1], i.e. f indexed 1..n by block size.
+
+    Raises IndexError when f is shorter than the largest block.
+    """
+    return prod((Fraction(f[len(b) - 1]) for b in pi.blocks), start=Fraction(1))
+
+
+def block_size_product(sigma: SetPartition) -> int:
+    """Product of all block sizes of sigma."""
+    return prod(map(len, sigma.blocks))
+
+
+def partition_lattice_charpoly(n: int) -> VarPoly:
+    """Sum over P(n) of mu(0,pi) t^{|pi|}; equals the falling factorial (t)_n.
+
+    Grouped by type: every summand depends on pi only through its type.
+    """
+    _check_cap(n)
+    coeffs = [0] * (n + 1)
+    for t in iter_types(n):
+        coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
+    return VarPoly.make("t", coeffs)
+
+
+def falling_poly(n: int, var: str = "d") -> VarPoly:
+    """(var)_n as an exact VarPoly."""
+    out = VarPoly.constant(var, 1)
+    for i in range(n):
+        out = out * VarPoly.make(var, [-i, 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +335,7 @@ def p_sigma(sigma: SetPartition) -> VarPoly:
 def p_sigma_defining_sum(sigma: SetPartition) -> VarPoly:
     """P_sigma by literally filtering the full enumeration of P(n)."""
     out = VarPoly.zero("d")
-    for pi in iter_partitions(sigma.n):
+    for pi in _partitions(sigma.n, False):
         if refines(sigma, pi):
             r = len(pi.blocks)
             term = VarPoly.constant("d", (-1) ** r * factorial(r - 1))
@@ -268,7 +358,7 @@ def _scan_index(n: int) -> tuple:
     nbytes = (sum(row[0] for row in _types(n)) + 7) // 8
     pairs = {ef: bytearray(nbytes) for ef in combinations(range(1, n + 1), 2)}
     types = {row[3]: bytearray(nbytes) for row in _types(n)}
-    for j, pi in enumerate(iter_partitions(n)):
+    for j, pi in enumerate(_partitions(n, False)):
         byte, bit = j >> 3, 1 << (j & 7)
         for block in pi.blocks:
             for ef in combinations(block, 2):

@@ -1,9 +1,11 @@
-"""Set partitions of {1..n}: enumeration, lattice operations, Moebius values.
+"""Set partitions of {1..n}: the P(n) and NC(n) walks, noncrossing
+detection, types, Moebius values from 0_n and per-type counts.
 
-P(n) is ordered by reverse refinement (0_n = all singletons at the bottom,
-1_n = one block at the top).  Everything here is exact integer/rational
-combinatorics; the closed forms for the Moebius function and the per-type
-counts make recursive poset inversion unnecessary.
+This is what the production path uses: the CLI's partitions command and the
+partition cap DEFAULT_N_MAX.  The lattice order (refines, join), 0_n and 1_n,
+and the other helpers of the paper's lattice sums live with those sums in
+lattice.py, the tested reference.  The closed forms for the Moebius function
+and the per-type counts make recursive poset inversion unnecessary.
 
 Enumeration order is restricted-growth-string lexicographic and is part of
 the contract: callers may cache against it.  One recursion over restricted
@@ -16,11 +18,9 @@ parse, from_rgs); the walks build them unchecked, valid by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, prod
 
-from .errors import DimensionError, FinFreeError, InputFormatError, SizeCapError
-from .util import VarPoly
+from .errors import FinFreeError, InputFormatError, SizeCapError
 
 DEFAULT_N_MAX = 12
 
@@ -48,7 +48,12 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, n, blocks) -> "SetPartition":
-        """Check that the blocks are nonempty and cover {1..n} exactly once."""
+        """Check that n and the elements are integers and that the blocks are
+        nonempty and cover {1..n} exactly once."""
+        blocks = [tuple(b) for b in blocks]
+        if not all(type(x) is int for x in [n] + [e for b in blocks for e in b]):
+            raise InputFormatError(
+                "n %.80r or an element of %.80r is not an int" % (n, blocks))
         canon = sorted(tuple(sorted(b)) for b in blocks)
         elements = sorted(e for b in canon for e in b)
         # lengths first: parse takes n from the largest element, however large
@@ -64,7 +69,7 @@ class SetPartition:
         is at least 0 and at most 1 above the largest one before it."""
         blocks = []
         for e, lab in enumerate(rgs, start=1):
-            if not isinstance(lab, int) or lab not in range(len(blocks) + 1):
+            if type(lab) is not int or lab not in range(len(blocks) + 1):
                 raise InputFormatError(
                     "%.80r is not a restricted growth string" % (list(rgs),)
                 )
@@ -105,16 +110,6 @@ class SetPartition:
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
 
-def zero_partition(n: int) -> SetPartition:
-    """0_n, the all-singletons partition."""
-    return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
-
-
-def one_partition(n: int) -> SetPartition:
-    """1_n, the single-block partition."""
-    return SetPartition(n, (tuple(range(1, n + 1)),))
-
-
 def _walk(n: int, noncrossing: bool):
     """Yield (rgs, blocks) for the restricted growth strings of length n,
     lexicographically.
@@ -139,23 +134,10 @@ def _walk(n: int, noncrossing: bool):
     return grow((), (), ())
 
 
-def rgs_strings(n: int):
-    """Yield all restricted growth strings of length n, lexicographically.
-
-    s[0] = 0 and s[i] <= 1 + max(s[:i]); one string per partition of {1..n}.
-    """
-    return (s for s, _ in _walk(n, False))
-
-
 def _partitions(n: int, noncrossing: bool):
     _check_cap(n)
     for _, blocks in _walk(n, noncrossing):
         yield SetPartition(n, blocks)
-
-
-def iter_partitions(n: int):
-    """Yield all of P(n) in RGS-lexicographic order without materializing."""
-    return _partitions(n, False)
 
 
 def enumerate_partitions(n: int) -> list:
@@ -184,44 +166,9 @@ def is_noncrossing(pi: SetPartition) -> bool:
     return True
 
 
-def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    """Least upper bound of pi and sigma in reverse refinement order."""
-    if pi.n != sigma.n:
-        raise DimensionError(
-            "join over different ground sets: %d vs %d" % (pi.n, sigma.n)
-        )
-    components = []
-    for block in pi.blocks + sigma.blocks:
-        merged = set(block)
-        apart = []
-        for c in components:
-            if merged.isdisjoint(c):
-                apart.append(c)
-            else:
-                merged |= c
-        components = apart + [merged]
-    return SetPartition.from_blocks(pi.n, components)
-
-
-def refines(pi: SetPartition, sigma: SetPartition) -> bool:
-    """True iff pi <= sigma (every block of pi lies inside a block of sigma)."""
-    if pi.n != sigma.n:
-        raise DimensionError(
-            "refinement over different ground sets: %d vs %d" % (pi.n, sigma.n)
-        )
-    lab = sigma.labels()
-    return all(lab[e] == lab[block[0]] for block in pi.blocks for e in block)
-
-
 def mobius_from_zero(pi: SetPartition) -> int:
     """mu(0_n, pi) = product over blocks V of (-1)^{|V|-1} (|V|-1)!."""
     return prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in pi.blocks)
-
-
-def mobius_to_one(pi: SetPartition) -> int:
-    """mu(pi, 1_n) = (-1)^{|pi|-1} (|pi|-1)!."""
-    r = len(pi.blocks)
-    return (-1) ** (r - 1) * factorial(r - 1)
 
 
 @dataclass(frozen=True)
@@ -254,10 +201,6 @@ class PartitionType:
         for i in range(self.n, 0, -1):
             out.extend([i] * self.r[i - 1])
         return tuple(out)
-
-
-def partition_type(pi: SetPartition) -> PartitionType:
-    return PartitionType.from_sizes(pi.n, pi.block_sizes())
 
 
 def mobius_of_type(t: PartitionType) -> int:
@@ -297,31 +240,6 @@ def iter_types(n: int):
             yield from rec(remaining - part, part, sizes + [part])
 
     yield from rec(n, n, [])
-
-
-def multiplicative_extension(f, pi: SetPartition) -> Fraction:
-    """prod over blocks V of f[|V| - 1], i.e. f indexed 1..n by block size.
-
-    Raises IndexError when f is shorter than the largest block.
-    """
-    return prod((Fraction(f[len(b) - 1]) for b in pi.blocks), start=Fraction(1))
-
-
-def block_size_product(sigma: SetPartition) -> int:
-    """Product of all block sizes of sigma."""
-    return prod(map(len, sigma.blocks))
-
-
-def partition_lattice_charpoly(n: int) -> VarPoly:
-    """Sum over P(n) of mu(0,pi) t^{|pi|}; equals the falling factorial (t)_n.
-
-    Grouped by type: every summand depends on pi only through its type.
-    """
-    _check_cap(n)
-    coeffs = [0] * (n + 1)
-    for t in iter_types(n):
-        coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
-    return VarPoly.make("t", coeffs)
 
 
 def enumerate_noncrossing(n: int) -> list:

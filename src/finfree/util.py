@@ -1,9 +1,11 @@
-"""Small shared pieces: exact rational and JSON I/O and dense polynomials.
+"""Small shared pieces: exact rational and JSON I/O, the falling factorial
+and dense polynomials.
 
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
 everything exact is a fractions.Fraction.  VarPoly is the exact polynomial
-in a named indeterminate used for lattice polynomials in d, the truncated
-R-transform in s, and the lattice characteristic polynomial in t.
+in a named indeterminate: the truncated R-transform in s, and, in the
+lattice reference, the lattice polynomials in d and the lattice
+characteristic polynomial in t.
 """
 
 from __future__ import annotations
@@ -179,10 +181,3 @@ def falling(x, n: int):
         v = v * (x - i)
     return v
 
-
-def falling_poly(n: int, var: str = "d") -> VarPoly:
-    """(var)_n as an exact VarPoly."""
-    out = VarPoly.constant(var, 1)
-    for i in range(n):
-        out = out * VarPoly.make(var, [-i, 1])
-    return out

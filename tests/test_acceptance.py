@@ -46,7 +46,7 @@ from finfree import (
     real_rooted_threshold,
     rescale_cumulants,
 )
-from finfree.partitions import block_size_product
+from finfree.lattice import block_size_product
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140,
         9: 21147, 10: 115975}

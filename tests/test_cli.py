@@ -20,6 +20,7 @@ from finfree.cli import (
     MAX_MOMENTS,
     MAX_SAMPLES,
     MAX_STEPS,
+    MAX_T_PART,
     MAX_TMAX,
     MAX_TYPES_N,
     main,
@@ -61,6 +62,15 @@ def test_cumulants_example(capsys):
     code, out, _ = run(capsys, "cumulants", SEMICIRCLE2)
     assert code == 0
     assert out == {"d": 2, "variant": "standard", "kappa": ["0", "1"]}
+
+
+def test_a_list_that_starts_with_a_minus_sign_takes_the_equals_form(capsys):
+    # argparse reads a separate "-1,2" as a flag, not as the value of --roots
+    code, out, err = run(capsys, "cumulants", "--roots=-1,2")
+    assert code == 0 and err is None
+    assert out == {"d": 2, "variant": "standard", "kappa": ["1/2", "9/2"]}
+    code, out, err = run(capsys, "cumulants", "--roots", "-1,2")
+    assert code == 3 and out is None and err["error"]["type"] == "UsageError"
 
 
 def test_cumulants_rescaled(capsys):
@@ -416,6 +426,9 @@ def test_fixed_bounds_exit_4(capsys):
         ["partitions", "--n", "13", "--noncrossing"],
         ["converge", "--r", "0,1", "--n", "13", "--d", "16"],
         ["moments", "--roots", "1,-1/3", "--N", "1001"],
+        ["power", "--roots", "1,-1", "--t", "1e4000"],
+        ["power", "--roots", "1,-1", "--t", "18446744073709551617"],
+        ["power", "--roots", "1,-1", "--t", "1/18446744073709551617"],
         ["threshold", "--roots", "0,0,1,3", "--tmax", "16", "--steps", "201"],
         ["threshold", "--roots", "0,0,1,3", "--tmax", "1e4000"],
         ["threshold", "--roots", "0,0,1,3", "--tmax", "18446744073709551617"],
@@ -430,6 +443,7 @@ def test_fixed_bounds_exit_4(capsys):
     # a refused value of thousands of digits is shortened in the error line
     for argv in (
         ["threshold", "--roots", "0,1", "--tmax", "1e4000"],
+        ["power", "--roots", "0,1", "--t", "1e4000"],
         ["converge", "--r", "0,1,1", "--n", "12", "--d", "1e4000"],
     ):
         assert main(argv) == 4
@@ -458,7 +472,7 @@ def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
-    assert (MAX_EPS_PART, MAX_JSON_BYTES) == (256, 2**24)
+    assert (MAX_EPS_PART, MAX_T_PART, MAX_JSON_BYTES) == (256, 2**64, 2**24)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")
@@ -471,6 +485,10 @@ def test_largest_allowed_sizes(capsys):
     assert code == 0 and out["count"] == 115975  # Bell(10)
     code, out, _ = run(capsys, "moments", "--roots", "1,-1/3", "--N", "1000")
     assert code == 0 and out["m"][999] == str((1 + Fraction(-1, 3) ** 1000) / 2)
+    # x^2 - 1 to the power t is x^2 - t
+    for t in (str(2**64), "%d/%d" % (2**64 - 1, 2**64)):
+        code, out, _ = run(capsys, "power", "--roots", "1,-1", "--t", t)
+        assert code == 0 and out == {"degree": 2, "a": ["1", "0", "-" + t]}
     code, out, _ = run(capsys, "threshold", "--roots", "0,0,1,3", "--tmax", str(2**64))
     assert code == 0 and out["threshold"] is not None
     code, out, _ = run(capsys, "converge", "--r", "0,1,1", "--n", "12", "--d", "16,1000000000000")

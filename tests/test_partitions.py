@@ -17,7 +17,6 @@ from finfree import (
     join,
     mobius_from_zero,
     mobius_of_type,
-    mobius_to_one,
     multiplicative_extension,
     one_partition,
     partition_lattice_charpoly,
@@ -26,8 +25,7 @@ from finfree import (
     zero_partition,
 )
 from finfree.errors import DimensionError, InputFormatError, SizeCapError
-from finfree.partitions import rgs_strings
-from finfree.util import falling_poly
+from finfree.lattice import falling_poly, rgs_strings
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -144,8 +142,6 @@ def test_mobius_values():
     assert mobius_from_zero(zero_partition(5)) == 1
     pi = SetPartition.parse("{1,2,3|4,5}")
     assert mobius_from_zero(pi) == (2) * (-1)
-    assert mobius_to_one(pi) == -1  # two blocks: (-1)^1 1!
-    assert mobius_to_one(zero_partition(4)) == -6
 
 
 def test_mobius_sums_to_zero_over_lattice():
@@ -214,7 +210,12 @@ def test_partition_validation():
         SetPartition.from_blocks(2, [[0, 1]])
     with pytest.raises(InputFormatError):
         SetPartition.from_blocks(2, [[1, 2], []])
-    for rgs in ([0, -1], [0, 2], [1], [0, 1.0]):
+    # n, elements and labels are integers, and booleans are not
+    for n, blocks in ((2, [[True, 2]]), (2, [[1, 2.0]]), (2.0, [[1, 2]]),
+                      (True, [[1]]), (2, [[1, "2"]])):
+        with pytest.raises(InputFormatError):
+            SetPartition.from_blocks(n, blocks)
+    for rgs in ([0, -1], [0, 2], [1], [0, 1.0], [0, True], [False]):
         with pytest.raises(InputFormatError):
             SetPartition.from_rgs(rgs)
     with pytest.raises(InputFormatError):

@@ -69,8 +69,11 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
 LAZY_NAMES = {
     "matrix_oracle": ("MCEstimate", "char_poly", "mc_boxplus", "roots",
                       "sample_haar_orthogonal"),
-    "lattice": ("JOIN_FORM_SIGN", "p_sigma", "p_sigma_defining_sum",
-                "p_sigma_join_form", "q_sigma"),
+    "lattice": ("JOIN_FORM_SIGN", "block_size_product", "falling_poly", "join",
+                "multiplicative_extension", "one_partition", "p_sigma",
+                "p_sigma_defining_sum", "p_sigma_join_form",
+                "partition_lattice_charpoly", "partition_type", "q_sigma",
+                "refines", "zero_partition"),
 }
 
 
@@ -127,6 +130,27 @@ def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
             if parts & set(LAZY_NAMES):
                 found.append((path.name, func))
     assert found == [("cli.py", "_cmd_verify_mc")]
+
+
+def _names_read(tree) -> set:
+    """Every name a module reads, as a Name load or as an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | \
+        {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_production_modules_hold_no_helper_only_the_lattice_reference_reads():
+    # a name lattice.py takes from another finfree module must be read by some
+    # production module too; one that only the reference reads belongs in it
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    imported = {alias.name for node in ast.walk(trees["lattice.py"])
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "finfree")
+                for alias in node.names}
+    read = set().union(*(_names_read(tree) for name, tree in trees.items()
+                         if name not in ("lattice.py", "__init__.py")))
+    assert imported and sorted(imported - read) == []
 
 
 # methods that change a list, dict or set in place
