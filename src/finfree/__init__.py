@@ -1,7 +1,8 @@
 """Exact finite free probability: the additive convolution of monic real
-polynomials, its cumulant theory over the set partition lattice, and the
-surrounding diagnostics (free limits, infinite divisibility, Monte-Carlo
-verification)."""
+polynomials, its cumulants, moments and coefficients, set partitions, and
+exact diagnostics (free limits, infinite divisibility).  Not exported here,
+so loaded only when imported by module: the float Monte Carlo oracle
+finfree.matrix_oracle (with numpy) and the lattice reference finfree.lattice."""
 
 from .errors import (
     DimensionError,
@@ -65,30 +66,3 @@ from .divisibility import (
 )
 
 __version__ = "0.1.0"
-
-# Loaded on first use (PEP 562): matrix_oracle brings in numpy, which only
-# the Monte Carlo check needs, and lattice is the tests' reference, with the
-# partition-lattice helpers that only it and the tests use.
-_LAZY = {
-    **dict.fromkeys(("MCEstimate", "char_poly", "mc_boxplus", "roots",
-                     "sample_haar_orthogonal"), "matrix_oracle"),
-    **dict.fromkeys(("JOIN_FORM_SIGN", "block_size_product", "falling_poly", "join",
-                     "multiplicative_extension", "one_partition", "p_sigma",
-                     "p_sigma_defining_sum", "p_sigma_join_form",
-                     "partition_lattice_charpoly", "partition_type", "q_sigma",
-                     "refines", "zero_partition"), "lattice"),
-}
-
-
-def __getattr__(name):
-    from importlib import import_module
-
-    if name in _LAZY.values():  # finfree.lattice without importing it first
-        return import_module("." + name, __name__)
-    if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    return getattr(import_module("." + _LAZY[name], __name__), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_LAZY.values()))

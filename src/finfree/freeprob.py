@@ -41,9 +41,6 @@ class FreeCumulantVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> dict:
-        return {"r": [format_rational(x) for x in self.entries]}
-
 
 def _lagrange_moment(log, n: int) -> Fraction:
     """[w^n] (1 + R(w))^{n+1} / (n+1) = [w^n] exp((n+1) log(1 + R)) / (n+1),

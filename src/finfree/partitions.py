@@ -25,9 +25,13 @@ from .errors import FinFreeError, InputFormatError, SizeCapError
 DEFAULT_N_MAX = 12
 
 
-def _check_cap(n: int) -> None:
+def _check_size(n: int) -> None:
     if n < 1:
         raise InputFormatError("ground-set size must be >= 1, got %d" % n)
+
+
+def _check_cap(n: int) -> None:
+    _check_size(n)
     if n > DEFAULT_N_MAX:
         raise SizeCapError(n, DEFAULT_N_MAX)
 
@@ -48,12 +52,13 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, n, blocks) -> "SetPartition":
-        """Check that n and the elements are integers and that the blocks are
-        nonempty and cover {1..n} exactly once."""
+        """Check that n >= 1 and the elements are integers and that the
+        blocks are nonempty and cover {1..n} exactly once."""
         blocks = [tuple(b) for b in blocks]
         if not all(type(x) is int for x in [n] + [e for b in blocks for e in b]):
             raise InputFormatError(
                 "n %.80r or an element of %.80r is not an int" % (n, blocks))
+        _check_size(n)
         canon = sorted(tuple(sorted(b)) for b in blocks)
         elements = sorted(e for b in canon for e in b)
         # lengths first: parse takes n from the largest element, however large
@@ -67,6 +72,7 @@ class SetPartition:
     def from_rgs(cls, rgs) -> "SetPartition":
         """Build from a restricted growth string (0-based labels): each label
         is at least 0 and at most 1 above the largest one before it."""
+        _check_size(len(rgs))
         blocks = []
         for e, lab in enumerate(rgs, start=1):
             if type(lab) is not int or lab not in range(len(blocks) + 1):
@@ -179,6 +185,7 @@ class PartitionType:
     r: tuple
 
     def __post_init__(self):
+        _check_size(self.n)
         if len(self.r) != self.n or any(x < 0 for x in self.r):
             raise InputFormatError("type vector must have length n, entries >= 0")
         if sum((i + 1) * x for i, x in enumerate(self.r)) != self.n:
@@ -231,6 +238,7 @@ def count_by_type(t: PartitionType, mode: str = "all") -> int:
 
 def iter_types(n: int):
     """All partition types of n (integer partitions of n), deterministic order."""
+    _check_size(n)
 
     def rec(remaining, max_part, sizes):
         if remaining == 0:
@@ -239,7 +247,7 @@ def iter_types(n: int):
         for part in range(min(remaining, max_part), 0, -1):
             yield from rec(remaining - part, part, sizes + [part])
 
-    yield from rec(n, n, [])
+    return rec(n, n, [])
 
 
 def enumerate_noncrossing(n: int) -> list:

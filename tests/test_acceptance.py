@@ -16,7 +16,6 @@ from math import factorial
 import numpy as np
 
 from finfree import (
-    JOIN_FORM_SIGN,
     FreeCumulantVector,
     MonicPoly,
     boxplus,
@@ -28,7 +27,6 @@ from finfree import (
     cumulants_from_coefficients,
     cumulants_from_moments,
     enumerate_partitions,
-    falling_poly,
     finite_poisson,
     hermite_clt,
     infinite_divisibility_report,
@@ -36,17 +34,21 @@ from finfree import (
     is_noncrossing,
     is_real_rooted,
     iter_types,
-    mc_boxplus,
     moments_from_coefficients,
     moments_from_cumulants,
+    real_rooted_threshold,
+    rescale_cumulants,
+)
+from finfree.lattice import (
+    JOIN_FORM_SIGN,
+    block_size_product,
+    falling_poly,
     p_sigma,
     p_sigma_join_form,
     partition_lattice_charpoly,
     partition_type,
-    real_rooted_threshold,
-    rescale_cumulants,
 )
-from finfree.lattice import block_size_product
+from finfree.matrix_oracle import mc_boxplus
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140,
         9: 21147, 10: 115975}

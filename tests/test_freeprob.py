@@ -12,8 +12,6 @@ from finfree import (
     convergence_report,
     free_cumulants_from_moments,
     free_moments_from_free_cumulants,
-    multiplicative_extension,
-    q_sigma,
 )
 from finfree.errors import DomainError, InputFormatError
 
@@ -129,8 +127,8 @@ def test_nc_collapse_identity():
         enumerate_partitions,
         mobius_from_zero,
         is_noncrossing,
-        p_sigma,
     )
+    from finfree.lattice import multiplicative_extension, p_sigma, q_sigma
     from finfree.util import VarPoly
     from math import factorial
 

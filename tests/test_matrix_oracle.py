@@ -10,12 +10,10 @@ import pytest
 from finfree import (
     MonicPoly,
     boxplus,
-    char_poly,
-    mc_boxplus,
-    sample_haar_orthogonal,
     x_power,
 )
 from finfree.errors import DomainError
+from finfree.matrix_oracle import char_poly, mc_boxplus, sample_haar_orthogonal
 
 
 def test_char_poly_examples():

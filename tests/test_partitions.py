@@ -7,25 +7,29 @@ from math import factorial
 import pytest
 
 from finfree import (
+    PartitionType,
     SetPartition,
-    block_size_product,
     count_by_type,
     enumerate_noncrossing,
     enumerate_partitions,
     is_noncrossing,
     iter_types,
-    join,
     mobius_from_zero,
     mobius_of_type,
+)
+from finfree.errors import DimensionError, InputFormatError, SizeCapError
+from finfree.lattice import (
+    block_size_product,
+    falling_poly,
+    join,
     multiplicative_extension,
     one_partition,
     partition_lattice_charpoly,
     partition_type,
     refines,
+    rgs_strings,
     zero_partition,
 )
-from finfree.errors import DimensionError, InputFormatError, SizeCapError
-from finfree.lattice import falling_poly, rgs_strings
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
@@ -220,3 +224,10 @@ def test_partition_validation():
             SetPartition.from_rgs(rgs)
     with pytest.raises(InputFormatError):
         SetPartition.parse("{1,2|4}")
+    # the ground set {1..n} is never empty, as parse and the walks require
+    for make in (lambda: SetPartition.from_blocks(0, []),
+                 lambda: SetPartition.from_blocks(-1, []),
+                 lambda: SetPartition.from_rgs([]), lambda: PartitionType(0, ()),
+                 lambda: iter_types(0), lambda: iter_types(-1)):
+        with pytest.raises(InputFormatError, match="ground-set size"):
+            make()

@@ -13,7 +13,6 @@ from finfree import (
     is_real_rooted,
     moments,
     moments_from_coefficients,
-    roots,
     x_power,
 )
 from finfree.errors import (
@@ -21,6 +20,7 @@ from finfree.errors import (
     NonMonicError,
     RootConvergenceError,
 )
+from finfree.matrix_oracle import roots
 
 
 def rand_roots(rng, d):

@@ -7,8 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import finfree
 
 SRC = Path(finfree.__file__).parent
@@ -65,16 +63,41 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
     assert sorted(set(found)) == ["matrix_oracle.py"]
 
 
-# what finfree/__init__ loads on first use, by module
-LAZY_NAMES = {
-    "matrix_oracle": ("MCEstimate", "char_poly", "mc_boxplus", "roots",
-                      "sample_haar_orthogonal"),
-    "lattice": ("JOIN_FORM_SIGN", "block_size_product", "falling_poly", "join",
-                "multiplicative_extension", "one_partition", "p_sigma",
-                "p_sigma_defining_sum", "p_sigma_join_form",
-                "partition_lattice_charpoly", "partition_type", "q_sigma",
-                "refines", "zero_partition"),
-}
+def _defined(tree) -> set:
+    """The names a module defines at its top level, imports aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_the_root_exports_nothing_of_the_oracle_or_the_lattice_reference():
+    # finfree exports the exact core; the float oracle and the reference are
+    # reached as finfree.matrix_oracle.X and finfree.lattice.X; the lattice
+    # reference reuses some core names for its own functions, so compare values
+    found = []
+    for module in ("matrix_oracle", "lattice"):
+        mod = importlib.import_module("finfree." + module)
+        tree = ast.parse((SRC / (module + ".py")).read_text())
+        found += ["%s.%s" % (module, name) for name in sorted(_defined(tree))
+                  if not name.startswith("_")
+                  and getattr(finfree, name, None) is getattr(mod, name)]
+    assert found == []
+
+
+def test_no_module_defines_a_module_getattr():
+    # every name a module offers is bound in it, not resolved by a hook
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if "__getattr__" in _defined(tree):
+            found.append(str(path.relative_to(SRC)))
+    assert found == []
 
 
 def _imports(node, func=None):
@@ -89,36 +112,26 @@ def _imports(node, func=None):
 LOADED = """
 import sys
 heavy = ("numpy", "finfree.lattice", "finfree.matrix_oracle")
+import finfree
+print(sorted(m for m in heavy if m in sys.modules))
 import finfree.cli
 print(sorted(m for m in heavy if m in sys.modules))
-import finfree
-finfree.mc_boxplus, finfree.lattice.q_sigma
+import finfree.matrix_oracle, finfree.lattice
 print(sorted(m for m in heavy if m in sys.modules))
 """
 
 
 def test_the_cli_imports_neither_numpy_nor_the_lattice_reference():
-    # both load on first use of one of their names, and not before
+    # nor does a bare import finfree; all three load when imported by module
     proc = subprocess.run([sys.executable, "-c", LOADED], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == [
-        "[]", "['finfree.lattice', 'finfree.matrix_oracle', 'numpy']"]
-
-
-def test_lazy_names_resolve_to_their_module_attributes():
-    for module, names in LAZY_NAMES.items():
-        for name in names:
-            value = getattr(finfree, name)
-            assert value is getattr(importlib.import_module("finfree." + module), name)
-            assert name in dir(finfree), name
-        assert module in dir(finfree)
-    with pytest.raises(AttributeError):
-        finfree.no_such_name
+    assert proc.stdout.split("\n")[:3] == [
+        "[]", "[]", "['finfree.lattice', 'finfree.matrix_oracle', 'numpy']"]
 
 
 def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
-    # finfree/__init__ reaches both through its lazy table, and the CLI
-    # imports the oracle inside the one command that needs numpy
+    # finfree/__init__ imports neither, and the CLI imports the oracle inside
+    # the one command that needs numpy
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -127,7 +140,7 @@ def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
                 parts = {p for alias in node.names for p in alias.name.split(".")}
             else:
                 parts = set((node.module or "").split(".")) | {a.name for a in node.names}
-            if parts & set(LAZY_NAMES):
+            if parts & {"matrix_oracle", "lattice"}:
                 found.append((path.name, func))
     assert found == [("cli.py", "_cmd_verify_mc")]
 

@@ -13,11 +13,9 @@ from math import factorial, prod
 import pytest
 
 from finfree import (
-    JOIN_FORM_SIGN,
     CumulantVector,
     MonicPoly,
     SetPartition,
-    block_size_product,
     coefficients_from_cumulants,
     coefficients_from_moments,
     cumulant_from_moments,
@@ -25,23 +23,27 @@ from finfree import (
     cumulants_from_moments,
     enumerate_partitions,
     falling,
-    join,
     lattice,
     moment_from_cumulants,
     moments,
     moments_from_coefficients,
     moments_from_cumulants,
     mobius_from_zero,
-    one_partition,
-    p_sigma,
-    p_sigma_defining_sum,
-    p_sigma_join_form,
-    q_sigma,
     rescale_cumulants,
     truncated_r_transform,
     x_power,
 )
 from finfree.errors import DomainError, InputFormatError, SizeCapError
+from finfree.lattice import (
+    JOIN_FORM_SIGN,
+    block_size_product,
+    join,
+    one_partition,
+    p_sigma,
+    p_sigma_defining_sum,
+    p_sigma_join_form,
+    q_sigma,
+)
 from finfree.util import VarPoly
 
 
