@@ -57,14 +57,15 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
 # probe's denominator, and its grid has log2(tmax) + 5 points; converge at
 # d = 10^12 takes milliseconds, while a 4000-digit d takes seconds;
-# verify-mc --samples 1000000 takes about 1 s at degree 2, and each sample
-# costs about d^3; cramer at d = 100 takes about 8 s with eps = 1/32 and
-# 13 s with 1/255, almost all of it in Sturm tests, while at d = 40 an eps
-# of 1e-100 takes about 50 s; power on 100 integer roots computes for 20 s
-# with --t 1e4000 before its result is too long to print, and under 1 s
-# with parts of --t at 2^64.  A JSON file is read up to MAX_JSON_BYTES, so
-# a path such as /dev/zero cannot fill memory; the largest record one
-# command prints for another to read, moments --N 1000, is 0.5 MB.
+# verify-mc --samples 1000000 takes about 0.5 s at degree 2 and 12 s at
+# degree 12, the largest input it allows; cramer at d = 100 takes about 8 s
+# with eps = 1/32 and 13 s with 1/255, almost all of it in Sturm tests,
+# while at d = 40 an eps of 1e-100 takes about 50 s; power on 100 integer
+# roots computes for 20 s with --t 1e4000 before its result is too long to
+# print, and under 1 s with parts of --t at 2^64.  A JSON file is read up to
+# MAX_JSON_BYTES, so a path such as /dev/zero cannot fill memory; the
+# largest record one command prints for another to read, moments --N 1000,
+# is 0.5 MB.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
 MAX_LIST_N = 10

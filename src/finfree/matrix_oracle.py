@@ -6,6 +6,12 @@ orthogonal.  mc_boxplus estimates that expectation by direct sampling and
 reports per-coefficient standard errors, giving a verification path that
 shares no code with the combinatorial implementation.
 
+Samples are drawn in chunks of _CHUNK, and each step works on a whole
+chunk at once, with no loop over its matrices: Gram-Schmidt on the columns
+of a Gaussian stack gives the Haar matrices (_haar_batch), and power-sum
+traces with Newton's identities give the characteristic polynomials
+(_char_poly_batch).  The chunks' means and spreads are merged in order.
+
 This is the one module that works in floating point: the float root
 finder, its tolerance and the sampling live here; everything else in the
 package is exact.
@@ -13,11 +19,12 @@ package is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RootConvergenceError
+from .errors import DomainError, InputFormatError, RootConvergenceError
 from .polynomial import MonicPoly, is_real_rooted
 
 _CHUNK = 4096
@@ -45,15 +52,22 @@ class MCEstimate:
 def _haar_batch(rng, count: int, d: int) -> np.ndarray:
     """(count, d, d) stack of Haar orthogonal matrices.
 
-    QR of a Gaussian matrix, with each column of Q flipped to make the
-    corresponding diagonal entry of R positive; without that correction the
-    distribution follows the QR implementation, not Haar measure.
+    The orthogonal factor Q of Z = QR for a Gaussian stack Z, by classical
+    Gram-Schmidt run twice on each column (CGS2), vectorised over the stack.
+    Gram-Schmidt makes every diagonal entry of R positive, the one
+    normalisation under which Q is Haar distributed; the second pass
+    restores the orthogonality the first loses to rounding.
     """
     z = rng.standard_normal((count, d, d))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    q = q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
-    return q
+    # w[r, c] holds entry (r, c) of every matrix in the stack
+    w = np.ascontiguousarray(z.reshape(count, d * d).T).reshape(d, d, count)
+    for j in range(d):
+        v = w[:, j]
+        for _ in range(2):
+            h = np.einsum("rjn,rn->jn", w[:, :j], v)
+            v -= np.einsum("rjn,jn->rn", w[:, :j], h)
+        v /= np.sqrt(np.einsum("rn,rn->n", v, v))
+    return np.ascontiguousarray(w.reshape(d * d, count).T).reshape(count, d, d)
 
 
 def sample_haar_orthogonal(d: int, rng_state) -> np.ndarray:
@@ -63,21 +77,31 @@ def sample_haar_orthogonal(d: int, rng_state) -> np.ndarray:
     return _haar_batch(rng_state, 1, d)[0]
 
 
-def _char_poly_plain_batch(ms: np.ndarray) -> np.ndarray:
-    """Faddeev-LeVerrier on a (N, d, d) stack: plain descending coefficients
-    of det(xI - M), shape (N, d+1), leading column exactly 1."""
+def _char_poly_batch(ms: np.ndarray) -> np.ndarray:
+    """Signed coefficients a_0..a_d of det(xI - M) for a (N, d, d) stack of
+    symmetric matrices, shape (d+1, N), a_0 exactly 1.
+
+    Power sums p_k = tr(M^k), then Newton's identities
+    k a_k = sum_{i=1..k} (-1)^(i-1) a_{k-i} p_i.  As M is symmetric,
+    tr(M^(i+j)) is the sum of the entries of M^i * M^j taken elementwise,
+    so p_{2k-1} and p_{2k} come from M^(k-1) and M^k: p_1..p_d take
+    ceil(d/2) - 1 products, with two powers held at a time.
+    """
     n, d, _ = ms.shape
-    coeffs = np.empty((n, d + 1))
-    coeffs[:, 0] = 1.0
-    eye = np.eye(d)
-    aux = np.broadcast_to(eye, (n, d, d)).copy()
+    half = (d + 1) // 2
+    p = np.empty((2 * half + 1, n))
+    prev, power = np.broadcast_to(np.eye(d), ms.shape), ms
+    for k in range(1, half + 1):
+        p[2 * k - 1] = np.einsum("nij,nij->n", prev, power)
+        p[2 * k] = np.einsum("nij,nij->n", power, power)
+        if k < half:
+            prev, power = power, power @ ms
+    sign = (-1.0) ** np.arange(d)
+    a = np.empty((d + 1, n))
+    a[0] = 1.0
     for k in range(1, d + 1):
-        mk = ms @ aux
-        c = -np.einsum("...ii->...", mk) / k
-        coeffs[:, k] = c
-        if k < d:
-            aux = mk + c[:, None, None] * eye
-    return coeffs
+        a[k] = np.einsum("i,in,in->n", sign[:k], p[1:k + 1], a[k - 1::-1]) / k
+    return a
 
 
 def char_poly(M) -> tuple:
@@ -90,8 +114,7 @@ def char_poly(M) -> tuple:
         raise DomainError(
             "matrix is not symmetric within %g" % _SYMMETRY_TOL
         )
-    plain = _char_poly_plain_batch(m[None, :, :])[0]
-    return tuple(float(((-1) ** i) * plain[i]) for i in range(len(plain)))
+    return tuple(float(c) for c in _char_poly_batch(m[None, :, :])[:, 0])
 
 
 def roots(p: MonicPoly, tol: float = 1e-12) -> list:
@@ -130,6 +153,10 @@ def _real_roots(p: MonicPoly, tol: float) -> np.ndarray:
     return np.array([z.real for z in roots(p, tol=tol)])
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def mc_boxplus(
     p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0, tol: float = 1e-9
 ) -> MCEstimate:
@@ -137,8 +164,17 @@ def mc_boxplus(
     char(A + Q B Q^T), A and B diagonal root matrices of p and q.
 
     Deterministic for a fixed seed: chunked substreams from a spawned
-    SeedSequence, reduced in chunk order.
+    SeedSequence.  Each chunk's mean and centred sum of squares merge into
+    the running ones in chunk order (Chan, Golub and LeVeque's pairwise
+    update), so identical samples give a spread of zero, not the rounding
+    left over by subtracting two large sums.
     """
+    if not _is_int(seed) or seed < 0:
+        raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
+    if not _is_int(samples):
+        raise InputFormatError("samples must be an integer, got %.80r" % (samples,))
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
+        raise InputFormatError("tol must be a finite number, got %.80r" % (tol,))
     if p.d != q.d:
         raise DomainError("degree mismatch: %d vs %d" % (p.d, q.d))
     if samples < 1000:
@@ -146,28 +182,31 @@ def mc_boxplus(
     d = p.d
     ra = _real_roots(p, tol)
     rb = _real_roots(q, tol)
-    a_mat = np.diag(ra)
+    diag = np.arange(d)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
-    total = np.zeros(d + 1)
-    total_sq = np.zeros(d + 1)
+    mean = np.zeros(d + 1)
+    sq = np.zeros(d + 1)  # sum of squared deviations from mean
     done = 0
     for child in streams:
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(child)
         qm = _haar_batch(rng, count, d)
-        m = a_mat + (qm * rb) @ np.swapaxes(qm, -1, -2)
-        plain = _char_poly_plain_batch(m)
-        total += plain.sum(axis=0)
-        total_sq += (plain * plain).sum(axis=0)
+        # a contiguous Q^T multiplies faster than the transposed view
+        m = (qm * rb) @ np.ascontiguousarray(np.swapaxes(qm, 1, 2))
+        m[:, diag, diag] += ra
+        coeffs = _char_poly_batch(m)
+        chunk_mean = coeffs.mean(axis=1)
+        chunk_sq = np.square(coeffs - chunk_mean[:, None]).sum(axis=1)
+        delta = chunk_mean - mean
+        mean += delta * (count / (done + count))
+        sq += chunk_sq + delta * delta * (done * count / (done + count))
         done += count
-    mean = total / samples
-    var = np.maximum(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    stderr = np.sqrt(var / samples)
+    stderr = np.sqrt(sq / (samples - 1) / samples)
     return MCEstimate(
         d,
         samples,
-        tuple(float((-1.0) ** i * mean[i]) for i in range(d + 1)),
+        tuple(float(x) for x in mean),
         tuple(float(s) for s in stderr),
         seed,
     )

@@ -12,8 +12,15 @@ from finfree import (
     boxplus,
     x_power,
 )
-from finfree.errors import DomainError
-from finfree.matrix_oracle import char_poly, mc_boxplus, sample_haar_orthogonal
+from finfree.errors import DomainError, InputFormatError
+from finfree.matrix_oracle import (
+    _char_poly_batch,
+    _haar_batch,
+    char_poly,
+    mc_boxplus,
+    sample_haar_orthogonal,
+)
+from test_properties import _charpoly
 
 
 def test_char_poly_examples():
@@ -48,6 +55,33 @@ def test_haar_d1():
     assert vals <= {1.0, -1.0} and len(vals) == 2
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_haar_batch_is_the_sign_fixed_lapack_qr_factor(d):
+    # LAPACK's QR, with each column of Q flipped to make R's diagonal
+    # positive, is the reference; the sampler draws the same Gaussian stack
+    z = np.random.default_rng(d).standard_normal((256, d, d))
+    q, r = np.linalg.qr(z)
+    q = q * np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)[..., None, :]
+    got = _haar_batch(np.random.default_rng(d), 256, d)
+    assert np.max(np.abs(got - q)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_batched_char_poly_matches_exact_faddeev_leverrier(d):
+    # the exact recurrence runs on the very float entries, as Fractions
+    rng = np.random.default_rng(50 + d)
+    q = _haar_batch(rng, 3, d)
+    ra = rng.integers(-4, 5, d).astype(float)
+    rb = rng.integers(-4, 5, d).astype(float)
+    m = (q * rb) @ np.swapaxes(q, 1, 2) + np.diag(ra)
+    got = _char_poly_batch(m)
+    for k in range(3):
+        plain = _charpoly([[Fraction(x) for x in row] for row in m[k].tolist()])
+        want = [float((-1) ** i * c) for i, c in enumerate(plain)]
+        bound = 1e-9 * max(1.0, max(map(abs, want)))
+        assert max(abs(g - w) for g, w in zip(got[:, k], want)) <= bound
+
+
 def test_mc_deterministic_given_seed():
     p = MonicPoly.from_roots([1, -1])
     q = MonicPoly.from_roots([2, 0])
@@ -66,6 +100,16 @@ def test_mc_identity_has_zero_spread():
     for mean, se, want in zip(est.coeff_mean, est.coeff_stderr, p.a):
         assert se < 1e-9
         assert abs(mean - float(want)) < 1e-9
+
+
+@pytest.mark.parametrize("roots", [(1, 2, 3), (1000, 1001, 1002)])
+def test_mc_identical_samples_have_no_spread(roots):
+    # every sample is diag(roots); one pass of sum and sum of squares would
+    # leave the rounding of their difference, growing with the roots
+    p = MonicPoly.from_roots(list(roots))
+    est = mc_boxplus(p, x_power(3), 10000, seed=4)
+    for se, want in zip(est.coeff_stderr, p.a):
+        assert se <= 1e-12 * max(1.0, abs(float(want)))
 
 
 def test_mc_unbiased_for_semicircle_pair():
@@ -94,6 +138,29 @@ def test_mc_rejects_bad_requests():
     complex_rooted = MonicPoly.from_plain_coefficients([1, 0, 1])
     with pytest.raises(DomainError):
         mc_boxplus(p, complex_rooted, 2000)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_mc_agrees_with_boxplus_at_larger_degrees(d):
+    rng = np.random.default_rng(d)
+    p = MonicPoly.from_roots([Fraction(int(k), 2) for k in rng.integers(-6, 7, d)])
+    q = MonicPoly.from_roots([int(k) for k in rng.integers(-3, 4, d)])
+    est = mc_boxplus(p, q, 20000, seed=d)
+    for mean, se, want in zip(est.coeff_mean, est.coeff_stderr, boxplus(p, q).a):
+        assert abs(mean - float(want)) <= 5 * se + 0.02
+
+
+def test_mc_refuses_malformed_arguments():
+    p = MonicPoly.from_roots([1, -1])
+    for seed in (-1, 1.5, True, "3", np.int64(3)):
+        with pytest.raises(InputFormatError):
+            mc_boxplus(p, p, 2000, seed=seed)
+    for samples in (2000.0, True, "2000"):
+        with pytest.raises(InputFormatError):
+            mc_boxplus(p, p, samples)
+    for tol in (math.nan, math.inf, -math.inf, "1e-9", True):
+        with pytest.raises(InputFormatError):
+            mc_boxplus(p, p, 2000, tol=tol)
 
 
 def test_mc_estimate_json():

@@ -63,6 +63,12 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
     assert sorted(set(found)) == ["matrix_oracle.py"]
 
 
+def test_the_monte_carlo_oracle_references_no_np_linalg():
+    # the oracle works on whole chunks with array operations; np.linalg would
+    # bring back one LAPACK call per sampled matrix
+    assert "linalg" not in (SRC / "matrix_oracle.py").read_text()
+
+
 def _defined(tree) -> set:
     """The names a module defines at its top level, imports aside."""
     names = set()
