@@ -10,7 +10,6 @@ from .errors import (
     FinFreeError,
     InputFormatError,
     NonMonicError,
-    RootConvergenceError,
     SizeCapError,
 )
 from .util import VarPoly, falling, format_rational, parse_rational

@@ -4,8 +4,8 @@ Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
 0 success, 2 unknown subcommand, 3 malformed input, 4 a fixed size bound
 exceeded (the bounds below; converge --n at the partition cap), 5 domain
-errors.  The exact commands have no tolerance or seed to set; only
-verify-mc, the Monte-Carlo check, takes --tol and --seed.
+errors.  No command has a tolerance to set; only verify-mc, the Monte-Carlo
+check, takes --samples and --seed.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
 # probe's denominator, and its grid has log2(tmax) + 5 points; converge at
 # d = 10^12 takes milliseconds, while a 4000-digit d takes seconds;
-# verify-mc --samples 1000000 takes about 0.5 s at degree 2 and 12 s at
+# verify-mc --samples 1000000 takes about 0.6 s at degree 2 and 10.5 s at
 # degree 12, the largest input it allows; cramer at d = 100 takes about 8 s
 # with eps = 1/32 and 13 s with 1/255, almost all of it in Sturm tests,
 # while at d = 40 an eps of 1e-100 takes about 50 s; power on 100 integer
@@ -227,15 +227,13 @@ def _cmd_cramer(ns):
 def _cmd_verify_mc(ns):
     from .matrix_oracle import mc_boxplus  # numpy loads for this command alone
 
-    if not 0 < ns.tol < math.inf:
-        raise InputFormatError("tol must be finite and positive: %r" % ns.tol)
     if ns.seed < 0:
         raise InputFormatError("seed must be >= 0, got %d" % ns.seed)
     _check_bound(ns.samples, MAX_SAMPLES, "--samples", "the bound MAX_SAMPLES")
     p = MonicPoly.from_json(_load_json_arg(ns.p))
     q = MonicPoly.from_json(_load_json_arg(ns.q))
     _check_bound(max(p.d, q.d), MAX_MC_DEGREE, "degree", "the bound MAX_MC_DEGREE")
-    est = mc_boxplus(p, q, ns.samples, seed=ns.seed, tol=ns.tol)
+    est = mc_boxplus(p, q, ns.samples, seed=ns.seed)
     exact = boxplus(p, q)
     rows = []
     all_pass = True
@@ -389,8 +387,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("q")
     sp.add_argument("--samples", type=int, default=100000,
                     help="sample pairs, at most %d" % MAX_SAMPLES)
-    sp.add_argument("--tol", type=float, default=1e-9,
-                    help="float tolerance for root finding")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
 
     sp = sub.add_parser("partitions",

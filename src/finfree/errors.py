@@ -46,11 +46,3 @@ class DimensionError(FinFreeError):
 
 class DomainError(FinFreeError):
     """Well-formed input outside an operation's mathematical domain."""
-
-
-class RootConvergenceError(FinFreeError):
-    """Numeric root extraction failed its residual tolerance."""
-
-    def __init__(self, message, residuals):
-        self.residuals = list(residuals)
-        super().__init__("%s; residuals: %s" % (message, self.residuals))

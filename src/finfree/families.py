@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from .convolution import boxplus_power
-from .errors import DomainError
+from .errors import DomainError, InputFormatError
 from .polynomial import MonicPoly
 from .transforms import cumulants_from_coefficients
 from .util import falling
@@ -22,7 +22,7 @@ def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     which multiplies a_{2i} by ((d-1)/d)^i.
     """
     if d < 1:
-        raise DomainError("degree must be >= 1")
+        raise InputFormatError("degree must be >= 1")
     c = Fraction(d - 1, d) if marcus_scaling else Fraction(1)
     a = [Fraction(0)] * (d + 1)
     a[0] = Fraction(1)
@@ -44,7 +44,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     n >= d lam + 1.
     """
     if d < 1:
-        raise DomainError("degree must be >= 1")
+        raise InputFormatError("degree must be >= 1")
     lam = Fraction(lam)
     dlam = lam * d
     if dlam.denominator != 1 or dlam <= 0:

@@ -2,9 +2,11 @@
 
 The convolution of the characteristic polynomials of symmetric A and B is
 the expected characteristic polynomial of A + Q B Q^T with Q Haar
-orthogonal.  mc_boxplus estimates that expectation by direct sampling and
-reports per-coefficient standard errors, giving a verification path that
-shares no code with the combinatorial implementation.
+orthogonal, for any A and B with those characteristic polynomials.
+mc_boxplus takes for them the Jacobi matrices built from the exact Sturm
+chain (_jacobi), so no root is ever computed, estimates that expectation by
+direct sampling and reports per-coefficient standard errors, giving a
+verification path that shares no code with the combinatorial implementation.
 
 Samples are drawn in chunks of _CHUNK, and each step works on a whole
 chunk at once, with no loop over its matrices: Gram-Schmidt on the columns
@@ -12,20 +14,20 @@ of a Gaussian stack gives the Haar matrices (_haar_batch), and power-sum
 traces with Newton's identities give the characteristic polynomials
 (_char_poly_batch).  The chunks' means and spreads are merged in order.
 
-This is the one module that works in floating point: the float root
-finder, its tolerance and the sampling live here; everything else in the
-package is exact.
+This is the one module that works in floating point: the sampling lives
+here; everything else in the package is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InputFormatError, RootConvergenceError
-from .polynomial import MonicPoly, is_real_rooted
+from .errors import DomainError, InputFormatError
+from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
 
 _CHUNK = 4096
 _SYMMETRY_TOL = 1e-10
@@ -117,51 +119,40 @@ def char_poly(M) -> tuple:
     return tuple(float(c) for c in _char_poly_batch(m[None, :, :])[:, 0])
 
 
-def roots(p: MonicPoly, tol: float = 1e-12) -> list:
-    """All d roots as complex floats (companion-matrix eigenvalues).
+def _jacobi(p: MonicPoly) -> np.ndarray:
+    """A symmetric tridiagonal matrix whose characteristic polynomial is
+    exactly the real-rooted p (Golub and Welsch's Jacobi matrix).
 
-    Deterministic for a given p; each root is residual-checked against
-    tol * max(1, sum of term magnitudes at the root) and failure raises
-    with the residuals attached.  Sorted by (real, imag).
+    Monic consecutive elements s, t of the Sturm chain of p satisfy
+    s = (x - alpha) t - beta u with u the next one, so alpha and beta come
+    from their top three coefficients: the diagonal entry and the square of
+    the next off-diagonal one, beta > 0 as p is real-rooted.  The chain ends
+    at g = gcd(p, p'), where t divides s and beta = 0, so the block so far
+    has characteristic polynomial p / g and the chain of g gives the next
+    one.  All of this is exact; only the final floats are rounded.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    plain = [float(c) for c in p.plain_coefficients()]
-    rts = np.roots(plain)
-    resid = []
-    ok = True
-    for r in rts:
-        val = 0.0 + 0.0j
-        scale = 0.0
-        for c in plain:
-            val = val * r + c
-            scale = scale * abs(r) + abs(c)
-        rel = abs(val) / max(1.0, scale)
-        resid.append(rel)
-        if not (rel <= tol):
-            ok = False
-    if not ok:
-        raise RootConvergenceError(
-            "root refinement missed tolerance %g" % tol, resid
-        )
-    return sorted((complex(r) for r in rts), key=lambda z: (z.real, z.imag))
-
-
-def _real_roots(p: MonicPoly, tol: float) -> np.ndarray:
     if is_real_rooted(p) == "no":
         raise DomainError("Monte-Carlo oracle needs real-rooted input")
-    return np.array([z.real for z in roots(p, tol=tol)])
+    alpha, beta = [], []
+    f = _primitive_form(p)
+    while len(f) > 1:
+        chain = _sturm_chain(f)
+        top = [[Fraction(c, s[0]) for c in (s + [0, 0])[1:3]] for s in chain]
+        for (s1, s2), (t1, t2) in zip(top, top[1:]):
+            alpha.append(t1 - s1)
+            beta.append(t2 - alpha[-1] * t1 - s2)
+        f = chain[-1]
+    off = [math.sqrt(b) for b in beta[:-1]]
+    return np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def mc_boxplus(
-    p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0, tol: float = 1e-9
-) -> MCEstimate:
+def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEstimate:
     """Sample mean and standard error of the coefficients of
-    char(A + Q B Q^T), A and B diagonal root matrices of p and q.
+    char(A + Q B Q^T), A and B the Jacobi matrices of p and q.
 
     Deterministic for a fixed seed: chunked substreams from a spawned
     SeedSequence.  Each chunk's mean and centred sum of squares merge into
@@ -173,16 +164,12 @@ def mc_boxplus(
         raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
     if not _is_int(samples):
         raise InputFormatError("samples must be an integer, got %.80r" % (samples,))
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not math.isfinite(tol):
-        raise InputFormatError("tol must be a finite number, got %.80r" % (tol,))
     if p.d != q.d:
         raise DomainError("degree mismatch: %d vs %d" % (p.d, q.d))
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % samples)
     d = p.d
-    ra = _real_roots(p, tol)
-    rb = _real_roots(q, tol)
-    diag = np.arange(d)
+    ja, jb = _jacobi(p), _jacobi(q)
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     mean = np.zeros(d + 1)
@@ -192,9 +179,11 @@ def mc_boxplus(
         count = min(_CHUNK, samples - done)
         rng = np.random.default_rng(child)
         qm = _haar_batch(rng, count, d)
-        # a contiguous Q^T multiplies faster than the transposed view
-        m = (qm * rb) @ np.ascontiguousarray(np.swapaxes(qm, 1, 2))
-        m[:, diag, diag] += ra
+        # Q J_b as one (count d, d) product; a contiguous Q^T multiplies
+        # faster than the transposed view
+        m = (qm.reshape(-1, d) @ jb).reshape(qm.shape)
+        m = m @ np.ascontiguousarray(np.swapaxes(qm, 1, 2))
+        m += ja
         coeffs = _char_poly_batch(m)
         chunk_mean = coeffs.mean(axis=1)
         chunk_sq = np.square(coeffs - chunk_mean[:, None]).sum(axis=1)

@@ -9,8 +9,9 @@ so a_i is the i-th elementary symmetric function of the roots.  All
 transform identities downstream are stated in these a_i; ordinary
 ("plain") coefficients appear only at the I/O boundary.
 
-Exact rational arithmetic throughout; float roots live in matrix_oracle,
-the one module that works in floating point.
+Exact rational arithmetic throughout, and no root is ever computed: the
+integer Sturm chain here decides real-rootedness and gives matrix_oracle,
+the one module that works in floating point, its Jacobi matrices.
 """
 
 from __future__ import annotations
@@ -246,25 +247,36 @@ def _remainder(a, b):
     return a[lead:]
 
 
-def _sturm_counts(p: MonicPoly):
-    """(distinct real roots, distinct roots) of p from one Sturm chain.
-
-    The chain is p, p', then minus each remainder, all as primitive integer
-    polynomials: positive multiples of the Euclidean chain, so the signs
-    Sturm's theorem reads are unchanged.  Its last element is gcd(p, p');
-    dividing it out leaves a Sturm chain of the squarefree part, so
-    V(-oo) - V(+oo) counts the distinct real roots, and d - deg(gcd) the
-    distinct roots.
-    """
+def _primitive_form(p: MonicPoly) -> list:
+    """The plain coefficients of p as a primitive integer polynomial."""
     plain = p.plain_coefficients()
     den = lcm(*(c.denominator for c in plain))
-    f = _primitive([c.numerator * (den // c.denominator) for c in plain])
-    chain = [f, _primitive([c * (p.d - i) for i, c in enumerate(f[:-1])])]
+    return _primitive([c.numerator * (den // c.denominator) for c in plain])
+
+
+def _sturm_chain(f) -> list:
+    """The Sturm chain of a primitive integer polynomial f (descending).
+
+    f, f', then minus each remainder, all primitive: positive multiples of
+    the Euclidean chain, so the signs Sturm's theorem reads are unchanged.
+    The last element is gcd(f, f') up to a constant factor.
+    """
+    chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
     while True:
         r = _remainder(chain[-2], chain[-1])
         if not r:
-            break
+            return chain
         chain.append([-x for x in _primitive(r)])
+
+
+def _sturm_counts(p: MonicPoly):
+    """(distinct real roots, distinct roots) of p from one Sturm chain.
+
+    Dividing the chain's last element, gcd(p, p'), out of every element
+    leaves a Sturm chain of the squarefree part, so V(-oo) - V(+oo) counts
+    the distinct real roots, and d - deg(gcd) the distinct roots.
+    """
+    chain = _sturm_chain(_primitive_form(p))
     # sign at +oo is that of the leading coefficient; at -oo flip odd degrees
     plus = [q[0] > 0 for q in chain]
     minus = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]

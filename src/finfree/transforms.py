@@ -141,6 +141,14 @@ def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
     return moments(p, N)
 
 
+def _cumulants_from_moments(mv, d, n: int) -> tuple:
+    """kappa_1..kappa_n from m_1..m_n at degree (or parameter) d: the exp
+    step gives the coefficients a_i, the weighted log step the cumulants."""
+    dq = Fraction(d)
+    a = _alternate(_exp_series(mv, dq, n))
+    return _log_derivative([w * x for w, x in zip(_series_weights(dq, n), a)], dq, n)
+
+
 def cumulant_from_moments(m, d, n: int) -> Fraction:
     """Single kappa_n from the first n moments at degree (or parameter) d.
 
@@ -155,14 +163,14 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     dq = Fraction(d)
     if dq.denominator == 1 and dq < n:
         raise DomainError("integer d = %s below the order n = %d" % (d, n))
-    e = _alternate(_exp_series(mv, dq, n))
-    S = [w * x for w, x in zip(_series_weights(dq, n), e)]
-    return _log_derivative(S, dq, n)[-1]
+    return _cumulants_from_moments(mv, dq, n)[-1]
 
 
 def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     """All d cumulants from the first d moments."""
-    return cumulants_from_coefficients(coefficients_from_moments(m, d))
+    if len(m) < d:
+        raise DomainError("need %d moments, got %d" % (d, len(m)))
+    return CumulantVector(d, _cumulants_from_moments(m.entries, d, d))
 
 
 def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:

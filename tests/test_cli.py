@@ -162,6 +162,19 @@ def test_verify_mc(capsys):
     assert len(out["per_coefficient"]) == 3
 
 
+@pytest.mark.parametrize("q_roots", [[3] * 6, [0] * 6])
+def test_verify_mc_on_a_six_fold_root(capsys, q_roots):
+    # the Jacobi matrix of (x - 3)^6 is 3I, so every sample is exact; roots
+    # found in floating point would spread the six-fold root by about 1e-3
+    p = json.dumps(MonicPoly.from_roots([3] * 6).to_json())
+    q = json.dumps(MonicPoly.from_roots(q_roots).to_json())
+    code, out, _ = run(capsys, "verify-mc", p, q, "--samples", "100000")
+    assert code == 0 and out["all_pass"] is True
+    for row in out["per_coefficient"]:
+        exact = float(Fraction(row["exact"]))
+        assert abs(row["mean"] - exact) <= 1e-9 * max(1.0, abs(exact)), row
+
+
 def test_partitions_listing(capsys):
     code, out, _ = run(capsys, "partitions", "--n", "3")
     assert code == 0
@@ -219,6 +232,11 @@ def test_malformed_input_exits_3(tmp_path, capsys):
         ["partitions", "--n", "3", "--types", "--noncrossing"],
         ["family", "hermite", "--d", "3", "--lambda", "5"],
         ["family", "poisson", "--d", "4", "--lambda", "1", "--marcus"],
+        # a degree below 1, as coeffs refuses it
+        ["family", "hermite", "--d", "0"],
+        ["family", "hermite", "--d", "-1", "--marcus"],
+        ["family", "poisson", "--d", "0", "--lambda", "1"],
+        ["coeffs", '{"m":["1"],"d":0}'],
         # a field the record does not take, an empty item in a comma list
         ["coeffs", '{"d":2,"kappa":["0","1"],"varient":"rescaled"}'],
         ["cumulants", '{"degree":2,"a":["1","0","-1/2"],"roots":["5","7"]}'],
@@ -280,7 +298,7 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     assert code == 3 and out is None and err["error"]["type"] == "UsageError"
 
 
-# argv that each exact command accepts; only verify-mc takes --tol and --seed
+# argv that each exact command accepts; only verify-mc takes --seed
 EXACT_COMMANDS = {
     "convolve": [SEMICIRCLE2, SEMICIRCLE2],
     "power": ["--roots", "1,-1", "--t", "2"],
@@ -384,17 +402,16 @@ def test_degrees_must_be_integers(capsys):
     assert code == 0 and out["degree"] == 2
 
 
-def test_tolerance_must_be_finite_and_positive(tmp_path, capsys):
-    mc = ["verify-mc", SEMICIRCLE2, SEMICIRCLE2]
-    for tol in ("nan", "inf", "0", "-1"):
-        code, out, err = run(capsys, *mc, "--samples", "1000", "--tol", tol)
-        assert code == 3 and out is None and err["error"]["type"] == "InputFormatError", tol
-    # the tolerance is checked before the sample bound
-    code, _, err = run(capsys, *mc, "--samples", "2000000", "--tol", "nan")
+def test_no_command_takes_a_tolerance(tmp_path, capsys):
+    # verify-mc finds no roots, so it has no tolerance to set
+    mc = ["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "1000"]
+    for tol in ("1e-9", "nan"):
+        code, out, err = run(capsys, *mc, "--tol", tol)
+        assert code == 3 and out is None and set(err) == {"error"}, tol
+        assert err["error"]["type"] == "UsageError", tol
+    code, _, err = run(capsys, *mc, "--seed", "-1")
     assert code == 3 and err["error"]["type"] == "InputFormatError"
-    code, _, err = run(capsys, *mc, "--samples", "1000", "--seed", "-1")
-    assert code == 3 and err["error"]["type"] == "InputFormatError"
-    code, out, _ = run(capsys, *mc, "--samples", "1000", "--tol", "1e-6")
+    code, out, _ = run(capsys, *mc)
     assert code == 0 and out["all_pass"]
     # the exact commands take no tolerance and no config file
     code, _, err = run(capsys, "check-id", "--roots", "1,-1", "--tol", "nan")

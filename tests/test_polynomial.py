@@ -15,12 +15,7 @@ from finfree import (
     moments_from_coefficients,
     x_power,
 )
-from finfree.errors import (
-    InputFormatError,
-    NonMonicError,
-    RootConvergenceError,
-)
-from finfree.matrix_oracle import roots
+from finfree.errors import InputFormatError, NonMonicError
 
 
 def rand_roots(rng, d):
@@ -191,18 +186,3 @@ def test_real_rooted_random_from_roots():
         p = MonicPoly.from_roots(rand_roots(rng, d))
         assert is_real_rooted(p) == "yes"
 
-
-def test_roots_numeric():
-    got = roots(MonicPoly.from_roots([-1, 0, 2]))
-    assert [round(z.real, 9) for z in got] == [-1.0, 0.0, 2.0]
-    assert all(abs(z.imag) < 1e-9 for z in got)
-    got = roots(MonicPoly.from_plain_coefficients([1, 0, 1]))
-    assert got[0] == pytest.approx(-1j) and got[1] == pytest.approx(1j)
-
-
-def test_roots_tolerance_failure():
-    # an impossible tolerance must raise, with residuals attached
-    p = MonicPoly.from_roots([Fraction(1, 3), Fraction(10, 7), Fraction(-22, 9)])
-    with pytest.raises(RootConvergenceError) as info:
-        roots(p, tol=1e-18)
-    assert len(info.value.residuals) == 3

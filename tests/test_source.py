@@ -222,3 +222,16 @@ def test_every_json_reader_goes_through_read_record():
                 if "read_record" not in calls:
                     found.append("%s:%d" % (path.name, node.lineno))
     assert readers > 0 and found == []
+
+
+def test_every_error_class_is_raised():
+    # an error type nothing raises is dead public API; retire it with its cause
+    tree = ast.parse((SRC / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert defined and sorted(defined - raised) == []
