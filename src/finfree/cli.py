@@ -55,7 +55,10 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows in about 4 s, and
 # each step in n costs about 6 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
-# probe's denominator, and its grid has log2(tmax) + 5 points; converge at
+# probe's denominator, and its grid has log2(tmax) + 5 points; on random
+# rational roots threshold --tmax 4 takes about 1.2 s at d = 24 and 23 s at
+# d = 40, and --steps 200 takes 31 s at d = 20 and 93 s at d = 24 (--tmax
+# 4), nearly all of it in the Sturm chain of each probe; converge at
 # d = 10^12 takes milliseconds, while a 4000-digit d takes seconds;
 # verify-mc --samples 1000000 takes about 0.6 s at degree 2 and 10.5 s at
 # degree 12, the largest input it allows; cramer at d = 100 takes about 8 s
@@ -206,8 +209,6 @@ def _cmd_check_id(ns):
 
 
 def _cmd_threshold(ns):
-    if ns.steps < 0:
-        raise InputFormatError("--steps must be >= 0, got %d" % ns.steps)
     _check_bound(ns.steps, MAX_STEPS, "--steps", "the bound MAX_STEPS")
     p = _poly_from_args(ns)
     tmax = parse_rational(ns.tmax)

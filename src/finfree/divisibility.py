@@ -7,18 +7,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import factorial, floor, gcd, isqrt, prod
 
 from .convolution import boxplus
-from .errors import DomainError
+from .errors import DomainError, InputFormatError
 from .families import hermite_clt
-from .polynomial import MonicPoly, is_real_rooted
+from .polynomial import (MonicPoly, _primitive, _primitive_form, _sturm_counts,
+                         is_real_rooted)
 from .transforms import (
     CumulantVector,
     coefficients_from_cumulants,
     cumulants_from_coefficients,
     rescale_cumulants,
 )
+from .util import _is_int
 
 
 def _exact_psd(rows) -> bool:
@@ -119,6 +121,34 @@ def infinite_divisibility_report(p: MonicPoly) -> IDReport:
     return IDReport(q, cpd_std, cpd_res, higher_zero, verdict)
 
 
+def _power_family(p: MonicPoly):
+    """t -> p^{boxplus t} as a primitive integer polynomial, for rational t > 0.
+
+    S(s) = sum_i c_i s^i / (d)_i, c_i the plain coefficients, multiplies under
+    boxplus to order s^d (log S holds the cumulants), so S^t = sum_j binom(t, j)
+    (S - 1)^j.  With S - 1 = sigma / F over the integers, the rows [s^i] sigma^j
+    (d)_i (d!/j!) F^(d-j), times v^(d-j) u (u - v) ... (u - (j-1) v) and
+    summed over j, give a positive multiple of c_i(u/v).
+    """
+    d, f = p.d, _primitive_form(p)
+    F = factorial(d) * f[0]
+    sigma = [factorial(d - i) * c if i else 0 for i, c in enumerate(f)]
+    sj, cols = [1] + [0] * d, []  # sj = sigma^j, truncated past s^d
+    for j in range(d + 1):
+        wj = factorial(d) // factorial(j) * F ** (d - j)
+        cols.append([c * wj * factorial(d) // factorial(d - i) for i, c in enumerate(sj)])
+        sj = [sum(sj[k] * sigma[i - k] for k in range(j, i)) for i in range(d + 1)]
+    g = gcd(*(x for col in cols for x in col))
+    rows = [[x // g for x in row] for row in zip(*cols)]
+
+    def at(t) -> list:
+        u, v = Fraction(t).as_integer_ratio()
+        basis = [prod(u - k * v for k in range(j)) * v ** (d - j) for j in range(d + 1)]
+        return _primitive([sum(x * y for x, y in zip(row, basis)) for row in rows])
+
+    return at
+
+
 def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """Smallest t found such that p^{boxplus s} has d distinct real roots for
     every sampled s >= t; None if no such t <= t_max shows up.
@@ -126,25 +156,26 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     Grid: t = 1/16, 1/8, ..., doubling up to t_max, walked down from the top
     until the first failing point, then one bisection refinement (steps
     iterations) between that point and the grid point above it.  Each probe
-    scales kappa(p), computed once, as boxplus_power does.
+    is one _power_family evaluation and its integer Sturm chain.
     """
+    if not _is_int(steps) or steps < 0:
+        raise InputFormatError("steps must be an integer >= 0, got %.80r" % (steps,))
+    try:
+        t_max = Fraction(t_max)
+    except (ValueError, OverflowError) as exc:  # nan, inf
+        raise InputFormatError("t_max must be a finite rational: %s" % exc) from exc
     if all(v == 0 for v in p.a[1:]):
         raise DomainError("x^d is excluded: every convolution power is x^d")
-    t_max = Fraction(t_max)
     if t_max <= 0:
         raise DomainError("t_max must be positive")
-    kappa = cumulants_from_coefficients(p).kappa
+    grid = [Fraction(2**k, 16) for k in range(floor(16 * t_max).bit_length())]
+    if not grid:
+        return None
+    power = _power_family(p)
 
     def ok(t) -> bool:
-        scaled = CumulantVector(p.d, tuple(t * v for v in kappa))
-        power = coefficients_from_cumulants(scaled)
-        return is_real_rooted(power, require_distinct=True) == "yes"
+        return _sturm_counts(power(t))[0] == p.d
 
-    grid = []
-    t = Fraction(1, 16)
-    while t <= t_max:
-        grid.append(t)
-        t *= 2
     first = len(grid)  # grid[first:] all pass
     while first > 0 and ok(grid[first - 1]):
         first -= 1

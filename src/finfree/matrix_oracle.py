@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, InputFormatError
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
+from .util import _is_int
 
 _CHUNK = 4096
 _SYMMETRY_TOL = 1e-10
@@ -144,10 +145,6 @@ def _jacobi(p: MonicPoly) -> np.ndarray:
         f = chain[-1]
     off = [math.sqrt(b) for b in beta[:-1]]
     return np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEstimate:

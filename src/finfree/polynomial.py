@@ -269,26 +269,26 @@ def _sturm_chain(f) -> list:
         chain.append([-x for x in _primitive(r)])
 
 
-def _sturm_counts(p: MonicPoly):
-    """(distinct real roots, distinct roots) of p from one Sturm chain.
+def _sturm_counts(f):
+    """(distinct real roots, distinct roots) of primitive integer f, from one chain.
 
-    Dividing the chain's last element, gcd(p, p'), out of every element
+    Dividing the chain's last element, gcd(f, f'), out of every element
     leaves a Sturm chain of the squarefree part, so V(-oo) - V(+oo) counts
-    the distinct real roots, and d - deg(gcd) the distinct roots.
+    the distinct real roots, and deg f - deg(gcd) the distinct roots.
     """
-    chain = _sturm_chain(_primitive_form(p))
+    chain = _sturm_chain(f)
     # sign at +oo is that of the leading coefficient; at -oo flip odd degrees
     plus = [q[0] > 0 for q in chain]
     minus = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]
     real = sum(x != y for x, y in zip(minus, minus[1:])) - sum(
         x != y for x, y in zip(plus, plus[1:])
     )
-    return real, p.d - (len(chain[-1]) - 1)
+    return real, len(f) - len(chain[-1])
 
 
 def count_distinct_real_roots(p: MonicPoly) -> int:
     """Exact number of distinct real roots of p (Sturm's theorem)."""
-    return _sturm_counts(p)[0]
+    return _sturm_counts(_primitive_form(p))[0]
 
 
 def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
@@ -297,7 +297,7 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
     "yes" iff all d roots (with multiplicity) are real.  With
     require_distinct=True, repeated real roots answer "boundary" instead.
     """
-    real, distinct = _sturm_counts(p)
+    real, distinct = _sturm_counts(_primitive_form(p))
     if real != distinct:
         return "no"
     if require_distinct and distinct != p.d:

@@ -75,6 +75,10 @@ def read_record(obj, what: str, required, optional=()) -> tuple:
     return tuple(obj[k] for k in required) + tuple(obj.get(k) for k in optional)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_int(value, what: str = "value") -> int:
     """An exact integer from JSON or text: an int, or an integral float,
     Fraction or rational string.  Booleans and non-integral numbers are

@@ -1,6 +1,9 @@
 """Infinite divisibility, CPD tests, thresholds, the Cramer failure."""
 
 import random
+import sys
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,8 +25,9 @@ from finfree import (
     rescale_cumulants,
     x_power,
 )
-from finfree.divisibility import _exact_psd
-from finfree.errors import DomainError
+from finfree.divisibility import _exact_psd, _power_family
+from finfree.errors import DomainError, InputFormatError
+from finfree.polynomial import _exp_series, _log_derivative, _primitive_form
 from finfree.util import falling
 
 
@@ -186,24 +190,87 @@ def _threshold_by_full_grid(p, t_max, steps=16):
     return hi
 
 
+def _with_complex_pair(rng, d):
+    """(x^2 + c)(x - r_1)...(x - r_{d-2}) with c > 0: two non-real roots."""
+    plain = [Fraction(1), Fraction(0), Fraction(rng.randint(1, 9), 4)]
+    for _ in range(d - 2):
+        r = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+        plain = [x - r * y for x, y in zip(plain + [0], [0] + plain)]
+    return MonicPoly.from_plain_coefficients(plain)
+
+
+def _threshold_inputs(rng, d):
+    """Distinct, repeated and complex roots, and random coefficients."""
+    grid = [Fraction(i, 2) for i in range(-10, 11)]
+    inputs = [
+        MonicPoly.from_roots(rng.sample(grid, d)),
+        rand_real_rooted(rng, d),
+        MonicPoly.from_roots([r for r in rng.sample(grid, d) for _ in (0, 1)][:d]),
+        MonicPoly.from_signed(
+            [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
+        ),
+    ]
+    if d >= 2:
+        inputs.append(_with_complex_pair(rng, d))
+    return [p for p in inputs if any(v != 0 for v in p.a[1:])]
+
+
 def test_threshold_matches_full_grid_search():
     rng = random.Random(139)
-    grid = [Fraction(i, 2) for i in range(-10, 11)]
-    for d in range(2, 11):
-        inputs = [
-            MonicPoly.from_roots(rng.sample(grid, d)),
-            rand_real_rooted(rng, d),
-            MonicPoly.from_signed(
-                [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]
-            ),
-        ]
-        for p in inputs:
-            if all(v == 0 for v in p.a[1:]):
-                continue
-            for t_max, steps in ((2**20, 16), (Fraction(3, 4), 5)):
-                assert real_rooted_threshold(p, t_max, steps) == _threshold_by_full_grid(
-                    p, t_max, steps
-                ), (p, t_max)
+    for d in range(1, 13):
+        for p in _threshold_inputs(rng, d):
+            for t_max in (2**20, Fraction(3, 4), 5, Fraction(1, 32)):
+                for steps in (0, 1, 16, 30):
+                    assert real_rooted_threshold(p, t_max, steps) == _threshold_by_full_grid(
+                        p, t_max, steps
+                    ), (p, t_max, steps)
+
+
+def test_power_family_is_the_primitive_form_of_the_power():
+    rng = random.Random(141)
+    for d in range(1, 13):
+        for p in _threshold_inputs(rng, d):
+            power = _power_family(p)
+            assert power(1) == _primitive_form(p)
+            for t in (Fraction(1, 16), 1, 2, 3, Fraction(7, 3), 2**20, Fraction(12345, 2**17)):
+                assert power(t) == _primitive_form(boxplus_power(p, t)), (p, t)
+
+
+def test_threshold_runs_no_fraction_series():
+    # the family is built once per call from the integer coefficients; no
+    # probe goes through kappa or the exp series
+    watched = {f.__code__: f.__name__ for f in (
+        cumulants_from_coefficients, coefficients_from_cumulants, boxplus_power,
+        _exp_series, _log_derivative, _power_family)}
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            calls[watched[frame.f_code]] += 1
+
+    rng = random.Random(143)
+    for d in (2, 5, 9):
+        for p in _threshold_inputs(rng, d):
+            calls.clear()
+            sys.setprofile(count)
+            try:
+                real_rooted_threshold(p, 2**20, 30)
+            finally:
+                sys.setprofile(None)
+            assert calls == Counter({"_power_family": 1}), (p, calls)
+
+
+def test_threshold_refuses_bad_arguments():
+    p = finite_poisson(Fraction(1, 4), 4)
+    for steps in (-3, -1, True, False, 2.5, 16.0, "16", None):
+        with pytest.raises(InputFormatError):
+            real_rooted_threshold(p, 2**20, steps)
+    for t_max in (float("nan"), float("inf"), float("-inf"), Decimal("nan"), Decimal("inf")):
+        with pytest.raises(InputFormatError):
+            real_rooted_threshold(p, t_max)
+    # argument errors come before the domain checks on the polynomial
+    with pytest.raises(InputFormatError):
+        real_rooted_threshold(x_power(4), 100, -1)
 
 
 def test_threshold_none_when_tmax_too_small():

@@ -235,3 +235,24 @@ def test_every_error_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", None))
     assert defined and sorted(defined - raised) == []
+
+
+def _reads(node, func=None):
+    """(name read, name of the function holding the read or None)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id, func
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, func
+        is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _reads(child, child.name if is_func else func)
+
+
+def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
+    # one sign-counting path: real-rootedness and the threshold probes count
+    # roots through polynomial._sturm_counts, and the oracle reads its Jacobi
+    # matrices off the chain in matrix_oracle._jacobi
+    found = sorted({(path.name, func) for path in sorted(SRC.rglob("*.py"))
+                    for name, func in _reads(ast.parse(path.read_text()))
+                    if name == "_sturm_chain"})
+    assert found == [("matrix_oracle.py", "_jacobi"), ("polynomial.py", "_sturm_counts")]
