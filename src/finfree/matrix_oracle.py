@@ -14,8 +14,8 @@ of a Gaussian stack gives the Haar matrices (_haar_batch), and power-sum
 traces with Newton's identities give the characteristic polynomials
 (_char_poly_batch).  The chunks' means and spreads are merged in order.
 
-This is the one module that works in floating point: the sampling lives
-here; everything else in the package is exact.
+This is the one module that works in floating point: the sampling and its
+pass rule (MCEstimate.passes) live here; everything else is exact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
 from .util import _is_int
 
 _CHUNK = 4096
-_SYMMETRY_TOL = 1e-10
+# c * eps in the pass rule, eps = 2^-52; c = 32 is 4.5 times a seeded sweep's worst
+_ROUNDING = Fraction(32, 2**52)
 
 
 @dataclass(frozen=True)
@@ -41,15 +42,22 @@ class MCEstimate:
     coeff_mean: tuple
     coeff_stderr: tuple
     seed: int
+    radius: Fraction  # R, an exact bound on the spectral radius of every sample
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "samples": self.samples,
-            "coeff_mean": list(self.coeff_mean),
-            "coeff_stderr": list(self.coeff_stderr),
-            "seed": self.seed,
-        }
+        return {"d": self.d, "samples": self.samples, "coeff_mean": list(self.coeff_mean),
+                "coeff_stderr": list(self.coeff_stderr), "seed": self.seed}
+
+    def passes(self, exact: MonicPoly) -> tuple:
+        """Per coefficient a_k, whether the exact value is within 5 standard
+        errors of the mean plus c * eps * binom(d, k) * R^k, the rounding of
+        a sum of binom(d, k) products of k eigenvalues at most R: compared
+        exactly, and scale-free, with no absolute floor."""
+        return tuple(
+            abs(a - Fraction(mean))
+            <= 5 * Fraction(se) + _ROUNDING * math.comb(self.d, k) * self.radius**k
+            for k, (a, mean, se) in enumerate(zip(exact.a, self.coeff_mean, self.coeff_stderr))
+        )
 
 
 def _haar_batch(rng, count: int, d: int) -> np.ndarray:
@@ -73,22 +81,17 @@ def _haar_batch(rng, count: int, d: int) -> np.ndarray:
     return np.ascontiguousarray(w.reshape(d * d, count).T).reshape(count, d, d)
 
 
-def sample_haar_orthogonal(d: int, rng_state) -> np.ndarray:
-    """One d x d Haar orthogonal matrix from a numpy Generator."""
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
-    return _haar_batch(rng_state, 1, d)[0]
+def _char_poly_batch(ms: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """Signed coefficients a_0..a_d of det(xI - M - shift I) for a (N, d, d)
+    stack of symmetric matrices M, shape (d+1, N), a_0 exactly 1.
 
-
-def _char_poly_batch(ms: np.ndarray) -> np.ndarray:
-    """Signed coefficients a_0..a_d of det(xI - M) for a (N, d, d) stack of
-    symmetric matrices, shape (d+1, N), a_0 exactly 1.
-
-    Power sums p_k = tr(M^k), then Newton's identities
-    k a_k = sum_{i=1..k} (-1)^(i-1) a_{k-i} p_i.  As M is symmetric,
-    tr(M^(i+j)) is the sum of the entries of M^i * M^j taken elementwise,
-    so p_{2k-1} and p_{2k} come from M^(k-1) and M^k: p_1..p_d take
-    ceil(d/2) - 1 products, with two powers held at a time.
+    Power sums p_k = tr(M^k), Newton's identities k c_k = sum_{i=1..k}
+    (-1)^(i-1) c_{k-i} p_i for det(xI - M), then the Taylor shift
+    a_k = sum_{j<=k} binom(d-j, k-j) shift^(k-j) c_j.  For M centred
+    (trace 0), no shared offset of the eigenvalues cancels in the power sums.
+    As M is symmetric, tr(M^(i+j)) is the sum of the entries of M^i * M^j
+    taken elementwise, so p_{2k-1} and p_{2k} come from M^(k-1) and M^k:
+    p_1..p_d take ceil(d/2) - 1 products, with two powers held at a time.
     """
     n, d, _ = ms.shape
     half = (d + 1) // 2
@@ -100,29 +103,19 @@ def _char_poly_batch(ms: np.ndarray) -> np.ndarray:
         if k < half:
             prev, power = power, power @ ms
     sign = (-1.0) ** np.arange(d)
-    a = np.empty((d + 1, n))
-    a[0] = 1.0
+    c = np.empty((d + 1, n))
+    c[0] = 1.0
     for k in range(1, d + 1):
-        a[k] = np.einsum("i,in,in->n", sign[:k], p[1:k + 1], a[k - 1::-1]) / k
-    return a
+        c[k] = np.einsum("i,in,in->n", sign[:k], p[1:k + 1], c[k - 1::-1]) / k
+    taylor = [[math.comb(d - j, k - j) * shift ** (k - j) if j <= k else 0.0
+               for j in range(d + 1)] for k in range(d + 1)]
+    return np.array(taylor) @ c
 
 
-def char_poly(M) -> tuple:
-    """Coefficients a_0..a_d of det(xI - M) in the signed convention, for a
-    symmetric floating matrix; deterministic (no eigensolver)."""
-    m = np.asarray(M, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("need a square matrix")
-    if m.shape[0] >= 1 and np.max(np.abs(m - m.T)) > _SYMMETRY_TOL:
-        raise DomainError(
-            "matrix is not symmetric within %g" % _SYMMETRY_TOL
-        )
-    return tuple(float(c) for c in _char_poly_batch(m[None, :, :])[:, 0])
-
-
-def _jacobi(p: MonicPoly) -> np.ndarray:
+def _jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
     """A symmetric tridiagonal matrix whose characteristic polynomial is
-    exactly the real-rooted p (Golub and Welsch's Jacobi matrix).
+    exactly the real-rooted p (Golub and Welsch's Jacobi matrix), less
+    shift times I and divided by scale, both exact.
 
     Monic consecutive elements s, t of the Sturm chain of p satisfy
     s = (x - alpha) t - beta u with u the next one, so alpha and beta come
@@ -143,8 +136,20 @@ def _jacobi(p: MonicPoly) -> np.ndarray:
             alpha.append(t1 - s1)
             beta.append(t2 - alpha[-1] * t1 - s2)
         f = chain[-1]
-    off = [math.sqrt(b) for b in beta[:-1]]
-    return np.diag([float(a) for a in alpha]) + np.diag(off, 1) + np.diag(off, -1)
+    off = [math.sqrt(b / scale**2) for b in beta[:-1]]
+    diag = [float((a - shift) / scale) for a in alpha]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _spread(p: MonicPoly) -> Fraction:
+    """An exact bound, within a factor 1 + 2^-30, on the distance of the
+    roots of p from their mean: sqrt((d-1)/d S), S the sum of the squared
+    distances (Laguerre and Samuelson); S < 0 only for non-real roots."""
+    a1, a2 = p.a[1], (p.a + (0,))[2]
+    squares = max(0, (p.d - 1) * ((p.d - 1) * a1 * a1 / p.d - 2 * a2) / p.d)
+    v = squares.numerator * squares.denominator << 60
+    r = math.isqrt(v)
+    return Fraction(r + (r * r < v), squares.denominator << 30)
 
 
 def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEstimate:
@@ -156,6 +161,13 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     the running ones in chunk order (Chan, Golub and LeVeque's pairwise
     update), so identical samples give a spread of zero, not the rounding
     left over by subtracting two large sums.
+
+    A and B are centred, so that A + Q B Q^T has trace 0 and the mean root
+    comes back by a Taylor shift, and divided by 2^e >= R, the bound on its
+    spectral radius that scales the pass rule.  Each a_k is then at most
+    binom(d, k) in size until the mean and standard error are scaled back,
+    exactly, by 2^(ek); DomainError refuses an R that would put a_k, at
+    most binom(d, k) R^k < 2^d max(1, R^d), outside the normal floats.
     """
     if not _is_int(seed) or seed < 0:
         raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
@@ -166,9 +178,14 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % samples)
     d = p.d
-    ja, jb = _jacobi(p), _jacobi(q)
-    n_chunks = (samples + _CHUNK - 1) // _CHUNK
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
+    mean_root = (p.a[1] + q.a[1]) / d
+    radius = abs(mean_root) + _spread(p) + _spread(q)
+    e = radius.numerator.bit_length() - radius.denominator.bit_length() + 1
+    ja, jb = (_jacobi(r, r.a[1] / d, Fraction(2) ** e) for r in (p, q))
+    if radius and not 2**-1022 <= radius**d <= 2 ** (1024 - d):
+        raise DomainError("the Monte-Carlo estimate would leave the float range")
+    shift = float(mean_root / Fraction(2) ** e)
+    streams = np.random.SeedSequence(seed).spawn((samples + _CHUNK - 1) // _CHUNK)
     mean = np.zeros(d + 1)
     sq = np.zeros(d + 1)  # sum of squared deviations from mean
     done = 0
@@ -181,7 +198,7 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
         m = (qm.reshape(-1, d) @ jb).reshape(qm.shape)
         m = m @ np.ascontiguousarray(np.swapaxes(qm, 1, 2))
         m += ja
-        coeffs = _char_poly_batch(m)
+        coeffs = _char_poly_batch(m, shift)
         chunk_mean = coeffs.mean(axis=1)
         chunk_sq = np.square(coeffs - chunk_mean[:, None]).sum(axis=1)
         delta = chunk_mean - mean
@@ -189,10 +206,6 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
         sq += chunk_sq + delta * delta * (done * count / (done + count))
         done += count
     stderr = np.sqrt(sq / (samples - 1) / samples)
-    return MCEstimate(
-        d,
-        samples,
-        tuple(float(x) for x in mean),
-        tuple(float(s) for s in stderr),
-        seed,
-    )
+    mean, stderr = (tuple(math.ldexp(x, e * k) for k, x in enumerate(v))
+                    for v in (mean, stderr))
+    return MCEstimate(d, samples, mean, stderr, seed, radius)

@@ -74,11 +74,10 @@ class MonicPoly:
         return [(-1) ** i * ai for i, ai in enumerate(self.a)]
 
     def evaluate(self, x):
-        """Horner evaluation; exact on Fraction/int, floating on float/complex."""
-        lift = float if isinstance(x, (float, complex)) else Fraction
-        acc = lift(0)
+        """Exact Horner evaluation at a rational x."""
+        acc = Fraction(0)
         for c in self.plain_coefficients():
-            acc = acc * x + lift(c)
+            acc = acc * x + c
         return acc
 
     def dilate(self, lam) -> "MonicPoly":

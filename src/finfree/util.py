@@ -34,12 +34,12 @@ def parse_rational(text) -> Fraction:
         )
     literal = str(text).strip()
     # the interpreter's int/str digit limit (CPython >= 3.10.7), 0 when off
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or float("inf")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     exp = _EXPONENT.search(literal)
     try:
         # "M.Fe<x>" is int(MF) * 10**(x - len(F)): its numerator and
         # denominator have fewer than len(literal) + |x| digits
-        too_long = exp is not None and len(literal) + abs(int(exp.group(1))) > limit
+        too_long = exp is not None and 0 < limit < len(literal) + abs(int(exp.group(1)))
         value = None if too_long else Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputFormatError("not a rational: %.80r" % (literal,)) from exc

@@ -175,6 +175,38 @@ def test_verify_mc_on_a_six_fold_root(capsys, q_roots):
         assert abs(row["mean"] - exact) <= 1e-9 * max(1.0, abs(exact)), row
 
 
+def _no_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+def test_verify_mc_stays_in_the_float_range():
+    # each input ends in exit 5 with one JSON error, or exit 0 with finite,
+    # standard JSON; never a traceback, NaN, Infinity or a numpy warning
+    def poly(roots):
+        return json.dumps(MonicPoly.from_roots(roots).to_json())
+
+    big = '{"degree": 2, "a": ["1", "0", "-1e400"]}'
+    tiny = '{"degree": 2, "a": ["1", "0", "-1e-400"]}'
+    wide = poly([s * k * 10**22 for k in range(1, 7) for s in (1, -1)])
+    cases = (
+        (["verify-mc", big, big, "--samples", "1000"], 5),
+        (["verify-mc", tiny, tiny, "--samples", "1000"], 5),
+        (["verify-mc", poly([k * 10**30 for k in range(12)]), POLY12, "--samples", "1000"], None),
+        (["verify-mc", wide, wide, "--samples", "1000"], None),
+    )
+    for argv, want in cases:
+        proc = subprocess.run([sys.executable, "-m", "finfree.cli"] + argv,
+                              capture_output=True, text=True)
+        assert proc.returncode in ((want,) if want else (0, 5)), argv
+        if proc.returncode == 5:
+            assert proc.stdout == ""
+            assert set(json.loads(proc.stderr)) == {"error"}
+            assert proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == ""
+            json.loads(proc.stdout, parse_constant=_no_constant)
+
+
 def test_partitions_listing(capsys):
     code, out, _ = run(capsys, "partitions", "--n", "3")
     assert code == 0

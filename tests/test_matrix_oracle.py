@@ -1,5 +1,6 @@
 """Monte Carlo cross-check machinery: Jacobi matrices, Haar sampling,
-characteristic polynomials, and the randomized convolution estimator."""
+characteristic polynomials, the randomized convolution estimator and its
+pass rule."""
 
 import math
 from fractions import Fraction
@@ -17,26 +18,20 @@ from finfree.matrix_oracle import (
     _char_poly_batch,
     _haar_batch,
     _jacobi,
-    char_poly,
     mc_boxplus,
-    sample_haar_orthogonal,
 )
 from test_properties import _charpoly
 
 
 def test_char_poly_examples():
-    assert char_poly(np.diag([1.0, -1.0])) == (1.0, 0.0, -1.0)
-    assert char_poly(np.zeros((3, 3))) == (1.0, 0.0, 0.0, 0.0)
+    def char_poly(m):
+        return _char_poly_batch(np.asarray(m, dtype=float)[None])[:, 0].tolist()
+
+    assert char_poly(np.diag([1.0, -1.0])) == [1.0, 0.0, -1.0]
+    assert char_poly(np.zeros((3, 3))) == [1.0, 0.0, 0.0, 0.0]
     got = char_poly(np.diag([1.0, 2.0, 3.0]))
     for g, want in zip(got, (1, 6, 11, 6)):
         assert abs(g - want) < 1e-12
-
-
-def test_char_poly_rejects_bad_input():
-    with pytest.raises(DomainError):
-        char_poly(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        char_poly(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -62,20 +57,17 @@ def test_jacobi_refuses_non_real_roots():
 
 
 def test_haar_samples_are_orthogonal():
-    rng = np.random.default_rng(5)
-    cols = np.zeros(4)
-    for _ in range(200):
-        q = sample_haar_orthogonal(4, rng)
-        assert np.max(np.abs(q @ q.T - np.eye(4))) < 1e-12
-        cols += q[:, 0] ** 2
+    qs = _haar_batch(np.random.default_rng(5), 200, 4)
+    assert np.max(np.abs(qs @ np.swapaxes(qs, 1, 2) - np.eye(4))) < 1e-12
     # first column is uniform on the sphere: coordinates share the mass
+    cols = np.sum(qs[:, :, 0] ** 2, axis=0)
     assert np.max(np.abs(cols / 200 - 0.25)) < 0.1
 
 
 def test_haar_d1():
-    rng = np.random.default_rng(11)
-    vals = {float(sample_haar_orthogonal(1, rng)[0, 0]) for _ in range(64)}
-    assert vals <= {1.0, -1.0} and len(vals) == 2
+    # the 1 x 1 orthogonal matrices are +1 and -1, both drawn
+    vals = set(_haar_batch(np.random.default_rng(11), 64, 1).ravel().tolist())
+    assert vals == {1.0, -1.0}
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -91,18 +83,21 @@ def test_haar_batch_is_the_sign_fixed_lapack_qr_factor(d):
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_batched_char_poly_matches_exact_faddeev_leverrier(d):
-    # the exact recurrence runs on the very float entries, as Fractions
+    # the exact recurrence runs on the very float entries, as Fractions;
+    # beside three random matrices, 0, diag(1..d) and diag(1, -1, 1, ...)
     rng = np.random.default_rng(50 + d)
     q = _haar_batch(rng, 3, d)
     ra = rng.integers(-4, 5, d).astype(float)
     rb = rng.integers(-4, 5, d).astype(float)
-    m = (q * rb) @ np.swapaxes(q, 1, 2) + np.diag(ra)
-    got = _char_poly_batch(m)
-    for k in range(3):
-        plain = _charpoly([[Fraction(x) for x in row] for row in m[k].tolist()])
-        want = [float((-1) ** i * c) for i, c in enumerate(plain)]
-        bound = 1e-9 * max(1.0, max(map(abs, want)))
-        assert max(abs(g - w) for g, w in zip(got[:, k], want)) <= bound
+    m = np.concatenate([(q * rb) @ np.swapaxes(q, 1, 2) + np.diag(ra), np.zeros((1, d, d)),
+                        np.diag(np.arange(1.0, d + 1))[None], np.diag((-1.0) ** np.arange(d))[None]])
+    # a shift of the argument moves every root: det(xI - (M - I) - I)
+    for got in (_char_poly_batch(m), _char_poly_batch(m - np.eye(d), 1.0)):
+        for k in range(len(m)):
+            plain = _charpoly([[Fraction(x) for x in row] for row in m[k].tolist()])
+            want = [float((-1) ** i * c) for i, c in enumerate(plain)]
+            bound = 1e-9 * max(1.0, max(map(abs, want)))
+            assert max(abs(g - w) for g, w in zip(got[:, k], want)) <= bound
 
 
 def test_mc_deterministic_given_seed():
@@ -183,6 +178,7 @@ def test_mc_agrees_with_boxplus_at_larger_degrees(d):
     est = mc_boxplus(p, q, 20000, seed=d)
     for mean, se, want in zip(est.coeff_mean, est.coeff_stderr, boxplus(p, q).a):
         assert abs(mean - float(want)) <= 5 * se + 0.02
+    assert all(est.passes(boxplus(p, q)))
 
 
 def test_mc_refuses_malformed_arguments():
@@ -203,3 +199,56 @@ def test_mc_estimate_json():
     assert len(blob["coeff_mean"]) == 3
     assert all(isinstance(v, float) for v in blob["coeff_mean"])
     assert not math.isnan(blob["coeff_stderr"][0])
+
+
+def test_mc_centring_keeps_the_small_coefficients():
+    # a_12 = -8.23 beside a_4 = 1669: power sums of the uncentred matrix
+    # lose 2e-8 of a_12 to cancellation
+    p = MonicPoly.from_roots([Fraction(-1, 3)] * 5 + [2] * 4 + [5] * 3)
+    est = mc_boxplus(p, x_power(12), 1000)
+    for mean, want in zip(est.coeff_mean, p.a):
+        assert abs(mean - float(want)) <= 1e-10 * abs(float(want))
+
+
+def test_pass_rule_has_no_absolute_floor():
+    # every coefficient of p boxplus p past a_0 is at most 0.012, so an
+    # absolute floor such as 0.02 would let the wrong answer x^3 through
+    p = MonicPoly.from_roots([Fraction(k, 1000) for k in (1, 2, 3)])
+    est = mc_boxplus(p, p, 100000, seed=0)
+    assert all(est.passes(boxplus(p, p)))
+    assert not any(est.passes(x_power(3))[1:])
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**6), 1, 10**6], ids=["1e-6", "1", "1e6"])
+@pytest.mark.parametrize("d", [1, 6, 12])
+def test_pass_rule_on_zero_spread_pairs(scale, d):
+    # (x - c)^d gives cI and x^d the zero matrix, so in each pair every
+    # sample has the same characteristic polynomial up to rounding: the
+    # rounding term alone must pass the exact answer and catch a relative
+    # error of 1e-9 in a_d, at every scale
+    c = MonicPoly.from_roots([3 * scale] * d)
+    r = MonicPoly.from_roots([k * scale for k in range(d)])
+    for p, q in ((c, x_power(d)), (x_power(d), c), (r, x_power(d)), (c, r)):
+        est = mc_boxplus(p, q, 1000, seed=d)
+        exact = boxplus(p, q)
+        assert all(est.passes(exact)), (p, q)
+        if exact.a[-1] != 0:
+            off = MonicPoly(d, exact.a[:-1] + (exact.a[-1] * (1 + Fraction(1, 10**9)),))
+            assert not est.passes(off)[-1], (p, q)
+
+
+def test_mc_refuses_what_leaves_the_float_range():
+    for c in ("-1e400", "-1e-400"):  # a_2 past the largest or below the least float
+        big = MonicPoly.from_json({"degree": 2, "a": ["1", "0", c]})
+        with pytest.raises(DomainError):
+            mc_boxplus(big, big, 1000)
+    with pytest.raises(DomainError):
+        mc_boxplus(MonicPoly.from_roots([k * 10**30 for k in range(12)]),
+                   MonicPoly.from_roots(range(12)), 1000)
+    # a_12 is near 1e282 and its square past the float range; sampled
+    # divided by R, nothing overflows
+    wide = MonicPoly.from_roots([s * k * 10**22 for k in range(1, 7) for s in (1, -1)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        est = mc_boxplus(wide, wide, 1000)
+    assert all(math.isfinite(v) for v in est.coeff_mean + est.coeff_stderr)
+    assert all(est.passes(boxplus(wide, wide)))

@@ -329,8 +329,8 @@ SLOTS = {
     "poly_in": st.one_of(_poly, _flag("--roots"), _flag("--plain")),
     "which": st.sampled_from(["hermite", "poisson"]).map(lambda a: [a]),
 }
-# a third of the extras are the setting flags: only verify-mc takes --tol and
-# --seed, and no command takes --nmax or --config
+# a third of the extras are the setting flags: only verify-mc takes --seed,
+# and no command takes --tol, --nmax or --config
 extras = st.one_of(
     st.sampled_from(["--nmax", "--tol", "--seed", "--config"]).flatmap(_flag),
     st.sampled_from(SWITCHES).map(lambda a: [a]),

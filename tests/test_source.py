@@ -63,6 +63,30 @@ def test_only_the_monte_carlo_oracle_imports_numpy():
     assert sorted(set(found)) == ["matrix_oracle.py"]
 
 
+def test_only_the_monte_carlo_oracle_uses_float_or_complex():
+    # the exact core never converts to floating point, not even for a
+    # sentinel such as float("inf"); the names may only appear as the types
+    # of an isinstance check, which refuses a float input
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "matrix_oracle.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        checked = {
+            id(node)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+            for node in ast.walk(call.args[1])
+        }
+        found += [
+            "%s:%d" % (path.relative_to(SRC), node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in ("float", "complex")
+            and id(node) not in checked
+        ]
+    assert found == []
+
+
 def test_the_monte_carlo_oracle_references_no_np_linalg():
     # the oracle works on whole chunks with array operations; np.linalg would
     # bring back one LAPACK call per sampled matrix
