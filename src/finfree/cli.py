@@ -3,9 +3,8 @@
 Every subcommand reads exact JSON (inline or from a file), writes JSON to
 stdout, and reports failures as structured JSON on stderr.  Exit codes:
 0 success, 2 unknown subcommand, 3 malformed input, 4 a fixed size bound
-exceeded (the bounds below; converge --n at the partition cap), 5 domain
-errors.  No command has a tolerance to set; only verify-mc, the Monte-Carlo
-check, takes --samples and --seed.
+exceeded (the bounds below), 5 domain errors.  No command has a tolerance
+to set; only verify-mc, the Monte-Carlo check, takes --samples and --seed.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import FinFreeError, InputFormatError, SizeCapError
 from .families import finite_poisson, hermite_clt
 from .freeprob import FreeCumulantVector, convergence_report
 from .partitions import (
-    DEFAULT_N_MAX,
     count_by_type,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -58,8 +56,13 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # probe's denominator, and its grid has log2(tmax) + 5 points; on random
 # rational roots threshold --tmax 4 takes about 1.2 s at d = 24 and 23 s at
 # d = 40, and --steps 200 takes 31 s at d = 20 and 93 s at d = 24 (--tmax
-# 4), nearly all of it in the Sturm chain of each probe; converge at
-# d = 10^12 takes milliseconds, while a 4000-digit d takes seconds;
+# 4), nearly all of it in the Sturm chain of each probe; converge sums one
+# free-moment series and one row per --d value, each costing more than n^3,
+# so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
+# the worst case is one row: with d near 10^12 and --r of distinct rationals
+# with three-digit parts, --n 112 takes 10 to 12 s (7.5 s of it the free
+# moments) before its result is too long to print, --n 56 with 4 values
+# 1.2 s and --n 14 with 64 values 0.2 s, while a 4000-digit d takes seconds;
 # verify-mc --samples 1000000 takes about 0.6 s at degree 2 and 10.5 s at
 # degree 12, the largest input it allows; cramer at d = 100 takes about 8 s
 # with eps = 1/32 and 13 s with 1/255, almost all of it in Sturm tests,
@@ -76,6 +79,7 @@ MAX_MOMENTS = 1000
 MAX_STEPS = 200
 MAX_TMAX = 2**64
 MAX_CONVERGE_D = 10**12
+MAX_CONVERGE_N = 112
 MAX_SAMPLES = 10**6
 MAX_MC_DEGREE = 12
 MAX_EPS_PART = 256
@@ -197,10 +201,12 @@ def _cmd_family(ns):
 
 def _cmd_converge(ns):
     r = FreeCumulantVector.make(_rational_list(ns.r))
-    d_values = [parse_int(x, "--d") for x in _rational_list(ns.d)]
+    d_values = [parse_int(x, "--d") for x in ns.d.split(",")]
     for d in d_values:
         _check_bound(d, MAX_CONVERGE_D, "--d", "the bound MAX_CONVERGE_D")
-    _check_bound(ns.n, DEFAULT_N_MAX, "--n", "the bound DEFAULT_N_MAX")
+    # n^2 times the number of --d values at most MAX_CONVERGE_N^2
+    _check_bound(ns.n, math.isqrt(MAX_CONVERGE_N**2 // len(d_values)), "--n",
+                 "the bound MAX_CONVERGE_N/sqrt(number of --d values)")
     return convergence_report(r, ns.n, d_values).to_json()
 
 
@@ -336,7 +342,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("rtransform", parents=[poly_in],
                    help="truncated R-transform coefficients")
 
-    sp = sub.add_parser("family", help="closed-form families")
+    sp = sub.add_parser("family", help="Hermite and Poisson families")
     sp.add_argument("which", choices=["hermite", "poisson"])
     sp.add_argument("--d", type=int, required=True,
                     help="degree, at most %d" % MAX_DEGREE)
@@ -348,7 +354,8 @@ def _build_parser() -> _Parser:
                         help="finite-to-free cumulant convergence report")
     sp.add_argument("--r", required=True, help="comma list of free cumulants")
     sp.add_argument("--n", type=int, required=True,
-                    help="cumulant order, at most %d" % DEFAULT_N_MAX)
+                    help="cumulant order, at most %d divided by the square "
+                         "root of the number of --d values" % MAX_CONVERGE_N)
     sp.add_argument("--d", required=True,
                     help="comma list of degrees, each at most %d" % MAX_CONVERGE_D)
 

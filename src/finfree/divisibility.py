@@ -1,6 +1,9 @@
 """Infinite divisibility: conditional positive definiteness of cumulant
 sequences, the Hermite-uniqueness classification, real-rootedness thresholds
 for fractional convolution powers, and the Cramer-failure construction.
+Like the families in families.py, the Cramer pair is defined by its finite
+free cumulants, (0, 1, +-eps, 0, ..., 0), and built from them by
+transforms.coefficients_from_cumulants.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from math import factorial, floor, gcd, isqrt, prod
 
 from .convolution import boxplus
 from .errors import DomainError, InputFormatError
-from .families import hermite_clt
 from .polynomial import (MonicPoly, _primitive, _primitive_form, _sturm_counts,
                          is_real_rooted)
 from .transforms import (
@@ -217,15 +219,13 @@ def cramer_counterexample(d: int, eps) -> CramerPair:
     The convolution has cumulants (0, 2, 0, ..., 0), a sqrt(2)-dilate of the
     Hermite polynomial, hence real-rooted; for suitable eps > 0 the factors
     p± themselves are not, which is the failure of Cramer's theorem here.
+    At eps = 0 both factors are the Hermite polynomial hermite_clt(d).
     """
     if d < 3:
         raise DomainError("need d >= 3 to place a third cumulant")
     eps = Fraction(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    if eps == 0:
-        h = hermite_clt(d)
-        return CramerPair(h, h, boxplus(h, h), True, True)
     kap = [Fraction(0)] * d
     kap[1] = Fraction(1)
     kap[2] = eps

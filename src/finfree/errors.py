@@ -30,11 +30,10 @@ def _digits(v: int) -> str:
 
 
 class SizeCapError(FinFreeError):
-    """A request would exceed a fixed size bound: the partition cap
-    DEFAULT_N_MAX of an enumeration of P(n), or a bound of the command line."""
+    """A request would exceed a fixed size bound: what is refused, its value
+    n, and the name cap of the bound it exceeds."""
 
-    def __init__(self, n, bound, what="ground-set size",
-                 cap="the partition cap DEFAULT_N_MAX"):
+    def __init__(self, n, bound, what, cap):
         self.n = n
         self.bound = bound
         super().__init__("%s %s exceeds %s = %d" % (what, _digits(n), cap, bound))

@@ -1,47 +1,39 @@
-"""Closed-form families: the Hermite CLT fixed point, finite free Poisson,
-and the rescaled-sum demonstrator behind the central limit theorem."""
+"""The named families, each defined by its finite free cumulants: the Hermite
+CLT fixed point kappa = (0, 1, 0, ..., 0), the finite free Poisson with every
+kappa_n = lambda, and the rescaled n-fold sum behind the central limit
+theorem, kappa_r -> kappa_r n^{1 - r/2}.  Each builds its cumulant vector
+and passes it once to transforms.coefficients_from_cumulants."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 
-from .convolution import boxplus_power
 from .errors import DomainError, InputFormatError
 from .polynomial import MonicPoly
-from .transforms import cumulants_from_coefficients
-from .util import falling
+from .transforms import (CumulantVector, coefficients_from_cumulants,
+                         cumulants_from_coefficients)
 
 
 def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     """The CLT fixed point: kappa = (0, 1, 0, ..., 0).
 
-    a_{2i} = ((d)_{2i} / d^i) (-1)^i / (2^i i!), odd coefficients zero;
-    this is the monic Hermite polynomial H_d with roots contracted by
-    sqrt(d).  With marcus_scaling the variance is 1 - 1/d instead of 1,
-    which multiplies a_{2i} by ((d-1)/d)^i.
+    This is the monic Hermite polynomial H_d with roots contracted by
+    sqrt(d).  With marcus_scaling the variance kappa_2 is 1 - 1/d instead
+    of 1.
     """
     if d < 1:
         raise InputFormatError("degree must be >= 1")
-    c = Fraction(d - 1, d) if marcus_scaling else Fraction(1)
-    a = [Fraction(0)] * (d + 1)
-    a[0] = Fraction(1)
-    for i in range(1, d // 2 + 1):
-        a[2 * i] = (
-            falling(Fraction(d), 2 * i)
-            / Fraction(d) ** i
-            * Fraction((-1) ** i, 2**i * factorial(i))
-            * c**i
-        )
-    return MonicPoly(d, tuple(a))
+    v = Fraction(d - 1, d) if marcus_scaling else Fraction(1)
+    kappa = (Fraction(0), v) + (Fraction(0),) * (d - 2)
+    return coefficients_from_cumulants(CumulantVector(d, kappa[:d]))
 
 
 def finite_poisson(lam, d: int) -> MonicPoly:
-    """All d cumulants equal to lam: a_n = ((d)_n / (d^n n!)) (d lam)_n.
+    """All d cumulants equal to lam.
 
     Requires d*lam a positive integer; for lam < 1 the polynomial has a
-    root at 0 of multiplicity d - d*lam, since (d lam)_n = 0 for
-    n >= d lam + 1.
+    root at 0 of multiplicity d - d*lam.
     """
     if d < 1:
         raise InputFormatError("degree must be >= 1")
@@ -51,27 +43,23 @@ def finite_poisson(lam, d: int) -> MonicPoly:
         raise DomainError(
             "d*lambda must be a positive integer, got %s" % dlam
         )
-    dq = Fraction(d)
-    a = [Fraction(1)]
-    for n in range(1, d + 1):
-        a.append(
-            falling(dq, n) / (dq**n * factorial(n)) * falling(dlam, n)
-        )
-    return MonicPoly(d, tuple(a))
+    return coefficients_from_cumulants(CumulantVector(d, (lam,) * d))
 
 
 def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
-    """The n-fold convolution of p with itself, rescaled: kappa_r picks up
-    the factor n^{1 - r/2}.
+    """The n-fold convolution of p with itself, rescaled by sqrt(n): kappa_r
+    picks up the factor n / sqrt(n)^r = n^{1 - r/2}.
 
     Requires kappa_1(p) = 0; center first.  n must be a perfect square, so
     that the rescaling by sqrt(n) stays exact.
     """
     if n < 1 or isqrt(n) ** 2 != n:
         raise DomainError("need a perfect square n >= 1, got %d" % n)
-    k = cumulants_from_coefficients(p)
-    if k.kappa[0] != 0:
+    kappa = cumulants_from_coefficients(p).kappa
+    if kappa[0] != 0:
         raise DomainError(
-            "kappa_1 = %s; center the polynomial before rescaling" % k.kappa[0]
+            "kappa_1 = %s; center the polynomial before rescaling" % kappa[0]
         )
-    return boxplus_power(p, n).dilate(isqrt(n))
+    root = isqrt(n)
+    return coefficients_from_cumulants(CumulantVector(
+        p.d, tuple(v * n / root**r for r, v in enumerate(kappa, start=1))))

@@ -33,7 +33,8 @@ def _check_size(n: int) -> None:
 def _check_cap(n: int) -> None:
     _check_size(n)
     if n > DEFAULT_N_MAX:
-        raise SizeCapError(n, DEFAULT_N_MAX)
+        raise SizeCapError(n, DEFAULT_N_MAX, "ground-set size",
+                           "the partition cap DEFAULT_N_MAX")
 
 
 @dataclass(frozen=True)

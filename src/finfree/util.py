@@ -82,16 +82,17 @@ def _is_int(value) -> bool:
 def parse_int(value, what: str = "value") -> int:
     """An exact integer from JSON or text: an int, or an integral float,
     Fraction or rational string.  Booleans and non-integral numbers are
-    refused, not truncated."""
-    if isinstance(value, str):
-        value = parse_rational(value)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = value.numerator
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputFormatError("%s must be an integer, got %.80r" % (what, value))
+    refused, not truncated, and the refusal shows a string or a Fraction as
+    written ("5/2"), anything else by its repr."""
+    n = parse_rational(value) if isinstance(value, str) else value
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, Fraction) and n.denominator == 1:
+        n = n.numerator
+    if _is_int(n):
+        return n
+    shown = value if isinstance(value, (str, Fraction)) else repr(value)
+    raise InputFormatError("%s must be an integer, got %.80s" % (what, shown))
 
 
 def format_rational(q: Fraction) -> str:

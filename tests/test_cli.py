@@ -12,6 +12,7 @@ from finfree import MonicPoly
 from finfree.cli import (
     _COMMANDS,
     MAX_CONVERGE_D,
+    MAX_CONVERGE_N,
     MAX_DEGREE,
     MAX_EPS_PART,
     MAX_JSON_BYTES,
@@ -291,7 +292,7 @@ def test_size_cap_exits_4(capsys):
     assert code == 4 and err["error"]["type"] == "SizeCapError"
     code, _, err = run(capsys, "partitions", "--n", "13")
     assert code == 4 and err["error"]["type"] == "SizeCapError"
-    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "13", "--d", "20")
+    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "113", "--d", "200")
     assert code == 4 and err["error"]["type"] == "SizeCapError"
     # raising the cap on the command line clears it
     code, out, _ = run(capsys, "partitions", "--n", "13", "--types")
@@ -398,8 +399,12 @@ def test_documented_errors_keep_their_codes(capsys):
     # an integer degree below the cumulant order
     code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "4", "--d", "3")
     assert code == 5 and err["error"]["type"] == "DomainError"
-    code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "2", "--d", "5/2")
-    assert code == 3 and err["error"]["type"] == "InputFormatError"
+    # a non-integral degree is reported as written
+    for argv in (["converge", "--r", "0,1", "--n", "2", "--d", "5/2"],
+                 ["coeffs", '{"m":["0","1"],"d":"5/2"}']):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err["error"]["type"] == "InputFormatError", argv
+        assert err["error"]["message"].endswith("must be an integer, got 5/2"), argv
 
 
 def test_big_rational_literals(capsys):
@@ -473,7 +478,10 @@ def test_fixed_bounds_exit_4(capsys):
         ["partitions", "--n", "1000000000", "--types"],
         ["partitions", "--n", "11"],
         ["partitions", "--n", "13", "--noncrossing"],
-        ["converge", "--r", "0,1", "--n", "13", "--d", "16"],
+        ["converge", "--r", "0,1", "--n", "113", "--d", "200"],
+        # n^2 times the number of --d values past MAX_CONVERGE_N^2
+        ["converge", "--r", "0,1", "--n", "57", "--d", "100,101,102,103"],
+        ["converge", "--r", "0,1", "--n", "1", "--d", ",".join(["16"] * (112**2 + 1))],
         ["moments", "--roots", "1,-1/3", "--N", "1001"],
         ["power", "--roots", "1,-1", "--t", "1e4000"],
         ["power", "--roots", "1,-1", "--t", "18446744073709551617"],
@@ -521,6 +529,7 @@ def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
+    assert MAX_CONVERGE_N == 112
     assert (MAX_EPS_PART, MAX_T_PART, MAX_JSON_BYTES) == (256, 2**64, 2**24)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
@@ -542,5 +551,9 @@ def test_largest_allowed_sizes(capsys):
     assert code == 0 and out["threshold"] is not None
     code, out, _ = run(capsys, "converge", "--r", "0,1,1", "--n", "12", "--d", "16,1000000000000")
     assert code == 0 and [row["d"] for row in out["rows"]] == [16, 10**12]
+    # n^2 times the number of --d values at MAX_CONVERGE_N^2
+    for n, d_values in ((112, "112"), (56, "56,57,58,59")):
+        code, out, _ = run(capsys, "converge", "--r", "0,1", "--n", str(n), "--d", d_values)
+        assert code == 0 and out["n"] == n and len(out["rows"]) == len(d_values.split(","))
     code, out, _ = run(capsys, "verify-mc", POLY12, POLY12, "--samples", "1000")
     assert code == 0 and out["estimate"]["d"] == 12 and out["all_pass"]

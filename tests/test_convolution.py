@@ -55,11 +55,11 @@ def test_degree_mismatch():
 def test_additivity_two_paths():
     """Coefficient-formula convolution vs adding cumulant vectors.
 
-    The two sides share no code: boxplus never touches partitions.
+    The two sides share no code: boxplus never touches partitions or the
+    series; d = 100 checks the series far past the lattice reference.
     """
     rng = random.Random(79)
-    for _ in range(30):
-        d = rng.randint(1, 9)
+    for d in [rng.randint(1, 9) for _ in range(30)] + [100]:
         p, q = rand_poly(rng, d), rand_poly(rng, d)
         direct = boxplus(p, q)
         kp = cumulants_from_coefficients(p)

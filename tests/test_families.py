@@ -1,13 +1,16 @@
-"""Hermite CLT fixed point, finite free Poisson, rescaled sums."""
+"""Hermite CLT fixed point, finite free Poisson, rescaled sums: the series
+path against the closed forms and the coefficient formula of boxplus."""
 
 import random
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import factorial, isqrt, perm
 
 import pytest
 
 from finfree import (
     MonicPoly,
+    boxplus,
     clt_rescaled_sum,
     coefficients_from_cumulants,
     CumulantVector,
@@ -21,14 +24,23 @@ from finfree import (
 from finfree.errors import DomainError
 
 
-def hermite_expansion(d):
+def hermite_expansion(d, variance=1):
     """d^{-d/2} H_d(sqrt(d) x) from the classical sum
-    H_d(x) = d! sum_i (-1)^i x^{d-2i} / (i! (d-2i)! 2^i)."""
+    H_d(x) = d! sum_i (-1)^i x^{d-2i} / (i! (d-2i)! 2^i), with the roots
+    scaled by sqrt(variance): x^{d-2i} picks up variance^i."""
     plain = [Fraction(0)] * (d + 1)
     for i in range(d // 2 + 1):
         c = Fraction((-1) ** i * factorial(d), factorial(i) * factorial(d - 2 * i) * 2**i)
-        plain[2 * i] = c / Fraction(d) ** i  # coefficient of x^{d-2i}
+        plain[2 * i] = c * (Fraction(variance) / d) ** i  # coefficient of x^{d-2i}
     return MonicPoly.from_plain_coefficients(plain)
+
+
+def laguerre_expansion(lam, d):
+    """The finite free Poisson polynomial in closed form, a rescaled Laguerre
+    polynomial: a_n = (d)_n (d lam)_n / (d^n n!), d lam a positive integer."""
+    dlam = int(lam * d)
+    return MonicPoly(d, tuple(Fraction(perm(d, n) * perm(dlam, n), d**n * factorial(n))
+                              for n in range(d + 1)))
 
 
 def test_hermite_small_cases():
@@ -38,8 +50,10 @@ def test_hermite_small_cases():
 
 
 def test_hermite_matches_classical_expansion():
-    for d in range(1, 13):
+    for d in [*range(1, 13), 50, 100, 200]:
         assert hermite_clt(d) == hermite_expansion(d)
+    for d in [*range(1, 13), 50, 100]:
+        assert hermite_clt(d, marcus_scaling=True) == hermite_expansion(d, 1 - Fraction(1, d))
 
 
 def test_hermite_cumulants():
@@ -80,6 +94,15 @@ def test_poisson_cumulants_and_moments_all_lambda():
     assert moments_from_coefficients(p, 4).entries == (Fraction(1, 4),) * 4
 
 
+def test_poisson_matches_laguerre_expansion():
+    for d in range(1, 41):
+        for ell in range(1, d + 1):
+            lam = Fraction(ell, d)
+            assert finite_poisson(lam, d) == laguerre_expansion(lam, d), (d, ell)
+    for lam in (Fraction(1, 100), Fraction(1), Fraction(2)):
+        assert finite_poisson(lam, 100) == laguerre_expansion(lam, 100), lam
+
+
 def test_poisson_trailing_zeros():
     # (d lam)_n = 0 once n > d lam: root at 0 of multiplicity d - d lam
     p = finite_poisson(Fraction(2, 5), 5)
@@ -117,16 +140,20 @@ def test_clt_requires_centered():
 
 
 def test_clt_cumulant_scaling_square_n():
-    # perfect square n keeps everything rational: kappa_r -> n^{1-r/2} kappa_r
-    k = CumulantVector.make(5, [0, 1, Fraction(1, 2), Fraction(-2, 3), Fraction(7)])
-    p = coefficients_from_cumulants(k)
-    for n in (4, 25, 100):
-        got = cumulants_from_coefficients(clt_rescaled_sum(p, n)).kappa
-        # n^{1-r/2} = n / sqrt(n)^r, exact for square n, r even and odd alike
-        root = int(n ** 0.5)
-        assert got == tuple(
-            k.kappa[r - 1] * n / Fraction(root) ** r for r in range(1, 6)
-        )
+    # perfect square n keeps everything rational: kappa_r -> n^{1-r/2} kappa_r,
+    # at d = 5 and d = 60
+    rng = random.Random(127)
+    for kappa in ([0, 1, Fraction(1, 2), Fraction(-2, 3), Fraction(7)],
+                  [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(59)]):
+        p = coefficients_from_cumulants(CumulantVector.make(len(kappa), kappa))
+        for n in (4, 25, 100):
+            got = cumulants_from_coefficients(clt_rescaled_sum(p, n)).kappa
+            # n^{1-r/2} = n / sqrt(n)^r, exact for square n, r even and odd alike
+            assert got == tuple(
+                v * n / Fraction(isqrt(n)) ** r for r, v in enumerate(kappa, start=1))
+        # against three applications of boxplus, the closed coefficient
+        # formula, and the dilation by 2
+        assert clt_rescaled_sum(p, 4) == reduce(boxplus, [p] * 4).dilate(2)
 
 
 def test_clt_odd_cumulants_decay_non_square_n():

@@ -139,6 +139,14 @@ def _imports(node, func=None):
         yield from _imports(child, child.name if is_func else func)
 
 
+def _import_parts(node) -> set:
+    """Every dotted part of the modules an import statement names, and the
+    names it takes from them."""
+    if isinstance(node, ast.Import):
+        return {p for alias in node.names for p in alias.name.split(".")}
+    return set((node.module or "").split(".")) | {a.name for a in node.names}
+
+
 LOADED = """
 import sys
 heavy = ("numpy", "finfree.lattice", "finfree.matrix_oracle")
@@ -166,11 +174,7 @@ def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node, func in _imports(tree):
-            if isinstance(node, ast.Import):
-                parts = {p for alias in node.names for p in alias.name.split(".")}
-            else:
-                parts = set((node.module or "").split(".")) | {a.name for a in node.names}
-            if parts & {"matrix_oracle", "lattice"}:
+            if _import_parts(node) & {"matrix_oracle", "lattice"}:
                 found.append((path.name, func))
     assert found == [("cli.py", "_cmd_verify_mc")]
 
@@ -280,3 +284,19 @@ def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
                     for name, func in _reads(ast.parse(path.read_text()))
                     if name == "_sturm_chain"})
     assert found == [("matrix_oracle.py", "_jacobi"), ("polynomial.py", "_sturm_counts")]
+
+
+def test_only_transforms_turns_cumulants_into_coefficients():
+    # the kappa -> a map and its (d)_n / d^n weights live in transforms.py,
+    # with the lattice reference's own sums beside it; the package root only
+    # re-exports falling, and the families pass their cumulants to transforms
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
+        uses_falling = "falling" in imported | {name for name, _ in _reads(tree)}
+        if uses_falling and path.name not in ("transforms.py", "lattice.py", "__init__.py"):
+            found.append((path.name, "falling"))
+        if path.name == "families.py" and "convolution" in imported:
+            found.append((path.name, "convolution"))
+    assert found == []
