@@ -59,19 +59,24 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 4), nearly all of it in the Sturm chain of each probe; converge sums one
 # free-moment series and one row per --d value, each costing more than n^3,
 # so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
-# the worst case is one row: with d near 10^12 and --r of distinct rationals
-# with three-digit parts, --n 112 takes 10 to 12 s (7.5 s of it the free
-# moments) before its result is too long to print, --n 56 with 4 values
-# 1.2 s and --n 14 with 64 values 0.2 s, while a 4000-digit d takes seconds;
-# verify-mc --samples 1000000 takes about 0.6 s at degree 2 and 10.5 s at
-# degree 12, the largest input it allows; cramer at d = 100 takes about 8 s
-# with eps = 1/32 and 13 s with 1/255, almost all of it in Sturm tests,
-# while at d = 40 an eps of 1e-100 takes about 50 s; power on 100 integer
-# roots computes for 20 s with --t 1e4000 before its result is too long to
-# print, and under 1 s with parts of --t at 2^64.  A JSON file is read up to
-# MAX_JSON_BYTES, so a path such as /dev/zero cannot fill memory; the
-# largest record one command prints for another to read, moments --N 1000,
-# is 0.5 MB.
+# the worst case is one row; its cost grows with the parts of --r, so each
+# is bounded by MAX_R_PART: with d near 10^12, --n 112 takes 9.9 s with
+# every denominator from 1 to 100 and 10.2 s with prime parts up to 100
+# before its result is too long to print, against 11 s with prime parts up
+# to 128 and 24 s with random parts up to 2^16; --n 56 with 4 values took
+# 1.2 s and --n 14 with 64 values 0.2 s (three-digit parts), while a
+# 4000-digit d takes seconds; verify-mc --samples 1000000 takes
+# about 0.6 s at degree 2 and 10.5 s at degree 12, the largest input it
+# allows; cramer at d = 100 takes about 3.5 s with eps = 1/32 and 6.5 s
+# with 1/255, almost all of it in the one Sturm test, while at d = 40 an
+# eps of 1e-100 takes about 50 s; power on 100 integer roots computes for
+# 20 s with --t 1e4000 before its result is too long to print, and under
+# 1 s with parts of --t at 2^64; family poisson at d = 100 computes for 26
+# to 30 s with a 4001-digit --lambda before its result is too long to print,
+# and 9 to 11 s with 2000-digit parts, at MAX_LAMBDA_PART = 10^2000.  A
+# JSON file is read up to MAX_JSON_BYTES, so a path such as /dev/zero cannot
+# fill memory; the largest record one command prints for another to read,
+# moments --N 1000, is 0.5 MB.
 MAX_DEGREE = 100
 MAX_TYPES_N = 30
 MAX_LIST_N = 10
@@ -84,12 +89,20 @@ MAX_SAMPLES = 10**6
 MAX_MC_DEGREE = 12
 MAX_EPS_PART = 256
 MAX_T_PART = 2**64
+MAX_LAMBDA_PART = 10**2000
+MAX_R_PART = 100
 MAX_JSON_BYTES = 2**24
 
 
 def _check_bound(n: int, bound: int, what: str, cap: str) -> None:
     if n > bound:
         raise SizeCapError(n, bound, what, cap)
+
+
+def _check_parts(q, bound: int, what: str, cap: str) -> None:
+    """Bound the absolute numerator and the denominator of a rational."""
+    _check_bound(max(abs(q.numerator), q.denominator), bound,
+                 what + " numerator or denominator", cap)
 
 
 class _UsageError(Exception):
@@ -154,8 +167,7 @@ def _cmd_convolve(ns):
 
 def _cmd_power(ns):
     t = parse_rational(ns.t)
-    _check_bound(max(abs(t.numerator), t.denominator), MAX_T_PART,
-                 "--t numerator or denominator", "the bound MAX_T_PART")
+    _check_parts(t, MAX_T_PART, "--t", "the bound MAX_T_PART")
     return boxplus_power(_poly_from_args(ns), t).to_json()
 
 
@@ -196,18 +208,22 @@ def _cmd_family(ns):
         return hermite_clt(ns.d, marcus_scaling=ns.marcus).to_json()
     if ns.lam is None or ns.marcus:
         raise InputFormatError("poisson needs --lambda and takes no --marcus")
-    return finite_poisson(parse_rational(ns.lam), ns.d).to_json()
+    lam = parse_rational(ns.lam)
+    _check_parts(lam, MAX_LAMBDA_PART, "--lambda", "the bound MAX_LAMBDA_PART")
+    return finite_poisson(lam, ns.d).to_json()
 
 
 def _cmd_converge(ns):
-    r = FreeCumulantVector.make(_rational_list(ns.r))
+    r = _rational_list(ns.r)
+    for x in r:
+        _check_parts(x, MAX_R_PART, "--r", "the bound MAX_R_PART")
     d_values = [parse_int(x, "--d") for x in ns.d.split(",")]
     for d in d_values:
         _check_bound(d, MAX_CONVERGE_D, "--d", "the bound MAX_CONVERGE_D")
     # n^2 times the number of --d values at most MAX_CONVERGE_N^2
     _check_bound(ns.n, math.isqrt(MAX_CONVERGE_N**2 // len(d_values)), "--n",
                  "the bound MAX_CONVERGE_N/sqrt(number of --d values)")
-    return convergence_report(r, ns.n, d_values).to_json()
+    return convergence_report(FreeCumulantVector.make(r), ns.n, d_values).to_json()
 
 
 def _cmd_check_id(ns):
@@ -226,8 +242,7 @@ def _cmd_threshold(ns):
 def _cmd_cramer(ns):
     _check_bound(ns.d, MAX_DEGREE, "--d", "the bound MAX_DEGREE")
     eps = parse_rational(ns.eps)
-    _check_bound(max(abs(eps.numerator), eps.denominator), MAX_EPS_PART,
-                 "--eps numerator or denominator", "the bound MAX_EPS_PART")
+    _check_parts(eps, MAX_EPS_PART, "--eps", "the bound MAX_EPS_PART")
     return cramer_counterexample(ns.d, eps).to_json()
 
 
@@ -346,13 +361,17 @@ def _build_parser() -> _Parser:
     sp.add_argument("which", choices=["hermite", "poisson"])
     sp.add_argument("--d", type=int, required=True,
                     help="degree, at most %d" % MAX_DEGREE)
-    sp.add_argument("--lambda", dest="lam", default=None)
+    sp.add_argument("--lambda", dest="lam", default=None,
+                    help="poisson rate, d*lambda a positive integer, numerator "
+                         "and denominator at most 10^2000")
     sp.add_argument("--marcus", action="store_true",
                     help="hermite with variance 1 - 1/d")
 
     sp = sub.add_parser("converge",
                         help="finite-to-free cumulant convergence report")
-    sp.add_argument("--r", required=True, help="comma list of free cumulants")
+    sp.add_argument("--r", required=True,
+                    help="comma list of free cumulants, numerators and "
+                         "denominators at most %d" % MAX_R_PART)
     sp.add_argument("--n", type=int, required=True,
                     help="cumulant order, at most %d divided by the square "
                          "root of the number of --d values" % MAX_CONVERGE_N)

@@ -1,9 +1,10 @@
 """Infinite divisibility: conditional positive definiteness of cumulant
 sequences, the Hermite-uniqueness classification, real-rootedness thresholds
 for fractional convolution powers, and the Cramer-failure construction.
-Like the families in families.py, the Cramer pair is defined by its finite
-free cumulants, (0, 1, +-eps, 0, ..., 0), and built from them by
-transforms.coefficients_from_cumulants.
+Like the families in families.py, p+ of the Cramer pair is built from its
+finite free cumulants by transforms.coefficients_from_cumulants.  Shifts,
+dilations and the reflection x -> -x act on the roots through
+MonicPoly.translate and MonicPoly.dilate, never on the cumulants.
 """
 
 from __future__ import annotations
@@ -96,27 +97,25 @@ def infinite_divisibility_report(p: MonicPoly) -> IDReport:
     centering, every cumulant of order >= 3 vanishes (the Hermite case, or
     x^d when kappa_2 = 0).
 
-    Both steps act on the cumulants, computed once: centering (the shift
-    x -> x + kappa_1) sets kappa_1 to 0, and dilating by s = sqrt(kappa_2)
-    divides kappa_n by s^n.  The dilation happens only when kappa_2 is a
-    perfect rational square; zeroness of the higher cumulants is
-    scale-invariant (homogeneity), so the verdict never depends on that.
-    Both conditional-positive-definiteness necessary conditions are reported
-    alongside; for d = 1 they hold vacuously.
+    centered_normalized is p shifted by kappa_1 (the mean root), then dilated
+    by s = sqrt(kappa_2) when that is rational.  The flags read p's own
+    cumulants: kappa_1 never enters the shifted Hankel form kappa_{i+j},
+    i, j >= 1, and dividing kappa_n by s^n turns that form H into D H D with
+    D = diag(s^-i), a congruence that keeps H PSD or not.  Neither map
+    changes whether the higher cumulants vanish.  For d = 1 both
+    conditional-positive-definiteness conditions hold vacuously.
     """
     if is_real_rooted(p) == "no":
         raise DomainError("infinite divisibility is defined for real-rooted input")
-    d = p.d
-    kappa = (Fraction(0),) + cumulants_from_coefficients(p).kappa[1:]
-    s = _rational_sqrt(kappa[1]) if d >= 2 and kappa[1] > 0 else None
+    k = cumulants_from_coefficients(p)
+    q = p.translate(k.kappa[0])
+    s = _rational_sqrt(k.kappa[1]) if p.d >= 2 and k.kappa[1] > 0 else None
     if s is not None:
-        kappa = tuple(v / s**n for n, v in enumerate(kappa, start=1))
-    kq = CumulantVector(d, kappa)
-    q = coefficients_from_cumulants(kq)
-    higher_zero = all(v == 0 for v in kq.kappa[2:])
-    if d >= 2:
-        cpd_std = is_conditionally_positive_definite(kq.kappa)
-        cpd_res = is_conditionally_positive_definite(rescale_cumulants(kq).kappa)
+        q = q.dilate(s)
+    higher_zero = all(v == 0 for v in k.kappa[2:])
+    if p.d >= 2:
+        cpd_std = is_conditionally_positive_definite(k.kappa)
+        cpd_res = is_conditionally_positive_definite(rescale_cumulants(k).kappa)
     else:
         cpd_std = cpd_res = True
     verdict = "infinitely_divisible" if higher_zero else "not_infinitely_divisible"
@@ -216,26 +215,21 @@ class CramerPair:
 def cramer_counterexample(d: int, eps) -> CramerPair:
     """p± with cumulants (0, 1, ±eps, 0, ..., 0) and their convolution.
 
-    The convolution has cumulants (0, 2, 0, ..., 0), a sqrt(2)-dilate of the
-    Hermite polynomial, hence real-rooted; for suitable eps > 0 the factors
-    p± themselves are not, which is the failure of Cramer's theorem here.
-    At eps = 0 both factors are the Hermite polynomial hermite_clt(d).
+    p- is p+ with its roots negated, dilate(-1), which flips the sign of
+    every odd cumulant; negating the roots keeps them real or not, so one
+    Sturm test answers for both.  The convolution has cumulants
+    (0, 2, 0, ..., 0), a sqrt(2)-dilate of the Hermite polynomial, hence
+    real-rooted; for suitable eps > 0 the factors p± themselves are not,
+    which is the failure of Cramer's theorem here.  At eps = 0 both factors
+    are the Hermite polynomial hermite_clt(d).
     """
     if d < 3:
         raise DomainError("need d >= 3 to place a third cumulant")
     eps = Fraction(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    kap = [Fraction(0)] * d
-    kap[1] = Fraction(1)
-    kap[2] = eps
-    p_plus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)))
-    kap[2] = -eps
-    p_minus = coefficients_from_cumulants(CumulantVector(d, tuple(kap)))
-    return CramerPair(
-        p_plus,
-        p_minus,
-        boxplus(p_plus, p_minus),
-        is_real_rooted(p_plus) == "yes",
-        is_real_rooted(p_minus) == "yes",
-    )
+    kappa = (Fraction(0), Fraction(1), eps) + (Fraction(0),) * (d - 3)
+    p_plus = coefficients_from_cumulants(CumulantVector(d, kappa))
+    p_minus = p_plus.dilate(-1)
+    real = is_real_rooted(p_plus) == "yes"
+    return CramerPair(p_plus, p_minus, boxplus(p_plus, p_minus), real, real)

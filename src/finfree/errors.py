@@ -24,7 +24,7 @@ class NonMonicError(InputFormatError):
 
 def _digits(v: int) -> str:
     """v in full up to 40 digits, else its leading digits and digit count,
-    so that a refused value of thousands of digits keeps the message short."""
+    so that a value or bound of thousands of digits keeps the message short."""
     s = "%d" % v
     return s if len(s) <= 40 else "%s...(%d digits)" % (s[:20], len(s))
 
@@ -36,7 +36,7 @@ class SizeCapError(FinFreeError):
     def __init__(self, n, bound, what, cap):
         self.n = n
         self.bound = bound
-        super().__init__("%s %s exceeds %s = %d" % (what, _digits(n), cap, bound))
+        super().__init__("%s %s exceeds %s = %s" % (what, _digits(n), cap, _digits(bound)))
 
 
 class DimensionError(FinFreeError):

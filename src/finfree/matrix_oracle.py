@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InputFormatError
+from .errors import DimensionError, DomainError, InputFormatError
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
 from .util import _is_int
 
@@ -174,7 +174,7 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     if not _is_int(samples):
         raise InputFormatError("samples must be an integer, got %.80r" % (samples,))
     if p.d != q.d:
-        raise DomainError("degree mismatch: %d vs %d" % (p.d, q.d))
+        raise DimensionError("degree mismatch: %d vs %d" % (p.d, q.d))
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %d" % samples)
     d = p.d

@@ -16,9 +16,11 @@ from finfree.cli import (
     MAX_DEGREE,
     MAX_EPS_PART,
     MAX_JSON_BYTES,
+    MAX_LAMBDA_PART,
     MAX_LIST_N,
     MAX_MC_DEGREE,
     MAX_MOMENTS,
+    MAX_R_PART,
     MAX_SAMPLES,
     MAX_STEPS,
     MAX_T_PART,
@@ -459,6 +461,14 @@ def test_no_command_takes_a_tolerance(tmp_path, capsys):
     assert code == 3 and err["error"]["type"] == "UsageError"
 
 
+def test_degree_mismatch_is_one_error_type(capsys):
+    # convolve and verify-mc refuse different degrees alike
+    for cmd in ("convolve", "verify-mc"):
+        code, out, err = run(capsys, cmd, SEMICIRCLE2, POLY12)
+        assert code == 5 and out is None, cmd
+        assert err["error"] == {"type": "DimensionError", "message": "degree mismatch: 2 vs 12"}, cmd
+
+
 def test_partitions_needs_n_at_least_1(capsys):
     for argv in (["--n", "0"], ["--n", "0", "--types"], ["--n", "-1"], ["--n", "-1", "--types"]):
         code, out, err = run(capsys, "partitions", *argv)
@@ -474,6 +484,11 @@ def test_fixed_bounds_exit_4(capsys):
         ["cramer", "--d", "4", "--eps", "257"],
         ["family", "hermite", "--d", "101"],
         ["family", "poisson", "--lambda", "1", "--d", "101"],
+        # parts of --lambda past MAX_LAMBDA_PART, checked before any work
+        ["family", "poisson", "--lambda", "1e4000", "--d", "100"],
+        ["family", "poisson", "--lambda", str(10**2000 + 1), "--d", "1"],
+        ["family", "poisson", "--lambda=-%d" % (10**2000 + 1), "--d", "1"],
+        ["family", "poisson", "--lambda", "1/%d" % (10**2000 + 1), "--d", "1"],
         ["partitions", "--n", "31", "--types"],
         ["partitions", "--n", "1000000000", "--types"],
         ["partitions", "--n", "11"],
@@ -482,6 +497,11 @@ def test_fixed_bounds_exit_4(capsys):
         # n^2 times the number of --d values past MAX_CONVERGE_N^2
         ["converge", "--r", "0,1", "--n", "57", "--d", "100,101,102,103"],
         ["converge", "--r", "0,1", "--n", "1", "--d", ",".join(["16"] * (112**2 + 1))],
+        # parts of each --r entry past MAX_R_PART, read or not
+        ["converge", "--r", "0,1,101", "--n", "2", "--d", "16"],
+        ["converge", "--r=-101,1", "--n", "2", "--d", "16"],
+        ["converge", "--r", "0,1/101", "--n", "2", "--d", "16"],
+        ["converge", "--r", "0,1,1,1e20", "--n", "2", "--d", "16"],
         ["moments", "--roots", "1,-1/3", "--N", "1001"],
         ["power", "--roots", "1,-1", "--t", "1e4000"],
         ["power", "--roots", "1,-1", "--t", "18446744073709551617"],
@@ -502,6 +522,8 @@ def test_fixed_bounds_exit_4(capsys):
         ["threshold", "--roots", "0,1", "--tmax", "1e4000"],
         ["power", "--roots", "0,1", "--t", "1e4000"],
         ["converge", "--r", "0,1,1", "--n", "12", "--d", "1e4000"],
+        ["converge", "--r", "0,1e4000", "--n", "2", "--d", "16"],
+        ["family", "poisson", "--lambda", "1e4000", "--d", "100"],
     ):
         assert main(argv) == 4
         err = capsys.readouterr().err
@@ -529,7 +551,7 @@ def test_largest_allowed_sizes(capsys):
     assert (MAX_DEGREE, MAX_TYPES_N, MAX_LIST_N) == (100, 30, 10)
     assert (MAX_MOMENTS, MAX_STEPS, MAX_SAMPLES) == (1000, 200, 10**6)
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
-    assert MAX_CONVERGE_N == 112
+    assert (MAX_CONVERGE_N, MAX_R_PART, MAX_LAMBDA_PART) == (112, 100, 10**2000)
     assert (MAX_EPS_PART, MAX_T_PART, MAX_JSON_BYTES) == (256, 2**64, 2**24)
     code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
     assert code == 0 and out["convolution"]["degree"] == 100
@@ -537,6 +559,11 @@ def test_largest_allowed_sizes(capsys):
     assert code == 0 and out["degree"] == 100
     code, out, _ = run(capsys, "family", "poisson", "--lambda", "1", "--d", "100")
     assert code == 0 and out["degree"] == 100
+    # parts of --lambda at MAX_LAMBDA_PART pass the bound
+    code, out, _ = run(capsys, "family", "poisson", "--lambda", str(10**2000), "--d", "1")
+    assert code == 0 and out == {"degree": 1, "a": ["1", str(10**2000)]}
+    code, _, err = run(capsys, "family", "poisson", "--lambda", "1/%d" % 10**2000, "--d", "1")
+    assert code == 5 and err["error"]["type"] == "DomainError"  # d*lambda not an integer
     code, out, _ = run(capsys, "partitions", "--n", "30", "--types")
     assert code == 0 and len(out["types"]) == 5604  # integer partitions of 30
     code, out, _ = run(capsys, "partitions", "--n", "10")
@@ -555,5 +582,8 @@ def test_largest_allowed_sizes(capsys):
     for n, d_values in ((112, "112"), (56, "56,57,58,59")):
         code, out, _ = run(capsys, "converge", "--r", "0,1", "--n", str(n), "--d", d_values)
         assert code == 0 and out["n"] == n and len(out["rows"]) == len(d_values.split(","))
+    # parts of --r at MAX_R_PART
+    code, out, _ = run(capsys, "converge", "--r=-100,100,1/100,-99/100", "--n", "4", "--d", "16")
+    assert code == 0 and out["free_kappa"] == "-99/100"
     code, out, _ = run(capsys, "verify-mc", POLY12, POLY12, "--samples", "1000")
     assert code == 0 and out["estimate"]["d"] == 12 and out["all_pass"]

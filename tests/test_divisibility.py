@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -27,7 +28,7 @@ from finfree import (
 )
 from finfree.divisibility import _exact_psd, _power_family
 from finfree.errors import DomainError, InputFormatError
-from finfree.polynomial import _exp_series, _log_derivative, _primitive_form
+from finfree.polynomial import _exp_series, _log_derivative, _primitive_form, _sturm_counts
 from finfree.util import falling
 
 
@@ -89,6 +90,57 @@ def test_id_normalizes_when_square():
     rep = infinite_divisibility_report(p)
     assert rep.verdict == "infinitely_divisible"
     assert rep.centered_normalized == hermite_clt(4)
+
+
+def _normalized_by_cumulants(p):
+    """The centred, normalised polynomial built on the cumulant side, an
+    independent path to the report's: kappa_1 set to 0, each kappa_n divided
+    by s^n when s = sqrt(kappa_2) is rational, and the series run back to
+    coefficients."""
+    kappa = (Fraction(0),) + cumulants_from_coefficients(p).kappa[1:]
+    if p.d >= 2 and kappa[1] > 0:
+        num, den = kappa[1].numerator, kappa[1].denominator
+        if isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
+            s = Fraction(isqrt(num), isqrt(den))
+            kappa = tuple(v / s**n for n, v in enumerate(kappa, start=1))
+    k = CumulantVector(p.d, kappa)
+    return coefficients_from_cumulants(k), k
+
+
+def _report_inputs(rng, d):
+    """A random real-rooted p, and shifted dilates of Hermite and Poisson
+    polynomials, whose kappa_2 has a rational square root."""
+    lam = rng.choice([Fraction(1, 2), Fraction(-3), Fraction(2, 5), Fraction(7)])
+    c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    yield rand_real_rooted(rng, d)
+    yield hermite_clt(d).dilate(lam).translate(c)
+    rate = rng.choice([1, 4, 9]) if d % 4 else Fraction(rng.choice([1, 9]), 4)
+    yield finite_poisson(rate, d).dilate(lam).translate(c)
+
+
+def test_id_normalizes_by_translate_and_dilate():
+    # the report's roots-side construction against the cumulant-side one,
+    # and its flags, read off p's own cumulants, against those of the
+    # centred and normalised cumulants
+    rng = random.Random(149)
+    inputs = [p for d in range(1, 31) for p in _report_inputs(rng, d)]
+    inputs.append(hermite_clt(100).dilate(Fraction(2, 3)).translate(Fraction(5, 7)))
+    flags, normalized = Counter(), 0
+    for p in inputs:
+        rep = infinite_divisibility_report(p)
+        want, k = _normalized_by_cumulants(p)
+        assert rep.centered_normalized == want, p
+        assert rep.higher_cumulants_zero == all(v == 0 for v in k.kappa[2:]), p
+        if p.d >= 2:
+            assert rep.cpd_standard == is_conditionally_positive_definite(k.kappa), p
+            assert rep.cpd_rescaled == is_conditionally_positive_definite(
+                rescale_cumulants(k).kappa), p
+        flags["standard", rep.cpd_standard] += 1
+        flags["rescaled", rep.cpd_rescaled] += 1
+        normalized += k.kappa[1:2] == (1,)
+    # both answers of each flag occur, and every Hermite and Poisson input
+    # past d = 1 is dilated
+    assert len(flags) == 4 and normalized >= 59, (flags, normalized)
 
 
 def test_id_verdict_matches_flag_and_cpd_is_necessary():
@@ -236,27 +288,32 @@ def test_power_family_is_the_primitive_form_of_the_power():
                 assert power(t) == _primitive_form(boxplus_power(p, t)), (p, t)
 
 
-def test_threshold_runs_no_fraction_series():
-    # the family is built once per call from the integer coefficients; no
-    # probe goes through kappa or the exp series
-    watched = {f.__code__: f.__name__ for f in (
-        cumulants_from_coefficients, coefficients_from_cumulants, boxplus_power,
-        _exp_series, _log_derivative, _power_family)}
+def _count_calls(funcs, call) -> Counter:
+    """How often call() enters each of funcs, by name."""
+    watched = {f.__code__: f.__name__ for f in funcs}
     calls = Counter()
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in watched:
             calls[watched[frame.f_code]] += 1
 
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_threshold_runs_no_fraction_series():
+    # the family is built once per call from the integer coefficients; no
+    # probe goes through kappa or the exp series
+    funcs = (cumulants_from_coefficients, coefficients_from_cumulants, boxplus_power,
+             _exp_series, _log_derivative, _power_family)
     rng = random.Random(143)
     for d in (2, 5, 9):
         for p in _threshold_inputs(rng, d):
-            calls.clear()
-            sys.setprofile(count)
-            try:
-                real_rooted_threshold(p, 2**20, 30)
-            finally:
-                sys.setprofile(None)
+            calls = _count_calls(funcs, lambda: real_rooted_threshold(p, 2**20, 30))
             assert calls == Counter({"_power_family": 1}), (p, calls)
 
 
@@ -284,12 +341,15 @@ def test_threshold_rejects_x_power():
 
 
 def test_cramer_cumulant_cancellation():
-    for d in range(3, 9):
-        pair = cramer_counterexample(d, Fraction(1, 32))
-        k = cumulants_from_coefficients(pair.convolution)
-        assert k.kappa == tuple(
-            Fraction(2) if n == 2 else Fraction(0) for n in range(1, d + 1)
-        )
+    # p- is built by reflecting p+; its own cumulants are (0, 1, -eps, 0, ...)
+    for d in list(range(3, 41)) + [60]:
+        for eps in (0, Fraction(1, 32), Fraction(1, 255), 3):
+            pair = cramer_counterexample(d, eps)
+            zeros = (0,) * (d - 3)
+            assert cumulants_from_coefficients(pair.p_plus).kappa == (0, 1, eps) + zeros
+            assert cumulants_from_coefficients(pair.p_minus).kappa == (0, 1, -eps) + zeros
+            k = cumulants_from_coefficients(pair.convolution)
+            assert k.kappa == (0, 2, 0) + zeros, (d, eps)
 
 
 def test_cramer_small_eps_real_rooted_d4():
@@ -310,6 +370,26 @@ def test_cramer_eps_zero_is_hermite():
     pair = cramer_counterexample(5, 0)
     assert pair.p_plus == hermite_clt(5)
     assert pair.p_minus == hermite_clt(5)
+
+
+def test_cramer_flags_match_each_factor():
+    # one Sturm test answers for both factors; check each on its own
+    seen = Counter()
+    for d in (3, 4, 5, 8):
+        for eps in (0, Fraction(1, 64), Fraction(1, 32), Fraction(1, 8), Fraction(1, 2), 2):
+            pair = cramer_counterexample(d, eps)
+            assert pair.p_plus_real_rooted == (is_real_rooted(pair.p_plus) == "yes")
+            assert pair.p_minus_real_rooted == (is_real_rooted(pair.p_minus) == "yes")
+            seen[pair.p_plus_real_rooted] += 1
+    assert set(seen) == {True, False}
+
+
+def test_cramer_builds_one_factor_and_runs_one_sturm_count():
+    funcs = (coefficients_from_cumulants, _exp_series, _sturm_counts)
+    for d, eps in ((3, Fraction(1, 32)), (12, 0), (20, 3)):
+        calls = _count_calls(funcs, lambda: cramer_counterexample(d, eps))
+        assert calls == Counter({"coefficients_from_cumulants": 1, "_exp_series": 1,
+                                 "_sturm_counts": 1}), (d, eps, calls)
 
 
 def test_cramer_rejects_small_d():

@@ -13,7 +13,7 @@ from finfree import (
     boxplus,
     x_power,
 )
-from finfree.errors import DomainError, InputFormatError
+from finfree.errors import DimensionError, DomainError, InputFormatError
 from finfree.matrix_oracle import (
     _char_poly_batch,
     _haar_batch,
@@ -163,7 +163,7 @@ def test_mc_rejects_bad_requests():
     p = MonicPoly.from_roots([1, -1])
     with pytest.raises(DomainError):
         mc_boxplus(p, p, 999)
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         mc_boxplus(p, MonicPoly.from_roots([1, 2, 3]), 2000)
     complex_rooted = MonicPoly.from_plain_coefficients([1, 0, 1])
     with pytest.raises(DomainError):

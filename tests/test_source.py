@@ -300,3 +300,32 @@ def test_only_transforms_turns_cumulants_into_coefficients():
         if path.name == "families.py" and "convolution" in imported:
             found.append((path.name, "convolution"))
     assert found == []
+
+
+def _message(node) -> str:
+    """The literal text a raise's first argument starts with, or ''."""
+    if not isinstance(node.exc, ast.Call) or not node.exc.args:
+        return ""
+    arg = node.exc.args[0]
+    if isinstance(arg, ast.BinOp):  # "..." % (...)
+        arg = arg.left
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+def test_degree_mismatch_is_a_dimension_error():
+    # operands of different degrees are refused with one error type, so the
+    # CLI reports convolve and verify-mc alike
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and _message(node).startswith("degree mismatch"):
+                found.append((path.name, node.exc.func.id))
+    assert found and {kind for _, kind in found} == {"DimensionError"}, found
+
+
+def test_divisibility_builds_one_polynomial_from_cumulants():
+    # the report shifts and dilates its input's roots, and the Cramer pair
+    # reflects p+ into p-; only p+ goes through the exp series
+    tree = ast.parse((SRC / "divisibility.py").read_text())
+    found = [func for name, func in _reads(tree) if name == "coefficients_from_cumulants"]
+    assert found == ["cramer_counterexample"]
