@@ -28,7 +28,6 @@ from .partitions import (
 from .polynomial import (
     MomentSequence,
     MonicPoly,
-    count_distinct_real_roots,
     is_real_rooted,
     moments,
     x_power,
@@ -40,7 +39,6 @@ from .transforms import (
     cumulant_from_moments,
     cumulants_from_coefficients,
     cumulants_from_moments,
-    moment_from_cumulants,
     moments_from_coefficients,
     moments_from_cumulants,
     rescale_cumulants,

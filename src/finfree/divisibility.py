@@ -23,7 +23,7 @@ from .transforms import (
     cumulants_from_coefficients,
     rescale_cumulants,
 )
-from .util import _is_int
+from .util import _check_int, _is_int
 
 
 def _exact_psd(rows) -> bool:
@@ -223,6 +223,7 @@ def cramer_counterexample(d: int, eps) -> CramerPair:
     which is the failure of Cramer's theorem here.  At eps = 0 both factors
     are the Hermite polynomial hermite_clt(d).
     """
+    _check_int(d, "degree")
     if d < 3:
         raise DomainError("need d >= 3 to place a third cumulant")
     eps = Fraction(eps)

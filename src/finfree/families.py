@@ -13,6 +13,7 @@ from .errors import DomainError, InputFormatError
 from .polynomial import MonicPoly
 from .transforms import (CumulantVector, coefficients_from_cumulants,
                          cumulants_from_coefficients)
+from .util import _check_int
 
 
 def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
@@ -22,6 +23,7 @@ def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     sqrt(d).  With marcus_scaling the variance kappa_2 is 1 - 1/d instead
     of 1.
     """
+    _check_int(d, "degree")
     if d < 1:
         raise InputFormatError("degree must be >= 1")
     v = Fraction(d - 1, d) if marcus_scaling else Fraction(1)
@@ -35,6 +37,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     Requires d*lam a positive integer; for lam < 1 the polynomial has a
     root at 0 of multiplicity d - d*lam.
     """
+    _check_int(d, "degree")
     if d < 1:
         raise InputFormatError("degree must be >= 1")
     lam = Fraction(lam)
@@ -53,6 +56,7 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     Requires kappa_1(p) = 0; center first.  n must be a perfect square, so
     that the rescaling by sqrt(n) stays exact.
     """
+    _check_int(n, "n")
     if n < 1 or isqrt(n) ** 2 != n:
         raise DomainError("need a perfect square n >= 1, got %d" % n)
     kappa = cumulants_from_coefficients(p).kappa

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
-from .util import format_rational, parse_int
+from .util import _check_int, format_rational, parse_int
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ def _lagrange_moment(log, n: int) -> Fraction:
 
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
     """m_n = sum over NC(n) of r_pi, n = 1..N, by Lagrange inversion."""
+    _check_int(N, "N")
     # _log_derivative takes the entries past the stored length as zero
     log = _log_derivative((1, *r.entries[:N]), 1, N)
     return MomentSequence(tuple(_lagrange_moment(log, n) for n in range(1, N + 1)))
@@ -60,6 +61,7 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     """Triangular inversion in L = log(1 + R): L_n enters m_n only as the term
     L_n itself, so L_n = m_n - (m_n with L_n = 0); then 1 + R = exp(L).  The
     log series holds -n L_n, as _log_derivative writes it."""
+    _check_int(N, "N")
     if len(m) < N:
         raise DomainError("need %d moments, got %d" % (N, len(m)))
     log = []
@@ -101,6 +103,7 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     must hold is d >= n, else the finite cumulant of order n does not exist
     at degree d.
     """
+    _check_int(n, "cumulant order n")
     if n < 1:
         raise InputFormatError("cumulant order n must be >= 1, got %d" % n)
     ds = tuple(parse_int(d, "d") for d in d_values)

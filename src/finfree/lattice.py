@@ -38,7 +38,6 @@ from .partitions import (
     SetPartition,
     _check_cap,
     _partitions,
-    _walk,
     count_by_type,
     enumerate_noncrossing,
     iter_types,
@@ -73,7 +72,7 @@ def rgs_strings(n: int):
 
     s[0] = 0 and s[i] <= 1 + max(s[:i]); one string per partition of {1..n}.
     """
-    return (s for s, _ in _walk(n, False))
+    return (pi.labels()[1:] for pi in _partitions(n, False))
 
 
 def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
@@ -106,7 +105,7 @@ def refines(pi: SetPartition, sigma: SetPartition) -> bool:
 
 
 def partition_type(pi: SetPartition) -> PartitionType:
-    return PartitionType.from_sizes(pi.n, pi.block_sizes())
+    return PartitionType.from_sizes(pi.n, map(len, pi.blocks))
 
 
 def multiplicative_extension(f, pi: SetPartition) -> Fraction:
@@ -329,7 +328,7 @@ def p_sigma(sigma: SetPartition) -> VarPoly:
     of sigma's blocks; the value depends only on sigma's block sizes.
     """
     _check_cap(sigma.n)
-    return _p_sigma_poly(tuple(sorted(sigma.block_sizes(), reverse=True)))
+    return _p_sigma_poly(tuple(sorted(map(len, sigma.blocks), reverse=True)))
 
 
 def p_sigma_defining_sum(sigma: SetPartition) -> VarPoly:

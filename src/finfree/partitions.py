@@ -11,8 +11,8 @@ Enumeration order is restricted-growth-string lexicographic and is part of
 the contract: callers may cache against it.  One recursion over restricted
 growth strings walks both P(n) and NC(n); in NC(n) an element may only join
 a block that is still open, so the walk visits Catalan(n) leaves, not
-Bell(n).  Partitions are checked where outside data enters (from_blocks,
-parse, from_rgs); the walks build them unchecked, valid by construction.
+Bell(n).  Partitions are checked where outside data enters, in from_blocks;
+the walks build them unchecked, valid by construction.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import FinFreeError, InputFormatError, SizeCapError
+from .util import _check_int
 
 DEFAULT_N_MAX = 12
 
 
 def _check_size(n: int) -> None:
+    _check_int(n, "ground-set size")
     if n < 1:
         raise InputFormatError("ground-set size must be >= 1, got %d" % n)
 
@@ -45,7 +47,7 @@ class SetPartition:
     partitions compare equal and hash equally.  The bare constructor trusts
     its arguments and serves the package's own walks, whose restricted growth
     strings give valid partitions by construction; outside data enters
-    through from_blocks, parse or from_rgs, which check it.
+    through from_blocks, which checks it.
     """
 
     n: int
@@ -62,48 +64,12 @@ class SetPartition:
         _check_size(n)
         canon = sorted(tuple(sorted(b)) for b in blocks)
         elements = sorted(e for b in canon for e in b)
-        # lengths first: parse takes n from the largest element, however large
+        # lengths first: n may be far larger than the blocks
         if not all(canon) or len(elements) != n or elements != list(range(1, n + 1)):
             raise InputFormatError(
                 "blocks %.80r do not cover {1..%d} exactly once" % (canon, n)
             )
         return cls(n, tuple(canon))
-
-    @classmethod
-    def from_rgs(cls, rgs) -> "SetPartition":
-        """Build from a restricted growth string (0-based labels): each label
-        is at least 0 and at most 1 above the largest one before it."""
-        _check_size(len(rgs))
-        blocks = []
-        for e, lab in enumerate(rgs, start=1):
-            if type(lab) is not int or lab not in range(len(blocks) + 1):
-                raise InputFormatError(
-                    "%.80r is not a restricted growth string" % (list(rgs),)
-                )
-            if lab == len(blocks):
-                blocks.append([])
-            blocks[lab].append(e)
-        return cls(len(rgs), tuple(map(tuple, blocks)))
-
-    @classmethod
-    def parse(cls, text: str) -> "SetPartition":
-        """Parse the text form "{1,3|2,4}"."""
-        t = text.strip()
-        if not (t.startswith("{") and t.endswith("}")):
-            raise InputFormatError("partition text must look like {1,3|2,4}")
-        body = t[1:-1]
-        try:
-            blocks = [
-                tuple(int(x) for x in part.split(","))
-                for part in body.split("|")
-            ]
-        except ValueError as exc:
-            raise InputFormatError("bad partition text %r" % text) from exc
-        n = max(max(b) for b in blocks)
-        return cls.from_blocks(n, blocks)
-
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
 
     def labels(self) -> list:
         """labels()[e] is the block index of element e (index 0 unused)."""
@@ -118,32 +84,31 @@ class SetPartition:
 
 
 def _walk(n: int, noncrossing: bool):
-    """Yield (rgs, blocks) for the restricted growth strings of length n,
-    lexicographically.
+    """Yield the blocks of each partition of {1..n}, in lexicographic order
+    of restricted growth strings.
 
     Element e joins an open block or opens a new one.  In P(n) every block
     stays open; in NC(n) joining a block closes every block opened after it,
     since a later element of those would cross the one just placed.
     """
 
-    def grow(s, blocks, open_):
-        if len(s) == n:
-            yield s, blocks
+    def grow(e, blocks, open_):
+        if e > n:
+            yield blocks
             return
-        e = len(s) + 1
         for k, lab in enumerate(open_):
             joined = blocks[:lab] + (blocks[lab] + (e,),) + blocks[lab + 1 :]
             still_open = open_[: k + 1] if noncrossing else open_
-            yield from grow(s + (lab,), joined, still_open)
+            yield from grow(e + 1, joined, still_open)
         nb = len(blocks)
-        yield from grow(s + (nb,), blocks + ((e,),), open_ + (nb,))
+        yield from grow(e + 1, blocks + ((e,),), open_ + (nb,))
 
-    return grow((), (), ())
+    return grow(1, (), ())
 
 
 def _partitions(n: int, noncrossing: bool):
     _check_cap(n)
-    for _, blocks in _walk(n, noncrossing):
+    for blocks in _walk(n, noncrossing):
         yield SetPartition(n, blocks)
 
 
@@ -194,6 +159,7 @@ class PartitionType:
 
     @classmethod
     def from_sizes(cls, n, sizes) -> "PartitionType":
+        _check_size(n)
         r = [0] * n
         for s in sizes:
             r[s - 1] += 1

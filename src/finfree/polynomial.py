@@ -21,7 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputFormatError, NonMonicError
-from .util import format_rational, parse_int, parse_rational_array, read_record
+from .util import (_check_int, format_rational, parse_int, parse_rational_array,
+                   read_record)
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class MonicPoly:
     a: tuple
 
     def __post_init__(self):
+        _check_int(self.d, "degree")
         if self.d < 1:
             raise InputFormatError("degree must be >= 1")
         if len(self.a) != self.d + 1:
@@ -73,13 +75,6 @@ class MonicPoly:
         """Ordinary descending coefficients, leading 1 first."""
         return [(-1) ** i * ai for i, ai in enumerate(self.a)]
 
-    def evaluate(self, x):
-        """Exact Horner evaluation at a rational x."""
-        acc = Fraction(0)
-        for c in self.plain_coefficients():
-            acc = acc * x + c
-        return acc
-
     def dilate(self, lam) -> "MonicPoly":
         """D_lam p(x) = lam^{-d} p(lam x); coefficientwise a_i -> lam^{-i} a_i.
 
@@ -119,25 +114,10 @@ class MonicPoly:
         d, a = read_record(obj, "polynomial", ("degree", "a"))
         return cls(parse_int(d, "'degree'"), parse_rational_array(a, "'a'"))
 
-    def __str__(self):
-        terms = []
-        for j, c in enumerate(self.plain_coefficients()):
-            k = self.d - j
-            if c == 0:
-                continue
-            mag = format_rational(abs(c))
-            if k == 0:
-                body = mag
-            else:
-                xm = "x" if k == 1 else "x^%d" % k
-                body = xm if abs(c) == 1 else "%s*%s" % (mag, xm)
-            terms.append(("- " if c < 0 else "+ ") + body)
-        s = " ".join(terms)
-        return s[2:] if s.startswith("+ ") else ("-" + s[2:] if s else "0")
-
 
 def x_power(d: int) -> MonicPoly:
     """x^d."""
+    _check_int(d, "degree")
     return MonicPoly(d, (Fraction(1),) + (Fraction(0),) * d)
 
 
@@ -148,6 +128,7 @@ def moments(p: MonicPoly, N: int) -> "MomentSequence":
     -(1/d) S'/S is the moment series; a_k = 0 past the degree, so N may
     exceed d and costs O(N d).  Roots are never computed.
     """
+    _check_int(N, "N")
     if N < 1:
         raise InputFormatError("need N >= 1 moments, got %d" % N)
     return MomentSequence(
@@ -193,6 +174,8 @@ class MomentSequence:
     def __post_init__(self):
         if len(self.entries) < 1:
             raise InputFormatError("moment sequence must be nonempty")
+        if self.degree_context is not None:
+            _check_int(self.degree_context, "degree context d")
 
     def __len__(self):
         return len(self.entries)
@@ -283,11 +266,6 @@ def _sturm_counts(f):
         x != y for x, y in zip(plus, plus[1:])
     )
     return real, len(f) - len(chain[-1])
-
-
-def count_distinct_real_roots(p: MonicPoly) -> int:
-    """Exact number of distinct real roots of p (Sturm's theorem)."""
-    return _sturm_counts(_primitive_form(p))[0]
 
 
 def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:

@@ -31,7 +31,7 @@ from .polynomial import (
     _log_derivative,
     moments,
 )
-from .util import (VarPoly, falling, format_rational, parse_int,
+from .util import (VarPoly, _check_int, falling, format_rational, parse_int,
                    parse_rational_array, read_record)
 
 
@@ -48,6 +48,7 @@ class CumulantVector:
     variant: str = "standard"
 
     def __post_init__(self):
+        _check_int(self.d, "degree")
         if self.d < 1:
             raise InputFormatError("degree must be >= 1")
         if len(self.kappa) != self.d:
@@ -131,6 +132,7 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_i = (-1)^i S_i with S the exp of the moment series: Newton's
     identities with power sums p_i = d m_i."""
+    _check_int(d, "d")
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
     return MonicPoly(d, tuple(_alternate(_exp_series(m.entries, d, d))))
@@ -156,6 +158,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     whatever d is.
     """
     mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
+    _check_int(n, "cumulant order n")
     if n < 1:
         raise DomainError("cumulant order must be >= 1, got %d" % n)
     if len(mv) < n:
@@ -168,6 +171,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
 
 def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     """All d cumulants from the first d moments."""
+    _check_int(d, "d")
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
     return CumulantVector(d, _cumulants_from_moments(m.entries, d, d))
@@ -176,11 +180,6 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
 def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
     """First N moments from the cumulant vector; N may exceed d."""
     return moments_from_coefficients(coefficients_from_cumulants(k), N)
-
-
-def moment_from_cumulants(k: CumulantVector, n: int) -> Fraction:
-    """Single m_n from cumulants, valid for any n >= 1 (kappa_j = 0 past d)."""
-    return moments_from_cumulants(k, n)[n - 1]
 
 
 def truncated_r_transform(p: MonicPoly) -> VarPoly:

@@ -79,6 +79,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value, what: str) -> None:
+    """Refuse a size that is not an int: a float, a Fraction or a bool."""
+    if not _is_int(value):
+        raise InputFormatError("%s must be an integer, got %.80r" % (what, value))
+
+
 def parse_int(value, what: str = "value") -> int:
     """An exact integer from JSON or text: an int, or an integral float,
     Fraction or rational string.  Booleans and non-integral numbers are
@@ -131,17 +137,6 @@ class VarPoly:
     @classmethod
     def constant(cls, var, c) -> "VarPoly":
         return cls.make(var, [c])
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
 
     def __add__(self, other: "VarPoly") -> "VarPoly":
         n = max(len(self.coeffs), len(other.coeffs))

@@ -212,8 +212,8 @@ def test_criterion_08_lattice_polynomials():
         for sigma in enumerate_partitions(n):
             pol = p_sigma(sigma)
             m = len(sigma.blocks)
-            assert pol.degree == n + 1 - m
-            assert pol.leading == Fraction(
+            assert len(pol.coeffs) - 1 == n + 1 - m
+            assert pol.coeffs[-1] == Fraction(
                 (-1) ** m * factorial(n - 1) * block_size_product(sigma),
                 factorial(n + 1 - m),
             )

@@ -1,10 +1,12 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
 import json
+import shlex
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +42,29 @@ def run(capsys, *argv):
     out = json.loads(captured.out) if captured.out.strip() else None
     err = json.loads(captured.err) if captured.err.strip() else None
     return code, out, err
+
+
+def readme_examples():
+    """The finfree lines of README's Command line block, split as a shell would."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("finfree ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    # every documented example exits 0 with one JSON object and no stderr;
+    # verify-mc reads p.json and q.json from the working directory
+    monkeypatch.chdir(tmp_path)
+    for name, roots in (("p.json", [1, -1]), ("q.json", [0, 2])):
+        (tmp_path / name).write_text(json.dumps(MonicPoly.from_roots(roots).to_json()))
+    examples = readme_examples()
+    assert len(examples) >= 16
+    for argv in examples:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, ""), argv
+        assert isinstance(json.loads(captured.out), dict), argv
 
 
 def test_convolve(capsys):

@@ -199,7 +199,9 @@ def test_kappa4_of_centered_input():
 
 
 def test_threshold_hermite_first_grid_point():
-    assert real_rooted_threshold(hermite_clt(4), 2**20) == Fraction(1, 16)
+    # p^{boxplus t} of Hermite p is a sqrt(t)-dilate of p, real-rooted at every t
+    for d in (4, 12, 24, 40, 60):
+        assert real_rooted_threshold(hermite_clt(d), 2**20) == Fraction(1, 16), d
 
 
 def test_threshold_poisson_quarter():

@@ -36,13 +36,14 @@ CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
 
 def rand_partition(n, rng):
-    rgs = [0]
-    top = 0
-    for _ in range(n - 1):
-        lab = rng.randint(0, top + 1)
-        rgs.append(lab)
-        top = max(top, lab)
-    return SetPartition.from_rgs(rgs)
+    # element e joins one of the blocks so far or opens a new one
+    blocks = [[1]]
+    for e in range(2, n + 1):
+        lab = rng.randint(0, len(blocks))
+        if lab == len(blocks):
+            blocks.append([])
+        blocks[lab].append(e)
+    return SetPartition.from_blocks(n, blocks)
 
 
 def test_bell_counts():
@@ -74,16 +75,12 @@ def test_enumeration_order_deterministic():
     ]
 
 
-def test_canonical_form_and_parse():
-    p = SetPartition.parse("{2,4|1,3}")
+def test_canonical_form():
+    p = SetPartition.from_blocks(4, [[4, 2], [3, 1]])
     assert str(p) == "{1,3|2,4}"
-    assert p.n == 4 and len(p.blocks) == 2
-    q = SetPartition.from_blocks(4, [[4, 2], [3, 1]])
-    assert p == q
-    with pytest.raises(InputFormatError):
-        SetPartition.parse("{1,2|2,3}")
-    with pytest.raises(InputFormatError):
-        SetPartition.parse("{1,3}")  # 2 missing
+    assert p.n == 4 and p.blocks == ((1, 3), (2, 4))
+    assert p == SetPartition.from_blocks(4, [(1, 3), [2, 4]])
+    assert hash(p) == hash(SetPartition.from_blocks(4, [[2, 4], [1, 3]]))
 
 
 def test_noncrossing_matches_definition():
@@ -105,13 +102,13 @@ def test_noncrossing_matches_definition():
 
 
 def test_join_examples():
-    a = SetPartition.parse("{1,2|3,4}")
-    b = SetPartition.parse("{2,3|1|4}")
+    a = SetPartition.from_blocks(4, [[1, 2], [3, 4]])
+    b = SetPartition.from_blocks(4, [[2, 3], [1], [4]])
     assert str(join(a, b)) == "{1,2,3,4}"
-    c = SetPartition.parse("{1|2|3|4}")
+    c = SetPartition.from_blocks(4, [[1], [2], [3], [4]])
     assert join(a, c) == a
     with pytest.raises(DimensionError):
-        join(a, SetPartition.parse("{1,2|3}"))
+        join(a, SetPartition.from_blocks(3, [[1, 2], [3]]))
 
 
 def test_join_is_least_upper_bound():
@@ -144,7 +141,7 @@ def test_refines_is_partial_order():
 def test_mobius_values():
     assert mobius_from_zero(one_partition(4)) == -6  # (-1)^3 3!
     assert mobius_from_zero(zero_partition(5)) == 1
-    pi = SetPartition.parse("{1,2,3|4,5}")
+    pi = SetPartition.from_blocks(5, [[1, 2, 3], [4, 5]])
     assert mobius_from_zero(pi) == (2) * (-1)
 
 
@@ -193,7 +190,7 @@ def test_mobius_of_type_matches_instances():
 
 def test_multiplicative_extension():
     f = [Fraction(2), Fraction(3), Fraction(5)]
-    pi = SetPartition.parse("{1,2|3}")
+    pi = SetPartition.from_blocks(3, [[1, 2], [3]])
     assert multiplicative_extension(f, pi) == 6
     assert multiplicative_extension(f, one_partition(3)) == 5
     assert block_size_product(pi) == 2
@@ -211,6 +208,10 @@ def test_partition_validation():
     with pytest.raises(InputFormatError):
         SetPartition.from_blocks(3, [[1, 2], [2, 3]])
     with pytest.raises(InputFormatError):
+        SetPartition.from_blocks(3, [[1, 3]])  # 2 missing
+    with pytest.raises(InputFormatError):
+        SetPartition.from_blocks(3, [[1, 2], [4]])
+    with pytest.raises(InputFormatError):
         SetPartition.from_blocks(2, [[0, 1]])
     with pytest.raises(InputFormatError):
         SetPartition.from_blocks(2, [[1, 2], []])
@@ -219,15 +220,9 @@ def test_partition_validation():
                       (True, [[1]]), (2, [[1, "2"]])):
         with pytest.raises(InputFormatError):
             SetPartition.from_blocks(n, blocks)
-    for rgs in ([0, -1], [0, 2], [1], [0, 1.0], [0, True], [False]):
-        with pytest.raises(InputFormatError):
-            SetPartition.from_rgs(rgs)
-    with pytest.raises(InputFormatError):
-        SetPartition.parse("{1,2|4}")
-    # the ground set {1..n} is never empty, as parse and the walks require
+    # the ground set {1..n} is never empty, as the walks require
     for make in (lambda: SetPartition.from_blocks(0, []),
-                 lambda: SetPartition.from_blocks(-1, []),
-                 lambda: SetPartition.from_rgs([]), lambda: PartitionType(0, ()),
+                 lambda: SetPartition.from_blocks(-1, []), lambda: PartitionType(0, ()),
                  lambda: iter_types(0), lambda: iter_types(-1)):
         with pytest.raises(InputFormatError, match="ground-set size"):
             make()

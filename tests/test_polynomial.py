@@ -9,17 +9,22 @@ import pytest
 from finfree import (
     MomentSequence,
     MonicPoly,
-    count_distinct_real_roots,
     is_real_rooted,
     moments,
     moments_from_coefficients,
     x_power,
 )
 from finfree.errors import InputFormatError, NonMonicError
+from finfree.polynomial import _primitive_form, _sturm_counts
 
 
 def rand_roots(rng, d):
     return [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(d)]
+
+
+def value_at(p, x):
+    """p(x): the constant term of p.translate(x), the polynomial p(y + x)."""
+    return p.translate(x).plain_coefficients()[-1]
 
 
 def test_monic_validation():
@@ -44,10 +49,9 @@ def test_sign_convention():
 
 def test_evaluate():
     p = MonicPoly.from_roots([1, 2, 3])
-    assert p.evaluate(Fraction(1)) == 0
-    assert p.evaluate(Fraction(5, 2)) == Fraction(3, 2) * Fraction(1, 2) * Fraction(-1, 2)
-    assert isinstance(p.evaluate(Fraction(2)), Fraction)
-    assert isinstance(p.evaluate(0), Fraction) and p.evaluate(0) == -6
+    assert value_at(p, Fraction(1)) == 0
+    assert value_at(p, Fraction(5, 2)) == Fraction(3, 2) * Fraction(1, 2) * Fraction(-1, 2)
+    assert value_at(p, 0) == -6
 
 
 def test_evaluate_at_every_root():
@@ -56,7 +60,7 @@ def test_evaluate_at_every_root():
         rs = rand_roots(rng, rng.randint(1, 7))
         p = MonicPoly.from_roots(rs)
         for r in rs:
-            assert p.evaluate(r) == 0
+            assert value_at(p, r) == 0
 
 
 def test_dilate_defining_equation():
@@ -72,7 +76,7 @@ def test_dilate_defining_equation():
         qq = pp.dilate(lam)
         for _ in range(3):
             x = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            assert qq.evaluate(x) == pp.evaluate(lam * x) / lam**d
+            assert value_at(qq, x) == value_at(pp, lam * x) / lam**d
     assert p.dilate(0) == x_power(2)
 
 
@@ -148,22 +152,17 @@ def test_poly_json_roundtrip():
             MonicPoly.from_json(bad)
 
 
-def test_str():
-    p = MonicPoly.from_plain_coefficients([1, -2, 0, Fraction(1, 3)])
-    assert str(p) == "x^3 - 2*x^2 + 1/3"
-    assert str(x_power(1)) == "x"
-
-
 def test_distinct_real_root_count():
-    assert count_distinct_real_roots(MonicPoly.from_roots([1, 2, 3])) == 3
-    assert count_distinct_real_roots(MonicPoly.from_roots([1, 1, 2])) == 2
-    assert count_distinct_real_roots(x_power(5)) == 1
+    def count(p):
+        return _sturm_counts(_primitive_form(p))[0]
+
+    assert count(MonicPoly.from_roots([1, 2, 3])) == 3
+    assert count(MonicPoly.from_roots([1, 1, 2])) == 2
+    assert count(x_power(5)) == 1
     # x^2 + 1
-    assert count_distinct_real_roots(MonicPoly.from_plain_coefficients([1, 0, 1])) == 0
+    assert count(MonicPoly.from_plain_coefficients([1, 0, 1])) == 0
     # x^4 - 1 = (x^2+1)(x-1)(x+1)
-    assert count_distinct_real_roots(
-        MonicPoly.from_plain_coefficients([1, 0, 0, 0, -1])
-    ) == 2
+    assert count(MonicPoly.from_plain_coefficients([1, 0, 0, 0, -1])) == 2
 
 
 def test_is_real_rooted_three_answers():
@@ -173,6 +172,17 @@ def test_is_real_rooted_three_answers():
     assert is_real_rooted(rep) == "yes"
     assert is_real_rooted(rep, require_distinct=True) == "boundary"
     assert is_real_rooted(MonicPoly.from_roots([1, 2, 3]), require_distinct=True) == "yes"
+    # large d, answers known by construction: a repeated rational root, and
+    # the same polynomial times x^2 + 1/3, which has no real roots
+    rng = random.Random(19)
+    for d in (40, 60):
+        roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d - 1)]
+        p = MonicPoly.from_roots(roots + roots[:1])
+        assert is_real_rooted(p) == "yes"
+        assert is_real_rooted(p, require_distinct=True) == "boundary"
+        plain = p.plain_coefficients()
+        q = [x + y / 3 for x, y in zip(plain + [0, 0], [0, 0] + plain)]
+        assert is_real_rooted(MonicPoly.from_plain_coefficients(q)) == "no"
     # (x-2)^2 (x^2+1): repeated real root plus a complex pair stays "no"
     prod_plain = [Fraction(1), Fraction(-4), Fraction(5), Fraction(-4), Fraction(4)]
     assert is_real_rooted(MonicPoly.from_plain_coefficients(prod_plain)) == "no"

@@ -4,8 +4,8 @@ The series path of finfree.transforms against the lattice sums of
 finfree.lattice, the additivity of the cumulants, their homogeneity under
 dilation and translation, round trips past the lattice cap, the free series
 of finfree.freeprob against the non-crossing enumeration, the domain of
-cumulant_from_moments, the Sturm counts against Hermite's criterion, and the
-error contract of the command line.  The settings are derandomized and keep
+cumulant_from_moments and of the size arguments, the Sturm counts against
+Hermite's criterion, and the error contract of the command line.  The settings are derandomized and keep
 no example database, so every run draws the same examples.
 """
 
@@ -21,27 +21,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finfree import (
+    CumulantVector,
     FreeCumulantVector,
+    MomentSequence,
     MonicPoly,
+    PartitionType,
     boxplus,
+    clt_rescaled_sum,
     coefficients_from_cumulants,
     coefficients_from_moments,
-    count_distinct_real_roots,
+    convergence_report,
+    cramer_counterexample,
     cumulant_from_moments,
     cumulants_from_coefficients,
     cumulants_from_moments,
+    enumerate_noncrossing,
+    enumerate_partitions,
+    finite_poisson,
     free_cumulants_from_moments,
     free_moments_from_free_cumulants,
+    hermite_clt,
     is_real_rooted,
+    iter_types,
     lattice,
-    moment_from_cumulants,
     moments,
     moments_from_coefficients,
     moments_from_cumulants,
     rescale_cumulants,
+    x_power,
 )
 from finfree.cli import main
-from finfree.errors import DomainError
+from finfree.errors import DomainError, InputFormatError
+from finfree.polynomial import _primitive_form, _sturm_counts
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -77,7 +88,6 @@ def test_series_equals_lattice_reference(p, extra, rescaled):
     assert moments_from_cumulants(kin, top).entries == tuple(
         lattice.moment_from_cumulants(kin, n) for n in range(1, top + 1)
     )
-    assert moment_from_cumulants(kin, top) == lattice.moment_from_cumulants(kin, top)
 
 
 @PROPS
@@ -163,6 +173,45 @@ def test_integer_d_below_the_order_is_a_domain_error(nd, mv):
             fn(mv, Fraction(d), n)
 
 
+_P = MonicPoly.from_roots([1, -1])
+_M = MomentSequence(tuple(map(Fraction, (0, 1, 0, 2))))
+_R = FreeCumulantVector.make([0, 1])
+# (call on a size, an int size it takes); a size that is not an int is refused
+SIZED = {
+    "MonicPoly": (lambda n: MonicPoly(n, (Fraction(1),) + (Fraction(0),) * 2), 2),
+    "CumulantVector": (lambda n: CumulantVector(n, (Fraction(0),) * 2), 2),
+    "MomentSequence": (lambda n: MomentSequence((Fraction(1),), n), 2),
+    "x_power": (x_power, 2),
+    "hermite_clt": (hermite_clt, 2),
+    "finite_poisson": (lambda n: finite_poisson(1, n), 2),
+    "clt_rescaled_sum": (lambda n: clt_rescaled_sum(_P, n), 4),
+    "cramer_counterexample": (lambda n: cramer_counterexample(n, Fraction(1, 32)), 4),
+    "moments": (lambda n: moments(_P, n), 2),
+    "coefficients_from_moments": (lambda n: coefficients_from_moments(_M, n), 2),
+    "cumulants_from_moments": (lambda n: cumulants_from_moments(_M, n), 2),
+    "cumulant_from_moments": (lambda n: cumulant_from_moments(_M, 3, n), 2),
+    "free_moments_from_free_cumulants": (
+        lambda n: free_moments_from_free_cumulants(_R, n), 2),
+    "free_cumulants_from_moments": (lambda n: free_cumulants_from_moments(_M, n), 2),
+    "convergence_report": (lambda n: convergence_report(_R, n, [10]), 2),
+    "iter_types": (lambda n: list(iter_types(n)), 3),
+    "PartitionType.from_sizes": (lambda n: PartitionType.from_sizes(n, [3]), 3),
+    "enumerate_partitions": (enumerate_partitions, 3),
+    "enumerate_noncrossing": (enumerate_noncrossing, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+def test_size_arguments_must_be_ints(name):
+    # a float, a Fraction or a bool is refused where it enters, however
+    # integral, rather than ending in a TypeError or passing through
+    call, n = SIZED[name]
+    call(n)
+    for bad in (float(n), Fraction(n), True):
+        with pytest.raises(InputFormatError, match="must be an integer"):
+            call(bad)
+
+
 # ---------------------------------------------------------------------------
 # Sturm counts against Hermite's criterion
 # ---------------------------------------------------------------------------
@@ -242,7 +291,7 @@ def boxplus_outputs(quadratics):
 @given(st.one_of(factored_polys(), boxplus_outputs(True), boxplus_outputs(False)))
 def test_sturm_agrees_with_hermite(p):
     positive, negative, rank = hermite_inertia(p)
-    assert count_distinct_real_roots(p) == positive - negative
+    assert _sturm_counts(_primitive_form(p))[0] == positive - negative
     want = "yes" if negative == 0 else "no"  # real-rooted iff H is PSD
     assert is_real_rooted(p) == want
     if want == "yes" and rank < p.d:

@@ -10,6 +10,7 @@ from pathlib import Path
 import finfree
 
 SRC = Path(finfree.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_no_invariant_depends_on_assert():
@@ -329,3 +330,45 @@ def test_divisibility_builds_one_polynomial_from_cumulants():
     tree = ast.parse((SRC / "divisibility.py").read_text())
     found = [func for name, func in _reads(tree) if name == "coefficients_from_cumulants"]
     assert found == ["cramer_counterexample"]
+
+
+def _definitions(tree):
+    """(label, name, the module with that definition left out) for each public
+    function and class a module defines, and each public method and property
+    of its classes."""
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        rest = [s for s in tree.body if s is not stmt]
+        if not stmt.name.startswith("_"):
+            yield stmt.name, stmt.name, rest
+        for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                others = [s for s in stmt.body if s is not member]
+                yield ("%s.%s" % (stmt.name, member.name), member.name,
+                       rest + others + stmt.bases + stmt.decorator_list)
+
+
+# paper constructions with no other path, kept for library users
+UNREAD_BY_DESIGN = {"free_cumulants_from_moments", "clt_rescaled_sum"}
+
+
+def test_every_public_name_of_a_production_module_is_read_elsewhere():
+    # one public path per job: a name that no module of the package and no
+    # benchmark reads, apart from its own definition and the root's
+    # re-export, is a second path or a format nothing uses; the lattice
+    # reference and the command line are the readers, not the read
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    bench = set().union(*(_names_read(ast.parse(path.read_text(), filename=str(path)))
+                          for path in sorted(BENCH.rglob("*.py"))))
+    assert bench, BENCH
+    found = []
+    for module, tree in trees.items():
+        if module in ("lattice.py", "cli.py"):
+            continue
+        read = bench.union(*(_names_read(t) for m, t in trees.items() if m != module))
+        for label, name, rest in _definitions(tree):
+            if name not in read | UNREAD_BY_DESIGN | _names_read(ast.Module(rest, [])):
+                found.append("%s:%s" % (module, label))
+    assert found == []

@@ -24,7 +24,6 @@ from finfree import (
     enumerate_partitions,
     falling,
     lattice,
-    moment_from_cumulants,
     moments,
     moments_from_coefficients,
     moments_from_cumulants,
@@ -189,11 +188,20 @@ def test_kernel_large_d():
         cumulant_from_moments([Fraction(1)], 5, 3)
 
 
+def small_then_d100(rng, count):
+    """count random inputs at d <= 7, then one from_roots input at d = 100;
+    lazy, so that each input's draws come before the test's own."""
+    for _ in range(count):
+        yield rand_poly(rng, rng.randint(1, 7))
+    yield MonicPoly.from_roots(
+        [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(100)])
+
+
 def test_homogeneity_under_dilation():
+    # kappa_n(D_lam p) = kappa_n(p) / lam^n, at small d and at d = 100
     rng = random.Random(53)
-    for _ in range(20):
-        d = rng.randint(1, 7)
-        p = rand_poly(rng, d)
+    for p in small_then_d100(rng, 20):
+        d = p.d
         lam = Fraction(rng.randint(1, 7), rng.randint(1, 7))
         kp = cumulants_from_coefficients(p).kappa
         kq = cumulants_from_coefficients(p.dilate(lam)).kappa
@@ -203,9 +211,7 @@ def test_homogeneity_under_dilation():
 
 def test_translation_shifts_only_kappa_1():
     rng = random.Random(59)
-    for _ in range(15):
-        d = rng.randint(1, 7)
-        p = rand_poly(rng, d)
+    for p in small_then_d100(rng, 15):
         c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
         kp = cumulants_from_coefficients(p).kappa
         kq = cumulants_from_coefficients(p.translate(c)).kappa
@@ -260,7 +266,7 @@ def test_size_caps():
     k = CumulantVector.make(4, [0, 1, 0, 0])
     with pytest.raises(SizeCapError):
         lattice.moment_from_cumulants(k, 13)
-    sigma13 = SetPartition.parse("{1,2|3,4,5,6,7,8,9,10,11,12,13}")
+    sigma13 = SetPartition.from_blocks(13, [[1, 2], range(3, 14)])
     with pytest.raises(SizeCapError):
         p_sigma(sigma13)
     with pytest.raises(SizeCapError):
@@ -276,9 +282,10 @@ def test_p_sigma_agrees_with_defining_sum():
 
 def test_p_sigma_smallest_cases():
     # P at the two-element lattice: (d)_1^2 1! - (d)_2 1! = d
-    s = SetPartition.parse("{1|2}")
+    s = SetPartition.from_blocks(2, [[1], [2]])
     assert p_sigma(s).coeffs == (Fraction(0), Fraction(1))
-    assert p_sigma(SetPartition.parse("{1,2}")).coeffs == (Fraction(0), Fraction(1), Fraction(-1))
+    one = SetPartition.from_blocks(2, [[1, 2]])
+    assert p_sigma(one).coeffs == (Fraction(0), Fraction(1), Fraction(-1))
 
 
 def test_join_form_sign():
@@ -302,10 +309,10 @@ def test_q_sigma_monic_with_expected_degree():
         for sig in enumerate_partitions(n):
             m = len(sig.blocks)
             P = p_sigma(sig)
-            assert P.degree == n + 1 - m
-            assert P.leading == Fraction(
+            assert len(P.coeffs) - 1 == n + 1 - m
+            assert P.coeffs[-1] == Fraction(
                 (-1) ** m * factorial(n - 1) * block_size_product(sig),
                 factorial(n + 1 - m),
             )
             Q = q_sigma(sig)
-            assert Q.degree == n + 1 - m and Q.leading == 1
+            assert len(Q.coeffs) - 1 == n + 1 - m and Q.coeffs[-1] == 1
