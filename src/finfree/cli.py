@@ -223,7 +223,7 @@ def _cmd_converge(ns):
     # n^2 times the number of --d values at most MAX_CONVERGE_N^2
     _check_bound(ns.n, math.isqrt(MAX_CONVERGE_N**2 // len(d_values)), "--n",
                  "the bound MAX_CONVERGE_N/sqrt(number of --d values)")
-    return convergence_report(FreeCumulantVector.make(r), ns.n, d_values).to_json()
+    return convergence_report(FreeCumulantVector(r), ns.n, d_values).to_json()
 
 
 def _cmd_check_id(ns):

@@ -12,6 +12,7 @@ from .transforms import (
     coefficients_from_cumulants,
     cumulants_from_coefficients,
 )
+from .util import parse_rational
 
 
 def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
@@ -45,9 +46,9 @@ def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     Cumulants are additive under boxplus, so the power is defined by
     scaling every cumulant by t; integer t agrees with iterated boxplus.
     """
-    t = Fraction(t)
+    t = parse_rational(t)
     if t <= 0:
         raise DomainError("convolution power needs t > 0, got %s" % t)
     k = cumulants_from_coefficients(p)
-    scaled = CumulantVector(k.d, tuple(t * v for v in k.kappa))
+    scaled = CumulantVector(k.d, [t * v for v in k.kappa])
     return coefficients_from_cumulants(scaled)

@@ -23,7 +23,7 @@ from .transforms import (
     cumulants_from_coefficients,
     rescale_cumulants,
 )
-from .util import _check_int, _is_int
+from .util import _check_int, _is_int, parse_rational, parse_rational_array
 
 
 def _exact_psd(rows) -> bool:
@@ -55,7 +55,7 @@ def is_conditionally_positive_definite(seq) -> bool:
     square window a degree-d cumulant vector supports.  Exact: no floats,
     so boundary cases (Hermite) are decided correctly.
     """
-    vals = tuple(Fraction(x) for x in seq)
+    vals = parse_rational_array(seq, "cumulants")
     d = len(vals)
     if d < 2:
         raise DomainError("need at least two cumulants to test, got %d" % d)
@@ -143,7 +143,7 @@ def _power_family(p: MonicPoly):
     rows = [[x // g for x in row] for row in zip(*cols)]
 
     def at(t) -> list:
-        u, v = Fraction(t).as_integer_ratio()
+        u, v = t.as_integer_ratio()
         basis = [prod(u - k * v for k in range(j)) * v ** (d - j) for j in range(d + 1)]
         return _primitive([sum(x * y for x, y in zip(row, basis)) for row in rows])
 
@@ -161,10 +161,7 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """
     if not _is_int(steps) or steps < 0:
         raise InputFormatError("steps must be an integer >= 0, got %.80r" % (steps,))
-    try:
-        t_max = Fraction(t_max)
-    except (ValueError, OverflowError) as exc:  # nan, inf
-        raise InputFormatError("t_max must be a finite rational: %s" % exc) from exc
+    t_max = parse_rational(t_max)
     if all(v == 0 for v in p.a[1:]):
         raise DomainError("x^d is excluded: every convolution power is x^d")
     if t_max <= 0:
@@ -226,10 +223,10 @@ def cramer_counterexample(d: int, eps) -> CramerPair:
     _check_int(d, "degree")
     if d < 3:
         raise DomainError("need d >= 3 to place a third cumulant")
-    eps = Fraction(eps)
+    eps = parse_rational(eps)
     if eps < 0:
         raise DomainError("eps must be nonnegative")
-    kappa = (Fraction(0), Fraction(1), eps) + (Fraction(0),) * (d - 3)
+    kappa = (0, 1, eps) + (0,) * (d - 3)
     p_plus = coefficients_from_cumulants(CumulantVector(d, kappa))
     p_minus = p_plus.dilate(-1)
     real = is_real_rooted(p_plus) == "yes"

@@ -13,7 +13,7 @@ from .errors import DomainError, InputFormatError
 from .polynomial import MonicPoly
 from .transforms import (CumulantVector, coefficients_from_cumulants,
                          cumulants_from_coefficients)
-from .util import _check_int
+from .util import _check_int, parse_rational
 
 
 def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
@@ -26,8 +26,8 @@ def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     _check_int(d, "degree")
     if d < 1:
         raise InputFormatError("degree must be >= 1")
-    v = Fraction(d - 1, d) if marcus_scaling else Fraction(1)
-    kappa = (Fraction(0), v) + (Fraction(0),) * (d - 2)
+    v = Fraction(d - 1, d) if marcus_scaling else 1
+    kappa = (0, v) + (0,) * (d - 2)
     return coefficients_from_cumulants(CumulantVector(d, kappa[:d]))
 
 
@@ -40,7 +40,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     _check_int(d, "degree")
     if d < 1:
         raise InputFormatError("degree must be >= 1")
-    lam = Fraction(lam)
+    lam = parse_rational(lam)
     dlam = lam * d
     if dlam.denominator != 1 or dlam <= 0:
         raise DomainError(
@@ -66,4 +66,4 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
         )
     root = isqrt(n)
     return coefficients_from_cumulants(CumulantVector(
-        p.d, tuple(v * n / root**r for r, v in enumerate(kappa, start=1))))
+        p.d, [v * n / root**r for r, v in enumerate(kappa, start=1)]))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
-from .util import _check_int, format_rational, parse_int
+from .util import _check_int, format_rational, parse_rational_array
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,13 @@ class FreeCumulantVector:
     entries: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", parse_rational_array(self.entries, "free cumulants"))
         if len(self.entries) < 1:
             raise InputFormatError("need at least one free cumulant")
 
     @classmethod
     def make(cls, entries) -> "FreeCumulantVector":
-        return cls(tuple(Fraction(x) for x in entries))
+        return cls(entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -54,7 +55,7 @@ def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSeq
     _check_int(N, "N")
     # _log_derivative takes the entries past the stored length as zero
     log = _log_derivative((1, *r.entries[:N]), 1, N)
-    return MomentSequence(tuple(_lagrange_moment(log, n) for n in range(1, N + 1)))
+    return MomentSequence([_lagrange_moment(log, n) for n in range(1, N + 1)])
 
 
 def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
@@ -68,7 +69,7 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     for n in range(1, N + 1):
         log.append(0)
         log[-1] = -n * (m.entries[n - 1] - _lagrange_moment(log, n))
-    return FreeCumulantVector(tuple(_exp_series(log, 1, N)[1:]))
+    return FreeCumulantVector(_exp_series(log, 1, N)[1:])
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,9 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     _check_int(n, "cumulant order n")
     if n < 1:
         raise InputFormatError("cumulant order n must be >= 1, got %d" % n)
-    ds = tuple(parse_int(d, "d") for d in d_values)
+    ds = tuple(d_values)
     for d in ds:
+        _check_int(d, "d")
         if d < n:
             raise DomainError("d = %d below the cumulant order n = %d" % (d, n))
     m = free_moments_from_free_cumulants(r, n)

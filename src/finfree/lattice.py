@@ -130,14 +130,14 @@ def partition_lattice_charpoly(n: int) -> VarPoly:
     coeffs = [0] * (n + 1)
     for t in iter_types(n):
         coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
-    return VarPoly.make("t", coeffs)
+    return VarPoly("t", coeffs)
 
 
 def falling_poly(n: int, var: str = "d") -> VarPoly:
     """(var)_n as an exact VarPoly."""
-    out = VarPoly.constant(var, 1)
+    out = VarPoly(var, [1])
     for i in range(n):
-        out = out * VarPoly.make(var, [-i, 1])
+        out = out * VarPoly(var, [-i, 1])
     return out
 
 
@@ -200,9 +200,9 @@ def _interval_sum(sizes: tuple, f) -> Fraction:
 def _p_sigma_poly(sizes: tuple) -> VarPoly:
     """P_sigma(d) = sum over pi >= sigma of (-1)^{|pi|} (d)_pi (|pi|-1)! as an
     exact polynomial in d, for sigma with the given block sizes."""
-    out = VarPoly.zero("d")
+    out = VarPoly("d", ())
     for c, merged in _merged_products_stream(sizes):
-        term = VarPoly.constant("d", c)
+        term = VarPoly("d", [c])
         for t in merged:
             term = term * falling_poly(t)
         out = out + term
@@ -333,11 +333,11 @@ def p_sigma(sigma: SetPartition) -> VarPoly:
 
 def p_sigma_defining_sum(sigma: SetPartition) -> VarPoly:
     """P_sigma by literally filtering the full enumeration of P(n)."""
-    out = VarPoly.zero("d")
+    out = VarPoly("d", ())
     for pi in _partitions(sigma.n, False):
         if refines(sigma, pi):
             r = len(pi.blocks)
-            term = VarPoly.constant("d", (-1) ** r * factorial(r - 1))
+            term = VarPoly("d", [(-1) ** r * factorial(r - 1)])
             for block in pi.blocks:
                 term = term * falling_poly(len(block))
             out = out + term
@@ -392,7 +392,7 @@ def p_sigma_join_form(sigma: SetPartition) -> VarPoly:
     coeffs = [0] * (n + 1)
     for _, m, mu, sizes in _types(n):
         coeffs[m] += mu * (connected & types[sizes]).bit_count()
-    return VarPoly.make("d", coeffs)
+    return VarPoly("d", coeffs)
 
 
 def q_sigma(sigma: SetPartition) -> VarPoly:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputFormatError, NonMonicError
-from .util import (_check_int, format_rational, parse_int, parse_rational_array,
-                   read_record)
+from .util import (_check_int, format_rational, parse_int, parse_rational,
+                   parse_rational_array, read_record)
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class MonicPoly:
     a: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "a", parse_rational_array(self.a, "'a'"))
         _check_int(self.d, "degree")
         if self.d < 1:
             raise InputFormatError("degree must be >= 1")
@@ -45,8 +46,7 @@ class MonicPoly:
 
     @classmethod
     def from_signed(cls, a) -> "MonicPoly":
-        coeffs = tuple(Fraction(x) for x in a)
-        return cls(len(coeffs) - 1, coeffs)
+        return cls(len(a) - 1, a)
 
     @classmethod
     def from_plain_coefficients(cls, c) -> "MonicPoly":
@@ -54,7 +54,7 @@ class MonicPoly:
 
         c[0] must be exactly 1; a_i = (-1)^i c_i.  No silent normalization.
         """
-        return cls.from_signed([(-1) ** i * Fraction(ci) for i, ci in enumerate(c)])
+        return cls.from_signed(_alternate(parse_rational_array(c, "coefficients")))
 
     @classmethod
     def from_roots(cls, roots) -> "MonicPoly":
@@ -62,14 +62,13 @@ class MonicPoly:
 
         a_i comes out as the i-th elementary symmetric function.
         """
-        rs = [Fraction(r) for r in roots]
         e = [Fraction(1)]
-        for r in rs:
+        for r in map(parse_rational, roots):
             new = e + [Fraction(0)]
             for i in range(len(e), 0, -1):
                 new[i] += r * e[i - 1]
             e = new
-        return cls(len(rs), tuple(e))
+        return cls(len(e) - 1, e)
 
     def plain_coefficients(self) -> list:
         """Ordinary descending coefficients, leading 1 first."""
@@ -80,16 +79,14 @@ class MonicPoly:
 
         D_0 is the defined degenerate case x^d.
         """
-        lam = Fraction(lam)
+        lam = parse_rational(lam)
         if lam == 0:
             return x_power(self.d)
-        return MonicPoly(
-            self.d, tuple(ai / lam**i for i, ai in enumerate(self.a))
-        )
+        return MonicPoly(self.d, [ai / lam**i for i, ai in enumerate(self.a)])
 
     def translate(self, c) -> "MonicPoly":
         """p(x + c), exact; shifts every root by -c."""
-        c = Fraction(c)
+        c = parse_rational(c)
         plain = self.plain_coefficients()
         # synthetic Taylor shift: repeated division by (x - (-c))
         out = []
@@ -112,13 +109,13 @@ class MonicPoly:
     @classmethod
     def from_json(cls, obj) -> "MonicPoly":
         d, a = read_record(obj, "polynomial", ("degree", "a"))
-        return cls(parse_int(d, "'degree'"), parse_rational_array(a, "'a'"))
+        return cls(parse_int(d, "'degree'"), a)
 
 
 def x_power(d: int) -> MonicPoly:
     """x^d."""
     _check_int(d, "degree")
-    return MonicPoly(d, (Fraction(1),) + (Fraction(0),) * d)
+    return MonicPoly(d, (1,) + (0,) * d)
 
 
 def moments(p: MonicPoly, N: int) -> "MomentSequence":
@@ -172,6 +169,7 @@ class MomentSequence:
     degree_context: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", parse_rational_array(self.entries, "'m'"))
         if len(self.entries) < 1:
             raise InputFormatError("moment sequence must be nonempty")
         if self.degree_context is not None:
@@ -192,8 +190,7 @@ class MomentSequence:
     @classmethod
     def from_json(cls, obj) -> "MomentSequence":
         m, d = read_record(obj, "moment", ("m",), ("d",))
-        return cls(parse_rational_array(m, "'m'"),
-                   None if d is None else parse_int(d, "'d'"))
+        return cls(m, None if d is None else parse_int(d, "'d'"))
 
 
 # ---------------------------------------------------------------------------

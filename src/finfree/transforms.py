@@ -32,7 +32,7 @@ from .polynomial import (
     moments,
 )
 from .util import (VarPoly, _check_int, falling, format_rational, parse_int,
-                   parse_rational_array, read_record)
+                   parse_rational, parse_rational_array, read_record)
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ class CumulantVector:
     variant: str = "standard"
 
     def __post_init__(self):
+        object.__setattr__(self, "kappa", parse_rational_array(self.kappa, "'kappa'"))
         _check_int(self.d, "degree")
         if self.d < 1:
             raise InputFormatError("degree must be >= 1")
@@ -57,10 +58,6 @@ class CumulantVector:
             )
         if self.variant not in ("standard", "rescaled"):
             raise InputFormatError("variant must be 'standard' or 'rescaled'")
-
-    @classmethod
-    def make(cls, d, kappa, variant="standard") -> "CumulantVector":
-        return cls(d, tuple(Fraction(k) for k in kappa), variant)
 
     def to_json(self) -> dict:
         return {
@@ -72,8 +69,7 @@ class CumulantVector:
     @classmethod
     def from_json(cls, obj) -> "CumulantVector":
         d, kappa, variant = read_record(obj, "cumulant", ("d", "kappa"), ("variant",))
-        return cls(parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'"),
-                   "standard" if variant is None else variant)
+        return cls(parse_int(d, "'d'"), kappa, "standard" if variant is None else variant)
 
 
 def _standardize(k: CumulantVector) -> tuple:
@@ -135,7 +131,7 @@ def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     _check_int(d, "d")
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
-    return MonicPoly(d, tuple(_alternate(_exp_series(m.entries, d, d))))
+    return MonicPoly(d, _alternate(_exp_series(m.entries, d, d)))
 
 
 def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
@@ -157,15 +153,15 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     d may be any rational except an integer below n; the cost is O(n^2)
     whatever d is.
     """
-    mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
+    mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
     _check_int(n, "cumulant order n")
     if n < 1:
         raise DomainError("cumulant order must be >= 1, got %d" % n)
     if len(mv) < n:
         raise DomainError("need %d moments, got %d" % (n, len(mv)))
-    dq = Fraction(d)
+    dq = parse_rational(d)
     if dq.denominator == 1 and dq < n:
-        raise DomainError("integer d = %s below the order n = %d" % (d, n))
+        raise DomainError("integer d = %s below the order n = %d" % (dq, n))
     return _cumulants_from_moments(mv, dq, n)[-1]
 
 
@@ -184,4 +180,4 @@ def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
 
 def truncated_r_transform(p: MonicPoly) -> VarPoly:
     """sum_{j=0}^{d-1} kappa_{j+1} s^j, the first d terms of the R-transform."""
-    return VarPoly.make("s", cumulants_from_coefficients(p).kappa)
+    return VarPoly("s", cumulants_from_coefficients(p).kappa)

@@ -2,10 +2,11 @@
 and dense polynomials.
 
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
-everything exact is a fractions.Fraction.  VarPoly is the exact polynomial
-in a named indeterminate: the truncated R-transform in s, and, in the
-lattice reference, the lattice polynomials in d and the lattice
-characteristic polynomial in t.
+everything exact is a fractions.Fraction.  parse_rational is the one gate
+between the two, and every exact value type stores its entries through it.
+VarPoly is the exact polynomial in a named indeterminate: the truncated
+R-transform in s, and, in the lattice reference, the lattice polynomials in
+d and the lattice characteristic polynomial in t.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DomainError, InputFormatError
 
@@ -23,16 +25,20 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "num/den" or a bare integer/decimal string into a Fraction."""
+    """The one gate for an exact rational: a Fraction or an int as it is, a
+    string "num/den", integer or decimal literal parsed exactly.  A float, a
+    bool or any other object is refused, never converted."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if isinstance(text, float):
         raise InputFormatError(
             "refusing float %r for an exact slot; pass a string like '1/3'" % text
         )
-    literal = str(text).strip()
+    if not isinstance(text, str):  # shown as its text, as JSON input always was
+        raise InputFormatError("not a rational: %.80r" % (str(text),))
+    literal = text.strip()
     # the interpreter's int/str digit limit (CPython >= 3.10.7), 0 when off
     limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     exp = _EXPONENT.search(literal)
@@ -51,12 +57,13 @@ def parse_rational(text) -> Fraction:
 
 
 def parse_rational_array(value, what: str) -> tuple:
-    """The entries of a JSON array of exact rationals.  Anything else, a
-    string or a number in place of the array, or a boolean inside it, is
-    refused rather than iterated."""
-    if not isinstance(value, list) or any(isinstance(x, bool) for x in value):
-        raise InputFormatError("%s must be an array of rationals, got %.80r" % (what, value))
-    return tuple(parse_rational(x) for x in value)
+    """The one gate for a sequence of exact rationals: a list or a tuple,
+    each entry through parse_rational.  Anything else, a string or a number
+    in place of the array, or a boolean inside it, is refused rather than
+    iterated."""
+    if isinstance(value, (list, tuple)) and bool not in map(type, value):
+        return tuple(map(parse_rational, value))
+    raise InputFormatError("%s must be an array of rationals, got %.80r" % (what, value))
 
 
 def read_record(obj, what: str, required, optional=()) -> tuple:
@@ -116,53 +123,35 @@ def format_rational(q: Fraction) -> str:
 class VarPoly:
     """Dense exact polynomial in one named variable.
 
-    coeffs are ascending; trailing zeros are trimmed; the zero polynomial
-    has empty coeffs.
+    coeffs are ascending Fractions, stored through parse_rational_array with
+    trailing zeros trimmed; the zero polynomial has empty coeffs.
     """
 
     var: str
     coeffs: tuple
 
-    @classmethod
-    def make(cls, var, coeffs) -> "VarPoly":
-        cs = [Fraction(c) for c in coeffs]
+    def __post_init__(self):
+        cs = list(parse_rational_array(self.coeffs, "coefficients"))
         while cs and cs[-1] == 0:
             cs.pop()
-        return cls(var, tuple(cs))
-
-    @classmethod
-    def zero(cls, var) -> "VarPoly":
-        return cls(var, ())
-
-    @classmethod
-    def constant(cls, var, c) -> "VarPoly":
-        return cls.make(var, [c])
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __add__(self, other: "VarPoly") -> "VarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return VarPoly.make(self.var, out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return VarPoly(self.var, [x + y for x, y in pairs])
 
     def __mul__(self, other: "VarPoly") -> "VarPoly":
-        if not self.coeffs or not other.coeffs:
-            return VarPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)  # [] times anything is []
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return VarPoly.make(self.var, out)
+        return VarPoly(self.var, out)
 
     def scale(self, c) -> "VarPoly":
-        c = Fraction(c)
-        if c == 0:
-            return VarPoly.zero(self.var)
-        return VarPoly(self.var, tuple(x * c for x in self.coeffs))
+        c = parse_rational(c)
+        return VarPoly(self.var, [x * c for x in self.coeffs])
 
     def __call__(self, x):
         acc = 0

@@ -67,6 +67,16 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
         assert isinstance(json.loads(captured.out), dict), argv
 
 
+def test_readme_library_blocks_run():
+    # the Python blocks of README's Library section, each in a fresh namespace
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_convolve(capsys):
     x2 = '{"degree": 2, "a": ["1", "0", "0"]}'
     code, out, _ = run(capsys, "convolve", SEMICIRCLE2, x2)
@@ -464,6 +474,21 @@ def test_degrees_must_be_integers(capsys):
     # integral values in other spellings still parse
     code, out, _ = run(capsys, "coeffs", '{"d": 2.0, "kappa": ["0", "1"]}')
     assert code == 0 and out["degree"] == 2
+
+
+def test_float_and_bool_array_entries_keep_their_messages(capsys):
+    # stderr pinned byte for byte for a float and a boolean inside a JSON array
+    cases = {
+        '{"degree": 2, "a": ["1", 0.5, "0"]}': (
+            '{"error": {"type": "InputFormatError", "message": "refusing float 0.5 '
+            "for an exact slot; pass a string like '1/3'\"}}\n"),
+        '{"degree": 2, "a": ["1", true, "0"]}': (
+            '{"error": {"type": "InputFormatError", "message": "\'a\' must be an '
+            "array of rationals, got ['1', True, '0']\"}}\n"),
+    }
+    for doc, err in cases.items():
+        assert main(["cumulants", doc]) == 3, doc
+        assert capsys.readouterr() == ("", err), doc
 
 
 def test_no_command_takes_a_tolerance(tmp_path, capsys):

@@ -60,6 +60,28 @@ def test_cpd_examples():
         is_conditionally_positive_definite([Fraction(1)])
 
 
+def test_cpd_known_by_construction():
+    # kappa_n = sum of w y^n over rational atoms y with weights w > 0: the
+    # shifted Hankel form is V^T W V with V_{y,i} = y^i, PSD of rank equal to
+    # the number of atoms.  With fewer atoms than floor(d/2) it is singular,
+    # and some kernel vector has a nonzero first entry (the coefficients of
+    # y times the atoms' product), so lowering kappa_2 alone breaks it
+    rng = random.Random(23)
+    d = 60
+    pool = sorted({Fraction(a, b) for a in range(-9, 10) if a for b in range(1, 6)})
+    ys = rng.sample(pool, d // 2 + 2)
+    ws = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in ys]
+
+    def kappa(atoms):
+        return [sum(w * y**n for y, w in zip(ys[:atoms], ws)) for n in range(1, d + 1)]
+
+    singular = kappa(d // 4)
+    assert is_conditionally_positive_definite(singular)
+    singular[1] -= Fraction(1, 10**6)
+    assert not is_conditionally_positive_definite(singular)
+    assert is_conditionally_positive_definite(kappa(d // 2 + 2))
+
+
 def test_id_hermite():
     for d in (1, 2, 5, 8):
         rep = infinite_divisibility_report(hermite_clt(d))
@@ -86,7 +108,7 @@ def test_id_rejects_complex_rooted():
 
 def test_id_normalizes_when_square():
     # kappa = (3, 4, 0, 0): shift then dilate by 2 lands exactly on Hermite
-    p = coefficients_from_cumulants(CumulantVector.make(4, [3, 4, 0, 0]))
+    p = coefficients_from_cumulants(CumulantVector(4, [3, 4, 0, 0]))
     rep = infinite_divisibility_report(p)
     assert rep.verdict == "infinitely_divisible"
     assert rep.centered_normalized == hermite_clt(4)
@@ -175,7 +197,7 @@ def test_rescaled_cpd_implies_standard_cpd():
             j = rng.randrange(d)
             kt[j] += Fraction(rng.randint(-2, 2), 3)
         kap = [Fraction(d) ** n / falling(d, n) * kt[n - 1] for n in range(1, d + 1)]
-        k = CumulantVector.make(d, kap)
+        k = CumulantVector(d, kap)
         if is_conditionally_positive_definite(rescale_cumulants(k).kappa):
             checked += 1
             assert is_conditionally_positive_definite(k.kappa)

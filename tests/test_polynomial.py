@@ -181,7 +181,7 @@ def test_is_real_rooted_three_answers():
         assert is_real_rooted(p) == "yes"
         assert is_real_rooted(p, require_distinct=True) == "boundary"
         plain = p.plain_coefficients()
-        q = [x + y / 3 for x, y in zip(plain + [0, 0], [0, 0] + plain)]
+        q = [x + Fraction(y, 3) for x, y in zip(plain + [0, 0], [0, 0] + plain)]
         assert is_real_rooted(MonicPoly.from_plain_coefficients(q)) == "no"
     # (x-2)^2 (x^2+1): repeated real root plus a complex pair stays "no"
     prod_plain = [Fraction(1), Fraction(-4), Fraction(5), Fraction(-4), Fraction(4)]

@@ -4,9 +4,10 @@ The series path of finfree.transforms against the lattice sums of
 finfree.lattice, the additivity of the cumulants, their homogeneity under
 dilation and translation, round trips past the lattice cap, the free series
 of finfree.freeprob against the non-crossing enumeration, the domain of
-cumulant_from_moments and of the size arguments, the Sturm counts against
-Hermite's criterion, and the error contract of the command line.  The settings are derandomized and keep
-no example database, so every run draws the same examples.
+cumulant_from_moments, of the size arguments and of the exact rational
+arguments, the Sturm counts against Hermite's criterion, and the error
+contract of the command line.  The settings are derandomized and keep no
+example database, so every run draws the same examples.
 """
 
 import contextlib
@@ -27,6 +28,7 @@ from finfree import (
     MonicPoly,
     PartitionType,
     boxplus,
+    boxplus_power,
     clt_rescaled_sum,
     coefficients_from_cumulants,
     coefficients_from_moments,
@@ -41,18 +43,21 @@ from finfree import (
     free_cumulants_from_moments,
     free_moments_from_free_cumulants,
     hermite_clt,
+    is_conditionally_positive_definite,
     is_real_rooted,
     iter_types,
     lattice,
     moments,
     moments_from_coefficients,
     moments_from_cumulants,
+    real_rooted_threshold,
     rescale_cumulants,
     x_power,
 )
 from finfree.cli import main
 from finfree.errors import DomainError, InputFormatError
 from finfree.polynomial import _primitive_form, _sturm_counts
+from finfree.util import VarPoly
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -210,6 +215,68 @@ def test_size_arguments_must_be_ints(name):
     for bad in (float(n), Fraction(n), True):
         with pytest.raises(InputFormatError, match="must be an integer"):
             call(bad)
+
+
+# (call on an exact rational, a value it takes); every rational argument or
+# entry passes util.parse_rational, which takes an int, a Fraction or a string
+RATIONAL = {
+    "MonicPoly": (lambda x: MonicPoly(2, [1, x, 0]), 1),
+    "MonicPoly.from_signed": (lambda x: MonicPoly.from_signed([1, x]), 1),
+    "MonicPoly.from_plain_coefficients": (
+        lambda x: MonicPoly.from_plain_coefficients([1, x]), 1),
+    "MonicPoly.from_roots": (lambda x: MonicPoly.from_roots([x, 0]), 1),
+    "MonicPoly.dilate": (_P.dilate, 2),
+    "MonicPoly.translate": (_P.translate, 1),
+    "CumulantVector": (lambda x: CumulantVector(2, [0, x]), 1),
+    "MomentSequence": (lambda x: MomentSequence([x]), 1),
+    "FreeCumulantVector": (lambda x: FreeCumulantVector([x]), 1),
+    "FreeCumulantVector.make": (lambda x: FreeCumulantVector.make([x]), 1),
+    "VarPoly": (lambda x: VarPoly("s", [x]), 1),
+    "VarPoly.scale": (VarPoly("s", [1, 1]).scale, 2),
+    "boxplus_power": (lambda x: boxplus_power(_P, x), 2),
+    "finite_poisson": (lambda x: finite_poisson(x, 2), 1),
+    "cramer_counterexample": (lambda x: cramer_counterexample(3, x), 1),
+    "cumulant_from_moments m": (lambda x: cumulant_from_moments([0, x], 3, 2), 1),
+    "cumulant_from_moments d": (lambda x: cumulant_from_moments(_M, x, 2), 3),
+    "is_conditionally_positive_definite": (
+        lambda x: is_conditionally_positive_definite([0, x]), 1),
+    "real_rooted_threshold": (lambda x: real_rooted_threshold(_P, x), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_arguments_pass_one_gate(name):
+    # equal rationals give equal results; a float, a bool, a complex number
+    # or None is refused where it enters, never converted
+    call, v = RATIONAL[name]
+    assert call(v) == call(Fraction(v)) == call(str(v))
+    for bad in (float(v), True, complex(v), None):
+        with pytest.raises(InputFormatError):
+            call(bad)
+
+
+# (build from a sequence of rationals, a sequence it takes)
+SEQUENCES = {
+    "MonicPoly": (lambda s: MonicPoly(2, s), [1, 0, -1]),
+    "CumulantVector": (lambda s: CumulantVector(2, s), [0, 1]),
+    "MomentSequence": (MomentSequence, [0, 1]),
+    "FreeCumulantVector": (FreeCumulantVector, [0, 1]),
+    "VarPoly": (lambda s: VarPoly("s", s), [0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEQUENCES))
+def test_values_compare_and_hash_by_their_entries(name):
+    build, seq = SEQUENCES[name]
+    values = {build(seq), build(tuple(seq)), build([str(x) for x in seq])}
+    assert len(values) == 1
+
+
+def test_equal_values_from_different_constructors():
+    # a list of ints and the elementary symmetric functions of the roots
+    assert len({MonicPoly(2, [1, 0, -1]), MonicPoly.from_roots([1, -1])}) == 1
+    # trailing zeros are trimmed in the constructor
+    assert VarPoly("s", [0, 1, 0]) == VarPoly("s", (0, 1)) != VarPoly("s", [0, 1]).scale(0)
 
 
 # ---------------------------------------------------------------------------
