@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import DimensionError, DomainError
-from .polynomial import MonicPoly
+from .polynomial import MonicPoly, _over_lcm
 from .transforms import (
     CumulantVector,
     coefficients_from_cumulants,
@@ -20,6 +21,10 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
 
     a_k(p boxplus q) = sum_{i+j=k} (d-i)! (d-j)! / (d! (d-i-j)!) a_i(p) a_j(q).
 
+    In integers over the lcms A, B of the denominators: a_k is the dot
+    product of alpha_i = (d-i)! A a_i(p) and beta_j = (d-j)! B a_j(q), over
+    A B d! (d-k)!.
+
     Exact, O(d^2); equals the expected characteristic polynomial of
     A + Q B Q^T over Haar-random orthogonal Q when p, q are the
     characteristic polynomials of the symmetric matrices A, B.
@@ -29,13 +34,12 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
             "degree mismatch: %d vs %d" % (p.d, q.d)
         )
     d = p.d
-    # the weight factors: alpha_i = (d-i)! a_i(p), beta_j = (d-j)! a_j(q)
-    alpha = [factorial(d - i) * a for i, a in enumerate(p.a)]
-    beta = [factorial(d - j) * b for j, b in enumerate(q.a)]
-    dfac = factorial(d)
+    (a, A), (b, B) = _over_lcm(p.a), _over_lcm(q.a)
+    alpha = [factorial(d - i) * x for i, x in enumerate(a)]
+    beta = [factorial(d - j) * y for j, y in enumerate(b)]
+    den = A * B * factorial(d)
     return MonicPoly(d, tuple(
-        Fraction(sum(alpha[i] * beta[k - i] for i in range(k + 1)),
-                 dfac * factorial(d - k))
+        Fraction(sum(map(mul, alpha[:k + 1], beta[k::-1])), den * factorial(d - k))
         for k in range(d + 1)
     ))
 

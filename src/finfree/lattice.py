@@ -45,7 +45,7 @@ from .partitions import (
 )
 from .polynomial import MomentSequence, MonicPoly
 from .transforms import CumulantVector, _standardize
-from .util import VarPoly, falling
+from .util import VarPoly, falling, parse_rational, parse_rational_array
 
 # Established by exhaustive comparison of the two sums for every sigma in
 # P(n), n <= 6, and re-checked by the test suite up to n = 8:
@@ -113,7 +113,8 @@ def multiplicative_extension(f, pi: SetPartition) -> Fraction:
 
     Raises IndexError when f is shorter than the largest block.
     """
-    return prod((Fraction(f[len(b) - 1]) for b in pi.blocks), start=Fraction(1))
+    f = parse_rational_array(f, "f")
+    return prod((f[len(b) - 1] for b in pi.blocks), start=Fraction(1))
 
 
 def block_size_product(sigma: SetPartition) -> int:
@@ -290,11 +291,11 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     not be an integer below n, where (d)_pi vanishes.
     """
     _check_cap(n)
-    mv = m.entries if isinstance(m, MomentSequence) else tuple(Fraction(x) for x in m)
+    mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
     if len(mv) < n:
         raise DomainError("need %d moments, got %d" % (n, len(mv)))
-    dq = Fraction(d)
-    if dq == int(dq) and int(dq) < n:
+    dq = parse_rational(d)
+    if dq.denominator == 1 and dq < n:
         raise DomainError("integer d = %s below the order n = %d" % (d, n))
     f = [1 / falling(dq, t) for t in range(1, n + 1)]
     s = _mobius_sum(mv, dq, n, lambda sizes: _interval_sum(sizes, f))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputFormatError, NonMonicError
 from .util import (_check_int, format_rational, parse_int, parse_rational,
@@ -138,27 +139,54 @@ def _alternate(v) -> list:
     return [-x if i % 2 else x for i, x in enumerate(v)]
 
 
+def _over_lcm(v) -> tuple:
+    """(numerators, D): the entries of v (Fractions or ints) as integers over
+    D, the lcm of their denominators."""
+    D = lcm(*(x.denominator for x in v))
+    return [x.numerator * (D // x.denominator) for x in v], D
+
+
 def _log_derivative(S, d, n: int) -> tuple:
-    """c_1..c_n with c_{k+1} = -(1/d) [s^k] S'/S, where S_0 = 1 and S_j = 0
-    past the end of S, so each step sums over at most len(S) - 1 terms."""
+    """c_1..c_n with c_{k+1} = -(1/d) [s^k] S'/S, where S_0 != 0 and S_j = 0
+    past the end of S.  S'/S does not see the scale of S, so S may be
+    integers.  T_k = [s^k] S'/S solves S_0 T_k = (k+1) S_{k+1} - sum_j T_j
+    S_{k-j}, one integer dot product over T's running lcm DT per step.
+    """
+    Snum, _ = _over_lcm(S)
     top = len(S) - 1
-    T = []
+    T, Tnum, DT = [], [], 1
     for k in range(n):
-        lower = sum(
-            (T[j] * S[k - j] for j in range(max(0, k - top), k)), Fraction(0)
-        )
-        T.append(((k + 1) * S[k + 1] if k < top else 0) - lower)
+        lo = max(0, k - top)
+        dot = sum(map(mul, Tnum[lo:k], Snum[k - lo:0:-1]))
+        t = Fraction(((k + 1) * Snum[k + 1] * DT if k < top else 0) - dot, DT * Snum[0])
+        Tnum, DT = _append_over(Tnum, DT, t)
+        T.append(t)
     return tuple(-t / d for t in T)
 
 
 def _exp_series(c, d, n: int) -> list:
     """S_0..S_n from i S_i = -d sum_{j=1}^{i} c_j S_{i-j}, S_0 = 1: the inverse
-    of _log_derivative."""
-    S = [Fraction(1)]
+    of _log_derivative.  c_1..c_n come over their lcm and S over a running
+    lcm, so each step is one integer dot product and one Fraction."""
+    cnum, DC = _over_lcm(c[:n])
+    p, q = d.numerator, d.denominator
+    S, Snum, DS = [Fraction(1)], [1], 1
     for i in range(1, n + 1):
-        acc = sum((c[j - 1] * S[i - j] for j in range(1, i + 1)), Fraction(0))
-        S.append(-d * acc / i)
+        dot = sum(map(mul, cnum[:i], Snum[::-1]))
+        s = Fraction(-p * dot, q * i * DC * DS)
+        Snum, DS = _append_over(Snum, DS, s)
+        S.append(s)
     return S
+
+
+def _append_over(nums: list, D: int, x: Fraction) -> tuple:
+    """nums + [x] over the lcm of D and x's denominator: the stored
+    numerators are rescaled only when that denominator does not divide D."""
+    if D % x.denominator:
+        grown = lcm(D, x.denominator)
+        nums, D = [y * (grown // D) for y in nums], grown
+    nums.append(x.numerator * (D // x.denominator))
+    return nums, D
 
 
 @dataclass(frozen=True)
@@ -228,9 +256,7 @@ def _remainder(a, b):
 
 def _primitive_form(p: MonicPoly) -> list:
     """The plain coefficients of p as a primitive integer polynomial."""
-    plain = p.plain_coefficients()
-    den = lcm(*(c.denominator for c in plain))
-    return _primitive([c.numerator * (den // c.denominator) for c in plain])
+    return _primitive(_over_lcm(p.plain_coefficients())[0])
 
 
 def _sturm_chain(f) -> list:

@@ -9,6 +9,10 @@ with power sums p_i = d m_i) and back; moments <-> cumulants compose the two
 steps.  There d enters only as a parameter, so cumulant_from_moments works at
 any rational d except an integer below the order n, where (d)_n vanishes.
 
+Each step of the pair is one integer dot product over a common denominator
+and one Fraction.  The weights are integers W_i = W_0 w_i: the log step
+takes the integers W_i num(a_i), since S'/S does not see the scale of S.
+
 The paper states these maps as sums over the set partition lattice; those
 sums live in lattice.py, the reference the tests compare this module with.
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, InputFormatError
 from .polynomial import (
@@ -29,6 +34,7 @@ from .polynomial import (
     _alternate,
     _exp_series,
     _log_derivative,
+    _over_lcm,
     moments,
 )
 from .util import (VarPoly, _check_int, falling, format_rational, parse_int,
@@ -100,29 +106,34 @@ def rescale_cumulants(k: CumulantVector) -> CumulantVector:
 # ---------------------------------------------------------------------------
 
 
-def _series_weights(d: Fraction, n: int) -> list:
-    """w_i = (-d)^i / (d)_i for i = 0..n, so that S_i = w_i a_i; d must not
-    be an integer in 0..n-1."""
-    w = [Fraction(1)]
-    for i in range(1, n + 1):
-        w.append(w[-1] * -d / (d - i + 1))
-    return w
+def _series_weights(d, n: int) -> list:
+    """Integers W_0..W_n with W_i / W_0 = w_i = (-d)^i / (d)_i, the weights of
+    S_i = w_i a_i: with d = p/q, W_i = (-p)^i prod_{j=i}^{n-1} (p - jq).  d
+    must not be an integer in 0..n-1."""
+    p, q = d.numerator, d.denominator
+    W, suffix = [0] * (n + 1), 1
+    for i in range(n, -1, -1):
+        W[i] = (-p) ** i * suffix
+        suffix *= p - (i - 1) * q
+    return W
 
 
 def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
-    """a_i = S_i (d)_i / (-d)^i with S from the exp recurrence."""
+    """a_i = S_i W_0 / W_i with S from the exp recurrence."""
     d = k.d
-    dq = Fraction(d)
-    S = _exp_series(_standardize(k), dq, d)
-    return MonicPoly(d, tuple(s / w for s, w in zip(S, _series_weights(dq, d))))
+    W = _series_weights(d, d)
+    S = _exp_series(_standardize(k), d, d)
+    return MonicPoly(d, tuple(
+        Fraction(s.numerator * W[0], s.denominator * w) for s, w in zip(S, W)
+    ))
 
 
 def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
-    """kappa_n = -(1/d) [s^{n-1}] S'/S."""
+    """kappa_n = -(1/d) [s^{n-1}] S'/S, with the integers W_i num(a_i) for S."""
     d = p.d
-    dq = Fraction(d)
-    S = [w * a for w, a in zip(_series_weights(dq, d), p.a)]
-    return CumulantVector(d, _log_derivative(S, dq, d))
+    a, _ = _over_lcm(p.a)
+    S = list(map(mul, _series_weights(d, d), a))
+    return CumulantVector(d, _log_derivative(S, d, d))
 
 
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
@@ -142,9 +153,8 @@ def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
 def _cumulants_from_moments(mv, d, n: int) -> tuple:
     """kappa_1..kappa_n from m_1..m_n at degree (or parameter) d: the exp
     step gives the coefficients a_i, the weighted log step the cumulants."""
-    dq = Fraction(d)
-    a = _alternate(_exp_series(mv, dq, n))
-    return _log_derivative([w * x for w, x in zip(_series_weights(dq, n), a)], dq, n)
+    a, _ = _over_lcm(_alternate(_exp_series(mv, d, n)))
+    return _log_derivative(list(map(mul, _series_weights(d, n), a)), d, n)
 
 
 def cumulant_from_moments(m, d, n: int) -> Fraction:

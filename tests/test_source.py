@@ -287,6 +287,19 @@ def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
     assert found == [("matrix_oracle.py", "_jacobi"), ("polynomial.py", "_sturm_counts")]
 
 
+def test_only_polynomial_clears_denominators_by_an_lcm():
+    # one common-denominator helper: the kernels, boxplus and the Sturm
+    # input take their integers from polynomial._over_lcm; the lattice
+    # reference is exempt
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
+        if "lcm" in imported | {name for name, _ in _reads(tree)}:
+            found.add(path.name)
+    assert sorted(found - {"lattice.py"}) == ["polynomial.py"]
+
+
 def test_only_transforms_turns_cumulants_into_coefficients():
     # the kappa -> a map and its (d)_n / d^n weights live in transforms.py,
     # with the lattice reference's own sums beside it; the package root only
