@@ -424,13 +424,12 @@ def _emit_error(kind: str, message: str) -> None:
 def main(argv=None) -> int:
     args = list(sys.argv[1:]) if argv is None else list(argv)
     head = args[0] if args else None
-    if head not in ("-h", "--help"):
-        if head is None or head.startswith("-") or head not in _COMMANDS:
-            _emit_error(
-                "UnknownCommand",
-                "expected one of: %s" % ", ".join(sorted(_COMMANDS)),
-            )
-            return 2
+    if head not in _COMMANDS and head not in ("-h", "--help"):
+        _emit_error(
+            "UnknownCommand",
+            "expected one of: %s" % ", ".join(sorted(_COMMANDS)),
+        )
+        return 2
     try:
         ns = _build_parser().parse_args(args)
     except _UsageError as exc:

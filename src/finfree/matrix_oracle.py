@@ -112,10 +112,9 @@ def _char_poly_batch(ms: np.ndarray, shift: float = 0.0) -> np.ndarray:
     return np.array(taylor) @ c
 
 
-def _jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
+def _jacobi(p: MonicPoly) -> np.ndarray:
     """A symmetric tridiagonal matrix whose characteristic polynomial is
-    exactly the real-rooted p (Golub and Welsch's Jacobi matrix), less
-    shift times I and divided by scale, both exact.
+    exactly the real-rooted p (Golub and Welsch's Jacobi matrix).
 
     Monic consecutive elements s, t of the Sturm chain of p satisfy
     s = (x - alpha) t - beta u with u the next one, so alpha and beta come
@@ -136,17 +135,16 @@ def _jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
             alpha.append(t1 - s1)
             beta.append(t2 - alpha[-1] * t1 - s2)
         f = chain[-1]
-    off = [math.sqrt(b / scale**2) for b in beta[:-1]]
-    diag = [float((a - shift) / scale) for a in alpha]
+    off = [math.sqrt(b) for b in beta[:-1]]
+    diag = [float(a) for a in alpha]
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _spread(p: MonicPoly) -> Fraction:
-    """An exact bound, within a factor 1 + 2^-30, on the distance of the
-    roots of p from their mean: sqrt((d-1)/d S), S the sum of the squared
-    distances (Laguerre and Samuelson); S < 0 only for non-real roots."""
-    a1, a2 = p.a[1], (p.a + (0,))[2]
-    squares = max(0, (p.d - 1) * ((p.d - 1) * a1 * a1 / p.d - 2 * a2) / p.d)
+    """An exact bound, within a factor 1 + 2^-30, on |r| for the roots r of
+    the centred p: sqrt((d-1)/d S), S = -2 a_2 the sum of their squares
+    (Laguerre and Samuelson); S < 0 only for non-real roots."""
+    squares = max(0, Fraction(-2 * (p.d - 1), p.d) * (p.a + (0,))[2])
     v = squares.numerator * squares.denominator << 60
     r = math.isqrt(v)
     return Fraction(r + (r * r < v), squares.denominator << 30)
@@ -162,12 +160,13 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     update), so identical samples give a spread of zero, not the rounding
     left over by subtracting two large sums.
 
-    A and B are centred, so that A + Q B Q^T has trace 0 and the mean root
-    comes back by a Taylor shift, and divided by 2^e >= R, the bound on its
-    spectral radius that scales the pass rule.  Each a_k is then at most
-    binom(d, k) in size until the mean and standard error are scaled back,
-    exactly, by 2^(ek); DomainError refuses an R that would put a_k, at
-    most binom(d, k) R^k < 2^d max(1, R^d), outside the normal floats.
+    A and B are those of p and q centred (translate), so that A + Q B Q^T has
+    trace 0 and the mean root comes back by a Taylor shift, and divided
+    (dilate) by 2^e >= R, the bound on its spectral radius that scales the
+    pass rule.  Each a_k is then at most binom(d, k) in size until the mean
+    and standard error are scaled back, exactly, by 2^(ek); DomainError
+    refuses an R that would put a_k, at most binom(d, k) R^k < 2^d
+    max(1, R^d), outside the normal floats.
     """
     if not _is_int(seed) or seed < 0:
         raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
@@ -179,9 +178,10 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
         raise DomainError("need at least 1000 samples, got %d" % samples)
     d = p.d
     mean_root = (p.a[1] + q.a[1]) / d
-    radius = abs(mean_root) + _spread(p) + _spread(q)
+    pc, qc = (r.translate(r.a[1] / d) for r in (p, q))
+    radius = abs(mean_root) + _spread(pc) + _spread(qc)
     e = radius.numerator.bit_length() - radius.denominator.bit_length() + 1
-    ja, jb = (_jacobi(r, r.a[1] / d, Fraction(2) ** e) for r in (p, q))
+    ja, jb = (_jacobi(r.dilate(Fraction(2) ** e)) for r in (pc, qc))
     if radius and not 2**-1022 <= radius**d <= 2 ** (1024 - d):
         raise DomainError("the Monte-Carlo estimate would leave the float range")
     shift = float(mean_root / Fraction(2) ** e)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import InputFormatError, NonMonicError
@@ -61,19 +61,18 @@ class MonicPoly:
     def from_roots(cls, roots) -> "MonicPoly":
         """Exact monic polynomial with the given rational roots.
 
-        a_i comes out as the i-th elementary symmetric function.
+        a_i comes out as the i-th elementary symmetric function: the integer
+        factors (v x - u) of the roots u/v multiply, then one division by prod v.
         """
-        e = [Fraction(1)]
+        e, V = [1], 1
         for r in map(parse_rational, roots):
-            new = e + [Fraction(0)]
-            for i in range(len(e), 0, -1):
-                new[i] += r * e[i - 1]
-            e = new
-        return cls(len(e) - 1, e)
+            e = [r.denominator * x + r.numerator * y for x, y in zip(e + [0], [0] + e)]
+            V *= r.denominator
+        return cls(len(e) - 1, [Fraction(x, V) for x in e])
 
     def plain_coefficients(self) -> list:
         """Ordinary descending coefficients, leading 1 first."""
-        return [(-1) ** i * ai for i, ai in enumerate(self.a)]
+        return _alternate(self.a)
 
     def dilate(self, lam) -> "MonicPoly":
         """D_lam p(x) = lam^{-d} p(lam x); coefficientwise a_i -> lam^{-i} a_i.
@@ -86,20 +85,19 @@ class MonicPoly:
         return MonicPoly(self.d, [ai / lam**i for i, ai in enumerate(self.a)])
 
     def translate(self, c) -> "MonicPoly":
-        """p(x + c), exact; shifts every root by -c."""
-        c = parse_rational(c)
-        plain = self.plain_coefficients()
-        # synthetic Taylor shift: repeated division by (x - (-c))
-        out = []
-        work = list(plain)
-        for _ in range(self.d + 1):
-            acc = Fraction(0)
-            for i in range(len(work)):
-                acc = acc * c + work[i]
-                work[i] = acc
-            out.append(work.pop())
-        out.reverse()
-        return MonicPoly.from_plain_coefficients(out)
+        """p(x + c), exact; shifts every root by -c.
+
+        a_k -> sum_{i<=k} binom(d-i, k-i) (-c)^(k-i) a_i; with -c = u/v and
+        a_i = n_i/D, one integer sum of binom(d-i, k-i) u^(k-i) v^i n_i over
+        D v^k per entry.
+        """
+        c, d = parse_rational(c), self.d
+        n, D = _over_lcm(self.a)
+        upow = [(-c.numerator) ** j for j in range(d + 1)]
+        vpow = [c.denominator ** j for j in range(d + 1)]
+        return MonicPoly(d, [Fraction(sum(comb(d - i, k - i) * upow[k - i] * vpow[i] * n[i]
+                                          for i in range(k + 1)), D * vpow[k])
+                             for k in range(d + 1)])
 
     def to_json(self) -> dict:
         return {

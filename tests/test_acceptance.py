@@ -3,8 +3,9 @@
 One test per shipping criterion, numbered, so `pytest -v` prints a single
 pass/fail line for each.  Tolerances are pinned here: exact assertions mean
 Fraction equality, Monte Carlo gets five standard errors plus an absolute
-0.02 floor, float root comparisons get 1e-4, and the criteria with a wall
-budget assert it at the end.
+0.02 floor and must also pass the scale-free MCEstimate.passes rule, float
+root comparisons get 1e-4, and the criteria with a wall budget assert it at
+the end.
 """
 
 import random
@@ -98,7 +99,8 @@ def test_criterion_02_cumulants_linearize_convolution():
 
 def test_criterion_03_monte_carlo_agreement():
     """Randomized conjugation estimates reproduce the exact convolution
-    coefficientwise to 5 stderr + 0.02 at 1e5 samples: the pinned pair
+    coefficientwise to 5 stderr + 0.02 at 1e5 samples, and under the
+    scale-free pass rule that verify-mc prints: the pinned pair
     (x^2-1) boxplus (x^2-1) = x^2-2 and two random real-rooted cubic
     pairs, within 60 s."""
     start = time.monotonic()
@@ -118,6 +120,7 @@ def test_criterion_03_monte_carlo_agreement():
         exact = boxplus(p, q)
         for mean, se, want in zip(est.coeff_mean, est.coeff_stderr, exact.a):
             assert abs(mean - float(want)) <= 5.0 * se + 0.02
+        assert all(est.passes(exact))
     assert time.monotonic() - start < 60.0
 
 

@@ -261,6 +261,7 @@ def test_unknown_command_exits_2(capsys):
     assert code == 2
     assert err["error"]["type"] == "UnknownCommand"
     assert main([]) == 2
+    assert main(["--roots=1"]) == 2
     capsys.readouterr()
 
 

@@ -1,28 +1,35 @@
 """The exact kernels against the Fraction recurrences they replaced.
 
-The log/exp series, its weights and boxplus run as integer dot products over
-one lcm.  The recurrences below are their earlier Fraction forms, kept
-verbatim as the reference: every output must be == to theirs, entry by
-entry of the same type.  The last tests check identities known by
-construction at d = 100 and 200 with a map that shares no code with the
-kernels: the normalised derivative on plain coefficients.
+The log/exp series, its weights, boxplus and the root maps from_roots and
+translate run as integer sums over one denominator, and the Monte Carlo
+oracle centres and scales its Jacobi matrices through translate and dilate.
+The code below keeps their earlier forms verbatim as the reference: every
+output must be == to theirs, entry by entry of the same type.  The last
+tests check identities known by construction at d = 100 to 300 with a map
+that shares no code with the kernels: the normalised derivative on plain
+coefficients.
 """
 
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from finfree import lattice
 from finfree.convolution import boxplus
 from finfree.errors import DomainError, InputFormatError
-from finfree.polynomial import (MomentSequence, MonicPoly, _alternate,
-                                _exp_series, _log_derivative, _over_lcm, moments)
+from finfree.matrix_oracle import _jacobi
+from finfree.polynomial import (MomentSequence, MonicPoly, _alternate, _exp_series,
+                                _log_derivative, _over_lcm, _primitive_form,
+                                _sturm_chain, is_real_rooted, moments)
 from finfree.transforms import (CumulantVector, _standardize,
                                 coefficients_from_cumulants,
                                 coefficients_from_moments, cumulant_from_moments,
                                 cumulants_from_coefficients, cumulants_from_moments)
+from finfree.util import parse_rational
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +93,49 @@ def ref_boxplus(p: MonicPoly, q: MonicPoly) -> tuple:
                  dfac * factorial(d - k))
         for k in range(d + 1)
     )
+
+
+def ref_from_roots(roots) -> MonicPoly:
+    e = [Fraction(1)]
+    for r in map(parse_rational, roots):
+        new = e + [Fraction(0)]
+        for i in range(len(e), 0, -1):
+            new[i] += r * e[i - 1]
+        e = new
+    return MonicPoly(len(e) - 1, e)
+
+
+def ref_translate(p: MonicPoly, c) -> MonicPoly:
+    c = parse_rational(c)
+    plain = [(-1) ** i * ai for i, ai in enumerate(p.a)]
+    # synthetic Taylor shift: repeated division by (x - (-c))
+    out = []
+    work = list(plain)
+    for _ in range(p.d + 1):
+        acc = Fraction(0)
+        for i in range(len(work)):
+            acc = acc * c + work[i]
+            work[i] = acc
+        out.append(work.pop())
+    out.reverse()
+    return MonicPoly(p.d, [(-1) ** i * x for i, x in enumerate(out)])
+
+
+def ref_jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
+    if is_real_rooted(p) == "no":
+        raise DomainError("Monte-Carlo oracle needs real-rooted input")
+    alpha, beta = [], []
+    f = _primitive_form(p)
+    while len(f) > 1:
+        chain = _sturm_chain(f)
+        top = [[Fraction(c, s[0]) for c in (s + [0, 0])[1:3]] for s in chain]
+        for (s1, s2), (t1, t2) in zip(top, top[1:]):
+            alpha.append(t1 - s1)
+            beta.append(t2 - alpha[-1] * t1 - s2)
+        f = chain[-1]
+    off = [math.sqrt(b / scale**2) for b in beta[:-1]]
+    diag = [float((a - shift) / scale) for a in alpha]
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +270,51 @@ def test_round_trip_and_boxplus_at_d_200():
     same(boxplus(p, q).a, ref_boxplus(p, q))
 
 
+def root_lists(rng, d):
+    """Int, Fraction and string roots, each with repeats."""
+    fracs = [rand_q(rng) for _ in range(d)]
+    fracs = [fracs[rng.randrange(max(1, 2 * d // 3))] for _ in range(d)]
+    ints = [rng.randint(-20, 20) for _ in range(d)]
+    ints = [ints[rng.randrange(max(1, 2 * d // 3))] for _ in range(d)]
+    return ints, fracs, [str(x) for x in fracs]
+
+
+# the last shift's numerator has 500 digits, so a_d of a translate at
+# d = 30 has about 15,000: it runs at the small degrees only
+SHIFTS = (0, -3, Fraction(-7, 3), Fraction(5, 8), Fraction(10**499 + 3, 7))
+
+
+@pytest.mark.parametrize("ds, shifts", [(range(1, 31), SHIFTS), ((100, 200), SHIFTS[:4])],
+                         ids=["d=1..30", "d=100,200"])
+def test_root_maps_match_the_fraction_recurrences(ds, shifts):
+    rng = random.Random(2201 + len(ds))
+    for d in ds:
+        ints, fracs, strs = root_lists(rng, d)
+        same(MonicPoly.from_roots(strs).a, ref_from_roots(strs).a)
+        for roots in (ints, fracs):
+            p = MonicPoly.from_roots(roots)
+            same(p.a, ref_from_roots(roots).a)
+            for c in shifts + (str(rand_q(rng)),):
+                same(p.translate(c).a, ref_translate(p, c).a)
+    assert MonicPoly.from_roots(["3/4", "-0.5", 2]) == ref_from_roots(["3/4", "-0.5", 2])
+    with pytest.raises(InputFormatError):
+        MonicPoly.from_roots([])
+
+
+def test_jacobi_of_the_centred_dilate_is_the_old_shift_and_scale():
+    # mc_boxplus's Jacobi matrices: p centred by translate and divided by
+    # 2^e through dilate give the same rationals, so the same floats, as
+    # the old (alpha - shift)/scale and sqrt(beta/scale^2)
+    rng = random.Random(2203)
+    for d in range(1, 13):
+        for _, fracs, _ in [root_lists(rng, d) for _ in range(4)]:
+            p = MonicPoly.from_roots(fracs)
+            m = p.a[1] / d
+            for e in (-3, 0, 1, 6):
+                got = _jacobi(p.translate(m).dilate(Fraction(2) ** e))
+                assert np.array_equal(got, ref_jacobi(p, m, Fraction(2) ** e))
+
+
 # ---------------------------------------------------------------------------
 # large-d identities, checked through the normalised derivative
 # ---------------------------------------------------------------------------
@@ -250,6 +345,28 @@ def test_derivative_commutes_with_boxplus_at_d_100():
     rng = random.Random(2109)
     p, q = rand_poly(rng, 100), rand_poly(rng, 100)
     assert derivative(boxplus(p, q)) == boxplus(derivative(p), derivative(q))
+
+
+@pytest.mark.parametrize("d", [100, 300])
+def test_third_derivative_commutes_with_boxplus(d):
+    rng = random.Random(2204 + d)
+    p, q = rand_poly(rng, d), rand_poly(rng, d)
+    lhs, dp, dq = boxplus(p, q), p, q
+    for _ in range(3):
+        lhs, dp, dq = derivative(lhs), derivative(dp), derivative(dq)
+    assert lhs == boxplus(dp, dq)
+
+
+def test_rolle_gives_real_rooted_derivatives():
+    # d distinct real roots leave d - 2 distinct real ones, in general
+    # irrational, after two derivatives; times x^2 + 1/3 none is a "yes"
+    rng = random.Random(2205)
+    grid = sorted({Fraction(k, m) for k in range(-40, 41) for m in range(1, 4)})
+    p = derivative(derivative(MonicPoly.from_roots(rng.sample(grid, 62))))
+    assert is_real_rooted(p, require_distinct=True) == "yes"
+    plain = p.plain_coefficients()
+    q = [x + Fraction(y, 3) for x, y in zip(plain + [0, 0], [0, 0] + plain)]
+    assert is_real_rooted(MonicPoly.from_plain_coefficients(q)) == "no"
 
 
 # ---------------------------------------------------------------------------
