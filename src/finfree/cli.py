@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 
 from .convolution import boxplus, boxplus_power
 from .divisibility import (
@@ -71,9 +72,12 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # with 1/255, almost all of it in the one Sturm test, while at d = 40 an
 # eps of 1e-100 takes about 50 s; power on 100 integer roots computes for
 # 20 s with --t 1e4000 before its result is too long to print, and under
-# 1 s with parts of --t at 2^64; family poisson at d = 100 computes for 26
-# to 30 s with a 4001-digit --lambda before its result is too long to print,
-# and 9 to 11 s with 2000-digit parts, at MAX_LAMBDA_PART = 10^2000.  A
+# 1 s with parts of --t at 2^64; family poisson reads its last coefficient
+# perm(d*lambda, d) / d^d before the series, so at d = 100 a 2000-digit
+# --lambda exits 5 in about 0.2 s where the series alone takes 6.5 s, and
+# the largest --lambda it prints there (41 digits) takes 0.15 s; a 4001-digit
+# one, whose series takes 26 to 30 s, is refused by MAX_LAMBDA_PART = 10^2000
+# before any work.  A
 # JSON file is read up to MAX_JSON_BYTES, so a path such as /dev/zero cannot
 # fill memory; the largest record one command prints for another to read,
 # moments --N 1000, is 0.5 MB.
@@ -210,6 +214,11 @@ def _cmd_family(ns):
         raise InputFormatError("poisson needs --lambda and takes no --marcus")
     lam = parse_rational(ns.lam)
     _check_parts(lam, MAX_LAMBDA_PART, "--lambda", "the bound MAX_LAMBDA_PART")
+    m = lam * ns.d
+    if ns.d >= 1 and m.denominator == 1 and m > 0:
+        # a_d = perm(m, d) / d^d in closed form, so that a result too long
+        # to print is refused before the series rather than after it
+        format_rational(Fraction(math.perm(m.numerator, ns.d), ns.d**ns.d))
     return finite_poisson(lam, ns.d).to_json()
 
 

@@ -8,11 +8,13 @@ lattice.py, the tested reference.  The closed forms for the Moebius function
 and the per-type counts make recursive poset inversion unnecessary.
 
 Enumeration order is restricted-growth-string lexicographic and is part of
-the contract: callers may cache against it.  One recursion over restricted
-growth strings walks both P(n) and NC(n); in NC(n) an element may only join
-a block that is still open, so the walk visits Catalan(n) leaves, not
-Bell(n).  Partitions are checked where outside data enters, in from_blocks;
-the walks build them unchecked, valid by construction.
+the contract: callers may cache against it.  One generator walks the tree of
+restricted growth strings depth first from an explicit stack, for both P(n)
+and NC(n), and stays lazy, since the reference iterates it up to the cap; in
+NC(n) an element may only join a block that is still open, so the walk
+visits Catalan(n) leaves, not Bell(n).  Partitions are checked where outside
+data enters, in from_blocks; the walk builds them unchecked, valid by
+construction.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _check_cap(n: int) -> None:
                            "the partition cap DEFAULT_N_MAX")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetPartition:
     """A partition of {1..n} in canonical form.
 
@@ -83,33 +85,33 @@ class SetPartition:
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
 
-def _walk(n: int, noncrossing: bool):
-    """Yield the blocks of each partition of {1..n}, in lexicographic order
-    of restricted growth strings.
+def _partitions(n: int, noncrossing: bool):
+    """Yield each partition of {1..n}, in lexicographic order of restricted
+    growth strings, after checking the cap.
 
     Element e joins an open block or opens a new one.  In P(n) every block
     stays open; in NC(n) joining a block closes every block opened after it,
-    since a later element of those would cross the one just placed.
+    since a later element of those would cross the one just placed.  The
+    tree is walked depth first from one stack of (e, blocks, open labels),
+    the children pushed last-first so that they pop in order; element n's
+    choices are yielded in place rather than pushed.
     """
-
-    def grow(e, blocks, open_):
-        if e > n:
-            yield blocks
-            return
-        for k, lab in enumerate(open_):
-            joined = blocks[:lab] + (blocks[lab] + (e,),) + blocks[lab + 1 :]
-            still_open = open_[: k + 1] if noncrossing else open_
-            yield from grow(e + 1, joined, still_open)
-        nb = len(blocks)
-        yield from grow(e + 1, blocks + ((e,),), open_ + (nb,))
-
-    return grow(1, (), ())
-
-
-def _partitions(n: int, noncrossing: bool):
     _check_cap(n)
-    for blocks in _walk(n, noncrossing):
-        yield SetPartition(n, blocks)
+    stack = [(1, (), ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        e, blocks, open_ = pop()
+        if e == n:
+            for lab in open_:
+                yield SetPartition(
+                    n, blocks[:lab] + (blocks[lab] + (n,),) + blocks[lab + 1 :])
+            yield SetPartition(n, blocks + ((n,),))
+            continue
+        push((e + 1, blocks + ((e,),), open_ + (len(blocks),)))
+        for k in range(len(open_) - 1, -1, -1):
+            lab = open_[k]
+            joined = blocks[:lab] + (blocks[lab] + (e,),) + blocks[lab + 1 :]
+            push((e + 1, joined, open_[: k + 1] if noncrossing else open_))
 
 
 def enumerate_partitions(n: int) -> list:
@@ -152,18 +154,28 @@ class PartitionType:
 
     def __post_init__(self):
         _check_size(self.n)
-        if len(self.r) != self.n or any(x < 0 for x in self.r):
+        r = self.r
+        if not (isinstance(r, (list, tuple)) and all(type(x) is int for x in r)):
+            raise InputFormatError(
+                "type vector must be a list or tuple of ints, got %.80r" % (r,))
+        if len(r) != self.n or any(x < 0 for x in r):
             raise InputFormatError("type vector must have length n, entries >= 0")
-        if sum((i + 1) * x for i, x in enumerate(self.r)) != self.n:
+        if sum((i + 1) * x for i, x in enumerate(r)) != self.n:
             raise InputFormatError("type vector does not weigh n")
+        object.__setattr__(self, "r", tuple(r))
 
     @classmethod
     def from_sizes(cls, n, sizes) -> "PartitionType":
+        """The type of a partition of {1..n} with the given block sizes, each
+        an int in 1..n."""
         _check_size(n)
         r = [0] * n
         for s in sizes:
+            if type(s) is not int or not 1 <= s <= n:
+                raise InputFormatError(
+                    "block size %.80r is not an int in 1..%d" % (s, n))
             r[s - 1] += 1
-        return cls(n, tuple(r))
+        return cls(n, r)
 
     @property
     def num_blocks(self) -> int:

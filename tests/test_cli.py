@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from finfree import MonicPoly
+from finfree import MonicPoly, cli
 from finfree.cli import (
     _COMMANDS,
     MAX_CONVERGE_D,
@@ -139,6 +139,20 @@ def test_coeffs_from_moments(capsys):
     # without --d and without an embedded degree there is nothing to target
     code, _, err = run(capsys, "coeffs", '{"m": ["0", "1"]}')
     assert code == 3 and err["error"]["type"] == "InputFormatError"
+
+
+def test_unprintable_poisson_is_refused_before_the_series(capsys, monkeypatch):
+    # with m = d*lambda the last coefficient is perm(m, d) / d^d, read first:
+    # for a 2001-digit lambda at d = 100 it is too long to print, so the
+    # command exits 5 with format_rational's message before the series runs
+    def series(lam, d):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(cli, "finite_poisson", series)
+    code, out, err = run(capsys, "family", "poisson", "--lambda", str(10**2000), "--d", "100")
+    assert code == 5 and out is None
+    assert err == {"error": {"type": "DomainError",
+                             "message": "a result has too many digits to print"}}
 
 
 def test_rtransform(capsys):

@@ -1,6 +1,10 @@
 """Lattice layer: enumeration, order, Mobius, type counting."""
 
+import dataclasses
+import inspect
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +21,7 @@ from finfree import (
     mobius_from_zero,
     mobius_of_type,
 )
+from finfree import partitions
 from finfree.errors import DimensionError, InputFormatError, SizeCapError
 from finfree.lattice import (
     block_size_product,
@@ -60,6 +65,62 @@ def test_catalan_counts():
         assert len(nc) == CATALAN[n]
         # the direct walk against the Bell(n) filter, order included
         assert nc == [pi for pi in enumerate_partitions(n) if is_noncrossing(pi)]
+
+
+def brute_rgs_partitions(n):
+    """P(n) from the strings s with 0 <= s_i < i kept when s_i <= 1 + max(s_<i),
+    in the lexicographic order of itertools.product."""
+    out = []
+    for s in itertools.product(*map(range, range(1, n + 1))):
+        if all(s[i] <= 1 + max(s[:i]) for i in range(1, n)):
+            blocks = [[] for _ in range(max(s) + 1)]
+            for e, lab in enumerate(s, start=1):
+                blocks[lab].append(e)
+            out.append((n, tuple(map(tuple, blocks))))
+    return out
+
+
+def test_walk_matches_brute_force_growth_strings():
+    # blocks and order, against a walk that shares no code with the package
+    for n in range(1, 9):
+        assert [(p.n, p.blocks) for p in enumerate_partitions(n)] == brute_rgs_partitions(n)
+
+
+def test_walk_is_lazy_at_the_cap(monkeypatch):
+    # the first 10^4 partitions of {1..12} come without building the other
+    # 4.2 million: the walk makes no partition it has not yielded
+    made = []
+
+    def counted(n, blocks):
+        made.append(None)
+        return SetPartition(n, blocks)
+
+    monkeypatch.setattr(partitions, "SetPartition", counted)
+    walk = partitions._partitions(12, False)
+    assert inspect.isgenerator(walk)
+    tracemalloc.start()
+    try:
+        head = list(itertools.islice(walk, 10**4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(made) == len(head) == 10**4 and peak < 2**25
+    strings = [tuple(pi.labels()[1:]) for pi in head]
+    assert strings[0] == (0,) * 12 and all(a < b for a, b in zip(strings, strings[1:]))
+    # the cap is checked before the first item
+    with pytest.raises(SizeCapError):
+        next(partitions._partitions(13, True))
+
+
+def test_set_partition_is_a_frozen_slotted_value():
+    pi = enumerate_partitions(5)[17]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pi.n = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pi.blocks = ()
+    assert not hasattr(pi, "__dict__")
+    same = SetPartition.from_blocks(5, [list(b) for b in reversed(pi.blocks)])
+    assert same == pi and hash(same) == hash(pi)
 
 
 def test_enumeration_order_deterministic():
@@ -154,6 +215,28 @@ def test_mobius_sums_to_zero_over_lattice():
 def test_charpoly_is_falling_factorial():
     for n in range(1, 11):
         assert partition_lattice_charpoly(n).coeffs == falling_poly(n, "t").coeffs
+
+
+@pytest.mark.parametrize("sizes", [[0], [4], [-1, 4], [1.0, 2], [True, 2],
+                                   [Fraction(3)], ["3"]])
+def test_from_sizes_refuses_a_size_outside_1_to_n(sizes):
+    with pytest.raises(InputFormatError, match="block size"):
+        PartitionType.from_sizes(3, sizes)
+
+
+@pytest.mark.parametrize("r", [(1, 1, 0.0), (3.0, 0, 0), (True, True, 0),
+                               (1, 1, Fraction(0)), "300"])
+def test_partition_type_refuses_entries_that_are_not_ints(r):
+    with pytest.raises(InputFormatError, match="list or tuple of ints"):
+        PartitionType(3, r)
+
+
+def test_partition_type_stores_a_list_as_a_tuple():
+    # so the type hashes and compares by value
+    t = PartitionType(2, [0, 1])
+    assert t.r == (0, 1) and type(t.r) is tuple
+    assert t == PartitionType(2, (0, 1)) and hash(t) == hash(PartitionType(2, (0, 1)))
+    assert PartitionType.from_sizes(3, [2, 1]) == PartitionType(3, (1, 1, 0))
 
 
 def test_type_counts_both_formulas():
