@@ -9,7 +9,6 @@ MonicPoly.translate and MonicPoly.dilate, never on the cumulants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor, gcd, isqrt, prod
 
@@ -23,7 +22,7 @@ from .transforms import (
     cumulants_from_coefficients,
     rescale_cumulants,
 )
-from .util import _check_int, _is_int, parse_rational, parse_rational_array
+from .util import Value, _check_int, _is_int, parse_rational, parse_rational_array
 
 
 def _exact_psd(rows) -> bool:
@@ -64,13 +63,12 @@ def is_conditionally_positive_definite(seq) -> bool:
     return _exact_psd(rows)
 
 
-@dataclass(frozen=True)
-class IDReport:
-    centered_normalized: MonicPoly
-    cpd_standard: bool
-    cpd_rescaled: bool
-    higher_cumulants_zero: bool
-    verdict: str
+class IDReport(Value):
+    """centered_normalized (a MonicPoly), the three flags cpd_standard,
+    cpd_rescaled and higher_cumulants_zero, and the verdict string."""
+
+    __slots__ = ("centered_normalized", "cpd_standard", "cpd_rescaled",
+                 "higher_cumulants_zero", "verdict")
 
     def to_json(self) -> dict:
         return {
@@ -191,13 +189,12 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     return hi
 
 
-@dataclass(frozen=True)
-class CramerPair:
-    p_plus: MonicPoly
-    p_minus: MonicPoly
-    convolution: MonicPoly
-    p_plus_real_rooted: bool
-    p_minus_real_rooted: bool
+class CramerPair(Value):
+    """The MonicPolys p_plus, p_minus and their convolution, and whether
+    each factor is real-rooted."""
+
+    __slots__ = ("p_plus", "p_minus", "convolution", "p_plus_real_rooted",
+                 "p_minus_real_rooted")
 
     def to_json(self) -> dict:
         return {

@@ -15,25 +15,24 @@ The paper's sum over non-crossing partitions is lattice.py's reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
-from .util import _check_int, format_rational, parse_rational_array
+from .util import Value, _check_int, _store, format_rational, parse_rational_array
 
 
-@dataclass(frozen=True)
-class FreeCumulantVector:
+class FreeCumulantVector(Value):
     """r_1..r_N, the free (d = infinity) cumulants."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", parse_rational_array(self.entries, "free cumulants"))
-        if len(self.entries) < 1:
+    def __init__(self, entries):
+        entries = parse_rational_array(entries, "free cumulants")
+        if len(entries) < 1:
             raise InputFormatError("need at least one free cumulant")
+        _store(self, "entries", entries)
 
     @classmethod
     def make(cls, entries) -> "FreeCumulantVector":
@@ -72,15 +71,11 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     return FreeCumulantVector(_exp_series(log, 1, N)[1:])
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """kappa_n at each d against the free target r_n, with exact errors."""
+class ConvergenceReport(Value):
+    """kappa_n at each d against the free target r_n, with exact errors:
+    n, d_values, finite_kappa, free_kappa (a Fraction) and errors."""
 
-    n: int
-    d_values: tuple
-    finite_kappa: tuple
-    free_kappa: Fraction
-    errors: tuple
+    __slots__ = ("n", "d_values", "finite_kappa", "free_kappa", "errors")
 
     def to_json(self) -> dict:
         return {

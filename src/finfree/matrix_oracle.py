@@ -21,28 +21,25 @@ pass rule (MCEstimate.passes) live here; everything else is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, InputFormatError
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
-from .util import _is_int
+from .util import Value, _is_int
 
 _CHUNK = 4096
 # c * eps in the pass rule, eps = 2^-52; c = 32 is 4.5 times a seeded sweep's worst
 _ROUNDING = Fraction(32, 2**52)
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    d: int
-    samples: int
-    coeff_mean: tuple
-    coeff_stderr: tuple
-    seed: int
-    radius: Fraction  # R, an exact bound on the spectral radius of every sample
+class MCEstimate(Value):
+    """The float mean and standard error of each coefficient a_k over the
+    samples, with the seed, and radius R, an exact Fraction bound on the
+    spectral radius of every sample."""
+
+    __slots__ = ("d", "samples", "coeff_mean", "coeff_stderr", "seed", "radius")
 
     def to_json(self) -> dict:
         return {"d": self.d, "samples": self.samples, "coeff_mean": list(self.coeff_mean),

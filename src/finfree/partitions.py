@@ -19,11 +19,10 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import FinFreeError, InputFormatError, SizeCapError
-from .util import _check_int
+from .util import Value, _check_int, _store
 
 DEFAULT_N_MAX = 12
 
@@ -41,8 +40,7 @@ def _check_cap(n: int) -> None:
                            "the partition cap DEFAULT_N_MAX")
 
 
-@dataclass(frozen=True, slots=True)
-class SetPartition:
+class SetPartition(Value):
     """A partition of {1..n} in canonical form.
 
     blocks are sorted internally and ordered by least element, so equal
@@ -52,8 +50,11 @@ class SetPartition:
     through from_blocks, which checks it.
     """
 
-    n: int
-    blocks: tuple
+    __slots__ = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: tuple):
+        _store(self, "n", n)
+        _store(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, n, blocks) -> "SetPartition":
@@ -145,24 +146,22 @@ def mobius_from_zero(pi: SetPartition) -> int:
     return prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in pi.blocks)
 
 
-@dataclass(frozen=True)
-class PartitionType:
+class PartitionType(Value):
     """r[i-1] = number of blocks of size i; sum of i*r_i is n."""
 
-    n: int
-    r: tuple
+    __slots__ = ("n", "r")
 
-    def __post_init__(self):
-        _check_size(self.n)
-        r = self.r
+    def __init__(self, n: int, r):
+        _check_size(n)
         if not (isinstance(r, (list, tuple)) and all(type(x) is int for x in r)):
             raise InputFormatError(
                 "type vector must be a list or tuple of ints, got %.80r" % (r,))
-        if len(r) != self.n or any(x < 0 for x in r):
+        if len(r) != n or any(x < 0 for x in r):
             raise InputFormatError("type vector must have length n, entries >= 0")
-        if sum((i + 1) * x for i, x in enumerate(r)) != self.n:
+        if sum((i + 1) * x for i, x in enumerate(r)) != n:
             raise InputFormatError("type vector does not weigh n")
-        object.__setattr__(self, "r", tuple(r))
+        _store(self, "n", n)
+        _store(self, "r", tuple(r))
 
     @classmethod
     def from_sizes(cls, n, sizes) -> "PartitionType":

@@ -16,34 +16,33 @@ the one module that works in floating point, its Jacobi matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
 from .errors import InputFormatError, NonMonicError
-from .util import (_check_int, format_rational, parse_int, parse_rational,
-                   parse_rational_array, read_record)
+from .util import (Value, _check_int, _store, format_rational, parse_int,
+                   parse_rational, parse_rational_array, read_record)
 
 
-@dataclass(frozen=True)
-class MonicPoly:
-    d: int
-    a: tuple
+class MonicPoly(Value):
+    __slots__ = ("d", "a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", parse_rational_array(self.a, "'a'"))
-        _check_int(self.d, "degree")
-        if self.d < 1:
+    def __init__(self, d: int, a):
+        a = parse_rational_array(a, "'a'")
+        _check_int(d, "degree")
+        if d < 1:
             raise InputFormatError("degree must be >= 1")
-        if len(self.a) != self.d + 1:
+        if len(a) != d + 1:
             raise InputFormatError(
-                "degree %d needs d + 1 signed coefficients, got %d" % (self.d, len(self.a))
+                "degree %d needs d + 1 signed coefficients, got %d" % (d, len(a))
             )
-        if self.a[0] != 1:
+        if a[0] != 1:
             raise NonMonicError(
-                "leading coefficient a_0 must be exactly 1, got %s" % (self.a[0],)
+                "leading coefficient a_0 must be exactly 1, got %s" % (a[0],)
             )
+        _store(self, "d", d)
+        _store(self, "a", a)
 
     @classmethod
     def from_signed(cls, a) -> "MonicPoly":
@@ -187,19 +186,19 @@ def _append_over(nums: list, D: int, x: Fraction) -> tuple:
     return nums, D
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Value):
     """m_1..m_N of a degree-d polynomial (d kept as context when known)."""
 
-    entries: tuple
-    degree_context: int | None = None
+    __slots__ = ("entries", "degree_context")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", parse_rational_array(self.entries, "'m'"))
-        if len(self.entries) < 1:
+    def __init__(self, entries, degree_context: int | None = None):
+        entries = parse_rational_array(entries, "'m'")
+        if len(entries) < 1:
             raise InputFormatError("moment sequence must be nonempty")
-        if self.degree_context is not None:
-            _check_int(self.degree_context, "degree context d")
+        if degree_context is not None:
+            _check_int(degree_context, "degree context d")
+        _store(self, "entries", entries)
+        _store(self, "degree_context", degree_context)
 
     def __len__(self):
         return len(self.entries)

@@ -23,7 +23,6 @@ under the finite free convolution, homogeneous of weight n under dilation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -37,33 +36,33 @@ from .polynomial import (
     _over_lcm,
     moments,
 )
-from .util import (VarPoly, _check_int, falling, format_rational, parse_int,
-                   parse_rational, parse_rational_array, read_record)
+from .util import (Value, VarPoly, _check_int, _store, falling, format_rational,
+                   parse_int, parse_rational, parse_rational_array, read_record)
 
 
-@dataclass(frozen=True)
-class CumulantVector:
+class CumulantVector(Value):
     """kappa_1..kappa_d of a degree-d polynomial.
 
     variant "standard" stores kappa_n; "rescaled" stores
     kappa~_n = ((d)_n / d^n) kappa_n.
     """
 
-    d: int
-    kappa: tuple
-    variant: str = "standard"
+    __slots__ = ("d", "kappa", "variant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "kappa", parse_rational_array(self.kappa, "'kappa'"))
-        _check_int(self.d, "degree")
-        if self.d < 1:
+    def __init__(self, d: int, kappa, variant: str = "standard"):
+        kappa = parse_rational_array(kappa, "'kappa'")
+        _check_int(d, "degree")
+        if d < 1:
             raise InputFormatError("degree must be >= 1")
-        if len(self.kappa) != self.d:
+        if len(kappa) != d:
             raise InputFormatError(
-                "need exactly %d cumulants, got %d" % (self.d, len(self.kappa))
+                "need exactly %d cumulants, got %d" % (d, len(kappa))
             )
-        if self.variant not in ("standard", "rescaled"):
+        if variant not in ("standard", "rescaled"):
             raise InputFormatError("variant must be 'standard' or 'rescaled'")
+        _store(self, "d", d)
+        _store(self, "kappa", kappa)
+        _store(self, "variant", variant)
 
     def to_json(self) -> dict:
         return {

@@ -4,18 +4,19 @@ and dense polynomials.
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
 everything exact is a fractions.Fraction.  parse_rational is the one gate
 between the two, and every exact value type stores its entries through it.
-VarPoly is the exact polynomial in a named indeterminate: the truncated
-R-transform in s, and, in the lattice reference, the lattice polynomials in
-d and the lattice characteristic polynomial in t.
+Value is the base of every exact value type: frozen, slotted, compared and
+hashed by value.  VarPoly is the exact polynomial in a named indeterminate:
+the truncated R-transform in s, and, in the lattice reference, the lattice
+polynomials in d and the lattice characteristic polynomial in t.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from operator import attrgetter
 
 from .errors import DomainError, InputFormatError
 
@@ -119,22 +120,75 @@ def format_rational(q: Fraction) -> str:
         raise DomainError("a result has too many digits to print") from exc
 
 
-@dataclass(frozen=True)
-class VarPoly:
+# how a Value's __init__ stores each field past the refusing __setattr__: a
+# module global is cheaper to call than object's attribute, and the walks
+# build one SetPartition per partition they yield
+_store = object.__setattr__
+
+
+class Value:
+    """A frozen value whose fields are its class's __slots__, in order.
+
+    Equal when of the same class with equal fields, hashed as the tuple of
+    its fields, shown as Name(field=...).  The plain __init__ stores its
+    positional arguments unchecked; a type with checks writes its own, which
+    stores each field once through _store.  Pickle and copy rebuild a value
+    through its constructor, so they pass the same checks.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError("%s() takes %d arguments, got %d"
+                            % (type(self).__name__, len(names), len(fields)))
+        for name, value in zip(names, fields):
+            _store(self, name, value)
+
+    def __init_subclass__(cls):
+        # _fields is the tuple of field values; attrgetter of one name gives
+        # the bare value, so a one-field class wraps it
+        get = attrgetter(*cls.__slots__)
+        cls._fields = property(get if len(cls.__slots__) > 1 else lambda v: (get(v),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return type(self), self._fields
+
+
+class VarPoly(Value):
     """Dense exact polynomial in one named variable.
 
     coeffs are ascending Fractions, stored through parse_rational_array with
     trailing zeros trimmed; the zero polynomial has empty coeffs.
     """
 
-    var: str
-    coeffs: tuple
+    __slots__ = ("var", "coeffs")
 
-    def __post_init__(self):
-        cs = list(parse_rational_array(self.coeffs, "coefficients"))
+    def __init__(self, var: str, coeffs):
+        cs = list(parse_rational_array(coeffs, "coefficients"))
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _store(self, "var", var)
+        _store(self, "coeffs", tuple(cs))
 
     def __add__(self, other: "VarPoly") -> "VarPoly":
         pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)

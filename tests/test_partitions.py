@@ -1,6 +1,5 @@
 """Lattice layer: enumeration, order, Mobius, type counting."""
 
-import dataclasses
 import inspect
 import itertools
 import random
@@ -114,9 +113,9 @@ def test_walk_is_lazy_at_the_cap(monkeypatch):
 
 def test_set_partition_is_a_frozen_slotted_value():
     pi = enumerate_partitions(5)[17]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pi.n = 4
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         pi.blocks = ()
     assert not hasattr(pi, "__dict__")
     same = SetPartition.from_blocks(5, [list(b) for b in reversed(pi.blocks)])

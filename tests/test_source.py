@@ -150,22 +150,37 @@ def _import_parts(node) -> set:
 
 LOADED = """
 import sys
+start_up = ("dataclasses", "inspect")
 heavy = ("numpy", "finfree.lattice", "finfree.matrix_oracle")
 import finfree
-print(sorted(m for m in heavy if m in sys.modules))
+print(sorted(m for m in start_up + heavy if m in sys.modules))
 import finfree.cli
-print(sorted(m for m in heavy if m in sys.modules))
+print(sorted(m for m in start_up + heavy if m in sys.modules))
 import finfree.matrix_oracle, finfree.lattice
 print(sorted(m for m in heavy if m in sys.modules))
 """
 
 
 def test_the_cli_imports_neither_numpy_nor_the_lattice_reference():
-    # nor does a bare import finfree; all three load when imported by module
+    # nor does a bare import finfree; all three load when imported by module.
+    # Neither import loads dataclasses or inspect, whose import is a third
+    # of the package's own start-up in each fresh CLI process
     proc = subprocess.run([sys.executable, "-c", LOADED], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:3] == [
         "[]", "[]", "['finfree.lattice', 'finfree.matrix_oracle', 'numpy']"]
+
+
+def test_no_module_imports_dataclasses_or_defines_post_init():
+    # value types derive from util.Value and check in their own __init__
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, "import") for node, _ in _imports(tree)
+                  if "dataclasses" in _import_parts(node)]
+        found += [(path.name, node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"]
+    assert found == []
 
 
 def test_only_verify_mc_imports_the_oracle_or_the_lattice_reference():
