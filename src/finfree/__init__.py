@@ -12,7 +12,7 @@ from .errors import (
     NonMonicError,
     SizeCapError,
 )
-from .util import VarPoly, falling, format_rational, parse_rational
+from .util import VarPoly, format_rational, parse_rational
 from .partitions import (
     DEFAULT_N_MAX,
     PartitionType,

@@ -46,7 +46,8 @@ def _lagrange_moment(log, n: int) -> Fraction:
     """[w^n] (1 + R(w))^{n+1} / (n+1) = [w^n] exp((n+1) log(1 + R)) / (n+1),
     from polynomial's log/exp series pair; log is _log_derivative of the
     series 1 + R, and only its first n entries are read."""
-    return _exp_series(log, n + 1, n)[n] / (n + 1)
+    Snum, DS = _exp_series(log, n + 1, n)
+    return Fraction(Snum[n], DS * (n + 1))
 
 
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
@@ -68,7 +69,8 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     for n in range(1, N + 1):
         log.append(0)
         log[-1] = -n * (m.entries[n - 1] - _lagrange_moment(log, n))
-    return FreeCumulantVector(_exp_series(log, 1, N)[1:])
+    Snum, DS = _exp_series(log, 1, N)
+    return FreeCumulantVector([Fraction(s, DS) for s in Snum[1:]])
 
 
 class ConvergenceReport(Value):

@@ -45,7 +45,7 @@ from .partitions import (
 )
 from .polynomial import MomentSequence, MonicPoly
 from .transforms import CumulantVector, _standardize
-from .util import VarPoly, falling, parse_rational, parse_rational_array
+from .util import VarPoly, parse_rational, parse_rational_array
 
 # Established by exhaustive comparison of the two sums for every sigma in
 # P(n), n <= 6, and re-checked by the test suite up to n = 8:
@@ -132,6 +132,14 @@ def partition_lattice_charpoly(n: int) -> VarPoly:
     for t in iter_types(n):
         coeffs[t.num_blocks] += count_by_type(t, "all") * mobius_of_type(t)
     return VarPoly("t", coeffs)
+
+
+def falling(x, n: int):
+    """(x)_n = x(x-1)...(x-n+1), with (x)_0 = 1.  Exact on int/Fraction."""
+    v = 1
+    for i in range(n):
+        v = v * (x - i)
+    return v
 
 
 def falling_poly(n: int, var: str = "d") -> VarPoly:

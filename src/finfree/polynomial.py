@@ -123,12 +123,15 @@ def moments(p: MonicPoly, N: int) -> "MomentSequence":
     -(1/d) S'/S is the moment series; a_k = 0 past the degree, so N may
     exceed d and costs O(N d).  Roots are never computed.
     """
+    return _moments(_alternate(_over_lcm(p.a)[0]), p.d, N)
+
+
+def _moments(S, d: int, N: int) -> "MomentSequence":
+    """m_1..m_N of the degree-d polynomial whose prod (1 - r s) is S up to scale."""
     _check_int(N, "N")
     if N < 1:
         raise InputFormatError("need N >= 1 moments, got %d" % N)
-    return MomentSequence(
-        _log_derivative(_alternate(p.a), p.d, N), degree_context=p.d
-    )
+    return MomentSequence(_log_derivative(S, d, N), degree_context=d)
 
 
 def _alternate(v) -> list:
@@ -147,42 +150,51 @@ def _log_derivative(S, d, n: int) -> tuple:
     """c_1..c_n with c_{k+1} = -(1/d) [s^k] S'/S, where S_0 != 0 and S_j = 0
     past the end of S.  S'/S does not see the scale of S, so S may be
     integers.  T_k = [s^k] S'/S solves S_0 T_k = (k+1) S_{k+1} - sum_j T_j
-    S_{k-j}, one integer dot product over T's running lcm DT per step.
+    S_{k-j}, one integer dot product over T's running lcm DT per step.  Each
+    step builds its output c_{k+1} = -T_k q / p for d = p/q, the one Fraction
+    per entry, and takes T_k in lowest terms from it by two gcds with p and
+    q, so that the Fraction's own gcd is the step's only one of full size.
     """
     Snum, _ = _over_lcm(S)
     top = len(S) - 1
-    T, Tnum, DT = [], [], 1
+    p, q = d.numerator, d.denominator
+    out, Tnum, DT = [], [], 1
     for k in range(n):
         lo = max(0, k - top)
-        dot = sum(map(mul, Tnum[lo:k], Snum[k - lo:0:-1]))
-        t = Fraction(((k + 1) * Snum[k + 1] * DT if k < top else 0) - dot, DT * Snum[0])
-        Tnum, DT = _append_over(Tnum, DT, t)
-        T.append(t)
-    return tuple(-t / d for t in T)
+        dot = sum(map(mul, Tnum[lo:k], Snum[k:0:-1]))  # the slice stops at S's end
+        c = Fraction(q * (dot - ((k + 1) * Snum[k + 1] * DT if k < top else 0)),
+                     p * DT * Snum[0])
+        out.append(c)
+        # T_k = -c p / q; c and p/q are each in lowest terms
+        g, h = gcd(c.numerator, q), gcd(c.denominator, p)
+        Tnum, DT = _append_over(Tnum, DT, -(c.numerator // g) * (p // h),
+                                (c.denominator // h) * (q // g))
+    return tuple(out)
 
 
-def _exp_series(c, d, n: int) -> list:
-    """S_0..S_n from i S_i = -d sum_{j=1}^{i} c_j S_{i-j}, S_0 = 1: the inverse
-    of _log_derivative.  c_1..c_n come over their lcm and S over a running
-    lcm, so each step is one integer dot product and one Fraction."""
+def _exp_series(c, d, n: int) -> tuple:
+    """(Snum, DS) with S_i = Snum_i / DS, i = 0..n, from i S_i = -d sum_{j=1}^{i}
+    c_j S_{i-j}, S_0 = 1: the inverse of _log_derivative.  c_1..c_n come over
+    their lcm and S over DS, the running lcm of the reduced denominators, so
+    each step is one integer dot product and one gcd, and no Fraction is
+    built."""
     cnum, DC = _over_lcm(c[:n])
     p, q = d.numerator, d.denominator
-    S, Snum, DS = [Fraction(1)], [1], 1
+    Snum, DS = [1], 1
     for i in range(1, n + 1):
-        dot = sum(map(mul, cnum[:i], Snum[::-1]))
-        s = Fraction(-p * dot, q * i * DC * DS)
-        Snum, DS = _append_over(Snum, DS, s)
-        S.append(s)
-    return S
+        num, den = -p * sum(map(mul, cnum[:i], Snum[::-1])), q * i * DC * DS  # den > 0
+        g = gcd(num, den)
+        Snum, DS = _append_over(Snum, DS, num // g, den // g)
+    return Snum, DS
 
 
-def _append_over(nums: list, D: int, x: Fraction) -> tuple:
-    """nums + [x] over the lcm of D and x's denominator: the stored
-    numerators are rescaled only when that denominator does not divide D."""
-    if D % x.denominator:
-        grown = lcm(D, x.denominator)
+def _append_over(nums: list, D: int, num: int, den: int) -> tuple:
+    """nums + [num/den] over the lcm of D and den, for num/den in lowest
+    terms: the stored numerators are rescaled only when den does not divide D."""
+    if D % den:
+        grown = lcm(D, den)
         nums, D = [y * (grown // D) for y in nums], grown
-    nums.append(x.numerator * (D // x.denominator))
+    nums.append(num * (D // den))
     return nums, D
 
 

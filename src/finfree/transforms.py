@@ -9,9 +9,11 @@ with power sums p_i = d m_i) and back; moments <-> cumulants compose the two
 steps.  There d enters only as a parameter, so cumulant_from_moments works at
 any rational d except an integer below the order n, where (d)_n vanishes.
 
-Each step of the pair is one integer dot product over a common denominator
-and one Fraction.  The weights are integers W_i = W_0 w_i: the log step
-takes the integers W_i num(a_i), since S'/S does not see the scale of S.
+The pair stays in integers: each step is one integer dot product over a
+running common denominator, and a Fraction is built only for an entry a
+function returns, one per output entry.  The weights are integers
+W_i = W_0 w_i: the log step takes the integers W_i num(a_i), since S'/S does
+not see the scale of S.
 
 The paper states these maps as sums over the set partition lattice; those
 sums live in lattice.py, the reference the tests compare this module with.
@@ -24,6 +26,7 @@ under the finite free convolution, homogeneous of weight n under dilation.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import DomainError, InputFormatError
@@ -33,10 +36,11 @@ from .polynomial import (
     _alternate,
     _exp_series,
     _log_derivative,
+    _moments,
     _over_lcm,
     moments,
 )
-from .util import (Value, VarPoly, _check_int, _store, falling, format_rational,
+from .util import (Value, VarPoly, _check_int, _store, format_rational,
                    parse_int, parse_rational, parse_rational_array, read_record)
 
 
@@ -77,27 +81,35 @@ class CumulantVector(Value):
         return cls(parse_int(d, "'d'"), kappa, "standard" if variant is None else variant)
 
 
+def _falling_and_power(d: int):
+    """((d)_n, d^n) for n = 1..d, each a running product."""
+    f = power = 1
+    for i in range(d):
+        f, power = f * (d - i), power * d
+        yield f, power
+
+
 def _standardize(k: CumulantVector) -> tuple:
     """Plain kappa_1..kappa_d regardless of stored variant."""
     if k.variant == "standard":
         return k.kappa
-    d = k.d
-    return tuple(
-        kt * Fraction(d) ** n / falling(d, n)
-        for n, kt in enumerate(k.kappa, start=1)
-    )
+    return tuple(kt * power / f
+                 for kt, (f, power) in zip(k.kappa, _falling_and_power(k.d)))
 
 
 def rescale_cumulants(k: CumulantVector) -> CumulantVector:
-    """Toggle between kappa_n and kappa~_n = ((d)_n / d^n) kappa_n, exactly."""
-    d = k.d
+    """Toggle between kappa_n and kappa~_n = ((d)_n / d^n) kappa_n, exactly.
+
+    (d)_n and d^n are running products.  Each entry takes two Fraction
+    steps, each reduced by gcds of its parts; one Fraction of the whole
+    products would take a gcd of their full size, slower once the entries
+    run to thousands of bits (d of about 100 and up).
+    """
     if k.variant == "standard":
-        vals = tuple(
-            kn * falling(d, n) / Fraction(d) ** n
-            for n, kn in enumerate(k.kappa, start=1)
-        )
-        return CumulantVector(d, vals, "rescaled")
-    return CumulantVector(d, _standardize(k), "standard")
+        vals = tuple(kn * f / power
+                     for kn, (f, power) in zip(k.kappa, _falling_and_power(k.d)))
+        return CumulantVector(k.d, vals, "rescaled")
+    return CumulantVector(k.d, _standardize(k), "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +133,8 @@ def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
     """a_i = S_i W_0 / W_i with S from the exp recurrence."""
     d = k.d
     W = _series_weights(d, d)
-    S = _exp_series(_standardize(k), d, d)
-    return MonicPoly(d, tuple(
-        Fraction(s.numerator * W[0], s.denominator * w) for s, w in zip(S, W)
-    ))
+    Snum, DS = _exp_series(_standardize(k), d, d)
+    return MonicPoly(d, tuple(Fraction(s * W[0], DS * w) for s, w in zip(Snum, W)))
 
 
 def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
@@ -141,7 +151,8 @@ def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     _check_int(d, "d")
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
-    return MonicPoly(d, _alternate(_exp_series(m.entries, d, d)))
+    Snum, DS = _exp_series(m.entries, d, d)
+    return MonicPoly(d, tuple(Fraction(s, DS) for s in _alternate(Snum)))
 
 
 def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
@@ -152,8 +163,8 @@ def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
 def _cumulants_from_moments(mv, d, n: int) -> tuple:
     """kappa_1..kappa_n from m_1..m_n at degree (or parameter) d: the exp
     step gives the coefficients a_i, the weighted log step the cumulants."""
-    a, _ = _over_lcm(_alternate(_exp_series(mv, d, n)))
-    return _log_derivative(list(map(mul, _series_weights(d, n), a)), d, n)
+    Snum, _ = _exp_series(mv, d, n)
+    return _log_derivative(list(map(mul, _series_weights(d, n), _alternate(Snum))), d, n)
 
 
 def cumulant_from_moments(m, d, n: int) -> Fraction:
@@ -183,8 +194,20 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
 
 
 def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
-    """First N moments from the cumulant vector; N may exceed d."""
-    return moments_from_coefficients(coefficients_from_cumulants(k), N)
+    """First N moments from the cumulant vector; N may exceed d.
+
+    The exp step gives S, and (-1)^i a_i = S_i (d)_i / d^i, so the integers
+    Snum_i (d)_i d^(d-i) are the alternated coefficients up to scale: all
+    that the moments' log step reads.  Their content is divided out, which
+    leaves the primitive vector that the coefficients' own lcm would give.
+    """
+    d = k.d
+    Snum, _ = _exp_series(_standardize(k), d, d)
+    weights = [(1, 1), *_falling_and_power(d)]
+    top = weights[-1][1]
+    S = [s * f * (top // power) for s, (f, power) in zip(Snum, weights)]
+    g = gcd(*S)
+    return _moments([x // g for x in S], d, N)
 
 
 def truncated_r_transform(p: MonicPoly) -> VarPoly:

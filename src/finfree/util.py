@@ -1,5 +1,4 @@
-"""Small shared pieces: exact rational and JSON I/O, the falling factorial
-and dense polynomials.
+"""Small shared pieces: exact rational and JSON I/O and dense polynomials.
 
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
 everything exact is a fractions.Fraction.  parse_rational is the one gate
@@ -215,12 +214,3 @@ class VarPoly(Value):
 
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-
-def falling(x, n: int):
-    """(x)_n = x(x-1)...(x-n+1), with (x)_0 = 1.  Exact on int/Fraction."""
-    v = 1
-    for i in range(n):
-        v = v * (x - i)
-    return v
-

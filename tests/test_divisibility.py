@@ -28,8 +28,8 @@ from finfree import (
 )
 from finfree.divisibility import _exact_psd, _power_family
 from finfree.errors import DomainError, InputFormatError
+from finfree.lattice import falling
 from finfree.polynomial import _exp_series, _log_derivative, _primitive_form, _sturm_counts
-from finfree.util import falling
 
 
 def rand_real_rooted(rng, d):

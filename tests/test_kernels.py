@@ -4,7 +4,8 @@ The log/exp series, its weights, boxplus and the root maps from_roots and
 translate run as integer sums over one denominator, and the Monte Carlo
 oracle centres and scales its Jacobi matrices through translate and dilate.
 The code below keeps their earlier forms verbatim as the reference: every
-output must be == to theirs, entry by entry of the same type.  The last
+output must be == to theirs, entry by entry of the same type, and each
+conversion builds one Fraction per entry it returns.  The last
 tests check identities known by construction at d = 100 to 300 with a map
 that shares no code with the kernels: the normalised derivative on plain
 coefficients.
@@ -12,6 +13,7 @@ coefficients.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -21,6 +23,8 @@ import pytest
 from finfree import lattice
 from finfree.convolution import boxplus
 from finfree.errors import DomainError, InputFormatError
+from finfree.freeprob import FreeCumulantVector, free_moments_from_free_cumulants
+from finfree.lattice import falling
 from finfree.matrix_oracle import _jacobi
 from finfree.polynomial import (MomentSequence, MonicPoly, _alternate, _exp_series,
                                 _log_derivative, _over_lcm, _primitive_form,
@@ -28,7 +32,9 @@ from finfree.polynomial import (MomentSequence, MonicPoly, _alternate, _exp_seri
 from finfree.transforms import (CumulantVector, _standardize,
                                 coefficients_from_cumulants,
                                 coefficients_from_moments, cumulant_from_moments,
-                                cumulants_from_coefficients, cumulants_from_moments)
+                                cumulants_from_coefficients, cumulants_from_moments,
+                                moments_from_coefficients, moments_from_cumulants,
+                                rescale_cumulants)
 from finfree.util import parse_rational
 
 
@@ -81,6 +87,19 @@ def ref_cumulants_from_moments(mv, d, n: int) -> tuple:
     dq = Fraction(d)
     a = _alternate(ref_exp_series(mv, dq, n))
     return ref_log_derivative([w * x for w, x in zip(ref_series_weights(dq, n), a)], dq, n)
+
+
+def ref_moments(a, d: int, N: int) -> tuple:
+    return ref_log_derivative([(-1) ** i * x for i, x in enumerate(a)], Fraction(d), N)
+
+
+def ref_rescale(k: CumulantVector) -> tuple:
+    d = k.d
+    if k.variant == "standard":
+        return tuple(kn * falling(d, n) / Fraction(d) ** n
+                     for n, kn in enumerate(k.kappa, start=1))
+    return tuple(kt * Fraction(d) ** n / falling(d, n)
+                 for n, kt in enumerate(k.kappa, start=1))
 
 
 def ref_boxplus(p: MonicPoly, q: MonicPoly) -> tuple:
@@ -203,14 +222,21 @@ def test_log_derivative_reads_s_up_to_scale():
 
 
 def test_exp_series_matches_the_fraction_recurrence():
+    def exp_values(c, d, n):
+        # S_i = Snum_i / DS, with DS the lcm of the reduced denominators
+        Snum, DS = _exp_series(c, d, n)
+        S = [Fraction(s, DS) for s in Snum]
+        assert DS == math.lcm(*(x.denominator for x in S))
+        return S
+
     rng = random.Random(2103)
     for n in range(0, 31):
         for d in rational_parameters(rng):
             fracs = [rand_q(rng) for _ in range(n + 3)]
             ints = [rng.randint(-9, 9) for _ in range(n)]
-            same(_exp_series(fracs, d, n), ref_exp_series(fracs, d, n))
-            same(_exp_series(ints, d, n), ref_exp_series(ints, d, n))
-            same(_exp_series(tuple(ints), d, n), ref_exp_series(tuple(ints), d, n))
+            same(exp_values(fracs, d, n), ref_exp_series(fracs, d, n))
+            same(exp_values(ints, d, n), ref_exp_series(ints, d, n))
+            same(exp_values(tuple(ints), d, n), ref_exp_series(tuple(ints), d, n))
 
 
 def test_weighted_paths_and_boxplus_match_the_reference():
@@ -223,6 +249,12 @@ def test_weighted_paths_and_boxplus_match_the_reference():
         same(coefficients_from_cumulants(k).a, ref_coefficients_from_cumulants(k))
         rk = CumulantVector(d, [rand_q(rng) for _ in range(d)], "rescaled")
         same(coefficients_from_cumulants(rk).a, ref_coefficients_from_cumulants(rk))
+        same(rescale_cumulants(k).kappa, ref_rescale(k))
+        same(rescale_cumulants(rk).kappa, ref_rescale(rk))
+        for N in (1, d, d + 5):
+            same(moments(p, N).entries, ref_moments(p.a, d, N))
+            same(moments_from_cumulants(rk, N).entries,
+                 ref_moments(ref_coefficients_from_cumulants(rk), d, N))
         same(boxplus(p, q).a, ref_boxplus(p, q))
         # int entries, as the free series passes them
         ints = MonicPoly(d, [1] + [rng.randint(-9, 9) for _ in range(d)])
@@ -237,6 +269,57 @@ def test_weighted_paths_and_boxplus_match_the_reference():
         mv = [rng.randint(-5, 5) for _ in range(d)]
         assert cumulant_from_moments(mv, Fraction(-7, 3), d) == ref_cumulants_from_moments(
             mv, Fraction(-7, 3), d)[-1]
+
+
+def fractions_built(call) -> int:
+    """How many times Fraction.__new__ runs during call()."""
+    code, built = Fraction.__new__.__code__, [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built[0] += 1
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built[0]
+
+
+def test_each_direction_builds_one_fraction_per_output_entry():
+    # the series stay in integers; a Fraction is built only for a value a
+    # public function returns
+    rng = random.Random(2501)
+    d, N, n, dq = 10, 13, 8, Fraction(-7, 3)
+    p = rand_poly(rng, d)
+    k = CumulantVector(d, [rand_q(rng) for _ in range(d)])
+    kt = rescale_cumulants(k)
+    m = moments(p, N)
+    ints = [rng.randint(-9, 9) for _ in range(d)]
+    r = FreeCumulantVector([Fraction(1, 3), 2, Fraction(-1, 5)])
+    bounds = [
+        (lambda: cumulants_from_coefficients(p), d),
+        (lambda: moments_from_coefficients(p, N), N),
+        (lambda: coefficients_from_cumulants(k), d + 1),
+        (lambda: coefficients_from_moments(m, d), d + 1),
+        (lambda: cumulants_from_moments(m, d), d),
+        (lambda: moments_from_cumulants(k, N), N),
+        # at a non-integer parameter the series runs to order n and builds
+        # its n entries; the kernels themselves build only the log's
+        (lambda: cumulant_from_moments(m, dq, n), n),
+        (lambda: _log_derivative(ints, dq, n), n),
+        (lambda: _exp_series(m.entries, dq, n), 0),
+        # two steps per entry: one Fraction of the full products would
+        # take a gcd of their full size, slower at large d
+        (lambda: rescale_cumulants(k), 2 * d),
+        (lambda: rescale_cumulants(kt), 2 * d),
+        # N for the series log(1 + R), which the exp step reads as values,
+        # and one per moment
+        (lambda: free_moments_from_free_cumulants(r, N), 2 * N),
+    ]
+    for i, (call, bound) in enumerate(bounds):
+        assert fractions_built(call) <= bound, i
 
 
 def test_a_4000_digit_d_matches_the_reference():

@@ -317,14 +317,15 @@ def test_only_polynomial_clears_denominators_by_an_lcm():
 
 def test_only_transforms_turns_cumulants_into_coefficients():
     # the kappa -> a map and its (d)_n / d^n weights live in transforms.py,
-    # with the lattice reference's own sums beside it; the package root only
-    # re-exports falling, and the families pass their cumulants to transforms
+    # with the lattice reference's own sums and falling factorial beside it;
+    # the families pass their cumulants to transforms
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
-        uses_falling = "falling" in imported | {name for name, _ in _reads(tree)}
-        if uses_falling and path.name not in ("transforms.py", "lattice.py", "__init__.py"):
+        names = imported | {name for name, _ in _reads(tree)}
+        uses_falling = bool({"falling", "_falling_and_power"} & names)
+        if uses_falling and path.name not in ("transforms.py", "lattice.py"):
             found.append((path.name, "falling"))
         if path.name == "families.py" and "convolution" in imported:
             found.append((path.name, "convolution"))

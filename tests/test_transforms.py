@@ -22,7 +22,6 @@ from finfree import (
     cumulants_from_coefficients,
     cumulants_from_moments,
     enumerate_partitions,
-    falling,
     lattice,
     moments,
     moments_from_coefficients,
@@ -36,6 +35,7 @@ from finfree.errors import DomainError, InputFormatError, SizeCapError
 from finfree.lattice import (
     JOIN_FORM_SIGN,
     block_size_product,
+    falling,
     join,
     one_partition,
     p_sigma,
