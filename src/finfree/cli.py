@@ -75,9 +75,10 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 1 s with parts of --t at 2^64; family poisson reads its last coefficient
 # perm(d*lambda, d) / d^d before the series, so at d = 100 a 2000-digit
 # --lambda exits 5 in about 0.2 s where the series alone takes 6.5 s, and
-# the largest --lambda it prints there (41 digits) takes 0.15 s; a 4001-digit
-# one, whose series takes 26 to 30 s, is refused by MAX_LAMBDA_PART = 10^2000
-# before any work.  A
+# the largest --lambda it prints there (41 digits) takes 0.15 s; that check
+# refuses any longer one the parser takes (4300 digits) in under 0.3 s, so
+# MAX_LAMBDA_PART = 10^2000 only bounds input from outside where it enters,
+# as for other rational arguments, with a size error before any work.  A
 # JSON file is read up to MAX_JSON_BYTES, so a path such as /dev/zero cannot
 # fill memory; the largest record one command prints for another to read,
 # moments --N 1000, is 0.5 MB.

@@ -7,10 +7,11 @@ matching moment sequence, and evaluates the exact finite cumulant of that
 moment data at each requested d.
 
 Free moments and free cumulants are related by M(z) = 1 + R(z M(z)) with
-M(z) = 1 + sum m_n z^n and R(w) = sum r_k w^k; Lagrange inversion gives
-m_n = [w^n] (1 + R(w))^{n+1} / (n+1), with the power from the same log/exp
-series pair as the finite cumulants: O(n^2) per moment, no cap on n.
-The paper's sum over non-crossing partitions is lattice.py's reference.
+M(z) = 1 + sum m_n z^n and R(w) = sum r_k w^k.  Lagrange inversion of
+w = z M(z) gives m_n = [w^n] (1 + R(w))^{n+1} / (n+1) and, for n >= 2,
+r_n = [z^n] M(z)^{1-n} / (1-n), with r_1 = m_1.  Each power comes from the
+same log/exp series pair as the finite cumulants: O(n^2) per entry, no cap
+on n.  The paper's sum over non-crossing partitions is lattice.py's reference.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ class FreeCumulantVector(Value):
         return len(self.entries)
 
 
-def _lagrange_moment(log, n: int) -> Fraction:
-    """[w^n] (1 + R(w))^{n+1} / (n+1) = [w^n] exp((n+1) log(1 + R)) / (n+1),
-    from polynomial's log/exp series pair; log is _log_derivative of the
-    series 1 + R, and only its first n entries are read."""
-    Snum, DS = _exp_series(log, n + 1, n)
-    return Fraction(Snum[n], DS * (n + 1))
+def _lagrange(log, e: int, n: int) -> Fraction:
+    """[z^n] F^e / e = [z^n] exp(e log F) / e, from polynomial's log/exp
+    series pair; log is _log_derivative of F at d = 1, and only its first n
+    entries are read."""
+    Snum, DS = _exp_series(log, e, n)
+    return Fraction(Snum[n], DS * e)
 
 
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
@@ -55,22 +56,18 @@ def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSeq
     _check_int(N, "N")
     # _log_derivative takes the entries past the stored length as zero
     log = _log_derivative((1, *r.entries[:N]), 1, N)
-    return MomentSequence([_lagrange_moment(log, n) for n in range(1, N + 1)])
+    return MomentSequence([_lagrange(log, n + 1, n) for n in range(1, N + 1)])
 
 
 def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
-    """Triangular inversion in L = log(1 + R): L_n enters m_n only as the term
-    L_n itself, so L_n = m_n - (m_n with L_n = 0); then 1 + R = exp(L).  The
-    log series holds -n L_n, as _log_derivative writes it."""
+    """r_1..r_N from m_1..m_N, the inverse map, by Lagrange inversion."""
     _check_int(N, "N")
     if len(m) < N:
         raise DomainError("need %d moments, got %d" % (N, len(m)))
-    log = []
-    for n in range(1, N + 1):
-        log.append(0)
-        log[-1] = -n * (m.entries[n - 1] - _lagrange_moment(log, n))
-    Snum, DS = _exp_series(log, 1, N)
-    return FreeCumulantVector([Fraction(s, DS) for s in Snum[1:]])
+    log = _log_derivative((1, *m.entries[:N]), 1, N)
+    r = [_lagrange(log, 1 - n, n) for n in range(2, N + 1)]
+    # for N < 1 the constructor refuses the empty vector
+    return FreeCumulantVector([m.entries[0], *r] if N > 0 else r)
 
 
 class ConvergenceReport(Value):

@@ -1,4 +1,5 @@
-"""Mutation check for the exact series kernels.
+"""Mutation check for the exact series kernels and the free side's
+Lagrange step.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -35,7 +36,8 @@ TESTS = ["tests/test_kernels.py", "tests/test_transforms.py", "tests/test_freepr
 TIMEOUT_S = 600
 
 # (module under src/finfree, function): the series pair and its helper,
-# the weights, and the two callers that build Fractions from their integers
+# the weights, the two callers that build Fractions from their integers, and
+# the free side's Lagrange step with its two directions
 KERNELS = [
     ("polynomial.py", "_log_derivative"),
     ("polynomial.py", "_exp_series"),
@@ -43,6 +45,9 @@ KERNELS = [
     ("transforms.py", "_series_weights"),
     ("transforms.py", "coefficients_from_cumulants"),
     ("transforms.py", "_cumulants_from_moments"),
+    ("freeprob.py", "_lagrange"),
+    ("freeprob.py", "free_moments_from_free_cumulants"),
+    ("freeprob.py", "free_cumulants_from_moments"),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}

@@ -451,6 +451,10 @@ def test_documented_errors_keep_their_codes(capsys):
     # an integer degree below the cumulant order
     code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "4", "--d", "3")
     assert code == 5 and err["error"]["type"] == "DomainError"
+    # a cumulant vector of degree 0
+    code, _, err = run(capsys, "coeffs", '{"d":0,"kappa":[]}')
+    assert code == 3 and err["error"] == {"type": "InputFormatError",
+                                          "message": "degree must be >= 1"}
     # a non-integral degree is reported as written
     for argv in (["converge", "--r", "0,1", "--n", "2", "--d", "5/2"],
                  ["coeffs", '{"m":["0","1"],"d":"5/2"}']):

@@ -1,4 +1,8 @@
-"""Free (d to infinity) layer and the convergence diagnostics."""
+"""Free (d to infinity) layer and the convergence diagnostics.
+
+The term-by-term inversion that free_cumulants_from_moments replaced is kept
+below, verbatim, as the reference its output must be == to.
+"""
 
 import random
 from fractions import Fraction
@@ -9,11 +13,35 @@ from finfree import (
     FreeCumulantVector,
     lattice,
     MomentSequence,
+    MonicPoly,
     convergence_report,
     free_cumulants_from_moments,
     free_moments_from_free_cumulants,
+    moments,
 )
 from finfree.errors import DomainError, InputFormatError
+from finfree.polynomial import _exp_series
+from finfree.util import _check_int
+
+
+def ref_lagrange_moment(log, n: int) -> Fraction:
+    Snum, DS = _exp_series(log, n + 1, n)
+    return Fraction(Snum[n], DS * (n + 1))
+
+
+def ref_free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
+    """Triangular inversion in L = log(1 + R): L_n enters m_n only as the term
+    L_n itself, so L_n = m_n - (m_n with L_n = 0); then 1 + R = exp(L).  The
+    log series holds -n L_n, as _log_derivative writes it."""
+    _check_int(N, "N")
+    if len(m) < N:
+        raise DomainError("need %d moments, got %d" % (N, len(m)))
+    log = []
+    for n in range(1, N + 1):
+        log.append(0)
+        log[-1] = -n * (m.entries[n - 1] - ref_lagrange_moment(log, n))
+    Snum, DS = _exp_series(log, 1, N)
+    return FreeCumulantVector([Fraction(s, DS) for s in Snum[1:]])
 
 
 def test_semicircle_moments_are_catalan():
@@ -57,6 +85,37 @@ def test_inversion_round_trip():
         assert free_moments_from_free_cumulants(
             free_cumulants_from_moments(m, 10), 10
         ).entries == m.entries
+
+
+def _rand_q(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+
+
+def test_inversion_matches_the_term_by_term_reference():
+    # free laws, root distributions and arbitrary rationals, some of them
+    # longer than N
+    rng = random.Random(2601)
+    for N in range(1, 41):
+        r = FreeCumulantVector([_rand_q(rng) for _ in range(rng.randint(1, N))])
+        p = MonicPoly.from_roots([_rand_q(rng) for _ in range(12)])
+        for m in (free_moments_from_free_cumulants(r, N), moments(p, N),
+                  MomentSequence([_rand_q(rng) for _ in range(N + rng.randint(0, 3))])):
+            got = free_cumulants_from_moments(m, N).entries
+            assert got == ref_free_cumulants_from_moments(m, N).entries, N
+            assert all(type(x) is Fraction for x in got), N
+
+
+@pytest.mark.parametrize("N, m, error, message", [
+    (0, [1, 2], InputFormatError, "need at least one free cumulant"),
+    (-1, [1, 2, 3], InputFormatError, "need at least one free cumulant"),
+    (2.0, [1, 2], InputFormatError, "N must be an integer, got 2.0"),
+    (4, [1, 2, 3], DomainError, "need 4 moments, got 3"),
+])
+def test_inversion_refuses_what_the_reference_refuses(N, m, error, message):
+    for inversion in (free_cumulants_from_moments, ref_free_cumulants_from_moments):
+        with pytest.raises(error) as caught:
+            inversion(MomentSequence(m), N)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_semicircle_inversion():

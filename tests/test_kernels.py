@@ -23,7 +23,8 @@ import pytest
 from finfree import lattice
 from finfree.convolution import boxplus
 from finfree.errors import DomainError, InputFormatError
-from finfree.freeprob import FreeCumulantVector, free_moments_from_free_cumulants
+from finfree.freeprob import (FreeCumulantVector, free_cumulants_from_moments,
+                              free_moments_from_free_cumulants)
 from finfree.lattice import falling
 from finfree.matrix_oracle import _jacobi
 from finfree.polynomial import (MomentSequence, MonicPoly, _alternate, _exp_series,
@@ -317,6 +318,8 @@ def test_each_direction_builds_one_fraction_per_output_entry():
         # N for the series log(1 + R), which the exp step reads as values,
         # and one per moment
         (lambda: free_moments_from_free_cumulants(r, N), 2 * N),
+        # likewise N for log M, and one per cumulant past r_1 = m_1
+        (lambda: free_cumulants_from_moments(m, N), 2 * N),
     ]
     for i, (call, bound) in enumerate(bounds):
         assert fractions_built(call) <= bound, i

@@ -302,6 +302,16 @@ def test_partition_validation():
                       (True, [[1]]), (2, [[1, "2"]])):
         with pytest.raises(InputFormatError):
             SetPartition.from_blocks(n, blocks)
+    # a type vector has n entries >= 0 that weigh n, and a count has two modes
+    for make, message in (
+            (lambda: PartitionType(3, (1, 1)), "type vector must have length n, entries >= 0"),
+            (lambda: PartitionType(3, (4, -1, 1)), "type vector must have length n, entries >= 0"),
+            (lambda: PartitionType(3, (1, 0, 1)), "type vector does not weigh n"),
+            (lambda: count_by_type(PartitionType(3, (3, 0, 0)), "crossing"),
+             "mode must be 'all' or 'noncrossing'")):
+        with pytest.raises(InputFormatError) as caught:
+            make()
+        assert str(caught.value) == message
     # the ground set {1..n} is never empty, as the walks require
     for make in (lambda: SetPartition.from_blocks(0, []),
                  lambda: SetPartition.from_blocks(-1, []), lambda: PartitionType(0, ()),

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from finfree.divisibility import cramer_counterexample, infinite_divisibility_report
+from finfree.errors import InputFormatError
 from finfree.freeprob import FreeCumulantVector, convergence_report
 from finfree.matrix_oracle import mc_boxplus
 from finfree.partitions import PartitionType, SetPartition
@@ -97,6 +98,17 @@ def test_a_wrong_number_of_arguments_is_a_type_error(v, names):
         type(v)()
     with pytest.raises(TypeError):
         type(v)(*_fields(v, names), None)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FreeCumulantVector([]), "need at least one free cumulant"),
+    (lambda: MomentSequence([]), "moment sequence must be nonempty"),
+    (lambda: CumulantVector(0, []), "degree must be >= 1"),
+], ids=["FreeCumulantVector", "MomentSequence", "CumulantVector"])
+def test_an_empty_vector_is_refused(make, message):
+    with pytest.raises(InputFormatError) as caught:
+        make()
+    assert type(caught.value) is InputFormatError and str(caught.value) == message
 
 
 def test_checked_types_take_their_fields_by_keyword():
