@@ -54,10 +54,12 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows in about 4 s, and
 # each step in n costs about 6 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
-# probe's denominator, and its grid has log2(tmax) + 5 points; on random
-# rational roots threshold --tmax 4 takes about 1.2 s at d = 24 and 23 s at
-# d = 40, and --steps 200 takes 31 s at d = 20 and 93 s at d = 24 (--tmax
-# 4), nearly all of it in the Sturm chain of each probe; converge sums one
+# probe's denominator, and its grid has log2(tmax) + 5 points, of which a
+# real-rooted input probes t = 1 and either the four below it or a
+# bisection over those above it; on random rational roots threshold --tmax
+# 4 takes about 1 s at d = 24 and 19 to 23 s at d = 40, --tmax 2^64 takes
+# 1.3 s at d = 24, and --steps 200 takes 26 s at d = 20 and 83 s at d = 24
+# (--tmax 4), nearly all in the Sturm chain of each probe; converge sums one
 # free-moment series and one row per --d value, each costing more than n^3,
 # so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
 # the worst case is one row; its cost grows with the parts of --r, so each

@@ -152,10 +152,30 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """Smallest t found such that p^{boxplus s} has d distinct real roots for
     every sampled s >= t; None if no such t <= t_max shows up.
 
-    Grid: t = 1/16, 1/8, ..., doubling up to t_max, walked down from the top
-    until the first failing point, then one bisection refinement (steps
-    iterations) between that point and the grid point above it.  Each probe
-    is one _power_family evaluation and its integer Sturm chain.
+    Grid: t = 1/16, 1/8, ..., doubling up to t_max.  The least grid point
+    from which every point up to t_max passes, and the grid point below it,
+    bound one bisection refinement (steps iterations).  Each probe is one
+    _power_family evaluation and its integer Sturm chain.
+
+    The grid points t >= 1 are the integers 2^k, where for real-rooted p a
+    pass at n is a pass at every integer above n.  Lemma: if p is
+    real-rooted and q has d simple real roots, then so has p boxplus q.
+    Proof: p boxplus q = P(D) q with P(0) = 1, so p boxplus (q +- eps) =
+    (p boxplus q) +- eps.  For small eps, q +- eps still has d simple real
+    roots, so p boxplus (q +- eps) is real-rooted (Walsh's theorem, stated
+    for boxplus_d by Marcus, Spielman and Srivastava), while a root of
+    p boxplus q of multiplicity m >= 2 would split into non-real roots for
+    one of the two signs.  Induction over p^{boxplus (n+1)} =
+    p boxplus p^{boxplus n} gives the claim; P itself need not be
+    real-rooted.
+
+    So t = 1 is probed first, and its chain also says whether p is
+    real-rooted: as many distinct real roots as distinct roots.  If so and
+    t = 1 passes, no point above 1 is probed; if t = 1 fails, a bisection
+    over the grid indices above 1 finds the least passing one, and None if
+    the top fails.  If p is not real-rooted, the grid is walked down from
+    the top, as far as t = 2.  Below a passing t = 1 the walk goes on down
+    as far as it passes.  No grid point is probed twice.
     """
     if not _is_int(steps) or steps < 0:
         raise InputFormatError("steps must be an integer >= 0, got %.80r" % (steps,))
@@ -172,8 +192,23 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     def ok(t) -> bool:
         return _sturm_counts(power(t))[0] == p.d
 
-    first = len(grid)  # grid[first:] all pass
-    while first > 0 and ok(grid[first - 1]):
+    first, low = len(grid), 0  # grid[first:] all pass; the walk stops at grid[low]
+    if first > 4:  # grid[4] is t = 1
+        real, distinct = _sturm_counts(power(grid[4]))
+        if real == p.d:
+            first = 4
+        elif real == distinct:  # p is real-rooted and t = 1 fails
+            lo = 4  # ok fails at grid[lo]
+            while first - lo > 1:
+                mid = (lo + first) // 2
+                if ok(grid[mid]):
+                    first = mid
+                else:
+                    lo = mid
+            low = first
+        else:
+            low = 5
+    while first > low and ok(grid[first - 1]):
         first -= 1
     if first == len(grid):
         return None

@@ -1,18 +1,16 @@
-"""Mutation check for the exact series kernels and the free side's
-Lagrange step.
+"""Mutation check for the exact series kernels, the free side's Lagrange
+step and the threshold search.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
-a range bound by one, turn < into <= and back (> and >= likewise), negate a
-condition, and drop one term of a sum or difference.  Each mutant runs
-
-    pytest -x tests/test_kernels.py tests/test_transforms.py tests/test_freeprob.py
-
-against the copy; a failing run kills it.  So that the two callers, whose
-lines hold no sum, get mutants too, three more operators act there and in
-the kernels: drop one factor of a product, shift a constant index by one,
-and drop a minus sign or a one-argument helper call such as _alternate(x).
-The script prints killed against survived for each kernel and lists every
+a range bound, an index or a slice bound by one, turn < into <= and back
+(> and >= likewise), negate a condition, drop one term of a sum or
+difference, drop one factor of a product, and drop a minus sign or a
+one-argument helper call such as _alternate(x).  Each mutant runs its
+kernel's test selection with pytest -x against the copy; a failing run
+kills it, and so does a run that takes SLOWDOWN times as long as the
+unmutated run of the same selection, which the script makes first.  The
+script prints killed against survived for each kernel and lists every
 survivor.  Pytest does not collect this file; run it as
 
     python tests/mutants.py [KERNEL ...]
@@ -31,23 +29,28 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ["tests/test_kernels.py", "tests/test_transforms.py", "tests/test_freeprob.py"]
-# a mutant that loops or runs away counts as killed once this runs out
-TIMEOUT_S = 600
+SERIES_TESTS = ["tests/test_kernels.py", "tests/test_transforms.py", "tests/test_freeprob.py"]
+THRESHOLD_TESTS = ["tests/test_divisibility.py", "-k", "threshold"]
+# a mutant whose run takes this many times as long as the unmutated run, at
+# least MIN_TIMEOUT_S, loops or runs away, and counts as killed
+SLOWDOWN = 5
+MIN_TIMEOUT_S = 60
 
-# (module under src/finfree, function): the series pair and its helper,
-# the weights, the two callers that build Fractions from their integers, and
-# the free side's Lagrange step with its two directions
+# (module under src/finfree, function, tests): the series pair and its
+# helper, the weights, the two callers that build Fractions from their
+# integers, the free side's Lagrange step with its two directions, and the
+# threshold search
 KERNELS = [
-    ("polynomial.py", "_log_derivative"),
-    ("polynomial.py", "_exp_series"),
-    ("polynomial.py", "_append_over"),
-    ("transforms.py", "_series_weights"),
-    ("transforms.py", "coefficients_from_cumulants"),
-    ("transforms.py", "_cumulants_from_moments"),
-    ("freeprob.py", "_lagrange"),
-    ("freeprob.py", "free_moments_from_free_cumulants"),
-    ("freeprob.py", "free_cumulants_from_moments"),
+    ("polynomial.py", "_log_derivative", SERIES_TESTS),
+    ("polynomial.py", "_exp_series", SERIES_TESTS),
+    ("polynomial.py", "_append_over", SERIES_TESTS),
+    ("transforms.py", "_series_weights", SERIES_TESTS),
+    ("transforms.py", "coefficients_from_cumulants", SERIES_TESTS),
+    ("transforms.py", "_cumulants_from_moments", SERIES_TESTS),
+    ("freeprob.py", "_lagrange", SERIES_TESTS),
+    ("freeprob.py", "free_moments_from_free_cumulants", SERIES_TESTS),
+    ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
+    ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
@@ -55,6 +58,8 @@ _EDGE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 
 
 def _shifted(node, delta):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return ast.Constant(node.value + delta)
     return ast.BinOp(node, ast.Add() if delta > 0 else ast.Sub(), ast.Constant(1))
 
 
@@ -70,10 +75,18 @@ def _edits(node):
         yield "drop left factor", node.right
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         yield "drop minus", node.operand
-    elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-          and type(node.slice.value) is int):
+    elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+        for bound in ("lower", "upper"):
+            if getattr(node.slice, bound) is not None:
+                for delta in (1, -1):
+                    cut = copy.copy(node.slice)
+                    setattr(cut, bound, _shifted(getattr(cut, bound), delta))
+                    yield ("slice %s %+d" % (bound, delta),
+                           ast.Subscript(node.value, cut, node.ctx))
+    elif (isinstance(node, ast.Subscript) and not isinstance(node.slice, ast.Tuple)
+          and not (isinstance(node.slice, ast.Constant) and type(node.slice.value) is not int)):
         for delta in (1, -1):
-            index = ast.Constant(node.slice.value + delta)
+            index = _shifted(node.slice, delta)
             yield "index %+d" % delta, ast.Subscript(node.value, index, node.ctx)
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
           and node.func.id.startswith("_") and len(node.args) == 1 and not node.keywords):
@@ -102,11 +115,11 @@ class _Mutate(ast.NodeTransformer):
         self.label = None
 
     def visit_FunctionDef(self, node):
-        if node.name != self.func:
+        if node.name != self.func and not self.inside:
             return node
-        self.inside = True
+        outer, self.inside = self.inside, True  # nested functions are mutated too
         node = self.generic_visit(node)
-        self.inside = False
+        self.inside = outer
         return node
 
     def generic_visit(self, node):
@@ -130,7 +143,21 @@ def mutants(module, func):
     return finder.seen
 
 
-def run_mutant(module, func, index, tests=TESTS):
+def _pytest(src, tests, timeout):
+    """Run the test selection with src on the path: (pytest's exit code, or
+    None when it timed out, seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
+
+
+def run_mutant(module, func, index, tests, timeout):
     """Run the test selection against a copy of src/ with the index-th
     mutant of func applied: (pytest's exit code, or None when it timed out,
     label, seconds).  Any code but 0 kills the mutant."""
@@ -143,29 +170,28 @@ def run_mutant(module, func, index, tests=TESTS):
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / "finfree" / module).write_text(ast.unparse(tree) + "\n")
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        start = time.perf_counter()
-        try:
-            code = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-                cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
-        except subprocess.TimeoutExpired:
-            code = None
-    return code, mutate.label, time.perf_counter() - start
+        code, seconds = _pytest(src, tests, timeout)
+    return code, mutate.label, seconds
 
 
 def main(argv):
     chosen = [k for k in KERNELS if not argv or k[1] in argv]
     if not chosen:
         raise SystemExit("no kernel named %s; choose from %s"
-                         % (" ".join(argv), " ".join(f for _, f in KERNELS)))
+                         % (" ".join(argv), " ".join(f for _, f, _ in KERNELS)))
     total_killed = total = 0
     start = time.perf_counter()
-    for module, func in chosen:
+    timeouts = {}
+    for module, func, tests in chosen:
+        if tuple(tests) not in timeouts:
+            code, seconds = _pytest(ROOT / "src", tests, None)
+            if code != 0:
+                raise SystemExit("the unmutated tree fails " + " ".join(tests))
+            timeouts[tuple(tests)] = max(MIN_TIMEOUT_S, SLOWDOWN * seconds)
         survivors = []
         labels = mutants(module, func)
         for index in range(len(labels)):
-            code, label, _ = run_mutant(module, func, index)
+            code, label, _ = run_mutant(module, func, index, tests, timeouts[tuple(tests)])
             if code == 0:
                 survivors.append(label)
         killed = len(labels) - len(survivors)

@@ -26,6 +26,7 @@ from finfree import (
     rescale_cumulants,
     x_power,
 )
+from finfree import divisibility
 from finfree.divisibility import _exact_psd, _power_family
 from finfree.errors import DomainError, InputFormatError
 from finfree.lattice import falling
@@ -275,11 +276,16 @@ def _with_complex_pair(rng, d):
     return MonicPoly.from_plain_coefficients(plain)
 
 
+def _distinct_real_rooted(rng, d):
+    return MonicPoly.from_roots(rng.sample([Fraction(i, 2) for i in range(-10, 11)], d))
+
+
 def _threshold_inputs(rng, d):
-    """Distinct, repeated and complex roots, and random coefficients."""
+    """Distinct, repeated and complex roots, random coefficients, and one
+    root d times over, whose powers never have distinct roots."""
     grid = [Fraction(i, 2) for i in range(-10, 11)]
     inputs = [
-        MonicPoly.from_roots(rng.sample(grid, d)),
+        _distinct_real_rooted(rng, d),
         rand_real_rooted(rng, d),
         MonicPoly.from_roots([r for r in rng.sample(grid, d) for _ in (0, 1)][:d]),
         MonicPoly.from_signed(
@@ -288,6 +294,7 @@ def _threshold_inputs(rng, d):
     ]
     if d >= 2:
         inputs.append(_with_complex_pair(rng, d))
+        inputs.append(MonicPoly.from_roots([rng.choice(grid[:10] + grid[11:])] * d))
     return [p for p in inputs if any(v != 0 for v in p.a[1:])]
 
 
@@ -295,7 +302,7 @@ def test_threshold_matches_full_grid_search():
     rng = random.Random(139)
     for d in range(1, 13):
         for p in _threshold_inputs(rng, d):
-            for t_max in (2**20, Fraction(3, 4), 5, Fraction(1, 32)):
+            for t_max in (2**20, Fraction(3, 4), 5, Fraction(1, 32)) + (2**64,) * (d <= 6):
                 for steps in (0, 1, 16, 30):
                     assert real_rooted_threshold(p, t_max, steps) == _threshold_by_full_grid(
                         p, t_max, steps
@@ -341,6 +348,63 @@ def test_threshold_runs_no_fraction_series():
             assert calls == Counter({"_power_family": 1}), (p, calls)
 
 
+def test_integer_powers_keep_distinct_real_roots():
+    # the lemma the threshold search rests on, apart from the search: for
+    # real-rooted p, p^{boxplus m} with d distinct real roots makes
+    # p^{boxplus (m+1)} = p boxplus p^{boxplus m} so too
+    rng = random.Random(151)
+    seen = Counter()
+    for d in range(2, 11):
+        doubled = [r for r in rng.sample(range(-9, 10), d) for _ in (0, 1)][:d]
+        for p in (_distinct_real_rooted(rng, d), rand_real_rooted(rng, d),
+                  MonicPoly.from_roots([Fraction(r, 3) for r in doubled]), hermite_clt(d)):
+            passes = [is_real_rooted(boxplus_power(p, m), require_distinct=True) == "yes"
+                      for m in range(1, 6)]
+            assert passes == sorted(passes), (p, passes)
+            seen[passes[0], passes[-1]] += 1
+    # some powers start failing and end passing, and some pass from m = 1
+    assert seen[False, True] >= 5 and seen[True, True] >= 5, seen
+
+
+def test_threshold_probes_no_integer_point_it_can_decide():
+    # distinct real roots: t = 1 passes, so only the four grid points below
+    # it and the bisection are probed, where a walk down from the top
+    # probes every integer point 1, 2, 4, ..., t_max first
+    rng = random.Random(157)
+    for d in range(2, 11):
+        p = _distinct_real_rooted(rng, d)
+        for t_max in (2**20, 2**64):
+            for steps in (0, 16):
+                calls = _count_calls((_sturm_counts,),
+                                     lambda: real_rooted_threshold(p, t_max, steps))
+                assert calls["_sturm_counts"] <= 5 + steps, (p, t_max, steps, calls)
+    # the README's roots 0,0,1,3 fail at t = 1, a double root: a bisection
+    # over the 65 grid indices from t = 1 to 2^64 finds the least passing one
+    p = MonicPoly.from_roots([0, 0, 1, 3])
+    for steps in (0, 16):
+        calls = _count_calls((_sturm_counts,), lambda: real_rooted_threshold(p, 2**64, steps))
+        assert calls["_sturm_counts"] <= 2 + 7 + steps, (steps, calls)
+
+
+def test_threshold_probes_no_point_twice(monkeypatch):
+    # each t gives another primitive polynomial to the Sturm chain, since p
+    # is not x^d
+    probed, counts = [], divisibility._sturm_counts
+
+    def record(f):
+        probed.append(tuple(f))
+        return counts(f)
+
+    monkeypatch.setattr(divisibility, "_sturm_counts", record)
+    rng = random.Random(163)
+    for d in (2, 5, 8):
+        for p in _threshold_inputs(rng, d):
+            for t_max in (Fraction(3, 4), 1, 5, 2**20, 2**64):
+                probed.clear()
+                real_rooted_threshold(p, t_max, 16)
+                assert len(set(probed)) == len(probed), (p, t_max)
+
+
 def test_threshold_refuses_bad_arguments():
     p = finite_poisson(Fraction(1, 4), 4)
     for steps in (-3, -1, True, False, 2.5, 16.0, "16", None):
@@ -362,6 +426,12 @@ def test_threshold_none_when_tmax_too_small():
 def test_threshold_rejects_x_power():
     with pytest.raises(DomainError):
         real_rooted_threshold(x_power(4), 100)
+
+
+def test_threshold_rejects_nonpositive_tmax():
+    for t_max in (0, Fraction(-1, 16), -5):
+        with pytest.raises(DomainError):
+            real_rooted_threshold(hermite_clt(4), t_max)
 
 
 def test_cramer_cumulant_cancellation():

@@ -11,5 +11,6 @@ def test_a_fixed_mutant_of_the_exp_series_dies():
     labels = mutants.mutants("polynomial.py", "_exp_series")
     index = next(i for i, label in enumerate(labels)
                  if label.endswith("range bound +1 in range(1, n + 1)"))
-    code, label, _ = mutants.run_mutant("polynomial.py", "_exp_series", index)
+    code, label, _ = mutants.run_mutant("polynomial.py", "_exp_series", index,
+                                        mutants.SERIES_TESTS, timeout=600)
     assert code == 1, label
