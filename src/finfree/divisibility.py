@@ -10,14 +10,14 @@ MonicPoly.translate and MonicPoly.dilate, never on the cumulants.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, gcd, isqrt, prod
+from math import floor, isqrt
 
 from .convolution import boxplus
 from .errors import DomainError, InputFormatError
-from .polynomial import (MonicPoly, _primitive, _primitive_form, _sturm_counts,
-                         is_real_rooted)
+from .polynomial import MonicPoly, _exp_series, _sturm_counts, is_real_rooted
 from .transforms import (
     CumulantVector,
+    _primitive_plain,
     coefficients_from_cumulants,
     cumulants_from_coefficients,
     rescale_cumulants,
@@ -123,27 +123,15 @@ def infinite_divisibility_report(p: MonicPoly) -> IDReport:
 def _power_family(p: MonicPoly):
     """t -> p^{boxplus t} as a primitive integer polynomial, for rational t > 0.
 
-    S(s) = sum_i c_i s^i / (d)_i, c_i the plain coefficients, multiplies under
-    boxplus to order s^d (log S holds the cumulants), so S^t = sum_j binom(t, j)
-    (S - 1)^j.  With S - 1 = sigma / F over the integers, the rows [s^i] sigma^j
-    (d)_i (d!/j!) F^(d-j), times v^(d-j) u (u - v) ... (u - (j-1) v) and
-    summed over j, give a positive multiple of c_i(u/v).
+    kappa(p^{boxplus t}) = t kappa(p), so the exp recurrence of p^{boxplus t}
+    at degree d, i S_i = -d sum_j t kappa_j S_{i-j}, is that of kappa(p) with
+    the parameter d t.  kappa(p) is computed once; each t is one integer exp
+    series, read as plain coefficients by transforms._primitive_plain.
     """
-    d, f = p.d, _primitive_form(p)
-    F = factorial(d) * f[0]
-    sigma = [factorial(d - i) * c if i else 0 for i, c in enumerate(f)]
-    sj, cols = [1] + [0] * d, []  # sj = sigma^j, truncated past s^d
-    for j in range(d + 1):
-        wj = factorial(d) // factorial(j) * F ** (d - j)
-        cols.append([c * wj * factorial(d) // factorial(d - i) for i, c in enumerate(sj)])
-        sj = [sum(sj[k] * sigma[i - k] for k in range(j, i)) for i in range(d + 1)]
-    g = gcd(*(x for col in cols for x in col))
-    rows = [[x // g for x in row] for row in zip(*cols)]
+    d, kappa = p.d, cumulants_from_coefficients(p).kappa
 
     def at(t) -> list:
-        u, v = t.as_integer_ratio()
-        basis = [prod(u - k * v for k in range(j)) * v ** (d - j) for j in range(d + 1)]
-        return _primitive([sum(x * y for x, y in zip(row, basis)) for row in rows])
+        return _primitive_plain(_exp_series(kappa, d * t, d)[0], d)
 
     return at
 
@@ -154,8 +142,9 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
 
     Grid: t = 1/16, 1/8, ..., doubling up to t_max.  The least grid point
     from which every point up to t_max passes, and the grid point below it,
-    bound one bisection refinement (steps iterations).  Each probe is one
-    _power_family evaluation and its integer Sturm chain.
+    bound one bisection refinement (steps iterations).  kappa(p) is computed
+    once; each probe is one integer exp series of t kappa(p), from
+    _power_family, and its integer Sturm chain.
 
     The grid points t >= 1 are the integers 2^k, where for real-rooted p a
     pass at n is a pass at every integer above n.  Lemma: if p is

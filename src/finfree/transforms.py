@@ -26,7 +26,6 @@ under the finite free convolution, homogeneous of weight n under dilation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .errors import DomainError, InputFormatError
@@ -38,6 +37,7 @@ from .polynomial import (
     _log_derivative,
     _moments,
     _over_lcm,
+    _primitive,
     moments,
 )
 from .util import (Value, VarPoly, _check_int, _store, format_rational,
@@ -193,21 +193,28 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     return CumulantVector(d, _cumulants_from_moments(m.entries, d, d))
 
 
+def _primitive_plain(Snum, d: int) -> list:
+    """The plain coefficients of the degree-d polynomial whose exp series S
+    has the numerators Snum, as a primitive integer vector.
+
+    (-1)^i a_i = S_i (d)_i / d^i, so the integers Snum_i (d)_i d^(d-i) are
+    the plain coefficients up to a positive scale.  Their content is divided
+    out, which leaves the vector that the coefficients' own lcm would give.
+    """
+    weights = [(1, 1), *_falling_and_power(d)]
+    top = weights[-1][1]
+    return _primitive([s * f * (top // power) for s, (f, power) in zip(Snum, weights)])
+
+
 def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
     """First N moments from the cumulant vector; N may exceed d.
 
-    The exp step gives S, and (-1)^i a_i = S_i (d)_i / d^i, so the integers
-    Snum_i (d)_i d^(d-i) are the alternated coefficients up to scale: all
-    that the moments' log step reads.  Their content is divided out, which
-    leaves the primitive vector that the coefficients' own lcm would give.
+    The exp step gives S, and the plain coefficients of p, read off S, are
+    the coefficients of prod (1 - r s): all that the moments' log step reads.
     """
     d = k.d
     Snum, _ = _exp_series(_standardize(k), d, d)
-    weights = [(1, 1), *_falling_and_power(d)]
-    top = weights[-1][1]
-    S = [s * f * (top // power) for s, (f, power) in zip(Snum, weights)]
-    g = gcd(*S)
-    return _moments([x // g for x in S], d, N)
+    return _moments(_primitive_plain(Snum, d), d, N)
 
 
 def truncated_r_transform(p: MonicPoly) -> VarPoly:

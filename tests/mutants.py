@@ -1,5 +1,5 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step and the threshold search.
+step and the threshold search with its power family.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -31,6 +31,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SERIES_TESTS = ["tests/test_kernels.py", "tests/test_transforms.py", "tests/test_freeprob.py"]
 THRESHOLD_TESTS = ["tests/test_divisibility.py", "-k", "threshold"]
+POWER_TESTS = ["tests/test_divisibility.py", "-k", "threshold or power_family"]
+# the plain-coefficient scaling serves the threshold's power family and
+# moments_from_cumulants: the family's == tests, then the series tests
+PLAIN_TESTS = ["tests/test_divisibility.py::test_power_family_is_the_primitive_form_of_the_power",
+               "tests/test_divisibility.py::test_power_family_at_large_degree", *SERIES_TESTS]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -38,8 +43,9 @@ MIN_TIMEOUT_S = 60
 
 # (module under src/finfree, function, tests): the series pair and its
 # helper, the weights, the two callers that build Fractions from their
-# integers, the free side's Lagrange step with its two directions, and the
-# threshold search
+# integers, the scaling that reads plain coefficients off the series, the
+# free side's Lagrange step with its two directions, and the threshold
+# search with its power family
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -47,10 +53,12 @@ KERNELS = [
     ("transforms.py", "_series_weights", SERIES_TESTS),
     ("transforms.py", "coefficients_from_cumulants", SERIES_TESTS),
     ("transforms.py", "_cumulants_from_moments", SERIES_TESTS),
+    ("transforms.py", "_primitive_plain", PLAIN_TESTS),
     ("freeprob.py", "_lagrange", SERIES_TESTS),
     ("freeprob.py", "free_moments_from_free_cumulants", SERIES_TESTS),
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
     ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
+    ("divisibility.py", "_power_family", POWER_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}

@@ -12,6 +12,7 @@ import pytest
 from finfree import (
     CumulantVector,
     MonicPoly,
+    boxplus,
     boxplus_power,
     coefficients_from_cumulants,
     cramer_counterexample,
@@ -30,7 +31,7 @@ from finfree import divisibility
 from finfree.divisibility import _exact_psd, _power_family
 from finfree.errors import DomainError, InputFormatError
 from finfree.lattice import falling
-from finfree.polynomial import _exp_series, _log_derivative, _primitive_form, _sturm_counts
+from finfree.polynomial import _exp_series, _primitive_form, _sturm_counts
 
 
 def rand_real_rooted(rng, d):
@@ -223,7 +224,7 @@ def test_kappa4_of_centered_input():
 
 def test_threshold_hermite_first_grid_point():
     # p^{boxplus t} of Hermite p is a sqrt(t)-dilate of p, real-rooted at every t
-    for d in (4, 12, 24, 40, 60):
+    for d in (4, 12, 24, 40, 60, 100):
         assert real_rooted_threshold(hermite_clt(d), 2**20) == Fraction(1, 16), d
 
 
@@ -237,12 +238,15 @@ def test_threshold_poisson_quarter():
     assert is_real_rooted(boxplus_power(p, 2 * t), require_distinct=True) == "yes"
 
 
-def _threshold_by_full_grid(p, t_max, steps=16):
+def _threshold_by_full_grid(p, t_max, steps, verdicts):
     """The threshold search as it was first written: every grid point probed
-    bottom to top, each probe recomputing kappa(p) through boxplus_power."""
+    bottom to top, each probe recomputing kappa(p) through boxplus_power.
+    verdicts maps each t already probed for p to its answer."""
 
     def ok(t):
-        return is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+        if t not in verdicts:
+            verdicts[t] = is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+        return verdicts[t]
 
     grid = []
     t = Fraction(1, 16)
@@ -302,10 +306,11 @@ def test_threshold_matches_full_grid_search():
     rng = random.Random(139)
     for d in range(1, 13):
         for p in _threshold_inputs(rng, d):
+            verdicts = {}  # the reference probes each t once for p
             for t_max in (2**20, Fraction(3, 4), 5, Fraction(1, 32)) + (2**64,) * (d <= 6):
                 for steps in (0, 1, 16, 30):
                     assert real_rooted_threshold(p, t_max, steps) == _threshold_by_full_grid(
-                        p, t_max, steps
+                        p, t_max, steps, verdicts
                     ), (p, t_max, steps)
 
 
@@ -317,6 +322,22 @@ def test_power_family_is_the_primitive_form_of_the_power():
             assert power(1) == _primitive_form(p)
             for t in (Fraction(1, 16), 1, 2, 3, Fraction(7, 3), 2**20, Fraction(12345, 2**17)):
                 assert power(t) == _primitive_form(boxplus_power(p, t)), (p, t)
+
+
+def test_power_family_at_large_degree():
+    # against boxplus_power, and against boxplus, which shares no series
+    # with the family: p^{boxplus t} boxplus p^{boxplus t} = p^{boxplus 2t}
+    rng = random.Random(167)
+    for d in (40, 100):
+        p = MonicPoly.from_roots(
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d)])
+        power = _power_family(p)
+        assert power(1) == _primitive_form(p)
+        for t in (Fraction(1, 16), 1, 2**20, Fraction(12345, 2**17)):
+            assert power(t) == _primitive_form(boxplus_power(p, t)), (d, t)
+        f = power(Fraction(1, 2))
+        half = MonicPoly.from_plain_coefficients([Fraction(c, f[0]) for c in f])
+        assert power(1) == _primitive_form(boxplus(half, half)), d
 
 
 def _count_calls(funcs, call) -> Counter:
@@ -337,15 +358,19 @@ def _count_calls(funcs, call) -> Counter:
 
 
 def test_threshold_runs_no_fraction_series():
-    # the family is built once per call from the integer coefficients; no
-    # probe goes through kappa or the exp series
+    # kappa(p) is computed once per call; each probe is one integer exp
+    # series of t kappa(p), and no probe builds p^{boxplus t} through
+    # Fractions
     funcs = (cumulants_from_coefficients, coefficients_from_cumulants, boxplus_power,
-             _exp_series, _log_derivative, _power_family)
+             _exp_series, _power_family, _sturm_counts)
     rng = random.Random(143)
     for d in (2, 5, 9):
         for p in _threshold_inputs(rng, d):
             calls = _count_calls(funcs, lambda: real_rooted_threshold(p, 2**20, 30))
-            assert calls == Counter({"_power_family": 1}), (p, calls)
+            probes = calls["_sturm_counts"]
+            assert probes >= 1 and calls == Counter(
+                {"cumulants_from_coefficients": 1, "_power_family": 1,
+                 "_exp_series": probes, "_sturm_counts": probes}), (p, calls)
 
 
 def test_integer_powers_keep_distinct_real_roots():
