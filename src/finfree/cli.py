@@ -57,8 +57,8 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # probe's denominator, and its grid has log2(tmax) + 5 points, of which a
 # real-rooted input probes t = 1 and either the four below it or a
 # bisection over those above it; on random rational roots threshold --tmax
-# 4 takes about 1 s at d = 24 and 19 to 23 s at d = 40, --tmax 2^64 takes
-# 1.3 s at d = 24, and --steps 200 takes 26 s at d = 20 and 83 s at d = 24
+# 4 takes about 0.7 s at d = 24 and 17 s at d = 40, --tmax 2^64 takes
+# 0.7 s at d = 24, and --steps 200 takes 22 s at d = 20 and 57 s at d = 24
 # (--tmax 4), nearly all in the Sturm chain of each probe; converge sums one
 # free-moment series and one row per --d value, each costing more than n^3,
 # so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
@@ -70,7 +70,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 1.2 s and --n 14 with 64 values 0.2 s (three-digit parts), while a
 # 4000-digit d takes seconds; verify-mc --samples 1000000 takes
 # about 0.6 s at degree 2 and 10.5 s at degree 12, the largest input it
-# allows; cramer at d = 100 takes about 3.5 s with eps = 1/32 and 6.5 s
+# allows; cramer at d = 100 takes about 2.9 s with eps = 1/32 and 4.9 s
 # with 1/255, almost all of it in the one Sturm test, while at d = 40 an
 # eps of 1e-100 takes about 50 s; power on 100 integer roots computes for
 # 20 s with --t 1e4000 before its result is too long to print, and under

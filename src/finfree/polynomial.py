@@ -237,28 +237,34 @@ class MomentSequence(Value):
 
 def _primitive(c):
     """c divided by its positive content; signs are kept."""
-    g = gcd(c[0], c[-1])
-    if any(x % g for x in c):  # cheaper than a gcd over every coefficient
-        g = gcd(g, *c)
+    g = gcd(*c)
     return c if g == 1 else [x // g for x in c]
 
 
 def _remainder(a, b):
     """A positive multiple of the remainder of a by b, descending integers.
 
-    Each step scales a by u > 0 and subtracts a multiple of b, so the sign
-    of the Euclidean remainder survives without any Fractions.
+    The normal step, deg a = deg b + 1 (every step of a generic chain), is
+    the two eliminations fused into one pass,
+
+        r_i = b_0 (b_0 a_i - a_0 b_i) - (b_0 a_1 - a_0 b_1) b_{i-1},
+
+    b_0^2 times the Euclidean remainder.  Otherwise each elimination scales
+    a by |b_0| and subtracts a multiple of b.  Either way the sign of the
+    Euclidean remainder survives without any Fractions.
     """
     lb, n = b[0], len(b)
-    while len(a) >= n:
+    if len(a) == n + 1 and n > 1:
         la = a[0]
-        if la:
-            g = gcd(la, lb)
-            u, v = lb // g, la // g
-            if u < 0:
-                u, v = -u, -v
-            a = [u * x - v * y for x, y in zip(a, b)] + [u * x for x in a[n:]]
-        a = a[1:]
+        c = lb * a[1] - la * b[1]
+        a = [lb * (lb * x - la * y) - c * z for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
+    else:
+        u = abs(lb)
+        while len(a) >= n:
+            if a[0]:
+                v = a[0] if lb > 0 else -a[0]
+                a = [u * x - v * y for x, y in zip(a, b)] + [u * x for x in a[n:]]
+            a = a[1:]
     lead = next((i for i, x in enumerate(a) if x), len(a))
     return a[lead:]
 
@@ -280,7 +286,8 @@ def _sturm_chain(f) -> list:
         r = _remainder(chain[-2], chain[-1])
         if not r:
             return chain
-        chain.append([-x for x in _primitive(r)])
+        g = -gcd(*r)  # the content, negated: one exact division per entry
+        chain.append([x // g for x in r])
 
 
 def _sturm_counts(f):

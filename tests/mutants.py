@@ -1,5 +1,5 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step and the threshold search with its power family.
+step, the threshold search with its power family and the Sturm chain.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -30,12 +30,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SERIES_TESTS = ["tests/test_kernels.py", "tests/test_transforms.py", "tests/test_freeprob.py"]
-THRESHOLD_TESTS = ["tests/test_divisibility.py", "-k", "threshold"]
-POWER_TESTS = ["tests/test_divisibility.py", "-k", "threshold or power_family"]
+DIV = "tests/test_divisibility.py::"
+# every threshold test, named so that pytest runs them in this order: the
+# sub-second answer, probe-count and error tests first, so that most
+# mutants die before the full-grid reference and the Hermite sweep run
+THRESHOLD_FAST = [DIV + t for t in (
+    "test_threshold_poisson_quarter", "test_threshold_probes_no_integer_point_it_can_decide",
+    "test_threshold_probes_no_point_twice", "test_threshold_runs_no_fraction_series",
+    "test_threshold_refuses_bad_arguments", "test_threshold_none_when_tmax_too_small",
+    "test_threshold_rejects_x_power", "test_threshold_rejects_nonpositive_tmax")]
+THRESHOLD_SLOW = [DIV + "test_threshold_matches_full_grid_search",
+                  DIV + "test_threshold_hermite_first_grid_point"]
+THRESHOLD_TESTS = THRESHOLD_FAST + THRESHOLD_SLOW
+POWER_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power", *THRESHOLD_FAST,
+               DIV + "test_power_family_at_large_degree", *THRESHOLD_SLOW]
 # the plain-coefficient scaling serves the threshold's power family and
 # moments_from_cumulants: the family's == tests, then the series tests
-PLAIN_TESTS = ["tests/test_divisibility.py::test_power_family_is_the_primitive_form_of_the_power",
-               "tests/test_divisibility.py::test_power_family_at_large_degree", *SERIES_TESTS]
+PLAIN_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power",
+               DIV + "test_power_family_at_large_degree", *SERIES_TESTS]
+# the Sturm chain: the == reference and its gcd count first, then the
+# counts against Hermite's criterion, is_real_rooted and Rolle's theorem
+STURM_TESTS = ["tests/test_kernels.py::test_sturm_chain_matches_the_reference",
+               "tests/test_kernels.py::test_sturm_chain_takes_one_gcd_per_element",
+               "tests/test_properties.py::test_sturm_agrees_with_hermite",
+               "tests/test_polynomial.py::test_distinct_real_root_count",
+               "tests/test_polynomial.py::test_is_real_rooted_three_answers",
+               "tests/test_polynomial.py::test_real_rooted_random_from_roots",
+               "tests/test_kernels.py::test_rolle_gives_real_rooted_derivatives"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -44,8 +65,8 @@ MIN_TIMEOUT_S = 60
 # (module under src/finfree, function, tests): the series pair and its
 # helper, the weights, the two callers that build Fractions from their
 # integers, the scaling that reads plain coefficients off the series, the
-# free side's Lagrange step with its two directions, and the threshold
-# search with its power family
+# free side's Lagrange step with its two directions, the threshold search
+# with its power family, and the Sturm chain with the counts read off it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -59,6 +80,9 @@ KERNELS = [
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
     ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
     ("divisibility.py", "_power_family", POWER_TESTS),
+    ("polynomial.py", "_remainder", STURM_TESTS),
+    ("polynomial.py", "_sturm_chain", STURM_TESTS),
+    ("polynomial.py", "_sturm_counts", STURM_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}

@@ -5,7 +5,9 @@ translate run as integer sums over one denominator, and the Monte Carlo
 oracle centres and scales its Jacobi matrices through translate and dilate.
 The code below keeps their earlier forms verbatim as the reference: every
 output must be == to theirs, entry by entry of the same type, and each
-conversion builds one Fraction per entry it returns.  The last
+conversion builds one Fraction per entry it returns.  The integer Sturm
+chain, whose remainder fuses its two elimination steps, is checked against
+its earlier step-by-step form, and its cost in gcds is bounded.  The last
 tests check identities known by construction at d = 100 to 300 with a map
 that shares no code with the kernels: the normalised derivative on plain
 coefficients.
@@ -20,8 +22,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from finfree import lattice
+from finfree import lattice, polynomial
 from finfree.convolution import boxplus
+from finfree.divisibility import _power_family
 from finfree.errors import DomainError, InputFormatError
 from finfree.freeprob import (FreeCumulantVector, free_cumulants_from_moments,
                               free_moments_from_free_cumulants)
@@ -141,13 +144,56 @@ def ref_translate(p: MonicPoly, c) -> MonicPoly:
     return MonicPoly(p.d, [(-1) ** i * x for i, x in enumerate(out)])
 
 
+def ref_primitive(c):
+    """c divided by its positive content; signs are kept."""
+    g = math.gcd(c[0], c[-1])
+    if any(x % g for x in c):  # cheaper than a gcd over every coefficient
+        g = math.gcd(g, *c)
+    return c if g == 1 else [x // g for x in c]
+
+
+def ref_remainder(a, b):
+    """A positive multiple of the remainder of a by b, descending integers.
+
+    Each step scales a by u > 0 and subtracts a multiple of b, so the sign
+    of the Euclidean remainder survives without any Fractions.
+    """
+    lb, n = b[0], len(b)
+    while len(a) >= n:
+        la = a[0]
+        if la:
+            g = math.gcd(la, lb)
+            u, v = lb // g, la // g
+            if u < 0:
+                u, v = -u, -v
+            a = [u * x - v * y for x, y in zip(a, b)] + [u * x for x in a[n:]]
+        a = a[1:]
+    lead = next((i for i, x in enumerate(a) if x), len(a))
+    return a[lead:]
+
+
+def ref_sturm_chain(f) -> list:
+    """The Sturm chain of a primitive integer polynomial f (descending).
+
+    f, f', then minus each remainder, all primitive: positive multiples of
+    the Euclidean chain, so the signs Sturm's theorem reads are unchanged.
+    The last element is gcd(f, f') up to a constant factor.
+    """
+    chain = [f, ref_primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
+    while True:
+        r = ref_remainder(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append([-x for x in ref_primitive(r)])
+
+
 def ref_jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
     if is_real_rooted(p) == "no":
         raise DomainError("Monte-Carlo oracle needs real-rooted input")
     alpha, beta = [], []
     f = _primitive_form(p)
     while len(f) > 1:
-        chain = _sturm_chain(f)
+        chain = ref_sturm_chain(f)
         top = [[Fraction(c, s[0]) for c in (s + [0, 0])[1:3]] for s in chain]
         for (s1, s2), (t1, t2) in zip(top, top[1:]):
             alpha.append(t1 - s1)
@@ -399,6 +445,63 @@ def test_jacobi_of_the_centred_dilate_is_the_old_shift_and_scale():
             for e in (-3, 0, 1, 6):
                 got = _jacobi(p.translate(m).dilate(Fraction(2) ** e))
                 assert np.array_equal(got, ref_jacobi(p, m, Fraction(2) ** e))
+
+
+# ---------------------------------------------------------------------------
+# the Sturm chain against its earlier form
+# ---------------------------------------------------------------------------
+
+
+def sturm_inputs(seed):
+    """Primitive integer polynomials, the cheap ones first: chains with a
+    degree drop of more than one or a constant divisor (x^4 + 1, x^5 - x,
+    linear f, whose f' is constant, and sparse random coefficients), random
+    rational roots at d = 1..40, repeated roots, random coefficients with
+    non-real roots, p boxplus q at d = 24 and 40, and power-family probes
+    at t = k/2^16."""
+    rng = random.Random(seed)
+    yield from ([1, 0, 0, 0, 1], [1, 0, 0, 0, -1, 0], [3, -2], [1, 0, 1], [2, 0, 0, 0, 0, 0, 0, 1])
+    for d in [*range(3, 13)] * 3:  # sparse: degree drops, leading coefficients other than 1
+        yield ref_primitive([rng.choice((-3, -2, 2, 5))]
+                            + [rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(d)])
+    for d in range(1, 41):
+        yield _primitive_form(rand_poly(rng, d))
+    for d in range(2, 25):
+        roots = [rand_q(rng) for _ in range(d // 2 + 1)]
+        yield _primitive_form(MonicPoly.from_roots([rng.choice(roots) for _ in range(d)]))
+    for d in range(1, 25):
+        yield _primitive_form(MonicPoly.from_signed([1] + [rand_q(rng) for _ in range(d)]))
+    for d in (24, 40):
+        yield _primitive_form(boxplus(rand_poly(rng, d), rand_poly(rng, d)))
+    for d in (3, 6, 10):
+        power = _power_family(rand_poly(rng, d))
+        for k in (1, 4097, 2**15 + 3, 2**16, 3 * 2**16 - 1):
+            yield power(Fraction(k, 2**16))
+
+
+def test_sturm_chain_matches_the_reference():
+    # the primitive part with a fixed sign is unique, so the chains are
+    # equal element for element, whatever positive multiple of each
+    # remainder the kernel computes
+    for f in sturm_inputs(2301):
+        assert _sturm_chain(f) == ref_sturm_chain(f), f
+
+
+def test_sturm_chain_takes_one_gcd_per_element(monkeypatch):
+    # one gcd makes f' primitive and one each remainder: the remainder
+    # itself takes none
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return math.gcd(*args)
+
+    inputs = [f for f in sturm_inputs(2302) if len(f) <= 30]  # the count is the same at any d
+    monkeypatch.setattr(polynomial, "gcd", counted)
+    for f in inputs:
+        calls[0] = 0
+        chain = _sturm_chain(f)
+        assert calls[0] <= len(chain) - 1, (f, calls[0], len(chain))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""tests/mutants.py, the mutation check of the series kernels, runs outside
-tier-1; one of its mutants runs here so that the script keeps working.  This
-file is not in the script's own test selection, so no mutant runs it."""
+"""tests/mutants.py, the mutation check of the exact kernels, runs outside
+tier-1; one of its mutants runs here so that the script keeps working, and
+its node-id selections are checked against the tests they name.  This file
+is not in the script's own test selection, so no mutant runs it."""
+
+import ast
 
 import mutants
 
@@ -14,3 +17,16 @@ def test_a_fixed_mutant_of_the_exp_series_dies():
     code, label, _ = mutants.run_mutant("polynomial.py", "_exp_series", index,
                                         mutants.SERIES_TESTS, timeout=600)
     assert code == 1, label
+
+
+def test_the_threshold_selections_name_every_threshold_test():
+    # they list node ids to fix the order in which the tests run, so a new
+    # threshold or power-family test has to join them by name
+    tree = ast.parse((mutants.ROOT / "tests" / "test_divisibility.py").read_text())
+    names = {node.name for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    for selection, words in ((mutants.THRESHOLD_TESTS, ("threshold",)),
+                             (mutants.POWER_TESTS, ("threshold", "power_family"))):
+        listed = [node_id.split("::")[1] for node_id in selection]
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == {n for n in names if any(w in n for w in words)}
