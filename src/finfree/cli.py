@@ -69,7 +69,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # to 128 and 24 s with random parts up to 2^16; --n 56 with 4 values took
 # 1.2 s and --n 14 with 64 values 0.2 s (three-digit parts), while a
 # 4000-digit d takes seconds; verify-mc --samples 1000000 takes
-# about 0.6 s at degree 2 and 10.5 s at degree 12, the largest input it
+# about 0.4 s at degree 2 and 6 s at degree 12, the largest input it
 # allows; cramer at d = 100 takes about 2.9 s with eps = 1/32 and 4.9 s
 # with 1/255, almost all of it in the one Sturm test, while at d = 40 an
 # eps of 1e-100 takes about 50 s; power on 100 integer roots computes for

@@ -9,10 +9,11 @@ direct sampling and reports per-coefficient standard errors, giving a
 verification path that shares no code with the combinatorial implementation.
 
 Samples are drawn in chunks of _CHUNK, and each step works on a whole
-chunk at once, with no loop over its matrices: Gram-Schmidt on the columns
-of a Gaussian stack gives the Haar matrices (_haar_batch), and power-sum
-traces with Newton's identities give the characteristic polynomials
-(_char_poly_batch).  The chunks' means and spreads are merged in order.
+chunk at once, with no loop over its matrices: Householder reflectors of
+Gaussian vectors, applied to B as rank-2 updates, give its Haar conjugates
+Q B Q^T without forming Q (_conjugate_batch), and power-sum traces with
+Newton's identities give the characteristic polynomials (_char_poly_batch).
+The chunks' means and spreads are merged in order.
 
 This is the one module that works in floating point: the sampling and its
 pass rule (MCEstimate.passes) live here; everything else is exact.
@@ -57,25 +58,41 @@ class MCEstimate(Value):
         )
 
 
-def _haar_batch(rng, count: int, d: int) -> np.ndarray:
-    """(count, d, d) stack of Haar orthogonal matrices.
+def _conjugate_batch(rng, count: int, b: np.ndarray) -> np.ndarray:
+    """(count, d, d) stack of Q B Q^T for the symmetric tridiagonal B and
+    independent Haar orthogonal Q, with Q never formed.
 
-    The orthogonal factor Q of Z = QR for a Gaussian stack Z, by classical
-    Gram-Schmidt run twice on each column (CGS2), vectorised over the stack.
-    Gram-Schmidt makes every diagonal entry of R positive, the one
-    normalisation under which Q is Haar distributed; the second pass
-    restores the orthogonality the first loses to rounding.
+    Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Q = H_d
+    diag(s_d, H_(d-1) diag(s_(d-1), ... H_2 diag(s_2, 1))), H_m the stable
+    Householder reflector of an m-vector x of standard normals, which sends
+    e_1 to -sign(x_0) x/|x|; s_m = -sign(x_0) makes Q's first column x/|x|,
+    uniform on the sphere, as Haar Q needs.  The innermost +-1 is taken as
+    1: it only signs Q's last column, the other columns' signs are already
+    fair coins (x and -x are equally likely) and Q and -Q conjugate alike.
+    From the innermost out, each factor flips row and column k = d - m by
+    s_m, then updates rows and columns k - 1.. by rank 2 (H_m acts on k..,
+    where the rows above k - 1 of the tridiagonal B stay zero).
     """
-    z = rng.standard_normal((count, d, d))
-    # w[r, c] holds entry (r, c) of every matrix in the stack
-    w = np.ascontiguousarray(z.reshape(count, d * d).T).reshape(d, d, count)
-    for j in range(d):
-        v = w[:, j]
-        for _ in range(2):
-            h = np.einsum("rjn,rn->jn", w[:, :j], v)
-            v -= np.einsum("rjn,jn->rn", w[:, :j], h)
-        v /= np.sqrt(np.einsum("rn,rn->n", v, v))
-    return np.ascontiguousarray(w.reshape(d * d, count).T).reshape(count, d, d)
+    d = len(b)
+    g = rng.standard_normal((d * (d + 1) // 2 - 1, count))
+    m = np.repeat(b[:, :, None], count, axis=2)  # m[r, c]: entry (r, c) of every sample
+    for k in range(d - 2, -1, -1):
+        v, g = g[:d - k], g[d - k:]
+        lo = max(k - 1, 0)
+        blk, r = m[lo:, lo:], k - lo
+        s = np.copysign(1.0, -v[0])
+        blk[r] *= s
+        blk[:, r] *= s
+        norm = np.sqrt(np.einsum("in,in->n", v, v))
+        v[0] -= s * norm
+        v /= np.sqrt(norm * np.abs(v[0]))  # |v|^2 = 2: H_m = I - v v^T
+        w = np.einsum("ijn,jn->in", blk[:, r:], v)
+        w[r:] -= 0.5 * np.einsum("in,in->n", v, w[r:]) * v
+        for i, vi in enumerate(v, r):  # blk -= v w^T + w v^T
+            t = vi * w
+            blk[i] -= t
+            blk[:, i] -= t
+    return np.ascontiguousarray(m.reshape(d * d, count).T).reshape(count, d, d)
 
 
 def _char_poly_batch(ms: np.ndarray, shift: float = 0.0) -> np.ndarray:
@@ -91,13 +108,13 @@ def _char_poly_batch(ms: np.ndarray, shift: float = 0.0) -> np.ndarray:
     p_1..p_d take ceil(d/2) - 1 products, with two powers held at a time.
     """
     n, d, _ = ms.shape
-    half = (d + 1) // 2
-    p = np.empty((2 * half + 1, n))
+    p = np.empty((d + 1, n))
     prev, power = np.broadcast_to(np.eye(d), ms.shape), ms
-    for k in range(1, half + 1):
+    for k in range(1, (d + 1) // 2 + 1):
         p[2 * k - 1] = np.einsum("nij,nij->n", prev, power)
-        p[2 * k] = np.einsum("nij,nij->n", power, power)
-        if k < half:
+        if 2 * k <= d:
+            p[2 * k] = np.einsum("nij,nij->n", power, power)
+        if 2 * k < d:
             prev, power = power, power @ ms
     sign = (-1.0) ** np.arange(d)
     c = np.empty((d + 1, n))
@@ -149,7 +166,9 @@ def _spread(p: MonicPoly) -> Fraction:
 
 def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEstimate:
     """Sample mean and standard error of the coefficients of
-    char(A + Q B Q^T), A and B the Jacobi matrices of p and q.
+    char(A + Q B Q^T), A and B the Jacobi matrices of p and q, Q Haar
+    orthogonal: each conjugate Q B Q^T comes from d(d+1)/2 - 1 standard
+    normals by Householder reflections, with Q never formed.
 
     Deterministic for a fixed seed: chunked substreams from a spawned
     SeedSequence.  Each chunk's mean and centred sum of squares merge into
@@ -188,12 +207,7 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     done = 0
     for child in streams:
         count = min(_CHUNK, samples - done)
-        rng = np.random.default_rng(child)
-        qm = _haar_batch(rng, count, d)
-        # Q J_b as one (count d, d) product; a contiguous Q^T multiplies
-        # faster than the transposed view
-        m = (qm.reshape(-1, d) @ jb).reshape(qm.shape)
-        m = m @ np.ascontiguousarray(np.swapaxes(qm, 1, 2))
+        m = _conjugate_batch(np.random.default_rng(child), count, jb)
         m += ja
         coeffs = _char_poly_batch(m, shift)
         chunk_mean = coeffs.mean(axis=1)

@@ -1,5 +1,6 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step, the threshold search with its power family and the Sturm chain.
+step, the threshold search with its power family, the Sturm chain and the
+Monte Carlo oracle's exact input path.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -10,8 +11,9 @@ one-argument helper call such as _alternate(x).  Each mutant runs its
 kernel's test selection with pytest -x against the copy; a failing run
 kills it, and so does a run that takes SLOWDOWN times as long as the
 unmutated run of the same selection, which the script makes first.  The
-script prints killed against survived for each kernel and lists every
-survivor.  Pytest does not collect this file; run it as
+script prints each mutant's wall time and outcome (killed, timeout for a
+run the timeout cut, or survived), then killed against survived for each
+kernel, listing every survivor.  Pytest does not collect this file; run it as
 
     python tests/mutants.py [KERNEL ...]
 """
@@ -57,6 +59,16 @@ STURM_TESTS = ["tests/test_kernels.py::test_sturm_chain_matches_the_reference",
                "tests/test_polynomial.py::test_is_real_rooted_three_answers",
                "tests/test_polynomial.py::test_real_rooted_random_from_roots",
                "tests/test_kernels.py::test_rolle_gives_real_rooted_derivatives"]
+# the oracle's exact input path, roots to Jacobi matrix: the Jacobi
+# eigenvalue and refusal tests and the zero-spread MC tests first, then the
+# == references of the centred dilate's Jacobi matrix, from_roots and translate
+ORACLE_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
+    "test_jacobi_matrix_has_the_rational_roots_as_eigenvalues",
+    "test_jacobi_refuses_non_real_roots", "test_mc_identity_has_zero_spread",
+    "test_mc_reproduces_repeated_roots_against_x_power",
+    "test_mc_identical_samples_have_no_spread", "test_pass_rule_on_zero_spread_pairs")] + [
+    "tests/test_kernels.py::test_jacobi_of_the_centred_dilate_is_the_old_shift_and_scale",
+    "tests/test_kernels.py::test_root_maps_match_the_fraction_recurrences"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -66,7 +78,9 @@ MIN_TIMEOUT_S = 60
 # helper, the weights, the two callers that build Fractions from their
 # integers, the scaling that reads plain coefficients off the series, the
 # free side's Lagrange step with its two directions, the threshold search
-# with its power family, and the Sturm chain with the counts read off it
+# with its power family, the Sturm chain with the counts read off it, and
+# the oracle's Jacobi matrix with the MonicPoly methods (matched by their
+# plain names) that build and centre its input
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -83,6 +97,10 @@ KERNELS = [
     ("polynomial.py", "_remainder", STURM_TESTS),
     ("polynomial.py", "_sturm_chain", STURM_TESTS),
     ("polynomial.py", "_sturm_counts", STURM_TESTS),
+    ("matrix_oracle.py", "_jacobi", ORACLE_TESTS),
+    ("polynomial.py", "translate", ORACLE_TESTS),
+    ("polynomial.py", "dilate", ORACLE_TESTS),
+    ("polynomial.py", "from_roots", ORACLE_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
@@ -160,7 +178,7 @@ class _Mutate(ast.NodeTransformer):
             return node
         for label, replacement in _edits(node):
             index = len(self.seen)
-            where = ast.unparse(node)[:70]
+            where = " ".join(ast.unparse(node).split())[:70]
             self.seen.append("line %d: %s in %s" % (node.lineno, label, where))
             if index == self.target:
                 self.label = self.seen[-1]
@@ -223,7 +241,9 @@ def main(argv):
         survivors = []
         labels = mutants(module, func)
         for index in range(len(labels)):
-            code, label, _ = run_mutant(module, func, index, tests, timeouts[tuple(tests)])
+            code, label, seconds = run_mutant(module, func, index, tests, timeouts[tuple(tests)])
+            outcome = "survived" if code == 0 else "timeout" if code is None else "killed"
+            print("  %7.1f s  %-8s  %s" % (seconds, outcome, label), flush=True)
             if code == 0:
                 survivors.append(label)
         killed = len(labels) - len(survivors)

@@ -1,4 +1,4 @@
-"""Monte Carlo cross-check machinery: Jacobi matrices, Haar sampling,
+"""Monte Carlo cross-check machinery: Jacobi matrices, Haar conjugates,
 characteristic polynomials, the randomized convolution estimator and its
 pass rule."""
 
@@ -16,7 +16,7 @@ from finfree import (
 from finfree.errors import DimensionError, DomainError, InputFormatError
 from finfree.matrix_oracle import (
     _char_poly_batch,
-    _haar_batch,
+    _conjugate_batch,
     _jacobi,
     mc_boxplus,
 )
@@ -56,29 +56,59 @@ def test_jacobi_refuses_non_real_roots():
             _jacobi(MonicPoly.from_plain_coefficients(plain))
 
 
+def reflector_q(seed, count, d):
+    """The Q behind _conjugate_batch(default_rng(seed), count, b), formed by
+    applying the same reflectors to I as explicit matrices: Q = G_d ... G_2,
+    G_m = H_m diag(-sign(x_0), 1, ..., 1) on the trailing m coordinates,
+    H_m = I - 2 u u^T / u^T u with u = x + sign(x_0) |x| e_1."""
+    g = np.random.default_rng(seed).standard_normal((d * (d + 1) // 2 - 1, count))
+    q = np.broadcast_to(np.eye(d), (count, d, d)).copy()
+    for m in range(2, d + 1):
+        x, g = g[:m].T, g[m:]
+        u = x.copy()
+        u[:, 0] += np.copysign(np.linalg.norm(x, axis=1), x[:, 0])
+        h = np.eye(m) - 2 * u[:, :, None] * u[:, None, :] / np.sum(u * u, axis=1)[:, None, None]
+        h[:, :, 0] *= -np.copysign(1.0, x[:, 0])[:, None]
+        q[:, d - m:] = h @ q[:, d - m:]
+    return q
+
+
+def tridiagonal(rng, d):
+    off = rng.uniform(0.5, 2.0, d - 1) * rng.choice([-1.0, 1.0], d - 1)
+    return np.diag(rng.uniform(-2.0, 2.0, d)) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def test_haar_samples_are_orthogonal():
-    qs = _haar_batch(np.random.default_rng(5), 200, 4)
-    assert np.max(np.abs(qs @ np.swapaxes(qs, 1, 2) - np.eye(4))) < 1e-12
-    # first column is uniform on the sphere: coordinates share the mass
-    cols = np.sum(qs[:, :, 0] ** 2, axis=0)
-    assert np.max(np.abs(cols / 200 - 0.25)) < 0.1
+    for d in range(1, 13):
+        q = reflector_q(d, 200, d)
+        assert np.max(np.abs(q @ np.swapaxes(q, 1, 2) - np.eye(d))) < 1e-12
 
 
 def test_haar_d1():
-    # the 1 x 1 orthogonal matrices are +1 and -1, both drawn
-    vals = set(_haar_batch(np.random.default_rng(11), 64, 1).ravel().tolist())
-    assert vals == {1.0, -1.0}
+    # the one 1 x 1 conjugate of B is B itself: no reflector, no draw used
+    got = _conjugate_batch(np.random.default_rng(11), 64, np.array([[2.5]]))
+    assert np.array_equal(got, np.full((64, 1, 1), 2.5))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
-def test_haar_batch_is_the_sign_fixed_lapack_qr_factor(d):
-    # LAPACK's QR, with each column of Q flipped to make R's diagonal
-    # positive, is the reference; the sampler draws the same Gaussian stack
-    z = np.random.default_rng(d).standard_normal((256, d, d))
-    q, r = np.linalg.qr(z)
-    q = q * np.where(np.einsum("...ii->...i", r) < 0, -1.0, 1.0)[..., None, :]
-    got = _haar_batch(np.random.default_rng(d), 256, d)
-    assert np.max(np.abs(got - q)) <= 1e-12
+def test_conjugates_are_the_reflector_product(d):
+    b = tridiagonal(np.random.default_rng(100 + d), d)
+    q = reflector_q(d, 256, d)
+    got = _conjugate_batch(np.random.default_rng(d), 256, b)
+    assert np.max(np.abs(got - q @ b @ np.swapaxes(q, 1, 2))) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("d", [3, 6])
+def test_conjugates_have_the_haar_moments(d):
+    # E[Q B Q^T] = tr(B)/d I and E[Q_0j^2] = 1/d, each within 5 standard
+    # errors; B is far from diagonal, so a Q that is not Haar, such as the
+    # product of bare reflectors without the sign flips, biases the mean
+    n = 40000
+    b = tridiagonal(np.random.default_rng(d), d)
+    for got, want in ((_conjugate_batch(np.random.default_rng(7), n, b), np.trace(b) / d * np.eye(d)),
+                      (reflector_q(7, n, d)[:, :1] ** 2, np.full((1, d), 1 / d))):
+        se = got.std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(got.mean(axis=0) - want) <= 5 * se + 1e-12), got.mean(axis=0)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -86,7 +116,7 @@ def test_batched_char_poly_matches_exact_faddeev_leverrier(d):
     # the exact recurrence runs on the very float entries, as Fractions;
     # beside three random matrices, 0, diag(1..d) and diag(1, -1, 1, ...)
     rng = np.random.default_rng(50 + d)
-    q = _haar_batch(rng, 3, d)
+    q, _ = np.linalg.qr(rng.standard_normal((3, d, d)))
     ra = rng.integers(-4, 5, d).astype(float)
     rb = rng.integers(-4, 5, d).astype(float)
     m = np.concatenate([(q * rb) @ np.swapaxes(q, 1, 2) + np.diag(ra), np.zeros((1, d, d)),
