@@ -20,7 +20,6 @@ from .partitions import (
     count_by_type,
     enumerate_noncrossing,
     enumerate_partitions,
-    is_noncrossing,
     iter_types,
     mobius_from_zero,
     mobius_of_type,

@@ -6,9 +6,10 @@ series recurrences, and the tests assert that those give values `==` to the
 sums here.  Nothing else in the package calls the sums.  The lattice
 polynomials P_sigma(d), Q_sigma(d) and the join-form sum live here too, and
 so does every partition helper that only these sums and the tests use: the
-order of P(n) (refines, join), 0_n and 1_n, restricted growth strings,
-partition types, multiplicative extensions, block-size products, the
-characteristic polynomial of P(n) and the falling factorial as a polynomial.
+order of P(n) (refines, join), 0_n and 1_n, restricted growth strings, the
+noncrossing test of one partition, partition types, multiplicative
+extensions, block-size products, the characteristic polynomial of P(n) and
+the falling factorial as a polynomial.
 
 The sums have two shapes: over sigma in P(n) weighted by d^{|sigma|}
 mu(0,sigma) (_mobius_sum), and over an interval [sigma, 1_n] weighted by
@@ -102,6 +103,27 @@ def refines(pi: SetPartition, sigma: SetPartition) -> bool:
         )
     lab = sigma.labels()
     return all(lab[e] == lab[block[0]] for block in pi.blocks for e in block)
+
+
+def is_noncrossing(pi: SetPartition) -> bool:
+    """False iff some a<b<c<d has a,c in one block and b,d in another.
+
+    Linear scan: walking 1..n while keeping the stack of unfinished blocks,
+    the partition is non-crossing iff no block resurfaces from under the top
+    of the stack (well-nestedness).
+    """
+    lab = pi.labels()
+    last = [block[-1] for block in pi.blocks]
+    stack = []
+    for e in range(1, pi.n + 1):
+        b = lab[e]
+        if not stack or stack[-1] != b:
+            if b in stack:
+                return False
+            stack.append(b)
+        if last[b] == e:
+            stack.pop()
+    return True
 
 
 def partition_type(pi: SetPartition) -> PartitionType:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InputFormatError
+from .errors import DimensionError, DomainError, FinFreeError, InputFormatError
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
 from .util import Value, _is_int
 
@@ -142,13 +142,17 @@ def _jacobi(p: MonicPoly) -> np.ndarray:
         raise DomainError("Monte-Carlo oracle needs real-rooted input")
     alpha, beta = [], []
     f = _primitive_form(p)
-    while len(f) > 1:
+    for _ in range(p.d):  # each pass lowers the degree of f
+        if len(f) == 1:
+            break
         chain = _sturm_chain(f)
         top = [[Fraction(c, s[0]) for c in (s + [0, 0])[1:3]] for s in chain]
         for (s1, s2), (t1, t2) in zip(top, top[1:]):
             alpha.append(t1 - s1)
             beta.append(t2 - alpha[-1] * t1 - s2)
         f = chain[-1]
+    if len(f) > 1:
+        raise FinFreeError("the Sturm chains of %d passes did not reach a constant" % p.d)
     off = [math.sqrt(b) for b in beta[:-1]]
     diag = [float(a) for a in alpha]
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)

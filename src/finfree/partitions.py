@@ -1,11 +1,12 @@
-"""Set partitions of {1..n}: the P(n) and NC(n) walks, noncrossing
-detection, types, Moebius values from 0_n and per-type counts.
+"""Set partitions of {1..n}: the P(n) and NC(n) walks, types, Moebius
+values from 0_n and per-type counts.
 
 This is what the production path uses: the CLI's partitions command and the
 partition cap DEFAULT_N_MAX.  The lattice order (refines, join), 0_n and 1_n,
-and the other helpers of the paper's lattice sums live with those sums in
-lattice.py, the tested reference.  The closed forms for the Moebius function
-and the per-type counts make recursive poset inversion unnecessary.
+the noncrossing test of one partition and the other helpers of the paper's
+lattice sums live with those sums in lattice.py, the tested reference.  The
+closed forms for the Moebius function and the per-type counts make
+recursive poset inversion unnecessary.
 
 Enumeration order is restricted-growth-string lexicographic and is part of
 the contract: callers may cache against it.  One generator walks the tree of
@@ -14,7 +15,11 @@ and NC(n), and stays lazy, since the reference iterates it up to the cap; in
 NC(n) an element may only join a block that is still open, so the walk
 visits Catalan(n) leaves, not Bell(n).  Partitions are checked where outside
 data enters, in from_blocks; the walk builds them unchecked, valid by
-construction.
+construction.  Each leaf costs one tuple of blocks and one bare instance:
+the parent's blocks are copied into a list once, element n takes its place
+in each open block's slot in turn, and the two fields are stored through
+their slot descriptors, with no call to __init__.  The CLI's listing
+(cli._listing_text) reads the walk lazily, one row per leaf.
 """
 
 from __future__ import annotations
@@ -45,9 +50,8 @@ class SetPartition(Value):
 
     blocks are sorted internally and ordered by least element, so equal
     partitions compare equal and hash equally.  The bare constructor trusts
-    its arguments and serves the package's own walks, whose restricted growth
-    strings give valid partitions by construction; outside data enters
-    through from_blocks, which checks it.
+    its arguments, as the walk's leaves, stored without it, are valid by
+    construction; outside data enters through from_blocks, which checks it.
     """
 
     __slots__ = ("n", "blocks")
@@ -86,6 +90,10 @@ class SetPartition(Value):
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
 
+# makes the walk's bare leaves; a module name, so a test can count them
+_new = object.__new__
+
+
 def _partitions(n: int, noncrossing: bool):
     """Yield each partition of {1..n}, in lexicographic order of restricted
     growth strings, after checking the cap.
@@ -94,19 +102,31 @@ def _partitions(n: int, noncrossing: bool):
     stays open; in NC(n) joining a block closes every block opened after it,
     since a later element of those would cross the one just placed.  The
     tree is walked depth first from one stack of (e, blocks, open labels),
-    the children pushed last-first so that they pop in order; element n's
-    choices are yielded in place rather than pushed.
+    the children pushed last-first so that they pop in order.  Element n's
+    choices are the leaves, yielded in place: the parent's blocks are copied
+    into one list once, each open block takes n in its slot in turn, and
+    each leaf is stored into a bare instance through the two slot
+    descriptors, the same unchecked store as __init__'s without its call.
     """
     _check_cap(n)
+    new, set_n, set_blocks = _new, SetPartition.n.__set__, SetPartition.blocks.__set__
     stack = [(1, (), ())]
     pop, push = stack.pop, stack.append
     while stack:
         e, blocks, open_ = pop()
         if e == n:
+            row = list(blocks)
             for lab in open_:
-                yield SetPartition(
-                    n, blocks[:lab] + (blocks[lab] + (n,),) + blocks[lab + 1 :])
-            yield SetPartition(n, blocks + ((n,),))
+                row[lab] = blocks[lab] + (n,)
+                pi = new(SetPartition)
+                set_n(pi, n)
+                set_blocks(pi, tuple(row))
+                yield pi
+                row[lab] = blocks[lab]
+            pi = new(SetPartition)
+            set_n(pi, n)
+            set_blocks(pi, blocks + ((n,),))
+            yield pi
             continue
         push((e + 1, blocks + ((e,),), open_ + (len(blocks),)))
         for k in range(len(open_) - 1, -1, -1):
@@ -118,27 +138,6 @@ def _partitions(n: int, noncrossing: bool):
 def enumerate_partitions(n: int) -> list:
     """All of P(n), RGS-lexicographic; length is Bell(n)."""
     return list(_partitions(n, False))
-
-
-def is_noncrossing(pi: SetPartition) -> bool:
-    """False iff some a<b<c<d has a,c in one block and b,d in another.
-
-    Linear scan: walking 1..n while keeping the stack of unfinished blocks,
-    the partition is non-crossing iff no block resurfaces from under the top
-    of the stack (well-nestedness).
-    """
-    lab = pi.labels()
-    last = [block[-1] for block in pi.blocks]
-    stack = []
-    for e in range(1, pi.n + 1):
-        b = lab[e]
-        if not stack or stack[-1] != b:
-            if b in stack:
-                return False
-            stack.append(b)
-        if last[b] == e:
-            stack.pop()
-    return True
 
 
 def mobius_from_zero(pi: SetPartition) -> int:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 
-from .errors import InputFormatError, NonMonicError
+from .errors import FinFreeError, InputFormatError, NonMonicError
 from .util import (Value, _check_int, _store, format_rational, parse_int,
                    parse_rational, parse_rational_array, read_record)
 
@@ -260,7 +260,7 @@ def _remainder(a, b):
         a = [lb * (lb * x - la * y) - c * z for x, y, z in zip(a[2:], b[2:] + [0], b[1:])]
     else:
         u = abs(lb)
-        while len(a) >= n:
+        for _ in range(len(a) - n + 1):  # each step drops a's leading entry
             if a[0]:
                 v = a[0] if lb > 0 else -a[0]
                 a = [u * x - v * y for x, y in zip(a, b)] + [u * x for x in a[n:]]
@@ -282,12 +282,13 @@ def _sturm_chain(f) -> list:
     The last element is gcd(f, f') up to a constant factor.
     """
     chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
-    while True:
+    for _ in range(len(f) - 1):  # deg f remainders at most, the last one zero
         r = _remainder(chain[-2], chain[-1])
         if not r:
             return chain
         g = -gcd(*r)  # the content, negated: one exact division per entry
         chain.append([x // g for x in r])
+    raise FinFreeError("a Sturm chain did not end within deg f remainders")
 
 
 def _sturm_counts(f):

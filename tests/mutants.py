@@ -1,6 +1,7 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step, the threshold search with its power family, the Sturm chain and the
-Monte Carlo oracle's exact input path.
+step, the threshold search with its power family, the Sturm chain, the
+Monte Carlo oracle's exact input path and the set partition walk with the
+values and the listing built on it.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -10,10 +11,11 @@ difference, drop one factor of a product, and drop a minus sign or a
 one-argument helper call such as _alternate(x).  Each mutant runs its
 kernel's test selection with pytest -x against the copy; a failing run
 kills it, and so does a run that takes SLOWDOWN times as long as the
-unmutated run of the same selection, which the script makes first.  The
-script prints each mutant's wall time and outcome (killed, timeout for a
-run the timeout cut, or survived), then killed against survived for each
-kernel, listing every survivor.  Pytest does not collect this file; run it as
+unmutated run of the same selection, which the script makes first, or that
+outgrows MAX_ADDRESS_SPACE.  The script prints each mutant's wall time and
+outcome (killed, timeout for a run the timeout cut, or survived), then
+killed against survived for each kernel, listing every survivor.  Pytest
+does not collect this file; run it as
 
     python tests/mutants.py [KERNEL ...]
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import ast
 import copy
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -69,10 +72,20 @@ ORACLE_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
     "test_mc_identical_samples_have_no_spread", "test_pass_rule_on_zero_spread_pairs")] + [
     "tests/test_kernels.py::test_jacobi_of_the_centred_dilate_is_the_old_shift_and_scale",
     "tests/test_kernels.py::test_root_maps_match_the_fraction_recurrences"]
+# the partition walk, its Moebius values and type counts, and the CLI's
+# listing writer: the writer's bytes against json.dumps and criterion 09
+# first, then the walk's counts, order and values
+PARTITION_TESTS = ["tests/test_cli.py::test_partitions_listing_is_json_dumps_of_its_rows",
+                   "tests/test_acceptance.py::test_criterion_09_partition_counts",
+                   "tests/test_partitions.py"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
 MIN_TIMEOUT_S = 60
+# a mutant may also allocate without bound, as a walk whose element count
+# never reaches n does: each run gets this much address space, and past it
+# dies of MemoryError (killed) long before the timeout
+MAX_ADDRESS_SPACE = 2**31
 
 # (module under src/finfree, function, tests): the series pair and its
 # helper, the weights, the two callers that build Fractions from their
@@ -80,7 +93,8 @@ MIN_TIMEOUT_S = 60
 # free side's Lagrange step with its two directions, the threshold search
 # with its power family, the Sturm chain with the counts read off it, and
 # the oracle's Jacobi matrix with the MonicPoly methods (matched by their
-# plain names) that build and centre its input
+# plain names) that build and centre its input, and the partition walk with
+# the Moebius values, type counts and listing writer that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -101,6 +115,10 @@ KERNELS = [
     ("polynomial.py", "translate", ORACLE_TESTS),
     ("polynomial.py", "dilate", ORACLE_TESTS),
     ("polynomial.py", "from_roots", ORACLE_TESTS),
+    ("partitions.py", "_partitions", PARTITION_TESTS),
+    ("partitions.py", "mobius_from_zero", PARTITION_TESTS),
+    ("partitions.py", "count_by_type", PARTITION_TESTS),
+    ("cli.py", "_listing_text", PARTITION_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
@@ -193,15 +211,20 @@ def mutants(module, func):
     return finder.seen
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (MAX_ADDRESS_SPACE, MAX_ADDRESS_SPACE))
+
+
 def _pytest(src, tests, timeout):
-    """Run the test selection with src on the path: (pytest's exit code, or
-    None when it timed out, seconds)."""
+    """Run the test selection with src on the path and the address space
+    capped: (pytest's exit code, or None when it timed out, seconds)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     try:
         code = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+            cwd=ROOT, env=env, capture_output=True, timeout=timeout,
+            preexec_fn=_cap_address_space).returncode
     except subprocess.TimeoutExpired:
         code = None
     return code, time.perf_counter() - start

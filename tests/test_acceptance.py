@@ -32,7 +32,6 @@ from finfree import (
     hermite_clt,
     infinite_divisibility_report,
     is_conditionally_positive_definite,
-    is_noncrossing,
     is_real_rooted,
     iter_types,
     moments_from_coefficients,
@@ -44,6 +43,7 @@ from finfree.lattice import (
     JOIN_FORM_SIGN,
     block_size_product,
     falling_poly,
+    is_noncrossing,
     p_sigma,
     p_sigma_join_form,
     partition_lattice_charpoly,

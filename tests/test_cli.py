@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from finfree import MonicPoly, cli
+from finfree import (
+    MonicPoly,
+    cli,
+    enumerate_noncrossing,
+    enumerate_partitions,
+    mobius_from_zero,
+)
 from finfree.cli import (
     _COMMANDS,
     MAX_CONVERGE_D,
@@ -30,6 +36,7 @@ from finfree.cli import (
     MAX_TYPES_N,
     main,
 )
+from finfree.lattice import is_noncrossing
 
 SEMICIRCLE2 = '{"degree": 2, "a": ["1", "0", "-1/2"]}'
 # roots 0..d-1, one degree either side of the verify-mc bound
@@ -268,6 +275,22 @@ def test_partitions_listing(capsys):
     assert out["count"] == 14
     code, out, _ = run(capsys, "partitions", "--n", "3", "--types")
     assert sum(row["count_all"] for row in out["types"]) == 5
+
+
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_partitions_listing_is_json_dumps_of_its_rows(capsys, noncrossing):
+    # the fixed-shape writer against the rows built one by one from each
+    # partition and json.dumps(..., indent=2), byte for byte
+    for n in range(1, 9):
+        flag = ["--noncrossing"] if noncrossing else []
+        assert main(["partitions", "--n", str(n), *flag]) == 0
+        out = capsys.readouterr().out
+        listing = enumerate_noncrossing(n) if noncrossing else enumerate_partitions(n)
+        rows = [{"partition": str(pi), "blocks": len(pi.blocks),
+                 "mobius": mobius_from_zero(pi), "noncrossing": is_noncrossing(pi)}
+                for pi in listing]
+        want = {"n": n, "count": len(rows), "partitions": rows}
+        assert out == json.dumps(want, indent=2) + "\n"
 
 
 def test_unknown_command_exits_2(capsys):

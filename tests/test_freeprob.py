@@ -182,12 +182,8 @@ def test_nc_collapse_identity():
     """d^{n+1} m_n = sum over NC(n) of Q_sigma(d) d^{|sigma|} kappa_sigma,
     as exact polynomials in d (the mechanism behind the 1/d rate: each
     Q_sigma is monic of degree n+1-|sigma|)."""
-    from finfree import (
-        enumerate_partitions,
-        mobius_from_zero,
-        is_noncrossing,
-    )
-    from finfree.lattice import multiplicative_extension, p_sigma, q_sigma
+    from finfree import enumerate_partitions, mobius_from_zero
+    from finfree.lattice import is_noncrossing, multiplicative_extension, p_sigma, q_sigma
     from finfree.util import VarPoly
     from math import factorial
 

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,6 @@ from finfree import (
     count_by_type,
     enumerate_noncrossing,
     enumerate_partitions,
-    is_noncrossing,
     iter_types,
     mobius_from_zero,
     mobius_of_type,
@@ -25,6 +25,7 @@ from finfree.errors import DimensionError, InputFormatError, SizeCapError
 from finfree.lattice import (
     block_size_product,
     falling_poly,
+    is_noncrossing,
     join,
     multiplicative_extension,
     one_partition,
@@ -90,11 +91,11 @@ def test_walk_is_lazy_at_the_cap(monkeypatch):
     # 4.2 million: the walk makes no partition it has not yielded
     made = []
 
-    def counted(n, blocks):
+    def counted(cls):
         made.append(None)
-        return SetPartition(n, blocks)
+        return object.__new__(cls)
 
-    monkeypatch.setattr(partitions, "SetPartition", counted)
+    monkeypatch.setattr(partitions, "_new", counted)
     walk = partitions._partitions(12, False)
     assert inspect.isgenerator(walk)
     tracemalloc.start()
@@ -109,6 +110,20 @@ def test_walk_is_lazy_at_the_cap(monkeypatch):
     # the cap is checked before the first item
     with pytest.raises(SizeCapError):
         next(partitions._partitions(13, True))
+
+
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_walk_leaves_are_the_checked_constructors_values(noncrossing):
+    # each leaf, stored without __init__, is the value from_blocks builds
+    # from its blocks: equal, hashed, pickled and shown alike
+    for n in range(1, 9):
+        for pi in partitions._partitions(n, noncrossing):
+            checked = SetPartition.from_blocks(n, pi.blocks)
+            assert type(pi) is SetPartition and pi == checked
+            assert type(pi.blocks) is tuple and all(type(b) is tuple for b in pi.blocks)
+            assert hash(pi) == hash(checked) and repr(pi) == repr(checked)
+            back = pickle.loads(pickle.dumps(pi))
+            assert back == checked and hash(back) == hash(checked)
 
 
 def test_set_partition_is_a_frozen_slotted_value():
