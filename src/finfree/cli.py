@@ -56,12 +56,13 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # about 0.7 s with a peak RSS of about 68 MB, and each step in n costs about
 # 5 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
-# probe's denominator, and its grid has log2(tmax) + 5 points, of which a
-# real-rooted input probes t = 1 and either the four below it or a
-# bisection over those above it; on random rational roots threshold --tmax
-# 4 takes about 0.7 s at d = 24 and 17 s at d = 40, --tmax 2^64 takes
-# 0.7 s at d = 24, and --steps 200 takes 22 s at d = 20 and 57 s at d = 24
-# (--tmax 4), nearly all in the Sturm chain of each probe; converge sums one
+# probe's denominator, and its grid has log2(tmax) + 5 points, of which one
+# galloping search from t = 1 probes at most twice the bit length of their
+# number, 14 at --tmax 2^64, for every input; on random rational roots
+# threshold --tmax 4 takes about 1.0 s at d = 24 and 19 s at d = 40, and
+# --tmax 2^64 0.9 s at d = 24; on random rational coefficients, --tmax 2^64
+# takes 0.4 s at d = 24; --steps 200 takes 22 s at d = 20 and 57 s at
+# d = 24 (--tmax 4), nearly all in the Sturm chain of each probe; converge sums one
 # free-moment series and one row per --d value, each costing more than n^3,
 # so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
 # the worst case is one row; its cost grows with the parts of --r, so each

@@ -7,12 +7,8 @@ from math import factorial
 from operator import mul
 
 from .errors import DimensionError, DomainError
-from .polynomial import MonicPoly, _over_lcm
-from .transforms import (
-    CumulantVector,
-    coefficients_from_cumulants,
-    cumulants_from_coefficients,
-)
+from .polynomial import MonicPoly, _exp_series, _over_lcm
+from .transforms import _primitive_plain, cumulants_from_coefficients
 from .util import parse_rational
 
 
@@ -44,6 +40,22 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     ))
 
 
+def _power_family(p: MonicPoly):
+    """t -> p^{boxplus t} as a primitive integer polynomial, for rational t > 0.
+
+    kappa(p^{boxplus t}) = t kappa(p), so the exp recurrence of p^{boxplus t}
+    at degree d, i S_i = -d sum_j t kappa_j S_{i-j}, is that of kappa(p) with
+    the parameter d t.  kappa(p) is computed once; each t is one integer exp
+    series, read as plain coefficients by transforms._primitive_plain.
+    """
+    d, kappa = p.d, cumulants_from_coefficients(p).kappa
+
+    def at(t) -> list:
+        return _primitive_plain(_exp_series(kappa, d * t, d)[0], d)
+
+    return at
+
+
 def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     """Convolution power p^{boxplus t} for rational t > 0.
 
@@ -53,6 +65,5 @@ def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     t = parse_rational(t)
     if t <= 0:
         raise DomainError("convolution power needs t > 0, got %s" % t)
-    k = cumulants_from_coefficients(p)
-    scaled = CumulantVector(k.d, [t * v for v in k.kappa])
-    return coefficients_from_cumulants(scaled)
+    f = _power_family(p)(t)
+    return MonicPoly.from_plain_coefficients([Fraction(c, f[0]) for c in f])

@@ -12,12 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor, isqrt
 
-from .convolution import boxplus
+from .convolution import _power_family, boxplus
 from .errors import DomainError, InputFormatError
-from .polynomial import MonicPoly, _exp_series, _sturm_counts, is_real_rooted
+from .polynomial import MonicPoly, _sturm_counts, is_real_rooted
 from .transforms import (
     CumulantVector,
-    _primitive_plain,
     coefficients_from_cumulants,
     cumulants_from_coefficients,
     rescale_cumulants,
@@ -120,22 +119,6 @@ def infinite_divisibility_report(p: MonicPoly) -> IDReport:
     return IDReport(q, cpd_std, cpd_res, higher_zero, verdict)
 
 
-def _power_family(p: MonicPoly):
-    """t -> p^{boxplus t} as a primitive integer polynomial, for rational t > 0.
-
-    kappa(p^{boxplus t}) = t kappa(p), so the exp recurrence of p^{boxplus t}
-    at degree d, i S_i = -d sum_j t kappa_j S_{i-j}, is that of kappa(p) with
-    the parameter d t.  kappa(p) is computed once; each t is one integer exp
-    series, read as plain coefficients by transforms._primitive_plain.
-    """
-    d, kappa = p.d, cumulants_from_coefficients(p).kappa
-
-    def at(t) -> list:
-        return _primitive_plain(_exp_series(kappa, d * t, d)[0], d)
-
-    return at
-
-
 def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     """Smallest t found such that p^{boxplus s} has d distinct real roots for
     every sampled s >= t; None if no such t <= t_max shows up.
@@ -144,27 +127,26 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     from which every point up to t_max passes, and the grid point below it,
     bound one bisection refinement (steps iterations).  kappa(p) is computed
     once; each probe is one integer exp series of t kappa(p), from
-    _power_family, and its integer Sturm chain.
+    convolution._power_family, and its integer Sturm chain.
 
-    The grid points t >= 1 are the integers 2^k, where for real-rooted p a
-    pass at n is a pass at every integer above n.  Lemma: if p is
+    The passing grid points form an up-set, for every p.  Lemma: if p is
     real-rooted and q has d simple real roots, then so has p boxplus q.
     Proof: p boxplus q = P(D) q with P(0) = 1, so p boxplus (q +- eps) =
     (p boxplus q) +- eps.  For small eps, q +- eps still has d simple real
     roots, so p boxplus (q +- eps) is real-rooted (Walsh's theorem, stated
     for boxplus_d by Marcus, Spielman and Srivastava), while a root of
     p boxplus q of multiplicity m >= 2 would split into non-real roots for
-    one of the two signs.  Induction over p^{boxplus (n+1)} =
-    p boxplus p^{boxplus n} gives the claim; P itself need not be
-    real-rooted.
+    one of the two signs.  P itself need not be real-rooted.  Cumulants add
+    under boxplus, so p^{boxplus 2t} = p^{boxplus t} boxplus p^{boxplus t},
+    and a pass at t (d simple real roots, so real-rooted) is a pass at 2t,
+    the next grid point, whether p is real-rooted or not.
 
-    So t = 1 is probed first, and its chain also says whether p is
-    real-rooted: as many distinct real roots as distinct roots.  If so and
-    t = 1 passes, no point above 1 is probed; if t = 1 fails, a bisection
-    over the grid indices above 1 finds the least passing one, and None if
-    the top fails.  If p is not real-rooted, the grid is walked down from
-    the top, as far as t = 2.  Below a passing t = 1 the walk goes on down
-    as far as it passes.  No grid point is probed twice.
+    So one galloping search finds the boundary.  grid[lo] fails and
+    grid[hi] passes, starting from the virtual ends -1 and len(grid).  The
+    first probe is t = 1; while one end is still virtual, the next probe
+    steps out from the other by 1, 2, 4, ... indices, and once both are
+    probed, it bisects them.  That takes at most 2 bit_length(len(grid))
+    probes, and no grid point is probed twice.
     """
     if not _is_int(steps) or steps < 0:
         raise InputFormatError("steps must be an integer >= 0, got %.80r" % (steps,))
@@ -174,36 +156,32 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     if t_max <= 0:
         raise DomainError("t_max must be positive")
     grid = [Fraction(2**k, 16) for k in range(floor(16 * t_max).bit_length())]
-    if not grid:
-        return None
     power = _power_family(p)
 
     def ok(t) -> bool:
         return _sturm_counts(power(t))[0] == p.d
 
-    first, low = len(grid), 0  # grid[first:] all pass; the walk stops at grid[low]
-    if first > 4:  # grid[4] is t = 1
-        real, distinct = _sturm_counts(power(grid[4]))
-        if real == p.d:
-            first = 4
-        elif real == distinct:  # p is real-rooted and t = 1 fails
-            lo = 4  # ok fails at grid[lo]
-            while first - lo > 1:
-                mid = (lo + first) // 2
-                if ok(grid[mid]):
-                    first = mid
-                else:
-                    lo = mid
-            low = first
+    lo, hi = -1, len(grid)  # grid[lo] fails, grid[hi] passes
+    mid, step = min(4, len(grid) - 1), 1  # grid[4] is t = 1
+    for _ in range(2 * len(grid).bit_length()):
+        if ok(grid[mid]):
+            hi = mid
         else:
-            low = 5
-    while first > low and ok(grid[first - 1]):
-        first -= 1
-    if first == len(grid):
+            lo = mid
+        if hi - lo == 1:
+            break
+        if lo < 0:
+            mid = max(hi - step, 0)
+        elif hi == len(grid):
+            mid = min(lo + step, hi - 1)
+        else:
+            mid = (lo + hi) // 2
+        step *= 2
+    if hi == len(grid):
         return None
-    if first == 0:
+    if hi == 0:
         return grid[0]
-    lo, hi = grid[first - 1], grid[first]  # ok fails at lo, holds at hi
+    lo, hi = grid[hi - 1], grid[hi]  # ok fails at lo, holds at hi
     for _ in range(steps):
         mid = (lo + hi) / 2
         if ok(mid):

@@ -40,6 +40,7 @@ DIV = "tests/test_divisibility.py::"
 # sub-second answer, probe-count and error tests first, so that most
 # mutants die before the full-grid reference and the Hermite sweep run
 THRESHOLD_FAST = [DIV + t for t in (
+    "test_threshold_search_over_every_grid_length",
     "test_threshold_poisson_quarter", "test_threshold_probes_no_integer_point_it_can_decide",
     "test_threshold_probes_no_point_twice", "test_threshold_runs_no_fraction_series",
     "test_threshold_refuses_bad_arguments", "test_threshold_none_when_tmax_too_small",
@@ -107,7 +108,7 @@ KERNELS = [
     ("freeprob.py", "free_moments_from_free_cumulants", SERIES_TESTS),
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
     ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
-    ("divisibility.py", "_power_family", POWER_TESTS),
+    ("convolution.py", "_power_family", POWER_TESTS),
     ("polynomial.py", "_remainder", STURM_TESTS),
     ("polynomial.py", "_sturm_chain", STURM_TESTS),
     ("polynomial.py", "_sturm_counts", STURM_TESTS),

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt
 
 import pytest
 
@@ -28,7 +28,8 @@ from finfree import (
     x_power,
 )
 from finfree import divisibility
-from finfree.divisibility import _exact_psd, _power_family
+from finfree.convolution import _power_family
+from finfree.divisibility import _exact_psd
 from finfree.errors import DomainError, InputFormatError
 from finfree.lattice import falling
 from finfree.polynomial import _exp_series, _primitive_form, _sturm_counts
@@ -238,14 +239,23 @@ def test_threshold_poisson_quarter():
     assert is_real_rooted(boxplus_power(p, 2 * t), require_distinct=True) == "yes"
 
 
+def _power_by_cumulants(p, t):
+    """p^{boxplus t} through Fractions: the cumulants of p, scaled by t, back
+    to coefficients."""
+    k = cumulants_from_coefficients(p)
+    scaled = CumulantVector(k.d, [t * v for v in k.kappa])
+    return coefficients_from_cumulants(scaled)
+
+
 def _threshold_by_full_grid(p, t_max, steps, verdicts):
     """The threshold search as it was first written: every grid point probed
-    bottom to top, each probe recomputing kappa(p) through boxplus_power.
+    bottom to top, each probe recomputing kappa(p) through Fractions.
     verdicts maps each t already probed for p to its answer."""
 
     def ok(t):
         if t not in verdicts:
-            verdicts[t] = is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+            verdicts[t] = is_real_rooted(_power_by_cumulants(p, t),
+                                         require_distinct=True) == "yes"
         return verdicts[t]
 
     grid = []
@@ -321,11 +331,13 @@ def test_power_family_is_the_primitive_form_of_the_power():
             power = _power_family(p)
             assert power(1) == _primitive_form(p)
             for t in (Fraction(1, 16), 1, 2, 3, Fraction(7, 3), 2**20, Fraction(12345, 2**17)):
-                assert power(t) == _primitive_form(boxplus_power(p, t)), (p, t)
+                reference = _power_by_cumulants(p, t)
+                assert power(t) == _primitive_form(reference), (p, t)
+                assert boxplus_power(p, t) == reference, (p, t)
 
 
 def test_power_family_at_large_degree():
-    # against boxplus_power, and against boxplus, which shares no series
+    # against the Fraction path, and against boxplus, which shares no series
     # with the family: p^{boxplus t} boxplus p^{boxplus t} = p^{boxplus 2t}
     rng = random.Random(167)
     for d in (40, 100):
@@ -334,7 +346,7 @@ def test_power_family_at_large_degree():
         power = _power_family(p)
         assert power(1) == _primitive_form(p)
         for t in (Fraction(1, 16), 1, 2**20, Fraction(12345, 2**17)):
-            assert power(t) == _primitive_form(boxplus_power(p, t)), (d, t)
+            assert power(t) == _primitive_form(_power_by_cumulants(p, t)), (d, t)
         f = power(Fraction(1, 2))
         half = MonicPoly.from_plain_coefficients([Fraction(c, f[0]) for c in f])
         assert power(1) == _primitive_form(boxplus(half, half)), d
@@ -391,10 +403,29 @@ def test_integer_powers_keep_distinct_real_roots():
     assert seen[False, True] >= 5 and seen[True, True] >= 5, seen
 
 
+def test_doubling_keeps_distinct_real_roots_for_every_input():
+    # the up-set the threshold search rests on, for p that need not be
+    # real-rooted: cumulants add, so p^{boxplus 2t} = p^{boxplus t} boxplus
+    # p^{boxplus t}, and a pass at t is a pass at the next grid point 2t
+    rng = random.Random(173)
+    grid = [Fraction(2**k, 16) for k in range(17)]  # 1/16 ... 2^12
+    seen = Counter()
+    for d in range(2, 9):
+        for p in (MonicPoly.from_signed([1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                               for _ in range(d)]),
+                  _with_complex_pair(rng, d), _with_complex_pair(rng, d)):
+            passes = [is_real_rooted(boxplus_power(p, t), require_distinct=True) == "yes"
+                      for t in grid]
+            assert passes == sorted(passes), (p, passes)
+            seen[is_real_rooted(p), passes[0], passes[-1]] += 1
+    # inputs that are not real-rooted start failing and end passing
+    assert seen["no", False, True] >= 10, seen
+
+
 def test_threshold_probes_no_integer_point_it_can_decide():
-    # distinct real roots: t = 1 passes, so only the four grid points below
-    # it and the bisection are probed, where a walk down from the top
-    # probes every integer point 1, 2, 4, ..., t_max first
+    # distinct real roots: t = 1 passes, so only it and the four grid points
+    # below it can be probed, where a walk down from the top probes every
+    # integer point 1, 2, 4, ..., t_max first
     rng = random.Random(157)
     for d in range(2, 11):
         p = _distinct_real_rooted(rng, d)
@@ -403,12 +434,53 @@ def test_threshold_probes_no_integer_point_it_can_decide():
                 calls = _count_calls((_sturm_counts,),
                                      lambda: real_rooted_threshold(p, t_max, steps))
                 assert calls["_sturm_counts"] <= 5 + steps, (p, t_max, steps, calls)
-    # the README's roots 0,0,1,3 fail at t = 1, a double root: a bisection
-    # over the 65 grid indices from t = 1 to 2^64 finds the least passing one
+    # the README's roots 0,0,1,3 fail at t = 1, a double root: the search
+    # gallops up the 65 grid indices from t = 1 to 2^64, then bisects
     p = MonicPoly.from_roots([0, 0, 1, 3])
     for steps in (0, 16):
         calls = _count_calls((_sturm_counts,), lambda: real_rooted_threshold(p, 2**64, steps))
         assert calls["_sturm_counts"] <= 2 + 7 + steps, (steps, calls)
+    # every input, real-rooted or not: at most 2 bit_length(len(grid)) grid
+    # probes, then the refinement
+    rng = random.Random(179)
+    for d in range(2, 11):
+        for p in _threshold_inputs(rng, d):
+            for t_max in (Fraction(3, 4), 5, 2**20, 2**64):
+                n = floor(16 * t_max).bit_length()  # len(grid)
+                for steps in (0, 16):
+                    calls = _count_calls((_sturm_counts,),
+                                         lambda: real_rooted_threshold(p, t_max, steps))
+                    assert calls["_sturm_counts"] <= 2 * n.bit_length() + steps, (
+                        p, t_max, steps, calls)
+
+
+def test_threshold_search_over_every_grid_length(monkeypatch):
+    # the search alone, with a stand-in verdict that passes from grid[a] up:
+    # every grid length up to t_max = 2^64 and every answer position a, the
+    # answer of the full grid, no point probed twice, and the bound
+    # 2 bit_length(len(grid)), which some lengths reach
+    p, probed = hermite_clt(2), []
+
+    def counts(t):
+        probed.append(t)
+        return (2 if t >= cut else 0), 2
+
+    monkeypatch.setattr(divisibility, "_power_family", lambda p: lambda t: t)
+    monkeypatch.setattr(divisibility, "_sturm_counts", counts)
+    reached = set()
+    for n in range(1, 70):
+        grid = [Fraction(2**k, 16) for k in range(n)]
+        for a in range(n + 1):
+            cut = grid[a] if a < n else 2 * grid[-1]
+            probed.clear()
+            got = real_rooted_threshold(p, grid[-1], 3)
+            assert got == (grid[a] if a < n else None), (n, a, got)
+            assert len(set(probed)) == len(probed), (n, a, probed)
+            grid_probes = len([t for t in probed if t in grid])
+            assert grid_probes <= 2 * n.bit_length(), (n, a, probed)
+            assert len(probed) - grid_probes == (3 if 0 < a < n else 0), (n, a, probed)
+            reached.add((n, grid_probes == 2 * n.bit_length()))
+    assert (29, True) in reached and (63, True) in reached
 
 
 def test_threshold_probes_no_point_twice(monkeypatch):

@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from finfree import lattice, polynomial
-from finfree.convolution import boxplus
-from finfree.divisibility import _power_family
+from finfree.convolution import _power_family, boxplus
 from finfree.errors import DomainError, InputFormatError
 from finfree.freeprob import (FreeCumulantVector, free_cumulants_from_moments,
                               free_moments_from_free_cumulants)
