@@ -127,7 +127,8 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     from which every point up to t_max passes, and the grid point below it,
     bound one bisection refinement (steps iterations).  kappa(p) is computed
     once; each probe is one integer exp series of t kappa(p), from
-    convolution._power_family, and its integer Sturm chain.
+    convolution._power_family, and one count of its real roots,
+    polynomial._sturm_counts.
 
     The passing grid points form an up-set, for every p.  Lemma: if p is
     real-rooted and q has d simple real roots, then so has p boxplus q.
@@ -213,7 +214,9 @@ def cramer_counterexample(d: int, eps) -> CramerPair:
 
     p- is p+ with its roots negated, dilate(-1), which flips the sign of
     every odd cumulant; negating the roots keeps them real or not, so one
-    Sturm test answers for both.  The convolution has cumulants
+    is_real_rooted call answers for both: at d = 100, its certificate that
+    p+ is squarefree and its count by continued-fraction isolation, where
+    a Sturm chain took seconds.  The convolution has cumulants
     (0, 2, 0, ..., 0), a sqrt(2)-dilate of the Hermite polynomial, hence
     real-rooted; for suitable eps > 0 the factors p± themselves are not,
     which is the failure of Cramer's theorem here.  At eps = 0 both factors

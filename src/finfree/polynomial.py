@@ -9,16 +9,22 @@ so a_i is the i-th elementary symmetric function of the roots.  All
 transform identities downstream are stated in these a_i; ordinary
 ("plain") coefficients appear only at the I/O boundary.
 
-Exact rational arithmetic throughout, and no root is ever computed: the
-integer Sturm chain here decides real-rootedness and gives matrix_oracle,
-the one module that works in floating point, its Jacobi matrices.
+Exact rational arithmetic throughout, and no root is ever computed.  Real
+roots are counted in integers: below degree _ISOLATION_DEGREE by a Sturm
+chain; from it up, once f and f' are shown coprime modulo the prime
+2^61 - 1 (so f is squarefree), by Descartes' rule of signs on the Taylor
+shifts of Vincent-Akritas-Strzebonski continued fractions, with the chain
+as the fallback for a repeated root or an unlucky prime.  The chain also
+gives matrix_oracle, the one module that works in floating point, its
+Jacobi matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, ne
 
 from .errors import FinFreeError, InputFormatError, NonMonicError
 from .util import (Value, _check_int, _store, format_rational, parse_int,
@@ -231,7 +237,8 @@ class MomentSequence(Value):
 
 
 # ---------------------------------------------------------------------------
-# real-rootedness: one primitive integer Sturm chain
+# real-rootedness: a primitive integer Sturm chain, and above a degree
+# cutoff a squarefree certificate and a count by continued fractions
 # ---------------------------------------------------------------------------
 
 
@@ -291,13 +298,155 @@ def _sturm_chain(f) -> list:
     raise FinFreeError("a Sturm chain did not end within deg f remainders")
 
 
-def _sturm_counts(f):
-    """(distinct real roots, distinct roots) of primitive integer f, from one chain.
+# the squarefree certificate's prime, and the least degree at which real
+# roots are counted by isolation rather than by the chain: about where the
+# two cost the same on p boxplus q and on threshold probes
+_ELL = 2**61 - 1
+_ISOLATION_DEGREE = 18
 
-    Dividing the chain's last element, gcd(f, f'), out of every element
-    leaves a Sturm chain of the squarefree part, so V(-oo) - V(+oo) counts
-    the distinct real roots, and deg f - deg(gcd) the distinct roots.
+
+def _squarefree_mod(f) -> bool:
+    """Whether f and f' are coprime modulo the prime _ELL, with _ELL not
+    dividing the leading coefficient of f: a certificate that f is
+    squarefree over Q.
+
+    A repeated factor g of f over Q may be taken primitive in Z[x] (Gauss);
+    g divides f and f' there, and its leading coefficient divides that of
+    f, so g keeps its degree mod _ELL and divides both.  False also for an
+    unlucky prime: one that divides the leading coefficient, or a gcd mod
+    _ELL that is not constant while f is squarefree.
     """
+    if f[0] % _ELL == 0:
+        return False
+    n = len(f) - 1
+    a = [x % _ELL for x in f]
+    b = [x * (n - i) % _ELL for i, x in enumerate(f[:-1])]  # lead n f_0, nonzero as n < _ELL
+    for _ in range(n):  # each pass lowers deg b, which starts at n - 1
+        if len(b) == 1:
+            return True
+        # _remainder's multiple of the remainder is by a power of b_0, a unit
+        r = [x % _ELL for x in _remainder(a, b)]
+        lead = next((i for i, x in enumerate(r) if x), len(r))
+        if lead == len(r):
+            return False
+        a, b = b, r[lead:]
+    raise FinFreeError("a gcd mod _ELL did not end within deg f passes")
+
+
+def _variations(a) -> int:
+    """Sign changes in the sequence a, zeros skipped."""
+    signs = [x > 0 for x in a if x]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def _taylor_shift(a, k: int = 0) -> list:
+    """a(x + 2^k) for descending integers a: a(2^k y), shifted by one with
+    one prefix sum per synthetic division by y - 1, then y = x / 2^k, an
+    exact division of each coefficient."""
+    n = len(a) - 1
+    a = [x << k * (n - i) for i, x in enumerate(a)] if k else list(a)
+    for i in range(n + 1, 1, -1):
+        a[:i] = accumulate(a[:i])
+    return [x >> k * (n - i) for i, x in enumerate(a)] if k else a
+
+
+def _root_bound(a) -> int:
+    """E with every positive root of the descending integers a below 2^E,
+    for a with a sign change.
+
+    Akritas, Strzebonski and Vigklas's theorem: with a_0 > 0, pair each
+    negative coefficient c_i with a positive c_j of higher degree and a
+    weight w, the weights paired with each c_j summing to at most 1; no root
+    exceeds the largest (-c_i / (w c_j))^(1/(j - i)), since past it each
+    |c_i| x^i < w c_j x^j.  Here c_j is the local max, the longest positive
+    coefficient so far in bit length, with weights 1/2, 1/4, ..., and each
+    term is rounded up to a power of two through bit lengths alone, which
+    makes it strictly larger: |c_i| < 2^bits(c_i).
+    """
+    if a[0] < 0:
+        a = [-x for x in a]
+    top, at, uses, bound = a[0].bit_length(), 0, 1, None
+    for i, x in enumerate(a):
+        if x > 0 and x.bit_length() > top:
+            top, at, uses = x.bit_length(), i, 1
+        elif x < 0:
+            # 2^uses |x| / c_j < 2^(uses + bits(x) - top + 1), to the 1/(i - at), rounded up
+            e = -((top - 1 - uses - x.bit_length()) // (i - at))
+            bound = e if bound is None or e > bound else bound
+            uses += 1
+    return bound
+
+
+def _isolated_count(f):
+    """The number of real roots of the squarefree integer f (descending), by
+    Vincent-Akritas-Strzebonski continued fractions, or None when the stack
+    loop runs past len(f) (len(f) + bits of f's largest entry) rounds.
+
+    f(x) and f(-x) enter the stack for their positive roots.  A popped P,
+    with P(0) != 0 and v sign changes, holds exactly v positive roots when
+    v < 2 (Descartes).  Otherwise, when _root_bound of its reversal shows
+    every positive root of P above 2^k with k >= 1, P moves by 2^k, then on
+    by 2^k, 2^(k+1), ... while Budan's theorem shows that no root was
+    passed: a shift by s keeps all v sign changes only if (0, s] holds no
+    root.  Then P splits at 1: P(x + 1) holds the roots above 1, and
+    (x + 1)^deg P(1/(x + 1)) those in (0, 1), whose number is v minus the
+    sign changes of P(x + 1), less an even number (Budan again), so that it
+    is built only when that difference exceeds one.  A root at 1 is counted
+    and divided out of both.
+    """
+    rounds, count = len(f) * (len(f) + max(x.bit_length() for x in f)), 0
+    if f[-1] == 0:  # squarefree: a simple root at 0
+        f, count = f[:-1], 1
+    stack = [(g, _variations(g)) for g in (f, _alternate(f))]
+    for _ in range(rounds):
+        if not stack:
+            return count
+        P, v = stack.pop()
+        if v > 1:
+            k = -_root_bound(P[::-1])  # every positive root of P exceeds 2^k
+            if k > 0:
+                P = _taylor_shift(P, k)
+                v = _variations(P)
+                for j in range(k, _root_bound(P) if v > 1 else k):
+                    Q = _taylor_shift(P, j)
+                    if _variations(Q) < v:
+                        break
+                    P = Q
+        if v < 2:
+            count += v
+            continue
+        P1 = _taylor_shift(P)
+        at_one = P1[-1] == 0
+        if at_one:
+            P1, count = P1[:-1], count + 1
+        stack.append((P1, _variations(P1)))
+        v2 = v - stack[-1][1] - at_one
+        if v2 > 1:
+            P2 = _taylor_shift(P[::-1])  # P2(0) = P(1), a root counted above
+            P2 = P2[:-1] if at_one else P2
+            stack.append((P2, _variations(P2)))
+        else:
+            count += v2
+    return None
+
+
+def _sturm_counts(f):
+    """(distinct real roots, distinct roots) of primitive integer f.
+
+    From deg f = _ISOLATION_DEGREE up, f that _squarefree_mod certifies
+    squarefree has deg f distinct roots, and _isolated_count counts the real
+    ones in integer Taylor shifts, far cheaper than a chain whose remainders
+    grow to hundreds of times the bits of f.  A repeated root, an unlucky
+    prime or an isolation past its loop bound falls back to the chain, as
+    does f below that degree.  Dividing the chain's last element,
+    gcd(f, f'), out of every element leaves a Sturm chain of the squarefree
+    part, so V(-oo) - V(+oo) counts the distinct real roots, and
+    deg f - deg(gcd) the distinct roots.
+    """
+    if len(f) > _ISOLATION_DEGREE and _squarefree_mod(f):
+        real = _isolated_count(f)
+        if real is not None:
+            return real, len(f) - 1
     chain = _sturm_chain(f)
     # sign at +oo is that of the leading coefficient; at -oo flip odd degrees
     plus = [q[0] > 0 for q in chain]
@@ -313,6 +462,10 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
 
     "yes" iff all d roots (with multiplicity) are real.  With
     require_distinct=True, repeated real roots answer "boundary" instead.
+    One call of _sturm_counts on the primitive integer form of p: from
+    degree _ISOLATION_DEGREE up, a squarefree certificate modulo a 61-bit
+    prime and a count by continued fractions; otherwise, or for p with a
+    repeated root, one Sturm chain.
     """
     real, distinct = _sturm_counts(_primitive_form(p))
     if real != distinct:

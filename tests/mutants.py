@@ -1,7 +1,8 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
 step, the threshold search with its power family, the Sturm chain, the
-Monte Carlo oracle's exact input path and the set partition walk with the
-values and the listing built on it.
+squarefree certificate and the continued-fraction isolation, the Monte
+Carlo oracle's exact input path and the set partition walk with the values
+and the listing built on it.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -58,11 +59,28 @@ PLAIN_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power",
 # counts against Hermite's criterion, is_real_rooted and Rolle's theorem
 STURM_TESTS = ["tests/test_kernels.py::test_sturm_chain_matches_the_reference",
                "tests/test_kernels.py::test_sturm_chain_takes_one_gcd_per_element",
+               "tests/test_kernels.py::test_isolation_counts_match_the_chain",
                "tests/test_properties.py::test_sturm_agrees_with_hermite",
                "tests/test_polynomial.py::test_distinct_real_root_count",
                "tests/test_polynomial.py::test_is_real_rooted_three_answers",
                "tests/test_polynomial.py::test_real_rooted_random_from_roots",
                "tests/test_kernels.py::test_rolle_gives_real_rooted_derivatives"]
+# the squarefree certificate: its refusals of repeated roots and unlucky
+# primes, then its certificates on squarefree input
+CERT_TESTS = ["tests/test_kernels.py::" + t for t in (
+    "test_repeated_roots_fall_back_to_the_chain",
+    "test_an_unlucky_prime_falls_back_to_the_chain",
+    "test_isolation_counts_match_the_chain")]
+# the isolation and its helpers: the shift against translate, the root
+# bound's two sides and the isolation's shift counts first, then the counts
+# == to the chain's, where an isolation that stops at its loop bound fails
+# too, and Rolle's theorem
+ISOLATION_TESTS = ["tests/test_kernels.py::" + t for t in (
+    "test_taylor_shift_is_translate", "test_root_bound_is_rigorous_and_within_16_d",
+    "test_isolation_makes_few_taylor_shifts", "test_isolation_counts_match_the_chain",
+    "test_repeated_roots_fall_back_to_the_chain",
+    "test_an_unlucky_prime_falls_back_to_the_chain",
+    "test_rolle_gives_real_rooted_derivatives")]
 # the oracle's exact input path, roots to Jacobi matrix: the Jacobi
 # eigenvalue and refusal tests and the zero-spread MC tests first, then the
 # == references of the centred dilate's Jacobi matrix, from_roots and translate
@@ -92,10 +110,11 @@ MAX_ADDRESS_SPACE = 2**31
 # helper, the weights, the two callers that build Fractions from their
 # integers, the scaling that reads plain coefficients off the series, the
 # free side's Lagrange step with its two directions, the threshold search
-# with its power family, the Sturm chain with the counts read off it, and
-# the oracle's Jacobi matrix with the MonicPoly methods (matched by their
-# plain names) that build and centre its input, and the partition walk with
-# the Moebius values, type counts and listing writer that read it
+# with its power family, the Sturm chain with the counts read off it, the
+# squarefree certificate, the isolation with its shift, root bound and sign
+# changes, the oracle's Jacobi matrix with the MonicPoly methods (matched by
+# their plain names) that build and centre its input, and the partition
+# walk with the Moebius values, type counts and listing writer that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -112,6 +131,11 @@ KERNELS = [
     ("polynomial.py", "_remainder", STURM_TESTS),
     ("polynomial.py", "_sturm_chain", STURM_TESTS),
     ("polynomial.py", "_sturm_counts", STURM_TESTS),
+    ("polynomial.py", "_squarefree_mod", CERT_TESTS),
+    ("polynomial.py", "_isolated_count", ISOLATION_TESTS),
+    ("polynomial.py", "_taylor_shift", ISOLATION_TESTS),
+    ("polynomial.py", "_root_bound", ISOLATION_TESTS),
+    ("polynomial.py", "_variations", ISOLATION_TESTS),
     ("matrix_oracle.py", "_jacobi", ORACLE_TESTS),
     ("polynomial.py", "translate", ORACLE_TESTS),
     ("polynomial.py", "dilate", ORACLE_TESTS),

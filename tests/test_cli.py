@@ -645,8 +645,9 @@ def test_largest_allowed_sizes(capsys):
     assert (MAX_TMAX, MAX_CONVERGE_D, MAX_MC_DEGREE) == (2**64, 10**12, 12)
     assert (MAX_CONVERGE_N, MAX_R_PART, MAX_LAMBDA_PART) == (112, 100, 10**2000)
     assert (MAX_EPS_PART, MAX_T_PART, MAX_JSON_BYTES) == (256, 2**64, 2**24)
-    code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", "1/32")
-    assert code == 0 and out["convolution"]["degree"] == 100
+    for eps in ("1/32", "1/255"):
+        code, out, _ = run(capsys, "cramer", "--d", "100", "--eps", eps)
+        assert code == 0 and out["convolution"]["degree"] == 100
     code, out, _ = run(capsys, "family", "hermite", "--d", "100")
     assert code == 0 and out["degree"] == 100
     code, out, _ = run(capsys, "family", "poisson", "--lambda", "1", "--d", "100")

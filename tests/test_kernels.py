@@ -7,10 +7,13 @@ The code below keeps their earlier forms verbatim as the reference: every
 output must be == to theirs, entry by entry of the same type, and each
 conversion builds one Fraction per entry it returns.  The integer Sturm
 chain, whose remainder fuses its two elimination steps, is checked against
-its earlier step-by-step form, and its cost in gcds is bounded.  The last
-tests check identities known by construction at d = 100 to 300 with a map
-that shares no code with the kernels: the normalised derivative on plain
-coefficients.
+its earlier step-by-step form, and its cost in gcds is bounded.  The
+squarefree certificate and the continued-fraction isolation that replace
+the chain from degree 18 up must give the reference chain's counts, fall
+back to it on a repeated root or an unlucky prime, and stay within a
+bound on their Taylor shifts.  The last tests check identities known by
+construction at d = 100 to 300 with a map that shares no code with the
+kernels: the normalised derivative on plain coefficients.
 """
 
 import math
@@ -29,9 +32,11 @@ from finfree.freeprob import (FreeCumulantVector, free_cumulants_from_moments,
                               free_moments_from_free_cumulants)
 from finfree.lattice import falling
 from finfree.matrix_oracle import _jacobi
-from finfree.polynomial import (MomentSequence, MonicPoly, _alternate, _exp_series,
+from finfree.polynomial import (_ELL, _ISOLATION_DEGREE, MomentSequence, MonicPoly,
+                                _alternate, _exp_series, _isolated_count,
                                 _log_derivative, _over_lcm, _primitive_form,
-                                _sturm_chain, is_real_rooted, moments)
+                                _root_bound, _squarefree_mod, _sturm_chain,
+                                _sturm_counts, _taylor_shift, is_real_rooted, moments)
 from finfree.transforms import (CumulantVector, _standardize,
                                 coefficients_from_cumulants,
                                 coefficients_from_moments, cumulant_from_moments,
@@ -504,6 +509,140 @@ def test_sturm_chain_takes_one_gcd_per_element(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the isolation path against the chain
+# ---------------------------------------------------------------------------
+
+
+def ref_counts(f):
+    """(distinct real roots, distinct roots) read off the reference chain."""
+    chain = ref_sturm_chain(f)
+    at_minus_oo = [_alternate(q[::-1])[::-1] for q in chain]  # q(-x)
+    changes = [sum((x[0] > 0) != (y[0] > 0) for x, y in zip(c, c[1:]))
+               for c in (chain, at_minus_oo)]
+    return changes[1] - changes[0], len(f) - len(chain[-1])
+
+
+def isolation_inputs(seed):
+    """Squarefree primitive integer polynomials from _ISOLATION_DEGREE to
+    40, the cheap ones first: distinct rational roots with one at 0, random
+    coefficients with non-real roots, roots +-r, a cluster within 10^-9 of
+    1/3 beside roots far out, p boxplus q, and power-family probes at
+    dyadic t."""
+    rng = random.Random(seed)
+    grid = sorted({Fraction(k, m) for k in range(-30, 31) for m in range(1, 4)} - {0})
+    for d in (_ISOLATION_DEGREE, 21, 24, 32, 40):
+        yield _primitive_form(MonicPoly.from_roots([0] + rng.sample(grid, d - 1)))
+        yield _primitive_form(MonicPoly.from_signed([1] + [rand_q(rng) for _ in range(d)]))
+    for d in (_ISOLATION_DEGREE, 24):
+        half = rng.sample([r for r in grid if r > 0], d // 2)  # roots +-r: x^(d-1) drops out
+        yield _primitive_form(MonicPoly.from_roots(half + [-r for r in half]))
+        # the chain's remainders grow fastest here, so d stays small
+        cluster = [Fraction(1, 3) + Fraction(k, 10**9) for k in range(d // 2)]
+        yield _primitive_form(MonicPoly.from_roots(
+            cluster + [rng.choice((-1, 1)) * 2**j for j in rng.sample(range(1, 41), d - d // 2)]))
+    for d in (_ISOLATION_DEGREE, 24, 32):
+        yield _primitive_form(boxplus(*(MonicPoly.from_roots(rng.sample(grid, d)) for _ in (0, 1))))
+        power = _power_family(MonicPoly.from_roots(rng.sample(grid, d)))
+        for t in (Fraction(1, 64), Fraction(3, 4), Fraction(2**20 + 1, 2**10)):
+            yield power(t)
+
+
+def test_isolation_counts_match_the_chain(monkeypatch):
+    # every input is certified squarefree, and the isolation itself, not
+    # the fallback chain, answers
+    inputs = [(f, ref_counts(f)) for f in isolation_inputs(2311)]
+    monkeypatch.setattr(polynomial, "_sturm_chain", None)
+    for f, want in inputs:
+        assert want[1] == len(f) - 1 and _squarefree_mod(f), f
+        assert _isolated_count(f) == want[0], f
+        assert _sturm_counts(f) == want, f
+
+
+def test_repeated_roots_fall_back_to_the_chain():
+    rng = random.Random(2312)
+    grid = sorted({Fraction(k, m) for k in range(-20, 21) for m in range(1, 4)})
+    for d in (_ISOLATION_DEGREE, 30):
+        roots = rng.sample(grid, d - 2)
+        p = MonicPoly.from_roots(roots + roots[:2])
+        f = _primitive_form(p)
+        assert not _squarefree_mod(f)
+        assert _sturm_counts(f) == ref_counts(f) == (d - 2, d - 2)
+        assert is_real_rooted(p) == "yes"
+        assert is_real_rooted(p, require_distinct=True) == "boundary"
+    # a double irrational root keeps two sign changes at every depth, so
+    # the isolation runs to its loop bound: (x^2 - 2)^2
+    assert _isolated_count([1, 0, -4, 0, 4]) is None
+
+
+def test_an_unlucky_prime_falls_back_to_the_chain():
+    # x^2 - _ELL is x^2 mod _ELL, a double root there; _ELL x^2 - 1 loses
+    # its degree mod _ELL.  Both are squarefree with two real roots.  The
+    # square (_ELL x - 1)^2 has a double root but is squarefree mod _ELL.
+    for d in (_ISOLATION_DEGREE, 26):
+        ints = MonicPoly.from_roots(range(1, d - 1)).plain_coefficients()
+        for quadratic, want in (([1, 0, -_ELL], (d, d)), ([_ELL, 0, -1], (d, d)),
+                                ([_ELL**2, -2 * _ELL, 1], (d - 1, d - 1))):
+            f = [0] * (d + 1)
+            for i, x in enumerate(quadratic):
+                for j, y in enumerate(ints):
+                    f[i + j] += x * int(y)
+            assert not _squarefree_mod(f)
+            assert _sturm_counts(f) == ref_counts(f) == want
+
+
+def test_isolation_makes_few_taylor_shifts(monkeypatch):
+    # on p boxplus q about 1.5 shifts a root: P(1/(x + 1)) is built only
+    # when Budan's theorem leaves more than one root in (0, 1).  Far from 0
+    # a shift by the lower bound gains only a factor of about 1 + 1/(4 d);
+    # doubling it while no root is passed takes about 30 to 45 shifts a
+    # root here, where the lower bound alone took 146 to 435.
+    shifts = [0]
+
+    def counted(a, k=0):
+        shifts[0] += 1
+        return _taylor_shift(a, k)
+
+    rng = random.Random(2315)
+    grid = sorted({Fraction(k, m) for k in range(-20, 21) for m in range(1, 4)})
+    inputs = [_primitive_form(boxplus(*(MonicPoly.from_roots(rng.sample(grid, d)) for _ in (0, 1))))
+              for d in (_ISOLATION_DEGREE, 24, 32, 40) for _ in range(3)]
+    monkeypatch.setattr(polynomial, "_taylor_shift", counted)
+    assert sum(_isolated_count(f) for f in inputs) == 3 * (_ISOLATION_DEGREE + 96)
+    assert shifts[0] <= 1.55 * 3 * (_ISOLATION_DEGREE + 96), shifts[0]
+    for roots in ([k * 10**6 for k in range(1, 22)], [2**60 + 3**k for k in range(21)]):
+        shifts[0] = 0
+        assert _isolated_count(_primitive_form(MonicPoly.from_roots(roots))) == 21
+        assert shifts[0] <= 60 * 21, (roots, shifts[0])
+    # 18 roots of 100 bits take about 100 d rounds, inside the loop bound
+    roots = {rng.randint(-10**30, 10**30) for _ in range(_ISOLATION_DEGREE)}
+    assert _isolated_count(_primitive_form(MonicPoly.from_roots(roots))) == len(roots)
+
+
+def test_root_bound_is_rigorous_and_within_16_d():
+    # every positive root is at most 2^E, and 2^E at most 16 d times the
+    # largest of them
+    rng = random.Random(2313)
+    for d in range(1, 41):
+        roots = [rand_q(rng) for _ in range(d)] + [Fraction(rng.randint(1, 9), rng.randint(1, 9))]
+        E = _root_bound(_primitive_form(MonicPoly.from_roots(roots)))
+        assert max(roots) <= Fraction(2) ** E < 16 * (d + 1) * max(roots), (roots, E)
+    # x - 2^30 pairs -2^30 with 1 at weight 1/2; x^2 - 1 skips the zero;
+    # x^2 + x - 1 keeps x^2, the first of two one-bit coefficients
+    assert _root_bound([1, -2**30]) == 32 and _root_bound([-3, 0, 1]) == 1
+    assert _root_bound([1, 0, -1]) == 1 and _root_bound([1, 1, -1]) == 1
+
+
+def test_taylor_shift_is_translate():
+    rng = random.Random(2314)
+    for d in (1, 2, 7, 40):
+        p = rand_poly(rng, d)
+        f = _primitive_form(p)
+        for k in (0, 1, 5, 60):
+            assert [Fraction(x, f[0]) for x in _taylor_shift(f, k)] == \
+                p.translate(2**k).plain_coefficients(), (d, k)
+
+
+# ---------------------------------------------------------------------------
 # large-d identities, checked through the normalised derivative
 # ---------------------------------------------------------------------------
 
@@ -552,7 +691,7 @@ def test_rolle_gives_real_rooted_derivatives():
     # irrational, after two derivatives; times x^2 + 1/3 none is a "yes"
     rng = random.Random(2205)
     grid = sorted({Fraction(k, m) for k in range(-40, 41) for m in range(1, 4)})
-    p = derivative(derivative(MonicPoly.from_roots(rng.sample(grid, 62))))
+    p = derivative(derivative(MonicPoly.from_roots(rng.sample(grid, 102))))
     assert is_real_rooted(p, require_distinct=True) == "yes"
     plain = p.plain_coefficients()
     q = [x + Fraction(y, 3) for x, y in zip(plain + [0, 0], [0, 0] + plain)]
