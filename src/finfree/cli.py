@@ -61,11 +61,11 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # number, 14 at --tmax 2^64, for every input; from degree 18 up each
 # probe's real roots are counted by continued-fraction isolation, not by a
 # Sturm chain: on random rational roots threshold --tmax 4 takes about
-# 0.15 s at d = 24 and 0.25 s at d = 40 (0.7 and 18 s with the chain), and
-# --tmax 2^64 0.15 s at d = 24; on random rational coefficients, --tmax
-# 2^64 takes 0.2 s at d = 24; --steps 200 takes 1.1-1.6 s at d = 20 and
-# 1.7-2.8 s at d = 24 (--tmax 4), nearly all in the probes, whose
-# denominators double with each step; converge sums one
+# 0.15 s at d = 24 and 0.25 s at d = 40, and --tmax 2^64 0.15 s at d = 24;
+# on random rational coefficients, --tmax 2^64 takes 0.2 s at d = 24;
+# --steps 200 takes 1.1-1.6 s at d = 20 and 1.7-2.8 s at d = 24 (--tmax 4),
+# nearly all in the probes, whose denominators double with each step;
+# converge sums one
 # free-moment series and one row per --d value, each costing more than n^3,
 # so n^2 times the number of --d values is bounded by MAX_CONVERGE_N^2, and
 # the worst case is one row; its cost grows with the parts of --r, so each
@@ -77,11 +77,10 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # 4000-digit d takes seconds; verify-mc --samples 1000000 takes
 # about 0.4 s at degree 2 and 6 s at degree 12, the largest input it
 # allows; cramer at d = 100 takes about 0.25 s with eps = 1/32 and with
-# 1/255 (3.3 and 5.1 s when its one real-rootedness test was a Sturm
-# chain), and at d = 40 an eps of 1e-100 takes 0.1 s in process (about
-# 50 s with the chain); power on 100 integer roots computes for
-# 20 s with --t 1e4000 before its result is too long to print, and under
-# 1 s with parts of --t at 2^64; family poisson reads its last coefficient
+# 1/255, and at d = 40 an eps of 1e-100 takes 0.1 s in process; power on
+# 100 integer roots computes for 20 s with --t 1e4000 before its result is
+# too long to print, and under 1 s with parts of --t at 2^64; family
+# poisson reads its last coefficient
 # perm(d*lambda, d) / d^d before the series, so at d = 100 a 2000-digit
 # --lambda exits 5 in about 0.2 s where the series alone takes 6.5 s, and
 # the largest --lambda it prints there (41 digits) takes 0.15 s; that check

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul, ne
 
 from .errors import FinFreeError, InputFormatError, NonMonicError
@@ -92,17 +92,19 @@ class MonicPoly(Value):
     def translate(self, c) -> "MonicPoly":
         """p(x + c), exact; shifts every root by -c.
 
-        a_k -> sum_{i<=k} binom(d-i, k-i) (-c)^(k-i) a_i; with -c = u/v and
-        a_i = n_i/D, one integer sum of binom(d-i, k-i) u^(k-i) v^i n_i over
-        D v^k per entry.
+        With -c = u/v and a_i = n_i/D, the integers u^(d-i) v^i n_i are the
+        descending coefficients of (-1)^d D v^d p(c y); _taylor_shift takes
+        them to y + 1, and its entry k, divided exactly by u^(d-k), over D v^k
+        is the new a_k.  p(x + 0) is p itself.
         """
         c, d = parse_rational(c), self.d
+        if c == 0:
+            return self
         n, D = _over_lcm(self.a)
         upow = [(-c.numerator) ** j for j in range(d + 1)]
         vpow = [c.denominator ** j for j in range(d + 1)]
-        return MonicPoly(d, [Fraction(sum(comb(d - i, k - i) * upow[k - i] * vpow[i] * n[i]
-                                          for i in range(k + 1)), D * vpow[k])
-                             for k in range(d + 1)])
+        h = _taylor_shift([upow[d - i] * vpow[i] * x for i, x in enumerate(n)])
+        return MonicPoly(d, [Fraction(x // upow[d - k], D * vpow[k]) for k, x in enumerate(h)])
 
     def to_json(self) -> dict:
         return {
@@ -448,12 +450,9 @@ def _sturm_counts(f):
         if real is not None:
             return real, len(f) - 1
     chain = _sturm_chain(f)
-    # sign at +oo is that of the leading coefficient; at -oo flip odd degrees
-    plus = [q[0] > 0 for q in chain]
-    minus = [(q[0] > 0) == (len(q) % 2 == 1) for q in chain]
-    real = sum(x != y for x, y in zip(minus, minus[1:])) - sum(
-        x != y for x, y in zip(plus, plus[1:])
-    )
+    # V(-oo) - V(+oo): the leading coefficients, those of odd degree negated at -oo
+    real = _variations([q[0] if len(q) % 2 else -q[0] for q in chain]) - _variations(
+        [q[0] for q in chain])
     return real, len(f) - len(chain[-1])
 
 

@@ -1,8 +1,8 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step, the threshold search with its power family, the Sturm chain, the
-squarefree certificate and the continued-fraction isolation, the Monte
-Carlo oracle's exact input path and the set partition walk with the values
-and the listing built on it.
+step, boxplus, the threshold search with its power family, the Sturm
+chain, the squarefree certificate and the continued-fraction isolation, the
+Monte Carlo oracle's exact input path and the set partition walk with the
+values and the listing built on it.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -56,14 +56,16 @@ POWER_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power", *TH
 PLAIN_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power",
                DIV + "test_power_family_at_large_degree", *SERIES_TESTS]
 # the Sturm chain: the == reference and its gcd count first, then the
-# counts against Hermite's criterion, is_real_rooted and Rolle's theorem
+# counts of is_real_rooted, against Hermite's criterion and by Rolle's
+# theorem; the hypothesis test runs after the plain count tests, since on a
+# failure it shrinks its example for about 30 s
 STURM_TESTS = ["tests/test_kernels.py::test_sturm_chain_matches_the_reference",
                "tests/test_kernels.py::test_sturm_chain_takes_one_gcd_per_element",
                "tests/test_kernels.py::test_isolation_counts_match_the_chain",
-               "tests/test_properties.py::test_sturm_agrees_with_hermite",
                "tests/test_polynomial.py::test_distinct_real_root_count",
                "tests/test_polynomial.py::test_is_real_rooted_three_answers",
                "tests/test_polynomial.py::test_real_rooted_random_from_roots",
+               "tests/test_properties.py::test_sturm_agrees_with_hermite",
                "tests/test_kernels.py::test_rolle_gives_real_rooted_derivatives"]
 # the squarefree certificate: its refusals of repeated roots and unlucky
 # primes, then its certificates on squarefree input
@@ -71,16 +73,26 @@ CERT_TESTS = ["tests/test_kernels.py::" + t for t in (
     "test_repeated_roots_fall_back_to_the_chain",
     "test_an_unlucky_prime_falls_back_to_the_chain",
     "test_isolation_counts_match_the_chain")]
-# the isolation and its helpers: the shift against translate, the root
-# bound's two sides and the isolation's shift counts first, then the counts
-# == to the chain's, where an isolation that stops at its loop bound fails
-# too, and Rolle's theorem
+# the isolation and its helpers: the shift against the Fraction synthetic
+# division, the root bound's two sides and the isolation's shift counts
+# first, then the counts == to the chain's, where an isolation that stops at
+# its loop bound fails too, and Rolle's theorem
 ISOLATION_TESTS = ["tests/test_kernels.py::" + t for t in (
-    "test_taylor_shift_is_translate", "test_root_bound_is_rigorous_and_within_16_d",
+    "test_taylor_shift_matches_the_fraction_synthetic_division",
+    "test_root_bound_is_rigorous_and_within_16_d",
     "test_isolation_makes_few_taylor_shifts", "test_isolation_counts_match_the_chain",
     "test_repeated_roots_fall_back_to_the_chain",
     "test_an_unlucky_prime_falls_back_to_the_chain",
     "test_rolle_gives_real_rooted_derivatives")]
+# the shift serves translate too: then its == references
+SHIFT_TESTS = ISOLATION_TESTS + [
+    "tests/test_kernels.py::test_root_maps_match_the_fraction_recurrences"]
+# boxplus: the permutation-sum oracle first, then cumulant additivity on it,
+# the formula's Fraction reference and the cumulant path
+BOXPLUS_TESTS = ["tests/test_convolution.py::" + t for t in (
+    "test_boxplus_is_the_permutation_sum", "test_cumulants_add_on_the_permutation_sum",
+    "test_additivity_two_paths")] + [
+    "tests/test_kernels.py::test_weighted_paths_and_boxplus_match_the_reference"]
 # the oracle's exact input path, roots to Jacobi matrix: the Jacobi
 # eigenvalue and refusal tests and the zero-spread MC tests first, then the
 # == references of the centred dilate's Jacobi matrix, from_roots and translate
@@ -109,12 +121,13 @@ MAX_ADDRESS_SPACE = 2**31
 # (module under src/finfree, function, tests): the series pair and its
 # helper, the weights, the two callers that build Fractions from their
 # integers, the scaling that reads plain coefficients off the series, the
-# free side's Lagrange step with its two directions, the threshold search
-# with its power family, the Sturm chain with the counts read off it, the
-# squarefree certificate, the isolation with its shift, root bound and sign
-# changes, the oracle's Jacobi matrix with the MonicPoly methods (matched by
-# their plain names) that build and centre its input, and the partition
-# walk with the Moebius values, type counts and listing writer that read it
+# free side's Lagrange step with its two directions, boxplus, the
+# threshold search with its power family, the Sturm chain with the counts
+# read off it, the squarefree certificate, the isolation with its shift,
+# root bound and sign changes, the oracle's Jacobi matrix with the
+# MonicPoly methods (matched by their plain names) that build and centre
+# its input, and the partition walk with the Moebius values, type counts
+# and listing writer that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -126,6 +139,7 @@ KERNELS = [
     ("freeprob.py", "_lagrange", SERIES_TESTS),
     ("freeprob.py", "free_moments_from_free_cumulants", SERIES_TESTS),
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
+    ("convolution.py", "boxplus", BOXPLUS_TESTS),
     ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
     ("convolution.py", "_power_family", POWER_TESTS),
     ("polynomial.py", "_remainder", STURM_TESTS),
@@ -133,7 +147,7 @@ KERNELS = [
     ("polynomial.py", "_sturm_counts", STURM_TESTS),
     ("polynomial.py", "_squarefree_mod", CERT_TESTS),
     ("polynomial.py", "_isolated_count", ISOLATION_TESTS),
-    ("polynomial.py", "_taylor_shift", ISOLATION_TESTS),
+    ("polynomial.py", "_taylor_shift", SHIFT_TESTS),
     ("polynomial.py", "_root_bound", ISOLATION_TESTS),
     ("polynomial.py", "_variations", ISOLATION_TESTS),
     ("matrix_oracle.py", "_jacobi", ORACLE_TESTS),

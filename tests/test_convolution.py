@@ -1,7 +1,10 @@
-"""The convolution itself: coefficient formula vs cumulant arithmetic."""
+"""The convolution itself: coefficient formula vs cumulant arithmetic, and
+vs the sum over permutations that shares no formula with either."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial, lcm
 
 import pytest
 
@@ -116,3 +119,73 @@ def test_power_needs_positive_t():
         boxplus_power(p, 0)
     with pytest.raises(DomainError):
         boxplus_power(p, Fraction(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the permutation-sum oracle
+# ---------------------------------------------------------------------------
+
+
+def permutation_boxplus(a, b) -> tuple:
+    """The signed coefficients of (1/d!) sum_{sigma in S_d} prod_i (x - a_i -
+    b_sigma(i)) for rational roots a_i of p and b_i of q: p boxplus q
+    (Marcus, Spielman and Srivastava, arXiv:1504.00350).
+
+    A dynamic program over the used subsets of b: e[mask], for the subset
+    mask of b's roots paired with a_0..a_{i-1} (i roots in mask), holds the
+    elementary symmetric functions of the sums a_j + b_sigma(j), summed over
+    those pairings, with every root as an integer over one common
+    denominator L, so that a_k is one integer over d! L^k.
+    """
+    d = len(a)
+    L = lcm(*(Fraction(r).denominator for r in (*a, *b)))
+    A, B = [int(r * L) for r in a], [int(r * L) for r in b]
+    e = [None] * (1 << d)
+    e[0] = [1]
+    for mask in range(1 << d):  # every subset comes before its supersets
+        i, old = mask.bit_count(), e[mask]
+        for k in range(d):
+            if mask >> k & 1:
+                continue
+            c, up = A[i] + B[k], mask | 1 << k
+            new = [x + c * y for x, y in zip(old + [0], [0] + old)]
+            e[up] = new if e[up] is None else [x + y for x, y in zip(e[up], new)]
+    return tuple(Fraction(x, factorial(d) * L**k) for k, x in enumerate(e[-1]))
+
+
+def root_pair(rng, d):
+    """Two lists of d k/m roots, drawn with repeats from a few values and 0."""
+    def roots():
+        pool = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d // 2 + 1)]
+        return [rng.choice(pool + [Fraction(0)]) for _ in range(d)]
+    return roots(), roots()
+
+
+def test_the_permutation_oracle_is_the_sum_over_every_permutation():
+    # the subset program against the plain sum over all d! permutations
+    rng = random.Random(3401)
+    for d in range(1, 6):
+        a, b = root_pair(rng, d)
+        total = [Fraction(0)] * (d + 1)
+        for sigma in permutations(b):
+            for k, x in enumerate(MonicPoly.from_roots([x + y for x, y in zip(a, sigma)]).a):
+                total[k] += x
+        assert permutation_boxplus(a, b) == tuple(x / factorial(d) for x in total), (a, b)
+
+
+def test_boxplus_is_the_permutation_sum():
+    rng = random.Random(3402)
+    pairs = [root_pair(rng, d) for d in range(1, 11) for _ in range(3)]
+    pairs += [([0] * 4, [Fraction(2, 3)] * 4), ([Fraction(-1, 2)] * 10, [0] * 10)]
+    for a, b in pairs:
+        got = boxplus(MonicPoly.from_roots(a), MonicPoly.from_roots(b)).a
+        assert got == permutation_boxplus(a, b), (a, b)
+
+
+def test_cumulants_add_on_the_permutation_sum():
+    rng = random.Random(3403)
+    for d in range(1, 11):
+        a, b = root_pair(rng, d)
+        kp, kq = (cumulants_from_coefficients(MonicPoly.from_roots(r)).kappa for r in (a, b))
+        got = cumulants_from_coefficients(MonicPoly(d, permutation_boxplus(a, b))).kappa
+        assert got == tuple(x + y for x, y in zip(kp, kq)), (a, b)

@@ -1,8 +1,9 @@
 """The exact kernels against the Fraction recurrences they replaced.
 
-The log/exp series, its weights, boxplus and the root maps from_roots and
-translate run as integer sums over one denominator, and the Monte Carlo
-oracle centres and scales its Jacobi matrices through translate and dilate.
+The log/exp series, its weights, boxplus and the root map from_roots run
+as integer sums over one denominator, translate as one integer Taylor shift
+of the scaled coefficients, and the Monte Carlo oracle centres and scales
+its Jacobi matrices through translate and dilate.
 The code below keeps their earlier forms verbatim as the reference: every
 output must be == to theirs, entry by entry of the same type, and each
 conversion builds one Fraction per entry it returns.  The integer Sturm
@@ -632,14 +633,16 @@ def test_root_bound_is_rigorous_and_within_16_d():
     assert _root_bound([1, 0, -1]) == 1 and _root_bound([1, 1, -1]) == 1
 
 
-def test_taylor_shift_is_translate():
+def test_taylor_shift_matches_the_fraction_synthetic_division():
+    # translate runs _taylor_shift itself, so the shift is checked against
+    # the reference's repeated division by x + 2^k instead
     rng = random.Random(2314)
     for d in (1, 2, 7, 40):
         p = rand_poly(rng, d)
         f = _primitive_form(p)
         for k in (0, 1, 5, 60):
             assert [Fraction(x, f[0]) for x in _taylor_shift(f, k)] == \
-                p.translate(2**k).plain_coefficients(), (d, k)
+                ref_translate(p, 2**k).plain_coefficients(), (d, k)
 
 
 # ---------------------------------------------------------------------------

@@ -292,14 +292,45 @@ def _reads(node, func=None):
         yield from _reads(child, child.name if is_func else func)
 
 
+def _readers(wanted) -> list:
+    """(module, function) for every read of the name wanted in src/."""
+    return sorted({(path.name, func) for path in sorted(SRC.rglob("*.py"))
+                   for name, func in _reads(ast.parse(path.read_text()))
+                   if name == wanted})
+
+
 def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
     # one sign-counting path: real-rootedness and the threshold probes count
     # roots through polynomial._sturm_counts, and the oracle reads its Jacobi
     # matrices off the chain in matrix_oracle._jacobi
-    found = sorted({(path.name, func) for path in sorted(SRC.rglob("*.py"))
-                    for name, func in _reads(ast.parse(path.read_text()))
-                    if name == "_sturm_chain"})
-    assert found == [("matrix_oracle.py", "_jacobi"), ("polynomial.py", "_sturm_counts")]
+    assert _readers("_sturm_chain") == [("matrix_oracle.py", "_jacobi"),
+                                        ("polynomial.py", "_sturm_counts")]
+
+
+def test_translate_and_the_isolation_share_one_taylor_shift():
+    # one exact shift: translate scales its coefficients onto _taylor_shift
+    # rather than summing binomials of its own
+    assert _readers("_taylor_shift") == [("polynomial.py", "_isolated_count"),
+                                         ("polynomial.py", "translate")]
+
+
+def test_the_chain_and_the_isolation_share_one_sign_change_count():
+    # Sturm's V(-oo) - V(+oo) and Descartes' rule both count through
+    # _variations
+    assert _readers("_variations") == [("polynomial.py", "_isolated_count"),
+                                       ("polynomial.py", "_sturm_counts")]
+
+
+def test_only_the_monte_carlo_oracle_reads_comb():
+    # the exact core takes binomials from its Taylor shift's prefix sums;
+    # the float oracle builds its Taylor matrix from math.comb
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
+        if "comb" in imported | {name for name, _ in _reads(tree)}:
+            found.add(path.name)
+    assert sorted(found) == ["matrix_oracle.py"]
 
 
 def test_only_polynomial_clears_denominators_by_an_lcm():
