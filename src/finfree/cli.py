@@ -75,11 +75,12 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # to 128 and 24 s with random parts up to 2^16; --n 56 with 4 values took
 # 1.2 s and --n 14 with 64 values 0.2 s (three-digit parts), while a
 # 4000-digit d takes seconds; verify-mc --samples 1000000 takes
-# about 0.4 s at degree 2 and 6 s at degree 12, the largest input it
-# allows; cramer at d = 100 takes about 0.25 s with eps = 1/32 and with
-# 1/255, and at d = 40 an eps of 1e-100 takes 0.1 s in process; power on
-# 100 integer roots computes for 20 s with --t 1e4000 before its result is
-# too long to print, and under 1 s with parts of --t at 2^64; family
+# about 0.45 s at degree 2 and 8.5 s at degree 12, the largest input it
+# allows, in a fresh process on a 2-vCPU host; cramer at d = 100 takes
+# about 0.25 s with eps = 1/32 and with 1/255, and at d = 40 an eps of
+# 1e-100 takes 0.1 s in process; power on 100 integer roots computes for
+# 20 s with --t 1e4000 before its result is too long to print, and under
+# 1 s with parts of --t at 2^64; family
 # poisson reads its last coefficient
 # perm(d*lambda, d) / d^d before the series, so at d = 100 a 2000-digit
 # --lambda exits 5 in about 0.2 s where the series alone takes 6.5 s, and

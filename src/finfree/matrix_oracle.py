@@ -9,11 +9,13 @@ direct sampling and reports per-coefficient standard errors, giving a
 verification path that shares no code with the combinatorial implementation.
 
 Samples are drawn in chunks of _CHUNK, and each step works on a whole
-chunk at once, with no loop over its matrices: Householder reflectors of
-Gaussian vectors, applied to B as rank-2 updates, give its Haar conjugates
-Q B Q^T without forming Q (_conjugate_batch), and power-sum traces with
-Newton's identities give the characteristic polynomials (_char_poly_batch).
-The chunks' means and spreads are merged in order.
+chunk at once, held as a (d, d, N) stack with the sample index last, with no
+loop over its matrices.  One Householder kernel (_reflect, a rank-2 update)
+serves twice: reflectors of Gaussian vectors applied to B give its Haar
+conjugates Q B Q^T without forming Q (_conjugate_batch), and reflectors of
+each sum's columns reduce it, in place, to tridiagonal form, whose leading
+minors' three-term recurrence gives the characteristic polynomials
+(_char_poly_batch).  The chunks' means and spreads are merged in order.
 
 This is the one module that works in floating point: the sampling and its
 pass rule (MCEstimate.passes) live here; everything else is exact.
@@ -50,7 +52,10 @@ class MCEstimate(Value):
         """Per coefficient a_k, whether the exact value is within 5 standard
         errors of the mean plus c * eps * binom(d, k) * R^k, the rounding of
         a sum of binom(d, k) products of k eigenvalues at most R: compared
-        exactly, and scale-free, with no absolute floor."""
+        exactly, and scale-free, with no absolute floor.  An exact polynomial
+        of another degree raises DimensionError."""
+        if exact.d != self.d:
+            raise DimensionError("degree mismatch: %d vs %d" % (self.d, exact.d))
         return tuple(
             abs(a - Fraction(mean))
             <= 5 * Fraction(se) + _ROUNDING * math.comb(self.d, k) * self.radius**k
@@ -58,9 +63,31 @@ class MCEstimate(Value):
         )
 
 
+def _reflect(blk: np.ndarray, r: int, v: np.ndarray) -> None:
+    """Replace each symmetric matrix of the (n, n, N) stack blk by H blk H,
+    H the stable Householder reflector on coordinates r.. that sends the
+    (n - r, N) vector v to -sign(v_0) |v| e_r; v is overwritten.
+
+    Scaled to |v|^2 = 2, H = I - v v^T and H blk H = blk - v w^T - w v^T
+    with w = blk v - (v^T blk v / 2) v, a rank-2 update of rows and columns
+    r..; a zero v (a column that is already reduced) gives H = I.
+    """
+    norm = np.sqrt(np.einsum("in,in->n", v, v))
+    v[0] += np.copysign(norm, v[0])
+    scale = np.sqrt(norm * np.abs(v[0]))
+    np.divide(v, scale, out=v, where=scale > 0)
+    w = np.einsum("ijn,jn->in", blk[:, r:], v)
+    w[r:] -= 0.5 * np.einsum("in,in->n", v, w[r:]) * v
+    for i, vi in enumerate(v, r):  # blk -= v w^T + w v^T
+        t = vi * w
+        blk[i] -= t
+        blk[:, i] -= t
+
+
 def _conjugate_batch(rng, count: int, b: np.ndarray) -> np.ndarray:
-    """(count, d, d) stack of Q B Q^T for the symmetric tridiagonal B and
-    independent Haar orthogonal Q, with Q never formed.
+    """(d, d, count) stack of Q B Q^T for the symmetric tridiagonal B and
+    independent Haar orthogonal Q, with Q never formed; the sample index
+    is last, so m[r, c] holds entry (r, c) of every sample.
 
     Stewart's construction (SIAM J. Numer. Anal. 17, 1980): Q = H_d
     diag(s_d, H_(d-1) diag(s_(d-1), ... H_2 diag(s_2, 1))), H_m the stable
@@ -70,12 +97,12 @@ def _conjugate_batch(rng, count: int, b: np.ndarray) -> np.ndarray:
     1: it only signs Q's last column, the other columns' signs are already
     fair coins (x and -x are equally likely) and Q and -Q conjugate alike.
     From the innermost out, each factor flips row and column k = d - m by
-    s_m, then updates rows and columns k - 1.. by rank 2 (H_m acts on k..,
+    s_m, then reflects rows and columns k - 1.. (_reflect; H_m acts on k..,
     where the rows above k - 1 of the tridiagonal B stay zero).
     """
     d = len(b)
     g = rng.standard_normal((d * (d + 1) // 2 - 1, count))
-    m = np.repeat(b[:, :, None], count, axis=2)  # m[r, c]: entry (r, c) of every sample
+    m = np.repeat(b[:, :, None], count, axis=2)
     for k in range(d - 2, -1, -1):
         v, g = g[:d - k], g[d - k:]
         lo = max(k - 1, 0)
@@ -83,47 +110,38 @@ def _conjugate_batch(rng, count: int, b: np.ndarray) -> np.ndarray:
         s = np.copysign(1.0, -v[0])
         blk[r] *= s
         blk[:, r] *= s
-        norm = np.sqrt(np.einsum("in,in->n", v, v))
-        v[0] -= s * norm
-        v /= np.sqrt(norm * np.abs(v[0]))  # |v|^2 = 2: H_m = I - v v^T
-        w = np.einsum("ijn,jn->in", blk[:, r:], v)
-        w[r:] -= 0.5 * np.einsum("in,in->n", v, w[r:]) * v
-        for i, vi in enumerate(v, r):  # blk -= v w^T + w v^T
-            t = vi * w
-            blk[i] -= t
-            blk[:, i] -= t
-    return np.ascontiguousarray(m.reshape(d * d, count).T).reshape(count, d, d)
+        _reflect(blk, r, v)
+    return m
 
 
 def _char_poly_batch(ms: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """Signed coefficients a_0..a_d of det(xI - M - shift I) for a (N, d, d)
-    stack of symmetric matrices M, shape (d+1, N), a_0 exactly 1.
+    """Signed coefficients a_0..a_d of det(xI - M - shift I) for a (d, d, N)
+    stack of symmetric matrices M, shape (d+1, N), a_0 exactly 1; ms is
+    overwritten.
 
-    Power sums p_k = tr(M^k), Newton's identities k c_k = sum_{i=1..k}
-    (-1)^(i-1) c_{k-i} p_i for det(xI - M), then the Taylor shift
-    a_k = sum_{j<=k} binom(d-j, k-j) shift^(k-j) c_j.  For M centred
-    (trace 0), no shared offset of the eigenvalues cancels in the power sums.
-    As M is symmetric, tr(M^(i+j)) is the sum of the entries of M^i * M^j
-    taken elementwise, so p_{2k-1} and p_{2k} come from M^(k-1) and M^k:
-    p_1..p_d take ceil(d/2) - 1 products, with two powers held at a time.
+    Householder tridiagonalization in place: the reflector of column k
+    below the diagonal (_reflect) zeroes it past its first entry, leaving
+    the diagonal alpha and the subdiagonal beta.  Then the leading minors
+    P_(k+1) = (x - alpha_k - shift) P_k - beta_(k-1)^2 P_(k-1) give, in
+    signed coefficients, a_i <- a_i + (alpha_k + shift) a_(i-1) -
+    beta_(k-1)^2 a'_(i-2), a' those of P_(k-1).  No power of M is formed,
+    so no cancellation between large power sums costs the small
+    coefficients their accuracy: on exact Jacobi matrices each a_k comes
+    out within about 1e-14 of itself.
     """
-    n, d, _ = ms.shape
-    p = np.empty((d + 1, n))
-    prev, power = np.broadcast_to(np.eye(d), ms.shape), ms
-    for k in range(1, (d + 1) // 2 + 1):
-        p[2 * k - 1] = np.einsum("nij,nij->n", prev, power)
-        if 2 * k <= d:
-            p[2 * k] = np.einsum("nij,nij->n", power, power)
-        if 2 * k < d:
-            prev, power = power, power @ ms
-    sign = (-1.0) ** np.arange(d)
-    c = np.empty((d + 1, n))
-    c[0] = 1.0
-    for k in range(1, d + 1):
-        c[k] = np.einsum("i,in,in->n", sign[:k], p[1:k + 1], c[k - 1::-1]) / k
-    taylor = [[math.comb(d - j, k - j) * shift ** (k - j) if j <= k else 0.0
-               for j in range(d + 1)] for k in range(d + 1)]
-    return np.array(taylor) @ c
+    d, _, n = ms.shape
+    for k in range(d - 2):
+        blk = ms[k:, k:]
+        _reflect(blk, 1, blk[1:, 0].copy())
+    a, prev = np.zeros((2, d + 1, n))
+    a[0] = prev[0] = 1.0
+    a[1] = ms[0, 0] + shift
+    for k in range(1, d):
+        t = (ms[k, k] + shift) * a[:k + 1]
+        t[1:] -= np.square(ms[k, k - 1]) * prev[:k]
+        prev[1:k + 2] = a[1:k + 2] + t
+        a, prev = prev, a
+    return a
 
 
 def _jacobi(p: MonicPoly) -> np.ndarray:
@@ -181,12 +199,13 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     left over by subtracting two large sums.
 
     A and B are those of p and q centred (translate), so that A + Q B Q^T has
-    trace 0 and the mean root comes back by a Taylor shift, and divided
-    (dilate) by 2^e >= R, the bound on its spectral radius that scales the
-    pass rule.  Each a_k is then at most binom(d, k) in size until the mean
-    and standard error are scaled back, exactly, by 2^(ek); DomainError
-    refuses an R that would put a_k, at most binom(d, k) R^k < 2^d
-    max(1, R^d), outside the normal floats.
+    trace 0 and the mean root comes back as a shift of the diagonal in
+    _char_poly_batch's recurrence, and divided (dilate) by 2^e >= R, the
+    bound on its spectral radius that scales the pass rule.  Each a_k is
+    then at most binom(d, k) in size until the mean and standard error are
+    scaled back, exactly, by 2^(ek); DomainError refuses an R that would put
+    a_k, at most binom(d, k) R^k < 2^d max(1, R^d), outside the normal
+    floats.
     """
     if not _is_int(seed) or seed < 0:
         raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
@@ -212,7 +231,7 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     for child in streams:
         count = min(_CHUNK, samples - done)
         m = _conjugate_batch(np.random.default_rng(child), count, jb)
-        m += ja
+        m += ja[:, :, None]
         coeffs = _char_poly_batch(m, shift)
         chunk_mean = coeffs.mean(axis=1)
         chunk_sq = np.square(coeffs - chunk_mean[:, None]).sum(axis=1)

@@ -1,8 +1,9 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
 step, boxplus, the threshold search with its power family, the Sturm
 chain, the squarefree certificate and the continued-fraction isolation, the
-Monte Carlo oracle's exact input path and the set partition walk with the
-values and the listing built on it.
+Monte Carlo oracle's exact input path, its characteristic polynomials and
+Householder reflector, and the set partition walk with the values and the
+listing built on it.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -103,6 +104,22 @@ ORACLE_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
     "test_mc_identical_samples_have_no_spread", "test_pass_rule_on_zero_spread_pairs")] + [
     "tests/test_kernels.py::test_jacobi_of_the_centred_dilate_is_the_old_shift_and_scale",
     "tests/test_kernels.py::test_root_maps_match_the_fraction_recurrences"]
+# the oracle's float kernels, the characteristic polynomials and the
+# reflector that both they and the Haar conjugates apply: the
+# characteristic polynomial tests first (examples, the per-coefficient
+# accuracy on exact Jacobi matrices, the exact Faddeev-LeVerrier
+# reference), then the reflector's own tests, the conjugates against the
+# explicit reflector product and the Haar moments, then the MC estimates
+CHAR_POLY_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
+    "test_char_poly_examples", "test_char_poly_keeps_every_coefficient_to_relative_rounding",
+    "test_batched_char_poly_matches_exact_faddeev_leverrier",
+    "test_reflect_reduces_the_column_it_is_built_from",
+    "test_reflect_of_a_zero_vector_is_the_identity", "test_haar_d1",
+    "test_conjugates_are_the_reflector_product", "test_conjugates_have_the_haar_moments",
+    "test_mc_identity_has_zero_spread", "test_mc_reproduces_repeated_roots_against_x_power",
+    "test_mc_identical_samples_have_no_spread", "test_mc_centring_keeps_the_small_coefficients",
+    "test_pass_rule_on_zero_spread_pairs", "test_mc_agrees_with_boxplus_at_larger_degrees",
+    "test_mc_refuses_what_leaves_the_float_range")]
 # the partition walk, its Moebius values and type counts, and the CLI's
 # listing writer: the writer's bytes against json.dumps and criterion 09
 # first, then the walk's counts, order and values
@@ -126,8 +143,9 @@ MAX_ADDRESS_SPACE = 2**31
 # read off it, the squarefree certificate, the isolation with its shift,
 # root bound and sign changes, the oracle's Jacobi matrix with the
 # MonicPoly methods (matched by their plain names) that build and centre
-# its input, and the partition walk with the Moebius values, type counts
-# and listing writer that read it
+# its input, the oracle's characteristic polynomials with the reflector
+# they share with its Haar conjugates, and the partition walk with the
+# Moebius values, type counts and listing writer that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -154,6 +172,8 @@ KERNELS = [
     ("polynomial.py", "translate", ORACLE_TESTS),
     ("polynomial.py", "dilate", ORACLE_TESTS),
     ("polynomial.py", "from_roots", ORACLE_TESTS),
+    ("matrix_oracle.py", "_char_poly_batch", CHAR_POLY_TESTS),
+    ("matrix_oracle.py", "_reflect", CHAR_POLY_TESTS),
     ("partitions.py", "_partitions", PARTITION_TESTS),
     ("partitions.py", "mobius_from_zero", PARTITION_TESTS),
     ("partitions.py", "count_by_type", PARTITION_TESTS),

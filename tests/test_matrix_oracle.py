@@ -18,6 +18,7 @@ from finfree.matrix_oracle import (
     _char_poly_batch,
     _conjugate_batch,
     _jacobi,
+    _reflect,
     mc_boxplus,
 )
 from test_properties import _charpoly
@@ -25,7 +26,7 @@ from test_properties import _charpoly
 
 def test_char_poly_examples():
     def char_poly(m):
-        return _char_poly_batch(np.asarray(m, dtype=float)[None])[:, 0].tolist()
+        return _char_poly_batch(np.array(m, dtype=float)[:, :, None])[:, 0].tolist()
 
     assert char_poly(np.diag([1.0, -1.0])) == [1.0, 0.0, -1.0]
     assert char_poly(np.zeros((3, 3))) == [1.0, 0.0, 0.0, 0.0]
@@ -87,15 +88,16 @@ def test_haar_samples_are_orthogonal():
 def test_haar_d1():
     # the one 1 x 1 conjugate of B is B itself: no reflector, no draw used
     got = _conjugate_batch(np.random.default_rng(11), 64, np.array([[2.5]]))
-    assert np.array_equal(got, np.full((64, 1, 1), 2.5))
+    assert np.array_equal(got, np.full((1, 1, 64), 2.5))
 
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_conjugates_are_the_reflector_product(d):
     b = tridiagonal(np.random.default_rng(100 + d), d)
     q = reflector_q(d, 256, d)
-    got = _conjugate_batch(np.random.default_rng(d), 256, b)
-    assert np.max(np.abs(got - q @ b @ np.swapaxes(q, 1, 2))) <= 1e-12 * np.max(np.abs(b))
+    got = _conjugate_batch(np.random.default_rng(d), 256, b)  # (d, d, N): sample last
+    want = np.moveaxis(q @ b @ np.swapaxes(q, 1, 2), 0, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("d", [3, 6])
@@ -106,9 +108,9 @@ def test_conjugates_have_the_haar_moments(d):
     n = 40000
     b = tridiagonal(np.random.default_rng(d), d)
     for got, want in ((_conjugate_batch(np.random.default_rng(7), n, b), np.trace(b) / d * np.eye(d)),
-                      (reflector_q(7, n, d)[:, :1] ** 2, np.full((1, d), 1 / d))):
-        se = got.std(axis=0) / np.sqrt(n)
-        assert np.all(np.abs(got.mean(axis=0) - want) <= 5 * se + 1e-12), got.mean(axis=0)
+                      (np.moveaxis(reflector_q(7, n, d)[:, :1] ** 2, 0, 2), np.full((1, d), 1 / d))):
+        se = got.std(axis=2) / np.sqrt(n)
+        assert np.all(np.abs(got.mean(axis=2) - want) <= 5 * se + 1e-12), got.mean(axis=2)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -121,13 +123,63 @@ def test_batched_char_poly_matches_exact_faddeev_leverrier(d):
     rb = rng.integers(-4, 5, d).astype(float)
     m = np.concatenate([(q * rb) @ np.swapaxes(q, 1, 2) + np.diag(ra), np.zeros((1, d, d)),
                         np.diag(np.arange(1.0, d + 1))[None], np.diag((-1.0) ** np.arange(d))[None]])
-    # a shift of the argument moves every root: det(xI - (M - I) - I)
-    for got in (_char_poly_batch(m), _char_poly_batch(m - np.eye(d), 1.0)):
-        for k in range(len(m)):
-            plain = _charpoly([[Fraction(x) for x in row] for row in m[k].tolist()])
+    m = np.moveaxis(m, 0, 2)  # (d, d, N), as the sampler holds it
+    # a shift of the argument moves every root: det(xI - (M - I) - I); each
+    # call gets its own copy, as the tridiagonalization overwrites it
+    for got in (_char_poly_batch(m.copy()), _char_poly_batch(m - np.eye(d)[:, :, None], 1.0)):
+        for k in range(m.shape[2]):
+            plain = _charpoly([[Fraction(x) for x in row] for row in m[:, :, k].tolist()])
             want = [float((-1) ** i * c) for i, c in enumerate(plain)]
             bound = 1e-9 * max(1.0, max(map(abs, want)))
             assert max(abs(g - w) for g, w in zip(got[:, k], want)) <= bound
+
+
+@pytest.mark.parametrize("centred", [False, True], ids=["uncentred", "centred"])
+@pytest.mark.parametrize("roots", [
+    [Fraction(-1, 3)] * 5 + [2] * 4 + [5] * 3,
+    [Fraction(k, 7) for k in range(1, 13)],
+    list(range(1000, 1006))], ids=["repeated", "sevenths", "offset"])
+def test_char_poly_keeps_every_coefficient_to_relative_rounding(roots, centred):
+    # the exact Jacobi matrix of p, or of p centred with its mean root as
+    # the shift: each a_k within 1e-13 of p's, relative to a_k itself, the
+    # small ones beside the large included; power sums with Newton's
+    # identities lose 2e-8 of a_12 on the first p uncentred
+    p = MonicPoly.from_roots(roots)
+    mean = p.a[1] / p.d if centred else 0
+    got = _char_poly_batch(_jacobi(p.translate(mean))[:, :, None], float(mean))[:, 0]
+    for k, (g, want) in enumerate(zip(got, p.a)):
+        assert abs(g - float(want)) <= 1e-13 * abs(float(want)), (k, g, float(want))
+
+
+def test_reflect_reduces_the_column_it_is_built_from():
+    # as in the tridiagonalization: the reflector of column 0 below the
+    # diagonal, x, leaves it -sign(x_0) |x| e_1, keeps entry (0, 0) and
+    # keeps the eigenvalues
+    rng = np.random.default_rng(3)
+    for d in range(2, 8):
+        a = rng.standard_normal((d, d, 8))
+        a += np.swapaxes(a, 0, 1)
+        got = a.copy()
+        _reflect(got, 1, a[1:, 0].copy())
+        want = -np.copysign(np.linalg.norm(a[1:, 0], axis=0), a[1, 0])
+        tol = 1e-14 * np.max(np.abs(a))
+        assert np.array_equal(got[0, 0], a[0, 0])
+        for column in (got[1:, 0], got[0, 1:]):
+            assert np.max(np.abs(column[0] - want)) <= tol and np.all(np.abs(column[1:]) <= tol)
+        assert np.max(np.abs(np.linalg.eigvalsh(np.moveaxis(got, 2, 0))
+                             - np.linalg.eigvalsh(np.moveaxis(a, 2, 0)))) <= 10 * tol
+
+
+def test_reflect_of_a_zero_vector_is_the_identity():
+    # a column that is already reduced, as at a repeated root where beta = 0
+    rng = np.random.default_rng(4)
+    blk = rng.standard_normal((4, 4, 5))
+    blk += np.swapaxes(blk, 0, 1)
+    before = blk.copy()
+    v = np.zeros((3, 5))
+    with np.errstate(divide="raise", invalid="raise"):
+        _reflect(blk, 1, v)
+    assert np.array_equal(blk, before) and not v.any()
 
 
 def test_mc_deterministic_given_seed():
@@ -209,6 +261,15 @@ def test_mc_agrees_with_boxplus_at_larger_degrees(d):
     for mean, se, want in zip(est.coeff_mean, est.coeff_stderr, boxplus(p, q).a):
         assert abs(mean - float(want)) <= 5 * se + 0.02
     assert all(est.passes(boxplus(p, q)))
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_pass_rule_refuses_another_degree(degree):
+    # zipping a shorter or longer exact polynomial would compare a prefix
+    p = MonicPoly.from_roots([1, -1, 2])
+    est = mc_boxplus(p, p, 1000, seed=1)
+    with pytest.raises(DimensionError):
+        est.passes(MonicPoly.from_roots(range(degree)))
 
 
 def test_mc_refuses_malformed_arguments():

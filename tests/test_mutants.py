@@ -30,3 +30,18 @@ def test_the_threshold_selections_name_every_threshold_test():
         listed = [node_id.split("::")[1] for node_id in selection]
         assert len(set(listed)) == len(listed)
         assert set(listed) == {n for n in names if any(w in n for w in words)}
+
+
+def test_every_named_test_of_a_selection_exists():
+    # a node id whose test was renamed or removed would stop the script at
+    # its unmutated run; catch it here instead
+    missing = []
+    for _, _, selection in mutants.KERNELS:
+        for node_id in selection:
+            if "::" not in node_id:
+                continue
+            path, name = node_id.split("::")
+            tree = ast.parse((mutants.ROOT / path).read_text())
+            if name not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}:
+                missing.append(node_id)
+    assert missing == []

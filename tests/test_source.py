@@ -321,9 +321,17 @@ def test_the_chain_and_the_isolation_share_one_sign_change_count():
                                        ("polynomial.py", "_sturm_counts")]
 
 
+def test_the_haar_conjugation_and_the_tridiagonalization_share_one_reflector():
+    # one Householder rank-2 update: the sampler's conjugates Q B Q^T and
+    # the reduction of each sample to tridiagonal form both apply _reflect
+    assert _readers("_reflect") == [("matrix_oracle.py", "_char_poly_batch"),
+                                    ("matrix_oracle.py", "_conjugate_batch")]
+
+
 def test_only_the_monte_carlo_oracle_reads_comb():
     # the exact core takes binomials from its Taylor shift's prefix sums;
-    # the float oracle builds its Taylor matrix from math.comb
+    # the float oracle's pass rule, MCEstimate.passes, bounds the rounding
+    # of each a_k by math.comb(d, k) R^k
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
