@@ -142,8 +142,8 @@ def test_batched_char_poly_matches_exact_faddeev_leverrier(d):
 def test_char_poly_keeps_every_coefficient_to_relative_rounding(roots, centred):
     # the exact Jacobi matrix of p, or of p centred with its mean root as
     # the shift: each a_k within 1e-13 of p's, relative to a_k itself, the
-    # small ones beside the large included; power sums with Newton's
-    # identities lose 2e-8 of a_12 on the first p uncentred
+    # small ones beside the large included (a_12 = -8.23 beside a_4 = 1669
+    # on the first p)
     p = MonicPoly.from_roots(roots)
     mean = p.a[1] / p.d if centred else 0
     got = _char_poly_batch(_jacobi(p.translate(mean))[:, :, None], float(mean))[:, 0]
@@ -293,8 +293,7 @@ def test_mc_estimate_json():
 
 
 def test_mc_centring_keeps_the_small_coefficients():
-    # a_12 = -8.23 beside a_4 = 1669: power sums of the uncentred matrix
-    # lose 2e-8 of a_12 to cancellation
+    # a_12 = -8.23 beside a_4 = 1669: each mean within 1e-10 of itself
     p = MonicPoly.from_roots([Fraction(-1, 3)] * 5 + [2] * 4 + [5] * 3)
     est = mc_boxplus(p, x_power(12), 1000)
     for mean, want in zip(est.coeff_mean, p.a):
