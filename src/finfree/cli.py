@@ -53,7 +53,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # Fixed bounds, so that a few bytes of input cannot ask for an unbounded
 # amount of work.  On a 2-vCPU host: partitions --n 30 --types prints about
 # 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows (14.4 MB) in
-# about 0.7 s with a peak RSS of about 68 MB, and each step in n costs about
+# about 0.5 s with a peak RSS of about 66 MB, and each step in n costs about
 # 5 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
 # probe's denominator, and its grid has log2(tmax) + 5 points, of which one
@@ -317,9 +317,9 @@ def _listing_text(n: int, noncrossing: bool) -> str:
     """{"n", "count", "partitions": one row per partition of P(n) or NC(n)}
     in the bytes json.dumps(..., indent=2) gives, written with the fixed row
     shape; only the label is a string, so only it goes through json's string
-    encoder.  Each block's text is made once, as sibling partitions share
-    their block tuples, and the noncrossing flag of a P(n) row is membership
-    in NC(n)."""
+    encoder.  Each block's text is made once, as the partitions of one walk
+    share their block tuples, and the noncrossing flag of a P(n) row is
+    membership in NC(n)."""
     ground = range(1, n + 1)
     text = {b: ",".join(map(str, b)) for k in ground for b in combinations(ground, k)}
     nc = {pi.blocks for pi in enumerate_noncrossing(n)}

@@ -15,11 +15,13 @@ and NC(n), and stays lazy, since the reference iterates it up to the cap; in
 NC(n) an element may only join a block that is still open, so the walk
 visits Catalan(n) leaves, not Bell(n).  Partitions are checked where outside
 data enters, in from_blocks; the walk builds them unchecked, valid by
-construction.  Each leaf costs one tuple of blocks and one bare instance:
-the parent's blocks are copied into a list once, element n takes its place
-in each open block's slot in turn, and the two fields are stored through
-their slot descriptors, with no call to __init__.  The CLI's listing
-(cli._listing_text) reads the walk lazily, one row per leaf.
+construction.  Each distinct block is built once a walk and shared by
+every partition that holds it, so a leaf costs one tuple of blocks and one
+bare instance and no block: the parent's blocks are copied into a list
+once, the extension of each open block by n takes its slot in turn, and
+the two fields are stored through their slot descriptors, with no call to
+__init__.  The CLI's listing (cli._listing_text) reads the walk lazily,
+one row per leaf.
 """
 
 from __future__ import annotations
@@ -102,36 +104,47 @@ def _partitions(n: int, noncrossing: bool):
     stays open; in NC(n) joining a block closes every block opened after it,
     since a later element of those would cross the one just placed.  The
     tree is walked depth first from one stack of (e, blocks, open labels),
-    the children pushed last-first so that they pop in order.  Element n's
-    choices are the leaves, yielded in place: the parent's blocks are copied
-    into one list once, each open block takes n in its slot in turn, and
-    each leaf is stored into a bare instance through the two slot
-    descriptors, the same unchecked store as __init__'s without its call.
+    the children pushed last-first so that they pop in order.
+
+    Each distinct block is built once a walk: grown[e] maps a block b to
+    the one tuple b + (e,) that every node and leaf placing e in b shares,
+    and single[e] is the one ((e,),) that opens a block.  The dicts hold at
+    most 2^n - 1 blocks and go with the generator.  Element n's choices are
+    the leaves, yielded in place: the parent's blocks are copied into one
+    list once, each open block's extension takes its slot in turn, and each
+    leaf is stored into a bare instance through the two slot descriptors,
+    the same unchecked store as __init__'s without its call.
     """
     _check_cap(n)
     new, set_n, set_blocks = _new, SetPartition.n.__set__, SetPartition.blocks.__set__
+    single = [((e,),) for e in range(n + 1)]
+    grown = [{} for _ in single]
     stack = [(1, (), ())]
     pop, push = stack.pop, stack.append
     while stack:
         e, blocks, open_ = pop()
+        grow = grown[e]
         if e == n:
             row = list(blocks)
             for lab in open_:
-                row[lab] = blocks[lab] + (n,)
+                b = blocks[lab]
+                row[lab] = grow.get(b) or grow.setdefault(b, b + (n,))
                 pi = new(SetPartition)
                 set_n(pi, n)
                 set_blocks(pi, tuple(row))
                 yield pi
-                row[lab] = blocks[lab]
+                row[lab] = b
             pi = new(SetPartition)
             set_n(pi, n)
-            set_blocks(pi, blocks + ((n,),))
+            set_blocks(pi, blocks + single[n])
             yield pi
             continue
-        push((e + 1, blocks + ((e,),), open_ + (len(blocks),)))
+        push((e + 1, blocks + single[e], open_ + (len(blocks),)))
         for k in range(len(open_) - 1, -1, -1):
             lab = open_[k]
-            joined = blocks[:lab] + (blocks[lab] + (e,),) + blocks[lab + 1 :]
+            b = blocks[lab]
+            ext = grow.get(b) or grow.setdefault(b, b + (e,))
+            joined = blocks[:lab] + (ext,) + blocks[lab + 1 :]
             push((e + 1, joined, open_[: k + 1] if noncrossing else open_))
 
 

@@ -1,7 +1,8 @@
 """Mutation check for the exact series kernels, the free side's Lagrange
-step, boxplus, the threshold search with its power family, the Sturm
-chain, the squarefree certificate and the continued-fraction isolation, the
-Monte Carlo oracle's exact input path, its characteristic polynomials and
+step, boxplus, the threshold search with its power family, the exact PSD
+elimination behind the conditional-PSD test, the Sturm chain, the
+squarefree certificate and the continued-fraction isolation, the Monte
+Carlo oracle's exact input path, its characteristic polynomials and
 Householder reflector, and the set partition walk with the values and the
 listing built on it.
 
@@ -126,6 +127,14 @@ CHAR_POLY_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
 PARTITION_TESTS = ["tests/test_cli.py::test_partitions_listing_is_json_dumps_of_its_rows",
                    "tests/test_acceptance.py::test_criterion_09_partition_counts",
                    "tests/test_partitions.py"]
+# the exact PSD elimination behind the conditional-PSD test: its direct
+# examples first, then the CPD answers on known and constructed input, the
+# verdicts that read them and acceptance criterion 10
+CPD_TESTS = [DIV + t for t in (
+    "test_psd_core", "test_cpd_examples", "test_cpd_known_by_construction",
+    "test_id_verdict_matches_flag_and_cpd_is_necessary",
+    "test_rescaled_cpd_implies_standard_cpd")] + [
+    "tests/test_acceptance.py::test_criterion_10_infinite_divisibility"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -139,13 +148,13 @@ MAX_ADDRESS_SPACE = 2**31
 # helper, the weights, the two callers that build Fractions from their
 # integers, the scaling that reads plain coefficients off the series, the
 # free side's Lagrange step with its two directions, boxplus, the
-# threshold search with its power family, the Sturm chain with the counts
-# read off it, the squarefree certificate, the isolation with its shift,
-# root bound and sign changes, the oracle's Jacobi matrix with the
-# MonicPoly methods (matched by their plain names) that build and centre
-# its input, the oracle's characteristic polynomials with the reflector
-# they share with its Haar conjugates, and the partition walk with the
-# Moebius values, type counts and listing writer that read it
+# threshold search with its power family, the exact PSD elimination, the
+# Sturm chain with the counts read off it, the squarefree certificate, the
+# isolation with its shift, root bound and sign changes, the oracle's
+# Jacobi matrix with the MonicPoly methods (matched by their plain names)
+# that build and centre its input, the oracle's characteristic polynomials
+# with the reflector they share with its Haar conjugates, and the partition
+# walk with the Moebius values, type counts and listing writer that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -159,6 +168,7 @@ KERNELS = [
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),
     ("convolution.py", "boxplus", BOXPLUS_TESTS),
     ("divisibility.py", "real_rooted_threshold", THRESHOLD_TESTS),
+    ("divisibility.py", "_exact_psd", CPD_TESTS),
     ("convolution.py", "_power_family", POWER_TESTS),
     ("polynomial.py", "_remainder", STURM_TESTS),
     ("polynomial.py", "_sturm_chain", STURM_TESTS),

@@ -49,6 +49,11 @@ def test_psd_core():
     assert not _exact_psd([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
     assert _exact_psd([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert not _exact_psd([[Fraction(-1)]])
+    # rank one v v^T with a zero in v: PSD only if each Schur complement
+    # entry subtracts the product of its own row's and column's first
+    # entries, after which a zero pivot meets a zero row
+    for v in ((1, 0, 1), (1, 1, 0)):
+        assert _exact_psd([[Fraction(x * y) for y in v] for x in v])
 
 
 def test_cpd_examples():

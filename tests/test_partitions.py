@@ -126,6 +126,16 @@ def test_walk_leaves_are_the_checked_constructors_values(noncrossing):
             assert back == checked and hash(back) == hash(checked)
 
 
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_walk_builds_each_block_once(noncrossing):
+    # every leaf of one walk that holds a block holds the same tuple object:
+    # with the leaves alive, no two blocks share an id, so one id per value
+    for n in range(1, 9):
+        leaves = list(partitions._partitions(n, noncrossing))
+        blocks = [b for pi in leaves for b in pi.blocks]
+        assert len({id(b) for b in blocks}) == len(set(blocks)) == 2**n - 1
+
+
 def test_set_partition_is_a_frozen_slotted_value():
     pi = enumerate_partitions(5)[17]
     with pytest.raises(AttributeError):
