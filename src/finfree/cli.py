@@ -27,6 +27,7 @@ from .errors import FinFreeError, InputFormatError, SizeCapError
 from .families import finite_poisson, hermite_clt
 from .freeprob import FreeCumulantVector, convergence_report
 from .partitions import (
+    SetPartition,
     _partitions,
     count_by_type,
     enumerate_noncrossing,
@@ -34,13 +35,12 @@ from .partitions import (
     mobius_from_zero,
     mobius_of_type,
 )
-from .polynomial import MomentSequence, MonicPoly
+from .polynomial import MomentSequence, MonicPoly, moments
 from .transforms import (
     CumulantVector,
     coefficients_from_cumulants,
     coefficients_from_moments,
     cumulants_from_coefficients,
-    moments_from_coefficients,
     rescale_cumulants,
     truncated_r_transform,
 )
@@ -53,7 +53,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # Fixed bounds, so that a few bytes of input cannot ask for an unbounded
 # amount of work.  On a 2-vCPU host: partitions --n 30 --types prints about
 # 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows (14.4 MB) in
-# about 0.5 s with a peak RSS of about 66 MB, and each step in n costs about
+# about 0.45 s with a peak RSS of about 66 MB, and each step in n costs about
 # 5 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
 # probe's denominator, and its grid has log2(tmax) + 5 points, of which one
@@ -194,7 +194,7 @@ def _cmd_cumulants(ns):
 
 def _cmd_moments(ns):
     _check_bound(ns.N, MAX_MOMENTS, "--N", "the bound MAX_MOMENTS")
-    return moments_from_coefficients(_poly_from_args(ns), ns.N).to_json()
+    return moments(_poly_from_args(ns), ns.N).to_json()
 
 
 def _cmd_coeffs(ns):
@@ -317,15 +317,21 @@ def _listing_text(n: int, noncrossing: bool) -> str:
     """{"n", "count", "partitions": one row per partition of P(n) or NC(n)}
     in the bytes json.dumps(..., indent=2) gives, written with the fixed row
     shape; only the label is a string, so only it goes through json's string
-    encoder.  Each block's text is made once, as the partitions of one walk
-    share their block tuples, and the noncrossing flag of a P(n) row is
-    membership in NC(n)."""
+    encoder.  Each block's text and Moebius factor are made once, as the
+    partitions of one walk share their block tuples, and the noncrossing
+    flag of a P(n) row is membership in NC(n)."""
     ground = range(1, n + 1)
-    text = {b: ",".join(map(str, b)) for k in ground for b in combinations(ground, k)}
+    text, factor = {}, {}
+    for k in ground:
+        # mu(0_n, pi) is the product of mu(0_|V|, 1_|V|) over the blocks V
+        mu = mobius_from_zero(SetPartition.from_blocks(k, [range(1, k + 1)]))
+        for b in combinations(ground, k):
+            text[b] = ",".join(map(str, b))
+            factor[b] = mu
     nc = {pi.blocks for pi in enumerate_noncrossing(n)}
-    label = text.__getitem__
+    label, mobius = text.__getitem__, factor.__getitem__
     rows = [_ROW % (encode_basestring_ascii("{%s}" % "|".join(map(label, pi.blocks))),
-                    len(pi.blocks), mobius_from_zero(pi),
+                    len(pi.blocks), math.prod(map(mobius, pi.blocks)),
                     "true" if pi.blocks in nc else "false")
             for pi in _partitions(n, noncrossing)]
     return '{\n  "n": %d,\n  "count": %d,\n  "partitions": [\n%s\n  ]\n}' % (

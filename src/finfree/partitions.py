@@ -17,11 +17,15 @@ visits Catalan(n) leaves, not Bell(n).  Partitions are checked where outside
 data enters, in from_blocks; the walk builds them unchecked, valid by
 construction.  Each distinct block is built once a walk and shared by
 every partition that holds it, so a leaf costs one tuple of blocks and one
-bare instance and no block: the parent's blocks are copied into a list
-once, the extension of each open block by n takes its slot in turn, and
-the two fields are stored through their slot descriptors, with no call to
-__init__.  The CLI's listing (cli._listing_text) reads the walk lazily,
-one row per leaf.
+bare instance and no block.  The last two elements are placed in one
+frame, so no node that places n reaches the stack: a node that places
+n - 1 copies its blocks into a list once, each choice of n - 1 and then
+each choice of n takes its slot in turn, and the two fields are stored
+through their slot descriptors, with no call to __init__.  The CLI's
+listing (cli._listing_text) reads the walk lazily, one row per leaf.
+iter_types builds partition types the same way, each from one running
+count list, unchecked; PartitionType's __init__ and from_sizes check
+outside data.
 """
 
 from __future__ import annotations
@@ -109,35 +113,58 @@ def _partitions(n: int, noncrossing: bool):
     Each distinct block is built once a walk: grown[e] maps a block b to
     the one tuple b + (e,) that every node and leaf placing e in b shares,
     and single[e] is the one ((e,),) that opens a block.  The dicts hold at
-    most 2^n - 1 blocks and go with the generator.  Element n's choices are
-    the leaves, yielded in place: the parent's blocks are copied into one
-    list once, each open block's extension takes its slot in turn, and each
+    most 2^n - 1 blocks and go with the generator.
+
+    A node that places n - 1 yields its grandchildren, the leaves, in its
+    own frame, so P(8) pushes 279 nodes, not 1,156, and NC(8) 197, not 626.
+    Its blocks are copied into one row list once; each choice of n - 1 (each
+    open block's extension in order, then the new block (n - 1,)) takes its
+    slot in the row, each choice of n then takes its slot in turn, and each
     leaf is stored into a bare instance through the two slot descriptors,
-    the same unchecked store as __init__'s without its call.
+    the same unchecked store as __init__'s without its call.  For n = 1 the
+    one leaf is yielded directly.
     """
     _check_cap(n)
     new, set_n, set_blocks = _new, SetPartition.n.__set__, SetPartition.blocks.__set__
     single = [((e,),) for e in range(n + 1)]
     grown = [{} for _ in single]
+    if n == 1:
+        pi = new(SetPartition)
+        set_n(pi, 1)
+        set_blocks(pi, single[1])
+        yield pi
+        return
+    last, grow_n, single_n = n - 1, grown[n], single[n]
     stack = [(1, (), ())]
     pop, push = stack.pop, stack.append
     while stack:
         e, blocks, open_ = pop()
         grow = grown[e]
-        if e == n:
+        if e == last:
             row = list(blocks)
-            for lab in open_:
-                b = blocks[lab]
-                row[lab] = grow.get(b) or grow.setdefault(b, b + (n,))
+            new_lab = len(blocks)
+            for k, lab in enumerate(open_ + (new_lab,)):
+                if lab < new_lab:
+                    b = blocks[lab]
+                    row[lab] = grow.get(b) or grow.setdefault(b, b + (e,))
+                    reach = open_[: k + 1] if noncrossing else open_
+                else:
+                    row.append(single[e][0])
+                    reach = open_ + (lab,)
+                for j in reach:
+                    c = row[j]
+                    row[j] = grow_n.get(c) or grow_n.setdefault(c, c + (n,))
+                    pi = new(SetPartition)
+                    set_n(pi, n)
+                    set_blocks(pi, tuple(row))
+                    yield pi
+                    row[j] = c
                 pi = new(SetPartition)
                 set_n(pi, n)
-                set_blocks(pi, tuple(row))
+                set_blocks(pi, tuple(row) + single_n)
                 yield pi
-                row[lab] = b
-            pi = new(SetPartition)
-            set_n(pi, n)
-            set_blocks(pi, blocks + single[n])
-            yield pi
+                if lab < new_lab:
+                    row[lab] = b
             continue
         push((e + 1, blocks + single[e], open_ + (len(blocks),)))
         for k in range(len(open_) - 1, -1, -1):
@@ -227,17 +254,41 @@ def count_by_type(t: PartitionType, mode: str = "all") -> int:
 
 
 def iter_types(n: int):
-    """All partition types of n (integer partitions of n), deterministic order."""
+    """All partition types of n (integer partitions of n), deterministic order:
+    the descending size lists in descending lexicographic order, from (n) to
+    (1, ..., 1).
+
+    One running count list r is walked: the next type removes one part s,
+    the least above 1, and refills the freed weight (s plus the ones)
+    greedily with parts of size s - 1.  Each type is valid by construction,
+    so it is stored into a bare instance through the slot descriptors, as
+    the partition walk's leaves are; from_sizes and __init__ check outside
+    data.
+    """
     _check_size(n)
+    new, set_n, set_r = _new, PartitionType.n.__set__, PartitionType.r.__set__
 
-    def rec(remaining, max_part, sizes):
-        if remaining == 0:
-            yield PartitionType.from_sizes(n, sizes)
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            yield from rec(remaining - part, part, sizes + [part])
+    def walk():
+        r = [0] * n
+        r[n - 1] = 1
+        while True:
+            t = new(PartitionType)
+            set_n(t, n)
+            set_r(t, tuple(r))
+            yield t
+            for s in range(2, n + 1):
+                if r[s - 1]:
+                    break
+            else:
+                return
+            r[s - 1] -= 1
+            q, rem = divmod(s + r[0], s - 1)
+            r[0] = 0
+            r[s - 2] += q
+            if rem:
+                r[rem - 1] += 1
 
-    return rec(n, n, [])
+    return walk()
 
 
 def enumerate_noncrossing(n: int) -> list:

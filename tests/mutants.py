@@ -121,8 +121,8 @@ CHAR_POLY_TESTS = ["tests/test_matrix_oracle.py::" + t for t in (
     "test_mc_identical_samples_have_no_spread", "test_mc_centring_keeps_the_small_coefficients",
     "test_pass_rule_on_zero_spread_pairs", "test_mc_agrees_with_boxplus_at_larger_degrees",
     "test_mc_refuses_what_leaves_the_float_range")]
-# the partition walk, its Moebius values and type counts, and the CLI's
-# listing writer: the writer's bytes against json.dumps and criterion 09
+# the partition walk, its Moebius values, types and type counts, and the
+# CLI's listing writer: the writer's bytes against json.dumps and criterion 09
 # first, then the walk's counts, order and values
 PARTITION_TESTS = ["tests/test_cli.py::test_partitions_listing_is_json_dumps_of_its_rows",
                    "tests/test_acceptance.py::test_criterion_09_partition_counts",
@@ -154,7 +154,8 @@ MAX_ADDRESS_SPACE = 2**31
 # Jacobi matrix with the MonicPoly methods (matched by their plain names)
 # that build and centre its input, the oracle's characteristic polynomials
 # with the reflector they share with its Haar conjugates, and the partition
-# walk with the Moebius values, type counts and listing writer that read it
+# walk with the Moebius values, type counts, type walk and listing writer
+# that read it
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -187,6 +188,7 @@ KERNELS = [
     ("partitions.py", "_partitions", PARTITION_TESTS),
     ("partitions.py", "mobius_from_zero", PARTITION_TESTS),
     ("partitions.py", "count_by_type", PARTITION_TESTS),
+    ("partitions.py", "iter_types", PARTITION_TESTS),
     ("cli.py", "_listing_text", PARTITION_TESTS),
 ]
 

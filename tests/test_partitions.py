@@ -276,6 +276,32 @@ def test_type_counts_both_formulas():
         assert sum(count_by_type(t, "all") for t in iter_types(n)) == BELL[n]
 
 
+def brute_integer_partitions(n):
+    """The integer partitions of n as descending size tuples, in descending
+    lexicographic order: every multiset of k parts that sums to n (no part of
+    which exceeds n - k + 1), sorted."""
+    found = [tuple(sorted(c, reverse=True))
+             for k in range(1, n + 1)
+             for c in itertools.combinations_with_replacement(range(1, n - k + 2), k)
+             if sum(c) == n]
+    return sorted(found, reverse=True)
+
+
+def test_iter_types_are_the_integer_partitions_in_order():
+    # each type, stored without __init__, is the value from_sizes builds
+    # from its sizes: equal, hashed, pickled and shown alike
+    for n in range(1, 13):
+        types = list(iter_types(n))
+        assert [t.sizes() for t in types] == brute_integer_partitions(n)
+        for t in types:
+            checked = PartitionType.from_sizes(n, t.sizes())
+            assert type(t) is PartitionType and t == checked
+            assert type(t.r) is tuple and len(t.r) == n
+            assert hash(t) == hash(checked) and repr(t) == repr(checked)
+            back = pickle.loads(pickle.dumps(t))
+            assert back == checked and hash(back) == hash(checked)
+
+
 def test_type_count_closed_forms():
     for n in range(1, 10):
         for t in iter_types(n):
