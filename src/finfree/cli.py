@@ -53,7 +53,7 @@ _EXIT_CODES = ((InputFormatError, 3), (SizeCapError, 4), (FinFreeError, 5))
 # Fixed bounds, so that a few bytes of input cannot ask for an unbounded
 # amount of work.  On a 2-vCPU host: partitions --n 30 --types prints about
 # 1.4 MB; partitions --n 10 lists Bell(10) = 115975 rows (14.4 MB) in
-# about 0.45 s with a peak RSS of about 66 MB, and each step in n costs about
+# about 0.35 s with a peak RSS of about 66 MB, and each step in n costs about
 # 5 times more; moments --roots 1,-1/3 --N 1000
 # prints 0.5 MB in 0.3 s; each bisection step of threshold doubles the
 # probe's denominator, and its grid has log2(tmax) + 5 points, of which one
@@ -319,7 +319,7 @@ def _listing_text(n: int, noncrossing: bool) -> str:
     shape; only the label is a string, so only it goes through json's string
     encoder.  Each block's text and Moebius factor are made once, as the
     partitions of one walk share their block tuples, and the noncrossing
-    flag of a P(n) row is membership in NC(n)."""
+    flag of a P(n) row is membership in NC(n); every NC(n) row's is true."""
     ground = range(1, n + 1)
     text, factor = {}, {}
     for k in ground:
@@ -328,11 +328,11 @@ def _listing_text(n: int, noncrossing: bool) -> str:
         for b in combinations(ground, k):
             text[b] = ",".join(map(str, b))
             factor[b] = mu
-    nc = {pi.blocks for pi in enumerate_noncrossing(n)}
+    nc = None if noncrossing else {pi.blocks for pi in enumerate_noncrossing(n)}
     label, mobius = text.__getitem__, factor.__getitem__
     rows = [_ROW % (encode_basestring_ascii("{%s}" % "|".join(map(label, pi.blocks))),
                     len(pi.blocks), math.prod(map(mobius, pi.blocks)),
-                    "true" if pi.blocks in nc else "false")
+                    "true" if nc is None or pi.blocks in nc else "false")
             for pi in _partitions(n, noncrossing)]
     return '{\n  "n": %d,\n  "count": %d,\n  "partitions": [\n%s\n  ]\n}' % (
         n, len(rows), ",\n".join(rows))

@@ -38,6 +38,7 @@ from .partitions import (
     PartitionType,
     SetPartition,
     _check_cap,
+    _check_size,
     _partitions,
     count_by_type,
     enumerate_noncrossing,
@@ -60,12 +61,14 @@ JOIN_FORM_SIGN = -1
 
 def zero_partition(n: int) -> SetPartition:
     """0_n, the all-singletons partition."""
-    return SetPartition(n, tuple((i,) for i in range(1, n + 1)))
+    _check_size(n)
+    return SetPartition(tuple((i,) for i in range(1, n + 1)))
 
 
 def one_partition(n: int) -> SetPartition:
     """1_n, the single-block partition."""
-    return SetPartition(n, (tuple(range(1, n + 1)),))
+    _check_size(n)
+    return SetPartition((tuple(range(1, n + 1)),))
 
 
 def rgs_strings(n: int):

@@ -20,12 +20,13 @@ every partition that holds it, so a leaf costs one tuple of blocks and one
 bare instance and no block.  The last two elements are placed in one
 frame, so no node that places n reaches the stack: a node that places
 n - 1 copies its blocks into a list once, each choice of n - 1 and then
-each choice of n takes its slot in turn, and the two fields are stored
-through their slot descriptors, with no call to __init__.  The CLI's
-listing (cli._listing_text) reads the walk lazily, one row per leaf.
-iter_types builds partition types the same way, each from one running
-count list, unchecked; PartitionType's __init__ and from_sizes check
-outside data.
+each choice of n takes its slot in turn, and the one field, the blocks,
+is stored through its slot descriptor, with no call to __init__.  A
+partition stores only its blocks and a type only its counts; the ground-set
+size n is derived from them.  The CLI's listing (cli._listing_text) reads
+the walk lazily, one row per leaf.  iter_types builds partition types the
+same way, each from one running count list, unchecked; PartitionType's
+__init__ and from_sizes check outside data.
 """
 
 from __future__ import annotations
@@ -52,29 +53,32 @@ def _check_cap(n: int) -> None:
 
 
 class SetPartition(Value):
-    """A partition of {1..n} in canonical form.
+    """A partition of {1..n} in canonical form, stored as its blocks alone.
 
     blocks are sorted internally and ordered by least element, so equal
-    partitions compare equal and hash equally.  The bare constructor trusts
-    its arguments, as the walk's leaves, stored without it, are valid by
-    construction; outside data enters through from_blocks, which checks it.
+    partitions compare equal and hash equally; n is the total size of the
+    blocks.  The bare constructor trusts its argument, as the walk's leaves,
+    stored without it, are valid by construction; outside data enters
+    through from_blocks, which checks it against the claimed n.
     """
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("blocks",)
 
-    def __init__(self, n: int, blocks: tuple):
-        _store(self, "n", n)
+    def __init__(self, blocks: tuple):
         _store(self, "blocks", blocks)
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self.blocks))
 
     @classmethod
     def from_blocks(cls, n, blocks) -> "SetPartition":
         """Check that n >= 1 and the elements are integers and that the
         blocks are nonempty and cover {1..n} exactly once."""
-        blocks = [tuple(b) for b in blocks]
-        if not all(type(x) is int for x in [n] + [e for b in blocks for e in b]):
-            raise InputFormatError(
-                "n %.80r or an element of %.80r is not an int" % (n, blocks))
         _check_size(n)
+        blocks = [tuple(b) for b in blocks]
+        if not all(type(e) is int for b in blocks for e in b):
+            raise InputFormatError("an element of %.80r is not an int" % (blocks,))
         canon = sorted(tuple(sorted(b)) for b in blocks)
         elements = sorted(e for b in canon for e in b)
         # lengths first: n may be far larger than the blocks
@@ -82,7 +86,7 @@ class SetPartition(Value):
             raise InputFormatError(
                 "blocks %.80r do not cover {1..%d} exactly once" % (canon, n)
             )
-        return cls(n, tuple(canon))
+        return cls(tuple(canon))
 
     def labels(self) -> list:
         """labels()[e] is the block index of element e (index 0 unused)."""
@@ -120,17 +124,16 @@ def _partitions(n: int, noncrossing: bool):
     Its blocks are copied into one row list once; each choice of n - 1 (each
     open block's extension in order, then the new block (n - 1,)) takes its
     slot in the row, each choice of n then takes its slot in turn, and each
-    leaf is stored into a bare instance through the two slot descriptors,
-    the same unchecked store as __init__'s without its call.  For n = 1 the
-    one leaf is yielded directly.
+    leaf's blocks are stored into a bare instance through the slot
+    descriptor, the same unchecked store as __init__'s without its call.
+    For n = 1 the one leaf is yielded directly.
     """
     _check_cap(n)
-    new, set_n, set_blocks = _new, SetPartition.n.__set__, SetPartition.blocks.__set__
+    new, set_blocks = _new, SetPartition.blocks.__set__
     single = [((e,),) for e in range(n + 1)]
     grown = [{} for _ in single]
     if n == 1:
         pi = new(SetPartition)
-        set_n(pi, 1)
         set_blocks(pi, single[1])
         yield pi
         return
@@ -155,12 +158,10 @@ def _partitions(n: int, noncrossing: bool):
                     c = row[j]
                     row[j] = grow_n.get(c) or grow_n.setdefault(c, c + (n,))
                     pi = new(SetPartition)
-                    set_n(pi, n)
                     set_blocks(pi, tuple(row))
                     yield pi
                     row[j] = c
                 pi = new(SetPartition)
-                set_n(pi, n)
                 set_blocks(pi, tuple(row) + single_n)
                 yield pi
                 if lab < new_lab:
@@ -186,21 +187,23 @@ def mobius_from_zero(pi: SetPartition) -> int:
 
 
 class PartitionType(Value):
-    """r[i-1] = number of blocks of size i; sum of i*r_i is n."""
+    """r[i-1] = number of blocks of size i, stored as the counts alone; n is
+    len(r), and the weight, the sum of i*r_i, is n."""
 
-    __slots__ = ("n", "r")
+    __slots__ = ("r",)
 
-    def __init__(self, n: int, r):
-        _check_size(n)
-        if not (isinstance(r, (list, tuple)) and all(type(x) is int for x in r)):
+    def __init__(self, r):
+        if not (isinstance(r, (list, tuple)) and r
+                and all(type(x) is int and x >= 0 for x in r)
+                and sum(i * x for i, x in enumerate(r, start=1)) == len(r)):
             raise InputFormatError(
-                "type vector must be a list or tuple of ints, got %.80r" % (r,))
-        if len(r) != n or any(x < 0 for x in r):
-            raise InputFormatError("type vector must have length n, entries >= 0")
-        if sum((i + 1) * x for i, x in enumerate(r)) != n:
-            raise InputFormatError("type vector does not weigh n")
-        _store(self, "n", n)
+                "type vector must be a nonempty list or tuple of ints >= 0 "
+                "whose weight is its length, got %.80r" % (r,))
         _store(self, "r", tuple(r))
+
+    @property
+    def n(self) -> int:
+        return len(self.r)
 
     @classmethod
     def from_sizes(cls, n, sizes) -> "PartitionType":
@@ -213,7 +216,7 @@ class PartitionType(Value):
                 raise InputFormatError(
                     "block size %.80r is not an int in 1..%d" % (s, n))
             r[s - 1] += 1
-        return cls(n, r)
+        return cls(r)
 
     @property
     def num_blocks(self) -> int:
@@ -261,19 +264,18 @@ def iter_types(n: int):
     One running count list r is walked: the next type removes one part s,
     the least above 1, and refills the freed weight (s plus the ones)
     greedily with parts of size s - 1.  Each type is valid by construction,
-    so it is stored into a bare instance through the slot descriptors, as
-    the partition walk's leaves are; from_sizes and __init__ check outside
-    data.
+    so its counts are stored into a bare instance through the slot
+    descriptor, as the partition walk's leaves are; from_sizes and __init__
+    check outside data.
     """
     _check_size(n)
-    new, set_n, set_r = _new, PartitionType.n.__set__, PartitionType.r.__set__
+    new, set_r = _new, PartitionType.r.__set__
 
     def walk():
         r = [0] * n
         r[n - 1] = 1
         while True:
             t = new(PartitionType)
-            set_n(t, n)
             set_r(t, tuple(r))
             yield t
             for s in range(2, n + 1):

@@ -4,7 +4,7 @@ elimination behind the conditional-PSD test, the Sturm chain, the
 squarefree certificate and the continued-fraction isolation, the Monte
 Carlo oracle's exact input path, its characteristic polynomials and
 Householder reflector, and the set partition walk with the values and the
-listing built on it.
+listing built on it, and the partition values' checked constructors.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -155,7 +155,8 @@ MAX_ADDRESS_SPACE = 2**31
 # that build and centre its input, the oracle's characteristic polynomials
 # with the reflector they share with its Haar conjugates, and the partition
 # walk with the Moebius values, type counts, type walk and listing writer
-# that read it
+# that read it, and the partition values' checked constructors and derived
+# ground-set size n (methods of both classes, matched by their plain names)
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -189,6 +190,10 @@ KERNELS = [
     ("partitions.py", "mobius_from_zero", PARTITION_TESTS),
     ("partitions.py", "count_by_type", PARTITION_TESTS),
     ("partitions.py", "iter_types", PARTITION_TESTS),
+    ("partitions.py", "__init__", PARTITION_TESTS),
+    ("partitions.py", "from_blocks", PARTITION_TESTS),
+    ("partitions.py", "from_sizes", PARTITION_TESTS),
+    ("partitions.py", "n", PARTITION_TESTS),
     ("cli.py", "_listing_text", PARTITION_TESTS),
 ]
 

@@ -136,6 +136,37 @@ def test_walk_builds_each_block_once(noncrossing):
         assert len({id(b) for b in blocks}) == len(set(blocks)) == 2**n - 1
 
 
+@pytest.mark.parametrize("noncrossing", [False, True])
+def test_walk_leaves_derive_n_from_their_blocks(noncrossing):
+    # a leaf stores its blocks alone; its n is their total size, which is
+    # the largest element of the ground set {1..n}
+    for n in range(1, 9):
+        for pi in partitions._partitions(n, noncrossing):
+            assert pi.n == max(max(b) for b in pi.blocks) == n
+            assert len(pi.labels()) == n + 1
+
+
+def test_partition_values_store_only_what_fixes_n():
+    assert SetPartition.__slots__ == ("blocks",)
+    assert PartitionType.__slots__ == ("r",)
+    pi = SetPartition.from_blocks(3, [[1, 3], [2]])
+    t = PartitionType.from_sizes(3, [2, 1])
+    assert (pi.n, t.n) == (3, 3)
+    for v in (pi, t):
+        with pytest.raises(AttributeError):
+            v.n = 4
+        with pytest.raises(AttributeError):
+            del v.n
+        assert v.n == 3 and not hasattr(v, "__dict__")
+
+
+@pytest.mark.parametrize("n", [0, -2, True, 2.0])
+def test_zero_and_one_partition_refuse_a_bad_ground_set_size(n):
+    for make in (zero_partition, one_partition):
+        with pytest.raises(InputFormatError, match="ground-set size"):
+            make(n)
+
+
 def test_set_partition_is_a_frozen_slotted_value():
     pi = enumerate_partitions(5)[17]
     with pytest.raises(AttributeError):
@@ -252,15 +283,15 @@ def test_from_sizes_refuses_a_size_outside_1_to_n(sizes):
                                (1, 1, Fraction(0)), "300"])
 def test_partition_type_refuses_entries_that_are_not_ints(r):
     with pytest.raises(InputFormatError, match="list or tuple of ints"):
-        PartitionType(3, r)
+        PartitionType(r)
 
 
 def test_partition_type_stores_a_list_as_a_tuple():
     # so the type hashes and compares by value
-    t = PartitionType(2, [0, 1])
+    t = PartitionType([0, 1])
     assert t.r == (0, 1) and type(t.r) is tuple
-    assert t == PartitionType(2, (0, 1)) and hash(t) == hash(PartitionType(2, (0, 1)))
-    assert PartitionType.from_sizes(3, [2, 1]) == PartitionType(3, (1, 1, 0))
+    assert t == PartitionType((0, 1)) and hash(t) == hash(PartitionType((0, 1)))
+    assert PartitionType.from_sizes(3, [2, 1]) == PartitionType((1, 1, 0))
 
 
 def test_type_counts_both_formulas():
@@ -300,6 +331,11 @@ def test_iter_types_are_the_integer_partitions_in_order():
             assert hash(t) == hash(checked) and repr(t) == repr(checked)
             back = pickle.loads(pickle.dumps(t))
             assert back == checked and hash(back) == hash(checked)
+
+
+def test_iter_types_derive_n_from_their_counts():
+    for n in range(1, 13):
+        assert {t.n for t in iter_types(n)} == {n}
 
 
 def test_type_count_closed_forms():
@@ -353,19 +389,26 @@ def test_partition_validation():
                       (True, [[1]]), (2, [[1, "2"]])):
         with pytest.raises(InputFormatError):
             SetPartition.from_blocks(n, blocks)
-    # a type vector has n entries >= 0 that weigh n, and a count has two modes
+    # a type vector has entries >= 0 that weigh its length, and a count has
+    # two modes
+    refused = ("type vector must be a nonempty list or tuple of ints >= 0 "
+               "whose weight is its length, got ")
     for make, message in (
-            (lambda: PartitionType(3, (1, 1)), "type vector must have length n, entries >= 0"),
-            (lambda: PartitionType(3, (4, -1, 1)), "type vector must have length n, entries >= 0"),
-            (lambda: PartitionType(3, (1, 0, 1)), "type vector does not weigh n"),
-            (lambda: count_by_type(PartitionType(3, (3, 0, 0)), "crossing"),
+            (lambda: PartitionType((1, 1)), refused + "(1, 1)"),
+            (lambda: PartitionType((4, -1, 1)), refused + "(4, -1, 1)"),
+            (lambda: PartitionType((1, 0, 1)), refused + "(1, 0, 1)"),
+            (lambda: count_by_type(PartitionType((3, 0, 0)), "crossing"),
              "mode must be 'all' or 'noncrossing'")):
         with pytest.raises(InputFormatError) as caught:
             make()
         assert str(caught.value) == message
     # the ground set {1..n} is never empty, as the walks require
     for make in (lambda: SetPartition.from_blocks(0, []),
-                 lambda: SetPartition.from_blocks(-1, []), lambda: PartitionType(0, ()),
+                 lambda: SetPartition.from_blocks(-1, []),
+                 lambda: PartitionType.from_sizes(0, []),
+                 lambda: PartitionType.from_sizes(True, [1]),
                  lambda: iter_types(0), lambda: iter_types(-1)):
         with pytest.raises(InputFormatError, match="ground-set size"):
             make()
+    with pytest.raises(InputFormatError, match="nonempty"):
+        PartitionType(())

@@ -23,8 +23,8 @@ def _samples():
     p = MonicPoly.from_roots([-1, 0, 1])
     return [
         (VarPoly("s", [1, "1/2"]), ("var", "coeffs")),
-        (SetPartition.from_blocks(3, [[3, 1], [2]]), ("n", "blocks")),
-        (PartitionType(3, [1, 1, 0]), ("n", "r")),
+        (SetPartition.from_blocks(3, [[3, 1], [2]]), ("blocks",)),
+        (PartitionType([1, 1, 0]), ("r",)),
         (p, ("d", "a")),
         (MomentSequence(["0", "2/3"], degree_context=3), ("entries", "degree_context")),
         (CumulantVector(3, [0, 1, "1/3"], variant="rescaled"), ("d", "kappa", "variant")),
@@ -117,7 +117,7 @@ def test_checked_types_take_their_fields_by_keyword():
     assert CumulantVector(d=1, kappa=[5], variant="rescaled").variant == "rescaled"
     assert CumulantVector(1, [5]).variant == "standard"
     assert MonicPoly(a=[1, 2], d=1) == MonicPoly.from_signed([1, 2])
-    assert SetPartition(n=1, blocks=((1,),)) == SetPartition.from_blocks(1, [[1]])
-    assert PartitionType(n=2, r=(0, 1)).sizes() == (2,)
+    assert SetPartition(blocks=((1,),)) == SetPartition.from_blocks(1, [[1]])
+    assert PartitionType(r=(0, 1)).sizes() == (2,)
     assert VarPoly(var="t", coeffs=[0, 1, 0]).coeffs == (0, 1)
     assert FreeCumulantVector(entries=["1/2"]).entries == (Fraction(1, 2),)
