@@ -229,7 +229,7 @@ def cramer_counterexample(d: int, eps) -> CramerPair:
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     kappa = (0, 1, eps) + (0,) * (d - 3)
-    p_plus = coefficients_from_cumulants(CumulantVector(d, kappa))
+    p_plus = coefficients_from_cumulants(CumulantVector(kappa))
     p_minus = p_plus.dilate(-1)
     real = is_real_rooted(p_plus) == "yes"
     return CramerPair(p_plus, p_minus, boxplus(p_plus, p_minus), real, real)

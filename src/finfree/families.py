@@ -28,7 +28,7 @@ def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
         raise InputFormatError("degree must be >= 1")
     v = Fraction(d - 1, d) if marcus_scaling else 1
     kappa = (0, v) + (0,) * (d - 2)
-    return coefficients_from_cumulants(CumulantVector(d, kappa[:d]))
+    return coefficients_from_cumulants(CumulantVector(kappa[:d]))
 
 
 def finite_poisson(lam, d: int) -> MonicPoly:
@@ -46,7 +46,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
         raise DomainError(
             "d*lambda must be a positive integer, got %s" % dlam
         )
-    return coefficients_from_cumulants(CumulantVector(d, (lam,) * d))
+    return coefficients_from_cumulants(CumulantVector((lam,) * d))
 
 
 def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
@@ -66,4 +66,4 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
         )
     root = isqrt(n)
     return coefficients_from_cumulants(CumulantVector(
-        p.d, [v * n / root**r for r, v in enumerate(kappa, start=1)]))
+        [v * n / root**r for r, v in enumerate(kappa, start=1)]))

@@ -266,7 +266,7 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
     _check_cap(d)
     dq = Fraction(d)
     f = [factorial(t) * a / falling(dq, t) for t, a in enumerate(p.a[1:], 1)]
-    return CumulantVector(d, tuple(
+    return CumulantVector(tuple(
         (-dq) ** n / (dq * factorial(n - 1)) * _interval_sum((1,) * n, f)
         for n in range(1, d + 1)
     ))

@@ -38,11 +38,15 @@ _ROUNDING = Fraction(32, 2**52)
 
 
 class MCEstimate(Value):
-    """The float mean and standard error of each coefficient a_k over the
-    samples, with the seed, and radius R, an exact Fraction bound on the
-    spectral radius of every sample."""
+    """The float mean and standard error of each coefficient a_0..a_d over
+    the samples (d = len(coeff_mean) - 1), with the seed, and radius R, an
+    exact Fraction bound on the spectral radius of every sample."""
 
-    __slots__ = ("d", "samples", "coeff_mean", "coeff_stderr", "seed", "radius")
+    __slots__ = ("samples", "coeff_mean", "coeff_stderr", "seed", "radius")
+
+    @property
+    def d(self) -> int:
+        return len(self.coeff_mean) - 1
 
     def to_json(self) -> dict:
         return {"d": self.d, "samples": self.samples, "coeff_mean": list(self.coeff_mean),
@@ -242,4 +246,4 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     stderr = np.sqrt(sq / (samples - 1) / samples)
     mean, stderr = (tuple(math.ldexp(x, e * k) for k, x in enumerate(v))
                     for v in (mean, stderr))
-    return MCEstimate(d, samples, mean, stderr, seed, radius)
+    return MCEstimate(samples, mean, stderr, seed, radius)

@@ -1,7 +1,7 @@
 """Monic real polynomials in the signed coefficient convention.
 
-A degree-d monic polynomial is stored as the vector (a_0, ..., a_d) with
-a_0 = 1, meaning
+A degree-d monic polynomial is stored as the vector (a_0, ..., a_d) alone,
+with a_0 = 1 and d = len(a) - 1, meaning
 
     p(x) = sum_{i=0}^{d} x^{d-i} (-1)^i a_i,
 
@@ -32,7 +32,7 @@ from .util import (Value, _check_int, _store, format_rational, parse_int,
 
 
 class MonicPoly(Value):
-    __slots__ = ("d", "a")
+    __slots__ = ("a",)
 
     def __init__(self, d: int, a):
         a = parse_rational_array(a, "'a'")
@@ -47,8 +47,14 @@ class MonicPoly(Value):
             raise NonMonicError(
                 "leading coefficient a_0 must be exactly 1, got %s" % (a[0],)
             )
-        _store(self, "d", d)
         _store(self, "a", a)
+
+    @property
+    def d(self) -> int:
+        return len(self.a) - 1
+
+    def __reduce__(self):  # through the constructor, which takes d
+        return MonicPoly, (self.d, self.a)
 
     @classmethod
     def from_signed(cls, a) -> "MonicPoly":
@@ -60,7 +66,8 @@ class MonicPoly(Value):
 
         c[0] must be exactly 1; a_i = (-1)^i c_i.  No silent normalization.
         """
-        return cls.from_signed(_alternate(parse_rational_array(c, "coefficients")))
+        a = _alternate(parse_rational_array(c, "coefficients"))
+        return cls(len(a) - 1, a)
 
     @classmethod
     def from_roots(cls, roots) -> "MonicPoly":

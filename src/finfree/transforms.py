@@ -45,28 +45,26 @@ from .util import (Value, VarPoly, _check_int, _store, format_rational,
 
 
 class CumulantVector(Value):
-    """kappa_1..kappa_d of a degree-d polynomial.
+    """kappa_1..kappa_d of a degree-d polynomial, d = len(kappa).
 
     variant "standard" stores kappa_n; "rescaled" stores
     kappa~_n = ((d)_n / d^n) kappa_n.
     """
 
-    __slots__ = ("d", "kappa", "variant")
+    __slots__ = ("kappa", "variant")
 
-    def __init__(self, d: int, kappa, variant: str = "standard"):
+    def __init__(self, kappa, variant: str = "standard"):
         kappa = parse_rational_array(kappa, "'kappa'")
-        _check_int(d, "degree")
-        if d < 1:
+        if not kappa:
             raise InputFormatError("degree must be >= 1")
-        if len(kappa) != d:
-            raise InputFormatError(
-                "need exactly %d cumulants, got %d" % (d, len(kappa))
-            )
         if variant not in ("standard", "rescaled"):
             raise InputFormatError("variant must be 'standard' or 'rescaled'")
-        _store(self, "d", d)
         _store(self, "kappa", kappa)
         _store(self, "variant", variant)
+
+    @property
+    def d(self) -> int:
+        return len(self.kappa)
 
     def to_json(self) -> dict:
         return {
@@ -78,7 +76,12 @@ class CumulantVector(Value):
     @classmethod
     def from_json(cls, obj) -> "CumulantVector":
         d, kappa, variant = read_record(obj, "cumulant", ("d", "kappa"), ("variant",))
-        return cls(parse_int(d, "'d'"), kappa, "standard" if variant is None else variant)
+        d, kappa = parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'")
+        if d < 1:
+            raise InputFormatError("degree must be >= 1")
+        if len(kappa) != d:
+            raise InputFormatError("need exactly %d cumulants, got %d" % (d, len(kappa)))
+        return cls(kappa, "standard" if variant is None else variant)
 
 
 def _falling_and_power(d: int):
@@ -108,8 +111,8 @@ def rescale_cumulants(k: CumulantVector) -> CumulantVector:
     if k.variant == "standard":
         vals = tuple(kn * f / power
                      for kn, (f, power) in zip(k.kappa, _falling_and_power(k.d)))
-        return CumulantVector(k.d, vals, "rescaled")
-    return CumulantVector(k.d, _standardize(k), "standard")
+        return CumulantVector(vals, "rescaled")
+    return CumulantVector(_standardize(k), "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
     d = p.d
     a, _ = _over_lcm(p.a)
     S = list(map(mul, _series_weights(d, d), a))
-    return CumulantVector(d, _log_derivative(S, d, d))
+    return CumulantVector(_log_derivative(S, d, d))
 
 
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
@@ -190,7 +193,7 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     _check_int(d, "d")
     if len(m) < d:
         raise DomainError("need %d moments, got %d" % (d, len(m)))
-    return CumulantVector(d, _cumulants_from_moments(m.entries, d, d))
+    return CumulantVector(_cumulants_from_moments(m.entries, d, d))
 
 
 def _primitive_plain(Snum, d: int) -> list:

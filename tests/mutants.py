@@ -4,18 +4,20 @@ elimination behind the conditional-PSD test, the Sturm chain, the
 squarefree certificate and the continued-fraction isolation, the Monte
 Carlo oracle's exact input path, its characteristic polynomials and
 Householder reflector, and the set partition walk with the values and the
-listing built on it, and the partition values' checked constructors.
+listing built on it, the partition values' checked constructors, and the
+polynomial values' derived degree, checked constructors and JSON readers.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
 a range bound, an index or a slice bound by one, turn < into <= and back
 (> and >= likewise), negate a condition, drop one term of a sum or
-difference, drop one factor of a product, and drop a minus sign or a
-one-argument helper call such as _alternate(x).  Each mutant runs its
-kernel's test selection with pytest -x against the copy; a failing run
-kills it, and so does a run that takes SLOWDOWN times as long as the
-unmutated run of the same selection, which the script makes first, or that
-outgrows MAX_ADDRESS_SPACE.  The script prints each mutant's wall time and
+difference, drop one factor of a product, drop a minus sign or a
+one-argument helper call such as _alternate(x), and offset a len(...) or
+sum(...) call by one.  Each mutant runs its kernel's test selection with
+pytest -x against the copy; a failing run kills it, and so does a run
+that takes SLOWDOWN times as long as the unmutated run of the same
+selection, which the script makes first, or that outgrows
+MAX_ADDRESS_SPACE.  The script prints each mutant's wall time and
 outcome (killed, timeout for a run the timeout cut, or survived), then
 killed against survived for each kernel, listing every survivor.  Pytest
 does not collect this file; run it as
@@ -135,6 +137,18 @@ CPD_TESTS = [DIV + t for t in (
     "test_id_verdict_matches_flag_and_cpd_is_necessary",
     "test_rescaled_cpd_implies_standard_cpd")] + [
     "tests/test_acceptance.py::test_criterion_10_infinite_divisibility"]
+# the polynomial values' derived degree d, checked constructors and JSON
+# readers (MomentSequence's, matched by the same plain names, too): the value
+# tests, then each type's validation and JSON tests, then the CLI's
+# refusals of stated sizes and malformed records, pinned by message
+VALUE_TESTS = ["tests/test_values.py",
+               "tests/test_polynomial.py::test_monic_validation",
+               "tests/test_polynomial.py::test_moment_sequence_json",
+               "tests/test_transforms.py::test_cumulant_vector_json",
+               "tests/test_cli.py::test_stated_sizes_are_checked_against_the_entries",
+               "tests/test_cli.py::test_degrees_must_be_integers",
+               "tests/test_cli.py::test_float_and_bool_array_entries_keep_their_messages",
+               "tests/test_cli.py::test_malformed_input_exits_3"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -156,7 +170,9 @@ MAX_ADDRESS_SPACE = 2**31
 # with the reflector they share with its Haar conjugates, and the partition
 # walk with the Moebius values, type counts, type walk and listing writer
 # that read it, and the partition values' checked constructors and derived
-# ground-set size n (methods of both classes, matched by their plain names)
+# ground-set size n (methods of both classes, matched by their plain names),
+# and the degree d that MonicPoly, CumulantVector and MCEstimate derive from
+# their entries, with the first two's constructors and JSON readers
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -195,6 +211,13 @@ KERNELS = [
     ("partitions.py", "from_sizes", PARTITION_TESTS),
     ("partitions.py", "n", PARTITION_TESTS),
     ("cli.py", "_listing_text", PARTITION_TESTS),
+    ("polynomial.py", "d", VALUE_TESTS),
+    ("transforms.py", "d", VALUE_TESTS),
+    ("matrix_oracle.py", "d", VALUE_TESTS),
+    ("polynomial.py", "__init__", VALUE_TESTS),
+    ("transforms.py", "__init__", VALUE_TESTS),
+    ("polynomial.py", "from_json", VALUE_TESTS),
+    ("transforms.py", "from_json", VALUE_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
@@ -237,6 +260,10 @@ def _edits(node):
         yield "drop call", node.args[0]
     elif isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _EDGE:
         yield "< vs <=", ast.Compare(node.left, [_EDGE[type(node.ops[0])]()], node.comparators)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in ("len", "sum")):
+        for delta in (1, -1):
+            yield "%s %+d" % (node.func.id, delta), _shifted(node, delta)
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
           and node.func.id == "range"):
         for i in range(min(len(node.args), 2)):

@@ -518,6 +518,26 @@ def test_degrees_must_be_integers(capsys):
     assert code == 0 and out["degree"] == 2
 
 
+def test_stated_sizes_are_checked_against_the_entries(capsys):
+    # a JSON record states its size beside the entries that fix it; each
+    # refusal is exit 3 with its exact message, in the order parse the size,
+    # parse the entries, degree >= 1, then the length
+    cases = [
+        ("cumulants", '{"degree":3,"a":["1","2"]}',
+         "degree 3 needs d + 1 signed coefficients, got 2"),
+        ("cumulants", '{"degree":0,"a":["1","2"]}', "degree must be >= 1"),
+        ("coeffs", '{"d":3,"kappa":["1"]}', "need exactly 3 cumulants, got 1"),
+        # two faults: the float entry is refused before the degree
+        ("cumulants", '{"degree":0,"a":["1",0.5]}',
+         "refusing float 0.5 for an exact slot; pass a string like '1/3'"),
+    ]
+    for cmd, doc, message in cases:
+        assert main([cmd, doc]) == 3, doc
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err) == {
+            "error": {"type": "InputFormatError", "message": message}}, doc
+
+
 def test_float_and_bool_array_entries_keep_their_messages(capsys):
     # stderr pinned byte for byte for a float and a boolean inside a JSON array
     cases = {

@@ -67,9 +67,7 @@ def test_additivity_two_paths():
         direct = boxplus(p, q)
         kp = cumulants_from_coefficients(p)
         kq = cumulants_from_coefficients(q)
-        summed = CumulantVector(
-            d, tuple(a + b for a, b in zip(kp.kappa, kq.kappa))
-        )
+        summed = CumulantVector(tuple(a + b for a, b in zip(kp.kappa, kq.kappa)))
         assert direct == coefficients_from_cumulants(summed)
 
 

@@ -116,7 +116,7 @@ def test_id_rejects_complex_rooted():
 
 def test_id_normalizes_when_square():
     # kappa = (3, 4, 0, 0): shift then dilate by 2 lands exactly on Hermite
-    p = coefficients_from_cumulants(CumulantVector(4, [3, 4, 0, 0]))
+    p = coefficients_from_cumulants(CumulantVector([3, 4, 0, 0]))
     rep = infinite_divisibility_report(p)
     assert rep.verdict == "infinitely_divisible"
     assert rep.centered_normalized == hermite_clt(4)
@@ -133,7 +133,7 @@ def _normalized_by_cumulants(p):
         if isqrt(num) ** 2 == num and isqrt(den) ** 2 == den:
             s = Fraction(isqrt(num), isqrt(den))
             kappa = tuple(v / s**n for n, v in enumerate(kappa, start=1))
-    k = CumulantVector(p.d, kappa)
+    k = CumulantVector(kappa)
     return coefficients_from_cumulants(k), k
 
 
@@ -205,7 +205,7 @@ def test_rescaled_cpd_implies_standard_cpd():
             j = rng.randrange(d)
             kt[j] += Fraction(rng.randint(-2, 2), 3)
         kap = [Fraction(d) ** n / falling(d, n) * kt[n - 1] for n in range(1, d + 1)]
-        k = CumulantVector(d, kap)
+        k = CumulantVector(kap)
         if is_conditionally_positive_definite(rescale_cumulants(k).kappa):
             checked += 1
             assert is_conditionally_positive_definite(k.kappa)
@@ -248,7 +248,7 @@ def _power_by_cumulants(p, t):
     """p^{boxplus t} through Fractions: the cumulants of p, scaled by t, back
     to coefficients."""
     k = cumulants_from_coefficients(p)
-    scaled = CumulantVector(k.d, [t * v for v in k.kappa])
+    scaled = CumulantVector([t * v for v in k.kappa])
     return coefficients_from_cumulants(scaled)
 
 

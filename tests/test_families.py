@@ -145,7 +145,7 @@ def test_clt_cumulant_scaling_square_n():
     rng = random.Random(127)
     for kappa in ([0, 1, Fraction(1, 2), Fraction(-2, 3), Fraction(7)],
                   [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(59)]):
-        p = coefficients_from_cumulants(CumulantVector(len(kappa), kappa))
+        p = coefficients_from_cumulants(CumulantVector(kappa))
         for n in (4, 25, 100):
             got = cumulants_from_coefficients(clt_rescaled_sum(p, n)).kappa
             # n^{1-r/2} = n / sqrt(n)^r, exact for square n, r even and odd alike
@@ -158,7 +158,7 @@ def test_clt_cumulant_scaling_square_n():
 
 def test_clt_odd_cumulants_decay_non_square_n():
     # sqrt(n) is irrational for non-square n, and every export stays exact
-    k = CumulantVector(4, [0, 1, Fraction(1, 2), Fraction(1, 3)])
+    k = CumulantVector([0, 1, Fraction(1, 2), Fraction(1, 3)])
     p = coefficients_from_cumulants(k)
     for n in (2, 3, 10):
         with pytest.raises(DomainError):
@@ -168,7 +168,7 @@ def test_clt_odd_cumulants_decay_non_square_n():
 def test_clt_approaches_hermite():
     rng = random.Random(113)
     h4 = hermite_clt(4)
-    k = CumulantVector(4, [0, 1, Fraction(rng.randint(1, 5), 7), Fraction(-2, 9)])
+    k = CumulantVector([0, 1, Fraction(rng.randint(1, 5), 7), Fraction(-2, 9)])
     p = coefficients_from_cumulants(k)
 
     def dist(q):

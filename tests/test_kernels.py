@@ -297,9 +297,9 @@ def test_weighted_paths_and_boxplus_match_the_reference():
         p, q = rand_poly(rng, d), rand_poly(rng, d)
         kappa = cumulants_from_coefficients(p).kappa
         same(kappa, ref_cumulants_from_coefficients(p))
-        k = CumulantVector(d, [rand_q(rng, 50, 30) for _ in range(d)])
+        k = CumulantVector([rand_q(rng, 50, 30) for _ in range(d)])
         same(coefficients_from_cumulants(k).a, ref_coefficients_from_cumulants(k))
-        rk = CumulantVector(d, [rand_q(rng) for _ in range(d)], "rescaled")
+        rk = CumulantVector([rand_q(rng) for _ in range(d)], "rescaled")
         same(coefficients_from_cumulants(rk).a, ref_coefficients_from_cumulants(rk))
         same(rescale_cumulants(k).kappa, ref_rescale(k))
         same(rescale_cumulants(rk).kappa, ref_rescale(rk))
@@ -345,7 +345,7 @@ def test_each_direction_builds_one_fraction_per_output_entry():
     rng = random.Random(2501)
     d, N, n, dq = 10, 13, 8, Fraction(-7, 3)
     p = rand_poly(rng, d)
-    k = CumulantVector(d, [rand_q(rng) for _ in range(d)])
+    k = CumulantVector([rand_q(rng) for _ in range(d)])
     kt = rescale_cumulants(k)
     m = moments(p, N)
     ints = [rng.randint(-9, 9) for _ in range(d)]

@@ -45,3 +45,12 @@ def test_every_named_test_of_a_selection_exists():
             if name not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}:
                 missing.append(node_id)
     assert missing == []
+
+
+def test_every_kernel_has_a_mutant():
+    # a kernel that no operator reaches reports "killed 0 of 0" and checks
+    # nothing, as a derived size such as len(self.r) once did; this parses
+    # the source and runs no tests
+    empty = [(module, func) for module, func, _ in mutants.KERNELS
+             if not mutants.mutants(module, func)]
+    assert empty == []

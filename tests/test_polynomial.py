@@ -28,8 +28,9 @@ def value_at(p, x):
 
 
 def test_monic_validation():
-    with pytest.raises(NonMonicError):
+    with pytest.raises(NonMonicError) as caught:
         MonicPoly(2, (Fraction(2), Fraction(0), Fraction(1)))
+    assert str(caught.value) == "leading coefficient a_0 must be exactly 1, got 2"
     with pytest.raises(InputFormatError):
         MonicPoly(2, (Fraction(1), Fraction(0)))
     with pytest.raises(InputFormatError):

@@ -184,7 +184,6 @@ _R = FreeCumulantVector.make([0, 1])
 # (call on a size, an int size it takes); a size that is not an int is refused
 SIZED = {
     "MonicPoly": (lambda n: MonicPoly(n, (Fraction(1),) + (Fraction(0),) * 2), 2),
-    "CumulantVector": (lambda n: CumulantVector(n, (Fraction(0),) * 2), 2),
     "MomentSequence": (lambda n: MomentSequence((Fraction(1),), n), 2),
     "x_power": (x_power, 2),
     "hermite_clt": (hermite_clt, 2),
@@ -227,7 +226,7 @@ RATIONAL = {
     "MonicPoly.from_roots": (lambda x: MonicPoly.from_roots([x, 0]), 1),
     "MonicPoly.dilate": (_P.dilate, 2),
     "MonicPoly.translate": (_P.translate, 1),
-    "CumulantVector": (lambda x: CumulantVector(2, [0, x]), 1),
+    "CumulantVector": (lambda x: CumulantVector([0, x]), 1),
     "MomentSequence": (lambda x: MomentSequence([x]), 1),
     "FreeCumulantVector": (lambda x: FreeCumulantVector([x]), 1),
     "FreeCumulantVector.make": (lambda x: FreeCumulantVector.make([x]), 1),
@@ -258,7 +257,7 @@ def test_rational_arguments_pass_one_gate(name):
 # (build from a sequence of rationals, a sequence it takes)
 SEQUENCES = {
     "MonicPoly": (lambda s: MonicPoly(2, s), [1, 0, -1]),
-    "CumulantVector": (lambda s: CumulantVector(2, s), [0, 1]),
+    "CumulantVector": (CumulantVector, [0, 1]),
     "MomentSequence": (MomentSequence, [0, 1]),
     "FreeCumulantVector": (FreeCumulantVector, [0, 1]),
     "VarPoly": (lambda s: VarPoly("s", s), [0, 1]),

@@ -11,7 +11,7 @@ import pytest
 from finfree.divisibility import cramer_counterexample, infinite_divisibility_report
 from finfree.errors import InputFormatError
 from finfree.freeprob import FreeCumulantVector, convergence_report
-from finfree.matrix_oracle import mc_boxplus
+from finfree.matrix_oracle import MCEstimate, mc_boxplus
 from finfree.partitions import PartitionType, SetPartition
 from finfree.polynomial import MomentSequence, MonicPoly
 from finfree.transforms import CumulantVector
@@ -25,9 +25,9 @@ def _samples():
         (VarPoly("s", [1, "1/2"]), ("var", "coeffs")),
         (SetPartition.from_blocks(3, [[3, 1], [2]]), ("blocks",)),
         (PartitionType([1, 1, 0]), ("r",)),
-        (p, ("d", "a")),
+        (p, ("a",)),
         (MomentSequence(["0", "2/3"], degree_context=3), ("entries", "degree_context")),
-        (CumulantVector(3, [0, 1, "1/3"], variant="rescaled"), ("d", "kappa", "variant")),
+        (CumulantVector([0, 1, "1/3"], variant="rescaled"), ("kappa", "variant")),
         (FreeCumulantVector([0, 1]), ("entries",)),
         (convergence_report(FreeCumulantVector([0, 1]), 2, [2, 4]),
          ("n", "d_values", "finite_kappa", "free_kappa", "errors")),
@@ -38,7 +38,7 @@ def _samples():
          ("p_plus", "p_minus", "convolution", "p_plus_real_rooted",
           "p_minus_real_rooted")),
         (mc_boxplus(p, p, 1000, seed=3),
-         ("d", "samples", "coeff_mean", "coeff_stderr", "seed", "radius")),
+         ("samples", "coeff_mean", "coeff_stderr", "seed", "radius")),
     ]
 
 
@@ -48,6 +48,12 @@ IDS = [type(v).__name__ for v, _ in SAMPLES]
 
 def _fields(v, names) -> tuple:
     return tuple(getattr(v, name) for name in names)
+
+
+def _args(v, names) -> tuple:
+    """The constructor's arguments: the fields, with the degree d that
+    MonicPoly's constructor checks stated ahead of its one field a."""
+    return ((v.d,) if type(v) is MonicPoly else ()) + _fields(v, names)
 
 
 def test_every_value_type_is_sampled():
@@ -73,7 +79,7 @@ def test_value_is_frozen_and_slotted(v, names):
 @pytest.mark.parametrize("v, names", SAMPLES, ids=IDS)
 def test_value_compares_hashes_and_shows_by_value(v, names):
     fields = _fields(v, names)
-    twin = type(v)(*fields)
+    twin = type(v)(*_args(v, names))
     assert twin == v and twin is not v and not twin != v
     assert hash(twin) == hash(v) == hash(fields)
     # the same fields in another class are another value
@@ -86,7 +92,7 @@ def test_value_compares_hashes_and_shows_by_value(v, names):
 @pytest.mark.parametrize("v, names", SAMPLES, ids=IDS)
 def test_value_round_trips_through_pickle_and_copy(v, names):
     # through the constructor, so a copy passes the checks a new value does
-    assert v.__reduce__() == (type(v), _fields(v, names))
+    assert v.__reduce__() == (type(v), _args(v, names))
     for back in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
         assert type(back) is type(v) and back == v
         assert _fields(back, names) == _fields(v, names)
@@ -97,13 +103,13 @@ def test_a_wrong_number_of_arguments_is_a_type_error(v, names):
     with pytest.raises(TypeError):
         type(v)()
     with pytest.raises(TypeError):
-        type(v)(*_fields(v, names), None)
+        type(v)(*_args(v, names), None)
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: FreeCumulantVector([]), "need at least one free cumulant"),
     (lambda: MomentSequence([]), "moment sequence must be nonempty"),
-    (lambda: CumulantVector(0, []), "degree must be >= 1"),
+    (lambda: CumulantVector([]), "degree must be >= 1"),
 ], ids=["FreeCumulantVector", "MomentSequence", "CumulantVector"])
 def test_an_empty_vector_is_refused(make, message):
     with pytest.raises(InputFormatError) as caught:
@@ -111,11 +117,33 @@ def test_an_empty_vector_is_refused(make, message):
     assert type(caught.value) is InputFormatError and str(caught.value) == message
 
 
+def test_polynomial_values_store_only_what_fixes_d():
+    # d is read off the entries, so no value can hold a d that disagrees with them
+    assert MonicPoly.__slots__ == ("a",)
+    assert CumulantVector.__slots__ == ("kappa", "variant")
+    assert "d" not in MCEstimate.__slots__
+    p = MonicPoly.from_roots([-1, 0, 1])
+    values = (p, CumulantVector([0, 1, "1/3"]), mc_boxplus(p, p, 1000, seed=3))
+    for v in values:
+        assert v.d == 3
+        with pytest.raises(AttributeError):
+            v.d = 4
+        with pytest.raises(AttributeError):
+            del v.d
+        assert v.d == 3 and not hasattr(v, "__dict__")
+    # MonicPoly's constructor still takes d, checks it against the entries
+    # and drops it
+    with pytest.raises(InputFormatError, match="degree 3 needs d \\+ 1 signed"):
+        MonicPoly(3, [1, 0, -1])
+    with pytest.raises(InputFormatError, match="degree must be >= 1"):
+        MonicPoly(0, [1])
+
+
 def test_checked_types_take_their_fields_by_keyword():
     assert MomentSequence(entries=[1], degree_context=2) == MomentSequence([1], 2)
     assert MomentSequence([1]).degree_context is None
-    assert CumulantVector(d=1, kappa=[5], variant="rescaled").variant == "rescaled"
-    assert CumulantVector(1, [5]).variant == "standard"
+    assert CumulantVector(kappa=[5], variant="rescaled").variant == "rescaled"
+    assert CumulantVector([5]).variant == "standard"
     assert MonicPoly(a=[1, 2], d=1) == MonicPoly.from_signed([1, 2])
     assert SetPartition(blocks=((1,),)) == SetPartition.from_blocks(1, [[1]])
     assert PartitionType(r=(0, 1)).sizes() == (2,)
