@@ -324,7 +324,7 @@ def _listing_text(n: int, noncrossing: bool) -> str:
     text, factor = {}, {}
     for k in ground:
         # mu(0_n, pi) is the product of mu(0_|V|, 1_|V|) over the blocks V
-        mu = mobius_from_zero(SetPartition.from_blocks(k, [range(1, k + 1)]))
+        mu = mobius_from_zero(SetPartition([range(1, k + 1)]))
         for b in combinations(ground, k):
             text[b] = ",".join(map(str, b))
             factor[b] = mu

@@ -80,9 +80,7 @@ class IDReport(Value):
 
 
 def _rational_sqrt(q: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
+    """Exact square root of a positive rational, or None."""
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)

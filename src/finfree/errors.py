@@ -23,10 +23,13 @@ class NonMonicError(InputFormatError):
 
 
 def _digits(v: int) -> str:
-    """v in full up to 40 digits, else its leading digits and digit count,
-    so that a value or bound of thousands of digits keeps the message short."""
-    s = "%d" % v
-    return s if len(s) <= 40 else "%s...(%d digits)" % (s[:20], len(s))
+    """v in full up to 40 digits, else its sign, leading digits and digit
+    count, so that a value or bound of thousands of digits keeps the message
+    short."""
+    s = "%d" % abs(v)
+    if len(s) > 40:
+        s = "%s...(%d digits)" % (s[:20], len(s))
+    return "-" + s if v < 0 else s
 
 
 class SizeCapError(FinFreeError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, _digits
 from .polynomial import MonicPoly
 from .transforms import (CumulantVector, coefficients_from_cumulants,
                          cumulants_from_coefficients)
@@ -44,7 +44,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     dlam = lam * d
     if dlam.denominator != 1 or dlam <= 0:
         raise DomainError(
-            "d*lambda must be a positive integer, got %s" % dlam
+            "d*lambda must be a positive integer, got %.80s" % dlam
         )
     return coefficients_from_cumulants(CumulantVector((lam,) * d))
 
@@ -58,7 +58,7 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     """
     _check_int(n, "n")
     if n < 1 or isqrt(n) ** 2 != n:
-        raise DomainError("need a perfect square n >= 1, got %d" % n)
+        raise DomainError("need a perfect square n >= 1, got %s" % _digits(n))
     kappa = cumulants_from_coefficients(p).kappa
     if kappa[0] != 0:
         raise DomainError(

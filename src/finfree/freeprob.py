@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, _digits
 from .polynomial import MomentSequence, _exp_series, _log_derivative
 from .transforms import cumulant_from_moments
 from .util import Value, _check_int, _store, format_rational, parse_rational_array
@@ -63,7 +63,7 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     """r_1..r_N from m_1..m_N, the inverse map, by Lagrange inversion."""
     _check_int(N, "N")
     if len(m) < N:
-        raise DomainError("need %d moments, got %d" % (N, len(m)))
+        raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
     log = _log_derivative((1, *m.entries[:N]), 1, N)
     r = [_lagrange(log, 1 - n, n) for n in range(2, N + 1)]
     # for N < 1 the constructor refuses the empty vector
@@ -100,12 +100,13 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     """
     _check_int(n, "cumulant order n")
     if n < 1:
-        raise InputFormatError("cumulant order n must be >= 1, got %d" % n)
+        raise InputFormatError("cumulant order n must be >= 1, got %s" % _digits(n))
     ds = tuple(d_values)
     for d in ds:
         _check_int(d, "d")
         if d < n:
-            raise DomainError("d = %d below the cumulant order n = %d" % (d, n))
+            raise DomainError("d = %s below the cumulant order n = %s"
+                              % (_digits(d), _digits(n)))
     m = free_moments_from_free_cumulants(r, n)
     finite = tuple(cumulant_from_moments(m, d, n) for d in ds)
     target = r.entries[n - 1] if n <= len(r) else Fraction(0)

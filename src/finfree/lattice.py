@@ -95,7 +95,7 @@ def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
             else:
                 merged |= c
         components = apart + [merged]
-    return SetPartition.from_blocks(pi.n, components)
+    return SetPartition(components)
 
 
 def refines(pi: SetPartition, sigma: SetPartition) -> bool:
@@ -130,7 +130,10 @@ def is_noncrossing(pi: SetPartition) -> bool:
 
 
 def partition_type(pi: SetPartition) -> PartitionType:
-    return PartitionType.from_sizes(pi.n, map(len, pi.blocks))
+    r = [0] * pi.n
+    for block in pi.blocks:
+        r[len(block) - 1] += 1
+    return PartitionType(r)
 
 
 def multiplicative_extension(f, pi: SetPartition) -> Fraction:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FinFreeError, InputFormatError
+from .errors import DimensionError, DomainError, FinFreeError, InputFormatError, _digits
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
 from .util import Value, _is_int
 
@@ -218,7 +218,7 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     if p.d != q.d:
         raise DimensionError("degree mismatch: %d vs %d" % (p.d, q.d))
     if samples < 1000:
-        raise DomainError("need at least 1000 samples, got %d" % samples)
+        raise DomainError("need at least 1000 samples, got %s" % _digits(samples))
     d = p.d
     mean_root = (p.a[1] + q.a[1]) / d
     pc, qc = (r.translate(r.a[1] / d) for r in (p, q))

@@ -13,9 +13,9 @@ the contract: callers may cache against it.  One generator walks the tree of
 restricted growth strings depth first from an explicit stack, for both P(n)
 and NC(n), and stays lazy, since the reference iterates it up to the cap; in
 NC(n) an element may only join a block that is still open, so the walk
-visits Catalan(n) leaves, not Bell(n).  Partitions are checked where outside
-data enters, in from_blocks; the walk builds them unchecked, valid by
-construction.  Each distinct block is built once a walk and shared by
+visits Catalan(n) leaves, not Bell(n).  SetPartition(blocks), the one
+constructor, checks its blocks; the walk builds its leaves without it,
+valid by construction.  Each distinct block is built once a walk and shared by
 every partition that holds it, so a leaf costs one tuple of blocks and one
 bare instance and no block.  The last two elements are placed in one
 frame, so no node that places n reaches the stack: a node that places
@@ -26,14 +26,14 @@ partition stores only its blocks and a type only its counts; the ground-set
 size n is derived from them.  The CLI's listing (cli._listing_text) reads
 the walk lazily, one row per leaf.  iter_types builds partition types the
 same way, each from one running count list, unchecked; PartitionType's
-__init__ and from_sizes check outside data.
+constructor checks outside data.
 """
 
 from __future__ import annotations
 
 from math import factorial, prod
 
-from .errors import FinFreeError, InputFormatError, SizeCapError
+from .errors import FinFreeError, InputFormatError, SizeCapError, _digits
 from .util import Value, _check_int, _store
 
 DEFAULT_N_MAX = 12
@@ -42,7 +42,7 @@ DEFAULT_N_MAX = 12
 def _check_size(n: int) -> None:
     _check_int(n, "ground-set size")
     if n < 1:
-        raise InputFormatError("ground-set size must be >= 1, got %d" % n)
+        raise InputFormatError("ground-set size must be >= 1, got %s" % _digits(n))
 
 
 def _check_cap(n: int) -> None:
@@ -55,38 +55,32 @@ def _check_cap(n: int) -> None:
 class SetPartition(Value):
     """A partition of {1..n} in canonical form, stored as its blocks alone.
 
-    blocks are sorted internally and ordered by least element, so equal
-    partitions compare equal and hash equally; n is the total size of the
-    blocks.  The bare constructor trusts its argument, as the walk's leaves,
-    stored without it, are valid by construction; outside data enters
-    through from_blocks, which checks it against the claimed n.
+    The constructor checks the blocks, sorts each one and orders them by
+    least element, so equal partitions compare equal and hash equally; n is
+    the total size of the blocks.  The walk's leaves, valid by construction,
+    are stored without it.
     """
 
     __slots__ = ("blocks",)
 
-    def __init__(self, blocks: tuple):
-        _store(self, "blocks", blocks)
-
-    @property
-    def n(self) -> int:
-        return sum(map(len, self.blocks))
-
-    @classmethod
-    def from_blocks(cls, n, blocks) -> "SetPartition":
-        """Check that n >= 1 and the elements are integers and that the
-        blocks are nonempty and cover {1..n} exactly once."""
-        _check_size(n)
+    def __init__(self, blocks):
+        """Check that the elements are ints and that the blocks are nonempty
+        and cover {1..n} exactly once, n their total size, at least 1."""
         blocks = [tuple(b) for b in blocks]
         if not all(type(e) is int for b in blocks for e in b):
             raise InputFormatError("an element of %.80r is not an int" % (blocks,))
         canon = sorted(tuple(sorted(b)) for b in blocks)
-        elements = sorted(e for b in canon for e in b)
-        # lengths first: n may be far larger than the blocks
-        if not all(canon) or len(elements) != n or elements != list(range(1, n + 1)):
+        n = sum(map(len, canon))
+        _check_size(n)
+        if not all(canon) or sorted(e for b in canon for e in b) != list(range(1, n + 1)):
             raise InputFormatError(
                 "blocks %.80r do not cover {1..%d} exactly once" % (canon, n)
             )
-        return cls(tuple(canon))
+        _store(self, "blocks", tuple(canon))
+
+    @property
+    def n(self) -> int:
+        return sum(map(len, self.blocks))
 
     def labels(self) -> list:
         """labels()[e] is the block index of element e (index 0 unused)."""
@@ -205,19 +199,6 @@ class PartitionType(Value):
     def n(self) -> int:
         return len(self.r)
 
-    @classmethod
-    def from_sizes(cls, n, sizes) -> "PartitionType":
-        """The type of a partition of {1..n} with the given block sizes, each
-        an int in 1..n."""
-        _check_size(n)
-        r = [0] * n
-        for s in sizes:
-            if type(s) is not int or not 1 <= s <= n:
-                raise InputFormatError(
-                    "block size %.80r is not an int in 1..%d" % (s, n))
-            r[s - 1] += 1
-        return cls(r)
-
     @property
     def num_blocks(self) -> int:
         return sum(self.r)
@@ -265,8 +246,8 @@ def iter_types(n: int):
     the least above 1, and refills the freed weight (s plus the ones)
     greedily with parts of size s - 1.  Each type is valid by construction,
     so its counts are stored into a bare instance through the slot
-    descriptor, as the partition walk's leaves are; from_sizes and __init__
-    check outside data.
+    descriptor, as the partition walk's leaves are; __init__ checks outside
+    data.
     """
     _check_size(n)
     new, set_r = _new, PartitionType.r.__set__

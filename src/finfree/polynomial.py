@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, ne
 
-from .errors import FinFreeError, InputFormatError, NonMonicError
+from .errors import FinFreeError, InputFormatError, NonMonicError, _digits
 from .util import (Value, _check_int, _store, format_rational, parse_int,
                    parse_rational, parse_rational_array, read_record)
 
@@ -41,7 +41,7 @@ class MonicPoly(Value):
             raise InputFormatError("degree must be >= 1")
         if len(a) != d + 1:
             raise InputFormatError(
-                "degree %d needs d + 1 signed coefficients, got %d" % (d, len(a))
+                "degree %s needs d + 1 signed coefficients, got %d" % (_digits(d), len(a))
             )
         if a[0] != 1:
             raise NonMonicError(
@@ -145,7 +145,7 @@ def _moments(S, d: int, N: int) -> "MomentSequence":
     """m_1..m_N of the degree-d polynomial whose prod (1 - r s) is S up to scale."""
     _check_int(N, "N")
     if N < 1:
-        raise InputFormatError("need N >= 1 moments, got %d" % N)
+        raise InputFormatError("need N >= 1 moments, got %s" % _digits(N))
     return MomentSequence(_log_derivative(S, d, N), degree_context=d)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, _digits
 from .polynomial import (
     MomentSequence,
     MonicPoly,
@@ -80,7 +80,8 @@ class CumulantVector(Value):
         if d < 1:
             raise InputFormatError("degree must be >= 1")
         if len(kappa) != d:
-            raise InputFormatError("need exactly %d cumulants, got %d" % (d, len(kappa)))
+            raise InputFormatError(
+                "need exactly %s cumulants, got %d" % (_digits(d), len(kappa)))
         return cls(kappa, "standard" if variant is None else variant)
 
 
@@ -153,7 +154,7 @@ def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     identities with power sums p_i = d m_i."""
     _check_int(d, "d")
     if len(m) < d:
-        raise DomainError("need %d moments, got %d" % (d, len(m)))
+        raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
     Snum, DS = _exp_series(m.entries, d, d)
     return MonicPoly(d, tuple(Fraction(s, DS) for s in _alternate(Snum)))
 
@@ -179,12 +180,13 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
     _check_int(n, "cumulant order n")
     if n < 1:
-        raise DomainError("cumulant order must be >= 1, got %d" % n)
+        raise DomainError("cumulant order must be >= 1, got %s" % _digits(n))
     if len(mv) < n:
-        raise DomainError("need %d moments, got %d" % (n, len(mv)))
+        raise DomainError("need %s moments, got %d" % (_digits(n), len(mv)))
     dq = parse_rational(d)
     if dq.denominator == 1 and dq < n:
-        raise DomainError("integer d = %s below the order n = %d" % (dq, n))
+        raise DomainError("integer d = %s below the order n = %d"
+                          % (_digits(dq.numerator), n))
     return _cumulants_from_moments(mv, dq, n)[-1]
 
 
@@ -192,7 +194,7 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     """All d cumulants from the first d moments."""
     _check_int(d, "d")
     if len(m) < d:
-        raise DomainError("need %d moments, got %d" % (d, len(m)))
+        raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
     return CumulantVector(_cumulants_from_moments(m.entries, d, d))
 
 

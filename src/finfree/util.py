@@ -119,9 +119,8 @@ def format_rational(q: Fraction) -> str:
         raise DomainError("a result has too many digits to print") from exc
 
 
-# how a Value's __init__ stores each field past the refusing __setattr__: a
-# module global is cheaper to call than object's attribute, and the walks
-# build one SetPartition per partition they yield
+# how a Value's __init__ stores each field past the refusing __setattr__; a
+# module global is cheaper to call than object's attribute
 _store = object.__setattr__
 
 

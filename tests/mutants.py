@@ -207,8 +207,6 @@ KERNELS = [
     ("partitions.py", "count_by_type", PARTITION_TESTS),
     ("partitions.py", "iter_types", PARTITION_TESTS),
     ("partitions.py", "__init__", PARTITION_TESTS),
-    ("partitions.py", "from_blocks", PARTITION_TESTS),
-    ("partitions.py", "from_sizes", PARTITION_TESTS),
     ("partitions.py", "n", PARTITION_TESTS),
     ("cli.py", "_listing_text", PARTITION_TESTS),
     ("polynomial.py", "d", VALUE_TESTS),

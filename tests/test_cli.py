@@ -484,6 +484,25 @@ def test_documented_errors_keep_their_codes(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 3 and err["error"]["type"] == "InputFormatError", argv
         assert err["error"]["message"].endswith("must be an integer, got 5/2"), argv
+    # a refused integer of thousands of digits is shortened in the error line
+    big = "9" * 4300
+    for argv, want in (
+            (["coeffs", '{"m":["0","1"],"d":%s}' % big], 5),
+            (["coeffs", '{"m":["0","1"]}', "--d", big], 5),
+            (["moments", "--roots", "1,-1", "--N", "-" + big], 3),
+            (["partitions", "--n", "-" + big], 3),
+            (["converge", "--r", "0,1", "--n", "-" + big, "--d", "16"], 3),
+            (["converge", "--r", "0,1", "--n", "2", "--d", "-" + big], 5),
+            (["verify-mc", SEMICIRCLE2, SEMICIRCLE2, "--samples", "-" + big], 5),
+            (["family", "poisson", "--d", "3", "--lambda", "1/" + "7" * 2000], 5)):
+        assert main(argv) == want, argv[:2]
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200, argv[:2]
+        assert "...(4300 digits)" in err or argv[0] == "family", argv[:2]
+    # one of 40 digits is shown in full, its sign not counted as a digit
+    assert main(["partitions", "--n", "-" + "9" * 40]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "ground-set size must be >= 1, got -" + "9" * 40)
 
 
 def test_big_rational_literals(capsys):
@@ -527,6 +546,11 @@ def test_stated_sizes_are_checked_against_the_entries(capsys):
          "degree 3 needs d + 1 signed coefficients, got 2"),
         ("cumulants", '{"degree":0,"a":["1","2"]}', "degree must be >= 1"),
         ("coeffs", '{"d":3,"kappa":["1"]}', "need exactly 3 cumulants, got 1"),
+        # a stated size of thousands of digits is shortened
+        ("cumulants", '{"degree":%s,"a":["1"]}' % ("9" * 4300),
+         "degree 99999999999999999999...(4300 digits) needs d + 1 signed coefficients, got 1"),
+        ("coeffs", '{"d":%s,"kappa":["1"]}' % ("9" * 4300),
+         "need exactly 99999999999999999999...(4300 digits) cumulants, got 1"),
         # two faults: the float entry is refused before the degree
         ("cumulants", '{"degree":0,"a":["1",0.5]}',
          "refusing float 0.5 for an exact slot; pass a string like '1/3'"),

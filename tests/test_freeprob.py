@@ -19,7 +19,7 @@ from finfree import (
     free_moments_from_free_cumulants,
     moments,
 )
-from finfree.errors import DomainError, InputFormatError
+from finfree.errors import DomainError, InputFormatError, _digits
 from finfree.polynomial import _exp_series
 from finfree.util import _check_int
 
@@ -35,7 +35,7 @@ def ref_free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVe
     log series holds -n L_n, as _log_derivative writes it."""
     _check_int(N, "N")
     if len(m) < N:
-        raise DomainError("need %d moments, got %d" % (N, len(m)))
+        raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
     log = []
     for n in range(1, N + 1):
         log.append(0)
@@ -110,6 +110,7 @@ def test_inversion_matches_the_term_by_term_reference():
     (-1, [1, 2, 3], InputFormatError, "need at least one free cumulant"),
     (2.0, [1, 2], InputFormatError, "N must be an integer, got 2.0"),
     (4, [1, 2, 3], DomainError, "need 4 moments, got 3"),
+    (10**50, [1], DomainError, "need 10000000000000000000...(51 digits) moments, got 1"),
 ])
 def test_inversion_refuses_what_the_reference_refuses(N, m, error, message):
     for inversion in (free_cumulants_from_moments, ref_free_cumulants_from_moments):

@@ -1,5 +1,6 @@
 """Lattice layer: enumeration, order, Mobius, type counting."""
 
+import copy
 import inspect
 import itertools
 import pickle
@@ -48,7 +49,7 @@ def rand_partition(n, rng):
         if lab == len(blocks):
             blocks.append([])
         blocks[lab].append(e)
-    return SetPartition.from_blocks(n, blocks)
+    return SetPartition(blocks)
 
 
 def test_bell_counts():
@@ -114,11 +115,12 @@ def test_walk_is_lazy_at_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("noncrossing", [False, True])
 def test_walk_leaves_are_the_checked_constructors_values(noncrossing):
-    # each leaf, stored without __init__, is the value from_blocks builds
-    # from its blocks: equal, hashed, pickled and shown alike
+    # each leaf, stored without __init__, is the value the checked
+    # constructor builds from its blocks: equal, hashed, pickled and shown
+    # alike
     for n in range(1, 9):
         for pi in partitions._partitions(n, noncrossing):
-            checked = SetPartition.from_blocks(n, pi.blocks)
+            checked = SetPartition(pi.blocks)
             assert type(pi) is SetPartition and pi == checked
             assert type(pi.blocks) is tuple and all(type(b) is tuple for b in pi.blocks)
             assert hash(pi) == hash(checked) and repr(pi) == repr(checked)
@@ -149,8 +151,8 @@ def test_walk_leaves_derive_n_from_their_blocks(noncrossing):
 def test_partition_values_store_only_what_fixes_n():
     assert SetPartition.__slots__ == ("blocks",)
     assert PartitionType.__slots__ == ("r",)
-    pi = SetPartition.from_blocks(3, [[1, 3], [2]])
-    t = PartitionType.from_sizes(3, [2, 1])
+    pi = SetPartition([[1, 3], [2]])
+    t = PartitionType([1, 1, 0])
     assert (pi.n, t.n) == (3, 3)
     for v in (pi, t):
         with pytest.raises(AttributeError):
@@ -174,7 +176,7 @@ def test_set_partition_is_a_frozen_slotted_value():
     with pytest.raises(AttributeError):
         pi.blocks = ()
     assert not hasattr(pi, "__dict__")
-    same = SetPartition.from_blocks(5, [list(b) for b in reversed(pi.blocks)])
+    same = SetPartition([list(b) for b in reversed(pi.blocks)])
     assert same == pi and hash(same) == hash(pi)
 
 
@@ -192,11 +194,31 @@ def test_enumeration_order_deterministic():
 
 
 def test_canonical_form():
-    p = SetPartition.from_blocks(4, [[4, 2], [3, 1]])
+    p = SetPartition([[4, 2], [3, 1]])
     assert str(p) == "{1,3|2,4}"
     assert p.n == 4 and p.blocks == ((1, 3), (2, 4))
-    assert p == SetPartition.from_blocks(4, [(1, 3), [2, 4]])
-    assert hash(p) == hash(SetPartition.from_blocks(4, [[2, 4], [1, 3]]))
+    assert p == SetPartition([(1, 3), [2, 4]])
+    assert hash(p) == hash(SetPartition([[2, 4], [1, 3]]))
+
+
+def test_the_constructor_canonicalizes_and_checks_its_blocks():
+    # blocks in any order, as any iterables, give one hashable value of
+    # sorted tuples; n is what the blocks cover, and they must cover {1..n}
+    p = SetPartition(((3, 1), (2,)))
+    assert p.blocks == ((1, 3), (2,)) and p.n == 3
+    assert p == SetPartition([[1, 3], [2]]) and hash(p) == hash(SetPartition([[1, 3], [2]]))
+    q = SetPartition([[1, 2]])
+    assert q.blocks == ((1, 2),) and hash(q) == hash(one_partition(2))
+    for blocks in (((1,), (1,)), [], [[1, 3]], [[1, 2], []], [[True]]):
+        with pytest.raises(InputFormatError):
+            SetPartition(blocks)
+    # pickle and copy rebuild through the constructor, so a value forged
+    # past it does not survive them
+    forged = object.__new__(SetPartition)
+    SetPartition.blocks.__set__(forged, ((1,), (1,)))
+    for rebuild in (copy.copy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(InputFormatError):
+            rebuild(forged)
 
 
 def test_noncrossing_matches_definition():
@@ -218,13 +240,14 @@ def test_noncrossing_matches_definition():
 
 
 def test_join_examples():
-    a = SetPartition.from_blocks(4, [[1, 2], [3, 4]])
-    b = SetPartition.from_blocks(4, [[2, 3], [1], [4]])
+    a = SetPartition([[1, 2], [3, 4]])
+    b = SetPartition([[2, 3], [1], [4]])
     assert str(join(a, b)) == "{1,2,3,4}"
-    c = SetPartition.from_blocks(4, [[1], [2], [3], [4]])
+    c = SetPartition([[1], [2], [3], [4]])
     assert join(a, c) == a
-    with pytest.raises(DimensionError):
-        join(a, SetPartition.from_blocks(3, [[1, 2], [3]]))
+    for over_three in (join, refines):
+        with pytest.raises(DimensionError, match="different ground sets: 4 vs 3"):
+            over_three(a, SetPartition([[1, 2], [3]]))
 
 
 def test_join_is_least_upper_bound():
@@ -257,7 +280,7 @@ def test_refines_is_partial_order():
 def test_mobius_values():
     assert mobius_from_zero(one_partition(4)) == -6  # (-1)^3 3!
     assert mobius_from_zero(zero_partition(5)) == 1
-    pi = SetPartition.from_blocks(5, [[1, 2, 3], [4, 5]])
+    pi = SetPartition([[1, 2, 3], [4, 5]])
     assert mobius_from_zero(pi) == (2) * (-1)
 
 
@@ -272,13 +295,6 @@ def test_charpoly_is_falling_factorial():
         assert partition_lattice_charpoly(n).coeffs == falling_poly(n, "t").coeffs
 
 
-@pytest.mark.parametrize("sizes", [[0], [4], [-1, 4], [1.0, 2], [True, 2],
-                                   [Fraction(3)], ["3"]])
-def test_from_sizes_refuses_a_size_outside_1_to_n(sizes):
-    with pytest.raises(InputFormatError, match="block size"):
-        PartitionType.from_sizes(3, sizes)
-
-
 @pytest.mark.parametrize("r", [(1, 1, 0.0), (3.0, 0, 0), (True, True, 0),
                                (1, 1, Fraction(0)), "300"])
 def test_partition_type_refuses_entries_that_are_not_ints(r):
@@ -291,7 +307,7 @@ def test_partition_type_stores_a_list_as_a_tuple():
     t = PartitionType([0, 1])
     assert t.r == (0, 1) and type(t.r) is tuple
     assert t == PartitionType((0, 1)) and hash(t) == hash(PartitionType((0, 1)))
-    assert PartitionType.from_sizes(3, [2, 1]) == PartitionType((1, 1, 0))
+    assert partition_type(SetPartition([[1, 3], [2]])) == PartitionType((1, 1, 0))
 
 
 def test_type_counts_both_formulas():
@@ -319,13 +335,14 @@ def brute_integer_partitions(n):
 
 
 def test_iter_types_are_the_integer_partitions_in_order():
-    # each type, stored without __init__, is the value from_sizes builds
-    # from its sizes: equal, hashed, pickled and shown alike
+    # each type, stored without __init__, is the value the checked
+    # constructor builds from the counts of its sizes: equal, hashed,
+    # pickled and shown alike
     for n in range(1, 13):
         types = list(iter_types(n))
         assert [t.sizes() for t in types] == brute_integer_partitions(n)
         for t in types:
-            checked = PartitionType.from_sizes(n, t.sizes())
+            checked = PartitionType([t.sizes().count(i) for i in range(1, n + 1)])
             assert type(t) is PartitionType and t == checked
             assert type(t.r) is tuple and len(t.r) == n
             assert hash(t) == hash(checked) and repr(t) == repr(checked)
@@ -359,7 +376,7 @@ def test_mobius_of_type_matches_instances():
 
 def test_multiplicative_extension():
     f = [Fraction(2), Fraction(3), Fraction(5)]
-    pi = SetPartition.from_blocks(3, [[1, 2], [3]])
+    pi = SetPartition([[1, 2], [3]])
     assert multiplicative_extension(f, pi) == 6
     assert multiplicative_extension(f, one_partition(3)) == 5
     assert block_size_product(pi) == 2
@@ -372,23 +389,18 @@ def test_size_cap():
 
 
 def test_partition_validation():
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(3, [[1, 2]])
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(3, [[1, 2], [2, 3]])
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(3, [[1, 3]])  # 2 missing
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(3, [[1, 2], [4]])
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(2, [[0, 1]])
-    with pytest.raises(InputFormatError):
-        SetPartition.from_blocks(2, [[1, 2], []])
-    # n, elements and labels are integers, and booleans are not
-    for n, blocks in ((2, [[True, 2]]), (2, [[1, 2.0]]), (2.0, [[1, 2]]),
-                      (True, [[1]]), (2, [[1, "2"]])):
-        with pytest.raises(InputFormatError):
-            SetPartition.from_blocks(n, blocks)
+    # the blocks cover {1..n} exactly once, n their total size
+    for blocks in ([[1, 2], [2, 3]], [[1, 3]], [[1, 2], [4]], [[0, 1]],
+                   [[1, 2], []]):
+        with pytest.raises(InputFormatError, match="do not cover"):
+            SetPartition(blocks)
+    with pytest.raises(InputFormatError) as caught:
+        SetPartition(((1,), (1,)))
+    assert str(caught.value) == "blocks [(1,), (1,)] do not cover {1..2} exactly once"
+    # elements are integers, and booleans are not
+    for blocks in ([[True, 2]], [[1, 2.0]], [[1, "2"]]):
+        with pytest.raises(InputFormatError, match="is not an int"):
+            SetPartition(blocks)
     # a type vector has entries >= 0 that weigh its length, and a count has
     # two modes
     refused = ("type vector must be a nonempty list or tuple of ints >= 0 "
@@ -403,10 +415,7 @@ def test_partition_validation():
             make()
         assert str(caught.value) == message
     # the ground set {1..n} is never empty, as the walks require
-    for make in (lambda: SetPartition.from_blocks(0, []),
-                 lambda: SetPartition.from_blocks(-1, []),
-                 lambda: PartitionType.from_sizes(0, []),
-                 lambda: PartitionType.from_sizes(True, [1]),
+    for make in (lambda: SetPartition([]), lambda: SetPartition([()]),
                  lambda: iter_types(0), lambda: iter_types(-1)):
         with pytest.raises(InputFormatError, match="ground-set size"):
             make()

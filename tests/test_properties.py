@@ -26,7 +26,6 @@ from finfree import (
     FreeCumulantVector,
     MomentSequence,
     MonicPoly,
-    PartitionType,
     boxplus,
     boxplus_power,
     clt_rescaled_sum,
@@ -199,7 +198,6 @@ SIZED = {
     "free_cumulants_from_moments": (lambda n: free_cumulants_from_moments(_M, n), 2),
     "convergence_report": (lambda n: convergence_report(_R, n, [10]), 2),
     "iter_types": (lambda n: list(iter_types(n)), 3),
-    "PartitionType.from_sizes": (lambda n: PartitionType.from_sizes(n, [3]), 3),
     "enumerate_partitions": (enumerate_partitions, 3),
     "enumerate_noncrossing": (enumerate_noncrossing, 3),
 }

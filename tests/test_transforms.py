@@ -183,8 +183,12 @@ def test_kernel_large_d():
     assert abs(v - Fraction(0)) < Fraction(1, 10**5)  # free kappa_4 of these moments is 0
     with pytest.raises(DomainError):
         cumulant_from_moments(m, 3, 4)  # integer d below n
-    with pytest.raises(DomainError):
-        cumulant_from_moments([Fraction(1)], 5, 3)
+    # too few moments, in the series path and in the lattice reference
+    for call in (lambda: cumulant_from_moments([Fraction(1)], 5, 3),
+                 lambda: lattice.cumulant_from_moments([Fraction(1)], 5, 3),
+                 lambda: lattice.coefficients_from_moments(moments(x_power(3), 1), 3)):
+        with pytest.raises(DomainError, match="need 3 moments, got 1"):
+            call()
 
 
 def small_then_d100(rng, count):
@@ -266,7 +270,7 @@ def test_size_caps():
     k = CumulantVector([0, 1, 0, 0])
     with pytest.raises(SizeCapError):
         lattice.moment_from_cumulants(k, 13)
-    sigma13 = SetPartition.from_blocks(13, [[1, 2], range(3, 14)])
+    sigma13 = SetPartition([[1, 2], range(3, 14)])
     with pytest.raises(SizeCapError):
         p_sigma(sigma13)
     with pytest.raises(SizeCapError):
@@ -282,9 +286,9 @@ def test_p_sigma_agrees_with_defining_sum():
 
 def test_p_sigma_smallest_cases():
     # P at the two-element lattice: (d)_1^2 1! - (d)_2 1! = d
-    s = SetPartition.from_blocks(2, [[1], [2]])
+    s = SetPartition([[1], [2]])
     assert p_sigma(s).coeffs == (Fraction(0), Fraction(1))
-    one = SetPartition.from_blocks(2, [[1, 2]])
+    one = SetPartition([[1, 2]])
     assert p_sigma(one).coeffs == (Fraction(0), Fraction(1), Fraction(-1))
 
 

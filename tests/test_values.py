@@ -23,7 +23,7 @@ def _samples():
     p = MonicPoly.from_roots([-1, 0, 1])
     return [
         (VarPoly("s", [1, "1/2"]), ("var", "coeffs")),
-        (SetPartition.from_blocks(3, [[3, 1], [2]]), ("blocks",)),
+        (SetPartition([[3, 1], [2]]), ("blocks",)),
         (PartitionType([1, 1, 0]), ("r",)),
         (p, ("a",)),
         (MomentSequence(["0", "2/3"], degree_context=3), ("entries", "degree_context")),
@@ -145,7 +145,7 @@ def test_checked_types_take_their_fields_by_keyword():
     assert CumulantVector(kappa=[5], variant="rescaled").variant == "rescaled"
     assert CumulantVector([5]).variant == "standard"
     assert MonicPoly(a=[1, 2], d=1) == MonicPoly.from_signed([1, 2])
-    assert SetPartition(blocks=((1,),)) == SetPartition.from_blocks(1, [[1]])
+    assert SetPartition(blocks=((1,),)) == SetPartition([[1]])
     assert PartitionType(r=(0, 1)).sizes() == (2,)
     assert VarPoly(var="t", coeffs=[0, 1, 0]).coeffs == (0, 1)
     assert FreeCumulantVector(entries=["1/2"]).entries == (Fraction(1, 2),)
