@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _rational_digits
 from .polynomial import MonicPoly, _exp_series, _over_lcm
 from .transforms import _primitive_plain, cumulants_from_coefficients
 from .util import parse_rational
@@ -64,6 +64,6 @@ def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     """
     t = parse_rational(t)
     if t <= 0:
-        raise DomainError("convolution power needs t > 0, got %s" % t)
+        raise DomainError("convolution power needs t > 0, got %s" % _rational_digits(t))
     f = _power_family(p)(t)
     return MonicPoly.from_plain_coefficients([Fraction(c, f[0]) for c in f])

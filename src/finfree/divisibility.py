@@ -28,21 +28,15 @@ def _exact_psd(rows) -> bool:
     """Exact PSD test for a symmetric rational matrix: diagonal-pivot
     elimination.  A negative pivot, or a zero pivot with a nonzero row,
     certifies an indefinite direction; otherwise recurse on the Schur
-    complement."""
-    m = [list(r) for r in rows]
-    while m:
-        piv = m[0][0]
-        if piv < 0:
+    complement, in which a row with a zero pivot-column entry is the row
+    itself less that entry, with no arithmetic (for a zero pivot every row
+    is such a row, by symmetry)."""
+    while rows:
+        piv, top = rows[0][0], rows[0][1:]
+        if piv < 0 or piv == 0 and any(top):
             return False
-        if piv == 0:
-            if any(x != 0 for x in m[0]):
-                return False
-            m = [row[1:] for row in m[1:]]
-            continue
-        m = [
-            [m[i][j] - m[i][0] * m[0][j] / piv for j in range(1, len(m))]
-            for i in range(1, len(m))
-        ]
+        rows = [[x - row[0] * y / piv for x, y in zip(row[1:], top)] if row[0] else row[1:]
+                for row in rows[1:]]
     return True
 
 

@@ -32,6 +32,14 @@ def _digits(v: int) -> str:
     return "-" + s if v < 0 else s
 
 
+def _rational_digits(q) -> str:
+    """The rational q as str(q) writes it, "n" or "n/m", with n and m each
+    through _digits."""
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return "%s/%s" % (_digits(q.numerator), _digits(q.denominator))
+
+
 class SizeCapError(FinFreeError):
     """A request would exceed a fixed size bound: what is refused, its value
     n, and the name cap of the bound it exceeds."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, InputFormatError, _digits
+from .errors import DomainError, InputFormatError, _digits, _rational_digits
 from .polynomial import MonicPoly
 from .transforms import (CumulantVector, coefficients_from_cumulants,
                          cumulants_from_coefficients)
@@ -62,7 +62,7 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     kappa = cumulants_from_coefficients(p).kappa
     if kappa[0] != 0:
         raise DomainError(
-            "kappa_1 = %s; center the polynomial before rescaling" % kappa[0]
+            "kappa_1 = %s; center the polynomial before rescaling" % _rational_digits(kappa[0])
         )
     root = isqrt(n)
     return coefficients_from_cumulants(CumulantVector(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError, InputFormatError, _digits
-from .polynomial import MomentSequence, _exp_series, _log_derivative
+from .polynomial import MomentSequence, _exp_series, _log_derivative, _over_lcm
 from .transforms import cumulant_from_moments
 from .util import Value, _check_int, _store, format_rational, parse_rational_array
 
@@ -54,8 +54,9 @@ def _lagrange(log, e: int, n: int) -> Fraction:
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
     """m_n = sum over NC(n) of r_pi, n = 1..N, by Lagrange inversion."""
     _check_int(N, "N")
-    # _log_derivative takes the entries past the stored length as zero
-    log = _log_derivative((1, *r.entries[:N]), 1, N)
+    # _log_derivative takes the entries past the stored length as zero, and
+    # 1 + R up to scale, as integers
+    log = _log_derivative(_over_lcm((1, *r.entries[:N]))[0], 1, N)
     return MomentSequence([_lagrange(log, n + 1, n) for n in range(1, N + 1)])
 
 
@@ -64,7 +65,7 @@ def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector
     _check_int(N, "N")
     if len(m) < N:
         raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
-    log = _log_derivative((1, *m.entries[:N]), 1, N)
+    log = _log_derivative(_over_lcm((1, *m.entries[:N]))[0], 1, N)
     r = [_lagrange(log, 1 - n, n) for n in range(2, N + 1)]
     # for N < 1 the constructor refuses the empty vector
     return FreeCumulantVector([m.entries[0], *r] if N > 0 else r)

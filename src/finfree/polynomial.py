@@ -26,7 +26,8 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, ne
 
-from .errors import FinFreeError, InputFormatError, NonMonicError, _digits
+from .errors import (FinFreeError, InputFormatError, NonMonicError, _digits,
+                     _rational_digits)
 from .util import (Value, _check_int, _store, format_rational, parse_int,
                    parse_rational, parse_rational_array, read_record)
 
@@ -45,7 +46,7 @@ class MonicPoly(Value):
             )
         if a[0] != 1:
             raise NonMonicError(
-                "leading coefficient a_0 must be exactly 1, got %s" % (a[0],)
+                "leading coefficient a_0 must be exactly 1, got %s" % _rational_digits(a[0])
             )
         _store(self, "a", a)
 
@@ -163,54 +164,55 @@ def _over_lcm(v) -> tuple:
 
 def _log_derivative(S, d, n: int) -> tuple:
     """c_1..c_n with c_{k+1} = -(1/d) [s^k] S'/S, where S_0 != 0 and S_j = 0
-    past the end of S.  S'/S does not see the scale of S, so S may be
-    integers.  T_k = [s^k] S'/S solves S_0 T_k = (k+1) S_{k+1} - sum_j T_j
-    S_{k-j}, one integer dot product over T's running lcm DT per step.  Each
-    step builds its output c_{k+1} = -T_k q / p for d = p/q, the one Fraction
-    per entry, and takes T_k in lowest terms from it by two gcds with p and
-    q, so that the Fraction's own gcd is the step's only one of full size.
+    past the end of S.  S'/S does not see the scale of S, so S is integers.
+    T_k = [s^k] S'/S solves S_0 T_k = (k+1) S_{k+1} - sum_j T_j S_{k-j}, one
+    integer dot product over T's running lcm DT per step.  Each step builds
+    its output c_{k+1} = -T_k q / p for d = p/q, the one Fraction per entry,
+    and takes T_k in lowest terms from it by two gcds with p and q, so that
+    the Fraction's own gcd is the step's only one of full size.
     """
-    Snum, _ = _over_lcm(S)
-    top = len(S) - 1
     p, q = d.numerator, d.denominator
+    top, S1, pS0 = len(S) - 1, S[1:], p * S[0]
     out, Tnum, DT = [], [], 1
     for k in range(n):
-        lo = max(0, k - top)
-        dot = sum(map(mul, Tnum[lo:k], Snum[k:0:-1]))  # the slice stops at S's end
-        c = Fraction(q * (dot - ((k + 1) * Snum[k + 1] * DT if k < top else 0)),
-                     p * DT * Snum[0])
+        # map stops at T_0 or past S_top: T_{k-1}, T_{k-2}, .. against S_1, S_2, ..
+        dot = sum(map(mul, reversed(Tnum), S1))
+        if k < top:
+            dot -= (k + 1) * S1[k] * DT
+        c = Fraction(q * dot, pS0 * DT)
         out.append(c)
+        num, den = c.numerator, c.denominator
         # T_k = -c p / q; c and p/q are each in lowest terms
-        g, h = gcd(c.numerator, q), gcd(c.denominator, p)
-        Tnum, DT = _append_over(Tnum, DT, -(c.numerator // g) * (p // h),
-                                (c.denominator // h) * (q // g))
+        g, h = gcd(num, q), gcd(den, p)
+        num, den = -(num // g) * (p // h), (den // h) * (q // g)
+        if DT % den:  # T over the lcm of DT and den
+            grown = lcm(DT, den)
+            f = grown // DT
+            Tnum, DT = [y * f for y in Tnum], grown
+        Tnum.append(num * (DT // den))
     return tuple(out)
 
 
 def _exp_series(c, d, n: int) -> tuple:
     """(Snum, DS) with S_i = Snum_i / DS, i = 0..n, from i S_i = -d sum_{j=1}^{i}
-    c_j S_{i-j}, S_0 = 1: the inverse of _log_derivative.  c_1..c_n come over
-    their lcm and S over DS, the running lcm of the reduced denominators, so
-    each step is one integer dot product and one gcd, and no Fraction is
-    built."""
+    c_j S_{i-j}, S_0 = 1: the inverse of _log_derivative.  c_1..c_n, Fractions
+    or integers, come over their lcm and S over DS, the running lcm of the
+    reduced denominators, so each step is one integer dot product and one
+    gcd, and no Fraction is built."""
     cnum, DC = _over_lcm(c[:n])
     p, q = d.numerator, d.denominator
-    Snum, DS = [1], 1
+    Snum, DS, qDC = [1], 1, q * DC
     for i in range(1, n + 1):
-        num, den = -p * sum(map(mul, cnum[:i], Snum[::-1])), q * i * DC * DS  # den > 0
+        # map stops at S_0: c_1..c_i against S_{i-1}..S_0
+        num, den = -p * sum(map(mul, cnum, reversed(Snum))), qDC * i * DS  # den > 0
         g = gcd(num, den)
-        Snum, DS = _append_over(Snum, DS, num // g, den // g)
+        num, den = num // g, den // g
+        if DS % den:  # S over the lcm of DS and den
+            grown = lcm(DS, den)
+            f = grown // DS
+            Snum, DS = [y * f for y in Snum], grown
+        Snum.append(num * (DS // den))
     return Snum, DS
-
-
-def _append_over(nums: list, D: int, num: int, den: int) -> tuple:
-    """nums + [num/den] over the lcm of D and den, for num/den in lowest
-    terms: the stored numerators are rescaled only when den does not divide D."""
-    if D % den:
-        grown = lcm(D, den)
-        nums, D = [y * (grown // D) for y in nums], grown
-    nums.append(num * (D // den))
-    return nums, D
 
 
 class MomentSequence(Value):

@@ -11,9 +11,11 @@ any rational d except an integer below the order n, where (d)_n vanishes.
 
 The pair stays in integers: each step is one integer dot product over a
 running common denominator, and a Fraction is built only for an entry a
-function returns, one per output entry.  The weights are integers
-W_i = W_0 w_i: the log step takes the integers W_i num(a_i), since S'/S does
-not see the scale of S.
+function returns, one per output entry.  The log step takes integers, since
+S'/S does not see the scale of S: with the integer weights W_i = W_0 w_i,
+the integers W_i num(a_i) for the cumulants, and the integer coefficients
+of prod (1 - r s) for the moments.  The exp step takes the rationals kappa
+or m as they come, over their lcm.
 
 The paper states these maps as sums over the set partition lattice; those
 sums live in lattice.py, the reference the tests compare this module with.

@@ -133,7 +133,8 @@ PARTITION_TESTS = ["tests/test_cli.py::test_partitions_listing_is_json_dumps_of_
 # examples first, then the CPD answers on known and constructed input, the
 # verdicts that read them and acceptance criterion 10
 CPD_TESTS = [DIV + t for t in (
-    "test_psd_core", "test_cpd_examples", "test_cpd_known_by_construction",
+    "test_psd_core", "test_psd_matches_principal_minors_on_sparse_and_singular_windows",
+    "test_cpd_examples", "test_cpd_known_by_construction",
     "test_id_verdict_matches_flag_and_cpd_is_necessary",
     "test_rescaled_cpd_implies_standard_cpd")] + [
     "tests/test_acceptance.py::test_criterion_10_infinite_divisibility"]
@@ -148,6 +149,7 @@ VALUE_TESTS = ["tests/test_values.py",
                "tests/test_cli.py::test_stated_sizes_are_checked_against_the_entries",
                "tests/test_cli.py::test_degrees_must_be_integers",
                "tests/test_cli.py::test_float_and_bool_array_entries_keep_their_messages",
+               "tests/test_cli.py::test_long_rationals_are_shortened_in_refusals",
                "tests/test_cli.py::test_malformed_input_exits_3"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
@@ -158,25 +160,24 @@ MIN_TIMEOUT_S = 60
 # dies of MemoryError (killed) long before the timeout
 MAX_ADDRESS_SPACE = 2**31
 
-# (module under src/finfree, function, tests): the series pair and its
-# helper, the weights, the two callers that build Fractions from their
-# integers, the scaling that reads plain coefficients off the series, the
-# free side's Lagrange step with its two directions, boxplus, the
-# threshold search with its power family, the exact PSD elimination, the
-# Sturm chain with the counts read off it, the squarefree certificate, the
-# isolation with its shift, root bound and sign changes, the oracle's
-# Jacobi matrix with the MonicPoly methods (matched by their plain names)
-# that build and centre its input, the oracle's characteristic polynomials
-# with the reflector they share with its Haar conjugates, and the partition
-# walk with the Moebius values, type counts, type walk and listing writer
-# that read it, and the partition values' checked constructors and derived
-# ground-set size n (methods of both classes, matched by their plain names),
-# and the degree d that MonicPoly, CumulantVector and MCEstimate derive from
-# their entries, with the first two's constructors and JSON readers
+# (module under src/finfree, function, tests): the series pair, the weights,
+# the two callers that build Fractions from their integers, the scaling that
+# reads plain coefficients off the series, the free side's Lagrange step
+# with its two directions, boxplus, the threshold search with its power
+# family, the exact PSD elimination, the Sturm chain with the counts read
+# off it, the squarefree certificate, the isolation with its shift, root
+# bound and sign changes, the oracle's Jacobi matrix with the MonicPoly
+# methods (matched by their plain names) that build and centre its input,
+# the oracle's characteristic polynomials with the reflector they share with
+# its Haar conjugates, and the partition walk with the Moebius values, type
+# counts, type walk and listing writer that read it, and the partition
+# values' checked constructors and derived ground-set size n (methods of
+# both classes, matched by their plain names), and the degree d that
+# MonicPoly, CumulantVector and MCEstimate derive from their entries, with
+# the first two's constructors and JSON readers
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
-    ("polynomial.py", "_append_over", SERIES_TESTS),
     ("transforms.py", "_series_weights", SERIES_TESTS),
     ("transforms.py", "coefficients_from_cumulants", SERIES_TESTS),
     ("transforms.py", "_cumulants_from_moments", SERIES_TESTS),

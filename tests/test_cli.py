@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from finfree import (
+    FinFreeError,
     MonicPoly,
+    boxplus_power,
     cli,
+    clt_rescaled_sum,
     enumerate_noncrossing,
     enumerate_partitions,
     mobius_from_zero,
@@ -560,6 +563,37 @@ def test_stated_sizes_are_checked_against_the_entries(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and json.loads(captured.err) == {
             "error": {"type": "InputFormatError", "message": message}}, doc
+
+
+def test_long_rationals_are_shortened_in_refusals(capsys):
+    # a refused rational prints its numerator and denominator through the
+    # integer shortening: in full up to 40 digits, else cut
+    big = "7" * 4000
+    assert main(["cumulants", '{"degree":1,"a":["%s","0"]}' % big]) == 3
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and "...(4000 digits)" in err
+    assert json.loads(err)["error"]["message"] == (
+        "leading coefficient a_0 must be exactly 1, got 77777777777777777777...(4000 digits)")
+    forty, long = int("9" * 40), int("7" * 41)
+    cases = [
+        (lambda: MonicPoly(1, [Fraction(-forty, 7), 0]),
+         "leading coefficient a_0 must be exactly 1, got -%d/7" % forty),
+        (lambda: MonicPoly(1, [Fraction(3, long), 0]),
+         "leading coefficient a_0 must be exactly 1, got "
+         "3/77777777777777777777...(41 digits)"),
+        (lambda: boxplus_power(MonicPoly(1, [1, 0]), Fraction(-2, 3)),
+         "convolution power needs t > 0, got -2/3"),
+        (lambda: boxplus_power(MonicPoly(1, [1, 0]), Fraction(-long, forty)),
+         "convolution power needs t > 0, got -77777777777777777777...(41 digits)/%d" % forty),
+        (lambda: clt_rescaled_sum(MonicPoly(1, [1, Fraction(1, 2)]), 4),
+         "kappa_1 = 1/2; center the polynomial before rescaling"),
+        (lambda: clt_rescaled_sum(MonicPoly(1, [1, long]), 4),
+         "kappa_1 = 77777777777777777777...(41 digits); center the polynomial before rescaling"),
+    ]
+    for call, message in cases:
+        with pytest.raises(FinFreeError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 def test_float_and_bool_array_entries_keep_their_messages(capsys):

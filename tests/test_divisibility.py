@@ -56,6 +56,70 @@ def test_psd_core():
         assert _exact_psd([[Fraction(x * y) for y in v] for x in v])
 
 
+def minors_psd(M) -> bool:
+    """PSD by definition's equivalent: every principal minor is >= 0, each
+    determinant by Fraction elimination with row swaps."""
+    k = len(M)
+    for mask in range(1, 2**k):
+        idx = [i for i in range(k) if mask >> i & 1]
+        a = [[Fraction(M[i][j]) for j in idx] for i in idx]
+        det = Fraction(1)
+        for c in range(len(a)):
+            r = next((r for r in range(c, len(a)) if a[r][c]), None)
+            if r is None:
+                det = Fraction(0)
+                break
+            if r != c:
+                a[c], a[r], det = a[r], a[c], -det
+            det *= a[c][c]
+            for r in range(c + 1, len(a)):
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+        if det < 0:
+            return False
+    return True
+
+
+def test_psd_matches_principal_minors_on_sparse_and_singular_windows():
+    # the elimination skips every row whose pivot-column entry is zero;
+    # sparse windows, singular Gram matrices and Hermite-shaped Hankel
+    # windows exercise that skip on both sides of the PSD boundary
+    rng = random.Random(4101)
+    windows = []
+    for k in range(1, 7):
+        for _ in range(40):
+            M = [[Fraction(0)] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    if rng.random() < 0.35:
+                        M[i][j] = M[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            windows.append(M)
+            # B B^T with B k x r, r < k and a few zero entries: PSD, singular
+            r = rng.randint(1, max(1, k - 1))
+            B = [[rng.choice((0, 0, rng.randint(-2, 2))) for _ in range(r)] for _ in range(k)]
+            G = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in B] for u in B]
+            windows.append(G)
+            # a nonzero entry in a zero row of G breaks it
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            H = [row[:] for row in G]
+            H[i][j] = H[j][i] = H[i][j] + 1
+            windows.append(H)
+        # Hankel windows of (kappa_1, ..., kappa_2k) with kappa_2 alone
+        # nonzero (Hermite), and with one more nonzero cumulant
+        for kappa2 in (-1, 0, 1, Fraction(3, 2)):
+            vals = [Fraction(0)] * (2 * k + 1)
+            vals[1] = Fraction(kappa2)
+            windows.append([[vals[i + j + 1] for j in range(k)] for i in range(k)])
+            for at in range(2, 2 * k):
+                for v in (-1, 2):
+                    more = vals[:]
+                    more[at] = Fraction(v)
+                    windows.append([[more[i + j + 1] for j in range(k)] for i in range(k)])
+    verdicts = [_exact_psd(M) for M in windows]
+    assert verdicts == [minors_psd(M) for M in windows]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_cpd_examples():
     assert is_conditionally_positive_definite([0, 1, 0, 0])  # Hermite
     assert is_conditionally_positive_definite([1, 1, 1, 1])  # rank one
