@@ -15,7 +15,6 @@ import math
 import sys
 from fractions import Fraction
 from itertools import combinations
-from json.encoder import encode_basestring_ascii
 
 from .convolution import boxplus, boxplus_power
 from .divisibility import (
@@ -308,16 +307,16 @@ def _cmd_partitions(ns):
     return _listing_text(n, ns.noncrossing)
 
 
-# One row of the partitions listing as json.dumps(..., indent=2) prints it.
-_ROW = ('    {\n      "partition": %s,\n      "blocks": %d,\n      "mobius": %d,\n'
+# One row of the partitions listing as json.dumps(..., indent=2) prints it;
+# the label holds digits, commas, pipes and braces, which JSON writes as they are.
+_ROW = ('    {\n      "partition": "{%s}",\n      "blocks": %d,\n      "mobius": %d,\n'
         '      "noncrossing": %s\n    }')
 
 
 def _listing_text(n: int, noncrossing: bool) -> str:
     """{"n", "count", "partitions": one row per partition of P(n) or NC(n)}
     in the bytes json.dumps(..., indent=2) gives, written with the fixed row
-    shape; only the label is a string, so only it goes through json's string
-    encoder.  Each block's text and Moebius factor are made once, as the
+    shape.  Each block's text and Moebius factor are made once, as the
     partitions of one walk share their block tuples, and the noncrossing
     flag of a P(n) row is membership in NC(n); every NC(n) row's is true."""
     ground = range(1, n + 1)
@@ -330,7 +329,7 @@ def _listing_text(n: int, noncrossing: bool) -> str:
             factor[b] = mu
     nc = None if noncrossing else {pi.blocks for pi in enumerate_noncrossing(n)}
     label, mobius = text.__getitem__, factor.__getitem__
-    rows = [_ROW % (encode_basestring_ascii("{%s}" % "|".join(map(label, pi.blocks))),
+    rows = [_ROW % ("|".join(map(label, pi.blocks)),
                     len(pi.blocks), math.prod(map(mobius, pi.blocks)),
                     "true" if nc is None or pi.blocks in nc else "false")
             for pi in _partitions(n, noncrossing)]

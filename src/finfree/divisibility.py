@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import floor, isqrt
 
 from .convolution import _power_family, boxplus
-from .errors import DomainError, InputFormatError
+from .errors import DomainError
 from .polynomial import MonicPoly, _sturm_counts, is_real_rooted
 from .transforms import (
     CumulantVector,
@@ -21,7 +21,7 @@ from .transforms import (
     cumulants_from_coefficients,
     rescale_cumulants,
 )
-from .util import Value, _check_int, _is_int, parse_rational, parse_rational_array
+from .util import Value, _check_int, parse_rational, parse_rational_array
 
 
 def _exact_psd(rows) -> bool:
@@ -141,8 +141,7 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     probed, it bisects them.  That takes at most 2 bit_length(len(grid))
     probes, and no grid point is probed twice.
     """
-    if not _is_int(steps) or steps < 0:
-        raise InputFormatError("steps must be an integer >= 0, got %.80r" % (steps,))
+    _check_int(steps, "steps", 0)
     t_max = parse_rational(t_max)
     if all(v == 0 for v in p.a[1:]):
         raise DomainError("x^d is excluded: every convolution power is x^d")

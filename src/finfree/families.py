@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .errors import DomainError, InputFormatError, _digits, _rational_digits
+from .errors import DomainError, _digits, _rational_digits
 from .polynomial import MonicPoly
 from .transforms import (CumulantVector, coefficients_from_cumulants,
                          cumulants_from_coefficients)
@@ -23,9 +23,7 @@ def hermite_clt(d: int, marcus_scaling: bool = False) -> MonicPoly:
     sqrt(d).  With marcus_scaling the variance kappa_2 is 1 - 1/d instead
     of 1.
     """
-    _check_int(d, "degree")
-    if d < 1:
-        raise InputFormatError("degree must be >= 1")
+    _check_int(d, "degree", 1)
     v = Fraction(d - 1, d) if marcus_scaling else 1
     kappa = (0, v) + (0,) * (d - 2)
     return coefficients_from_cumulants(CumulantVector(kappa[:d]))
@@ -37,9 +35,7 @@ def finite_poisson(lam, d: int) -> MonicPoly:
     Requires d*lam a positive integer; for lam < 1 the polynomial has a
     root at 0 of multiplicity d - d*lam.
     """
-    _check_int(d, "degree")
-    if d < 1:
-        raise InputFormatError("degree must be >= 1")
+    _check_int(d, "degree", 1)
     lam = parse_rational(lam)
     dlam = lam * d
     if dlam.denominator != 1 or dlam <= 0:
@@ -56,9 +52,9 @@ def clt_rescaled_sum(p: MonicPoly, n: int) -> MonicPoly:
     Requires kappa_1(p) = 0; center first.  n must be a perfect square, so
     that the rescaling by sqrt(n) stays exact.
     """
-    _check_int(n, "n")
-    if n < 1 or isqrt(n) ** 2 != n:
-        raise DomainError("need a perfect square n >= 1, got %s" % _digits(n))
+    _check_int(n, "n", 1)
+    if isqrt(n) ** 2 != n:
+        raise DomainError("need a perfect square n, got %s" % _digits(n))
     kappa = cumulants_from_coefficients(p).kappa
     if kappa[0] != 0:
         raise DomainError(

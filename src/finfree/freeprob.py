@@ -53,7 +53,7 @@ def _lagrange(log, e: int, n: int) -> Fraction:
 
 def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSequence:
     """m_n = sum over NC(n) of r_pi, n = 1..N, by Lagrange inversion."""
-    _check_int(N, "N")
+    _check_int(N, "N", 1)
     # _log_derivative takes the entries past the stored length as zero, and
     # 1 + R up to scale, as integers
     log = _log_derivative(_over_lcm((1, *r.entries[:N]))[0], 1, N)
@@ -62,13 +62,12 @@ def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSeq
 
 def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
     """r_1..r_N from m_1..m_N, the inverse map, by Lagrange inversion."""
-    _check_int(N, "N")
+    _check_int(N, "N", 1)
     if len(m) < N:
         raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
     log = _log_derivative(_over_lcm((1, *m.entries[:N]))[0], 1, N)
     r = [_lagrange(log, 1 - n, n) for n in range(2, N + 1)]
-    # for N < 1 the constructor refuses the empty vector
-    return FreeCumulantVector([m.entries[0], *r] if N > 0 else r)
+    return FreeCumulantVector([m.entries[0], *r])
 
 
 class ConvergenceReport(Value):
@@ -99,9 +98,7 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     must hold is d >= n, else the finite cumulant of order n does not exist
     at degree d.
     """
-    _check_int(n, "cumulant order n")
-    if n < 1:
-        raise InputFormatError("cumulant order n must be >= 1, got %s" % _digits(n))
+    _check_int(n, "cumulant order n", 1)
     ds = tuple(d_values)
     for d in ds:
         _check_int(d, "d")

@@ -33,12 +33,11 @@ from itertools import combinations, product
 from math import factorial, prod
 from operator import and_
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _digits
 from .partitions import (
     PartitionType,
     SetPartition,
     _check_cap,
-    _check_size,
     _partitions,
     count_by_type,
     enumerate_noncrossing,
@@ -47,7 +46,7 @@ from .partitions import (
 )
 from .polynomial import MomentSequence, MonicPoly
 from .transforms import CumulantVector, _standardize
-from .util import VarPoly, parse_rational, parse_rational_array
+from .util import VarPoly, _check_int, parse_rational, parse_rational_array
 
 # Established by exhaustive comparison of the two sums for every sigma in
 # P(n), n <= 6, and re-checked by the test suite up to n = 8:
@@ -61,13 +60,13 @@ JOIN_FORM_SIGN = -1
 
 def zero_partition(n: int) -> SetPartition:
     """0_n, the all-singletons partition."""
-    _check_size(n)
+    _check_int(n, "ground-set size", 1)
     return SetPartition(tuple((i,) for i in range(1, n + 1)))
 
 
 def one_partition(n: int) -> SetPartition:
     """1_n, the single-block partition."""
-    _check_size(n)
+    _check_int(n, "ground-set size", 1)
     return SetPartition((tuple(range(1, n + 1)),))
 
 
@@ -332,7 +331,8 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
         raise DomainError("need %d moments, got %d" % (n, len(mv)))
     dq = parse_rational(d)
     if dq.denominator == 1 and dq < n:
-        raise DomainError("integer d = %s below the order n = %d" % (d, n))
+        raise DomainError("integer d = %s below the order n = %d"
+                          % (_digits(dq.numerator), n))
     f = [1 / falling(dq, t) for t in range(1, n + 1)]
     s = _mobius_sum(mv, dq, n, lambda sizes: _interval_sum(sizes, f))
     return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s

@@ -28,9 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FinFreeError, InputFormatError, _digits
+from .errors import DimensionError, DomainError, FinFreeError, _digits
 from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
-from .util import Value, _is_int
+from .util import Value, _check_int
 
 _CHUNK = 4096
 # c * eps in the pass rule, eps = 2^-52; c = 32 is 4.5 times a seeded sweep's worst
@@ -211,10 +211,8 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     a_k, at most binom(d, k) R^k < 2^d max(1, R^d), outside the normal
     floats.
     """
-    if not _is_int(seed) or seed < 0:
-        raise InputFormatError("seed must be an integer >= 0, got %.80r" % (seed,))
-    if not _is_int(samples):
-        raise InputFormatError("samples must be an integer, got %.80r" % (samples,))
+    _check_int(seed, "seed", 0)
+    _check_int(samples, "samples")
     if p.d != q.d:
         raise DimensionError("degree mismatch: %d vs %d" % (p.d, q.d))
     if samples < 1000:

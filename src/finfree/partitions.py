@@ -33,20 +33,14 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-from .errors import FinFreeError, InputFormatError, SizeCapError, _digits
+from .errors import FinFreeError, InputFormatError, SizeCapError
 from .util import Value, _check_int, _store
 
 DEFAULT_N_MAX = 12
 
 
-def _check_size(n: int) -> None:
-    _check_int(n, "ground-set size")
-    if n < 1:
-        raise InputFormatError("ground-set size must be >= 1, got %s" % _digits(n))
-
-
 def _check_cap(n: int) -> None:
-    _check_size(n)
+    _check_int(n, "ground-set size", 1)
     if n > DEFAULT_N_MAX:
         raise SizeCapError(n, DEFAULT_N_MAX, "ground-set size",
                            "the partition cap DEFAULT_N_MAX")
@@ -71,7 +65,7 @@ class SetPartition(Value):
             raise InputFormatError("an element of %.80r is not an int" % (blocks,))
         canon = sorted(tuple(sorted(b)) for b in blocks)
         n = sum(map(len, canon))
-        _check_size(n)
+        _check_int(n, "ground-set size", 1)
         if not all(canon) or sorted(e for b in canon for e in b) != list(range(1, n + 1)):
             raise InputFormatError(
                 "blocks %.80r do not cover {1..%d} exactly once" % (canon, n)
@@ -249,7 +243,7 @@ def iter_types(n: int):
     descriptor, as the partition walk's leaves are; __init__ checks outside
     data.
     """
-    _check_size(n)
+    _check_int(n, "ground-set size", 1)
     new, set_r = _new, PartitionType.r.__set__
 
     def walk():

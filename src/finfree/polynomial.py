@@ -37,9 +37,7 @@ class MonicPoly(Value):
 
     def __init__(self, d: int, a):
         a = parse_rational_array(a, "'a'")
-        _check_int(d, "degree")
-        if d < 1:
-            raise InputFormatError("degree must be >= 1")
+        _check_int(d, "degree", 1)
         if len(a) != d + 1:
             raise InputFormatError(
                 "degree %s needs d + 1 signed coefficients, got %d" % (_digits(d), len(a))
@@ -128,7 +126,7 @@ class MonicPoly(Value):
 
 def x_power(d: int) -> MonicPoly:
     """x^d."""
-    _check_int(d, "degree")
+    _check_int(d, "degree", 1)
     return MonicPoly(d, (1,) + (0,) * d)
 
 
@@ -144,9 +142,7 @@ def moments(p: MonicPoly, N: int) -> "MomentSequence":
 
 def _moments(S, d: int, N: int) -> "MomentSequence":
     """m_1..m_N of the degree-d polynomial whose prod (1 - r s) is S up to scale."""
-    _check_int(N, "N")
-    if N < 1:
-        raise InputFormatError("need N >= 1 moments, got %s" % _digits(N))
+    _check_int(N, "N", 1)
     return MomentSequence(_log_derivative(S, d, N), degree_context=d)
 
 
@@ -225,7 +221,7 @@ class MomentSequence(Value):
         if len(entries) < 1:
             raise InputFormatError("moment sequence must be nonempty")
         if degree_context is not None:
-            _check_int(degree_context, "degree context d")
+            _check_int(degree_context, "degree context d", 1)
         _store(self, "entries", entries)
         _store(self, "degree_context", degree_context)
 

@@ -79,8 +79,7 @@ class CumulantVector(Value):
     def from_json(cls, obj) -> "CumulantVector":
         d, kappa, variant = read_record(obj, "cumulant", ("d", "kappa"), ("variant",))
         d, kappa = parse_int(d, "'d'"), parse_rational_array(kappa, "'kappa'")
-        if d < 1:
-            raise InputFormatError("degree must be >= 1")
+        _check_int(d, "degree", 1)
         if len(kappa) != d:
             raise InputFormatError(
                 "need exactly %s cumulants, got %d" % (_digits(d), len(kappa)))
@@ -154,7 +153,7 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_i = (-1)^i S_i with S the exp of the moment series: Newton's
     identities with power sums p_i = d m_i."""
-    _check_int(d, "d")
+    _check_int(d, "d", 1)
     if len(m) < d:
         raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
     Snum, DS = _exp_series(m.entries, d, d)
@@ -180,9 +179,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     whatever d is.
     """
     mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
-    _check_int(n, "cumulant order n")
-    if n < 1:
-        raise DomainError("cumulant order must be >= 1, got %s" % _digits(n))
+    _check_int(n, "cumulant order n", 1)
     if len(mv) < n:
         raise DomainError("need %s moments, got %d" % (_digits(n), len(mv)))
     dq = parse_rational(d)
@@ -194,7 +191,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
 
 def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     """All d cumulants from the first d moments."""
-    _check_int(d, "d")
+    _check_int(d, "d", 1)
     if len(m) < d:
         raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
     return CumulantVector(_cumulants_from_moments(m.entries, d, d))

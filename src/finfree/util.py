@@ -3,6 +3,8 @@
 Rationals cross the package boundary as strings ("3", "-1/2"); internally
 everything exact is a fractions.Fraction.  parse_rational is the one gate
 between the two, and every exact value type stores its entries through it.
+_check_int is the one gate for an integer size, a degree d, an order n or a
+count N: an int and at least its least value, or one InputFormatError.
 Value is the base of every exact value type: frozen, slotted, compared and
 hashed by value.  VarPoly is the exact polynomial in a named indeterminate:
 the truncated R-transform in s, and, in the lattice reference, the lattice
@@ -17,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from operator import attrgetter
 
-from .errors import DomainError, InputFormatError
+from .errors import DomainError, InputFormatError, _digits
 
 # The exponent of a decimal literal such as "1.5e-3"; Fraction would build
 # 10**exponent before reducing.
@@ -86,10 +88,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(value, what: str) -> None:
-    """Refuse a size that is not an int: a float, a Fraction or a bool."""
-    if not _is_int(value):
-        raise InputFormatError("%s must be an integer, got %.80r" % (what, value))
+def _check_int(value, what: str, least: int | None = None) -> None:
+    """The one gate for an integer size: refuse a value that is not an int
+    (a bool, a float, a Fraction or a string) or that is below least, with
+    an integer shown through _digits and anything else by its repr."""
+    if _is_int(value):
+        if least is None or value >= least:
+            return
+        shown = _digits(value)
+    else:
+        shown = "%.80r" % (value,)
+    raise InputFormatError("%s must be an integer%s, got %s"
+                           % (what, "" if least is None else " >= %d" % least, shown))
 
 
 def parse_int(value, what: str = "value") -> int:

@@ -5,7 +5,8 @@ squarefree certificate and the continued-fraction isolation, the Monte
 Carlo oracle's exact input path, its characteristic polynomials and
 Householder reflector, and the set partition walk with the values and the
 listing built on it, the partition values' checked constructors, and the
-polynomial values' derived degree, checked constructors and JSON readers.
+polynomial values' derived degree, checked constructors and JSON readers,
+and the one gate for an integer size.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -151,6 +152,14 @@ VALUE_TESTS = ["tests/test_values.py",
                "tests/test_cli.py::test_float_and_bool_array_entries_keep_their_messages",
                "tests/test_cli.py::test_long_rationals_are_shortened_in_refusals",
                "tests/test_cli.py::test_malformed_input_exits_3"]
+# the one integer-size gate, util._check_int: the sweep over every size
+# argument first, then the refusals that pin its message, by CLI and in process
+SIZE_TESTS = ["tests/test_properties.py::test_size_arguments_must_be_ints",
+              "tests/test_cli.py::test_documented_errors_keep_their_codes",
+              "tests/test_cli.py::test_stated_sizes_are_checked_against_the_entries",
+              "tests/test_values.py::test_polynomial_values_store_only_what_fixes_d",
+              "tests/test_kernels.py::test_domain_errors_are_unchanged",
+              "tests/test_freeprob.py::test_inversion_refuses_what_the_reference_refuses"]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -174,7 +183,7 @@ MAX_ADDRESS_SPACE = 2**31
 # values' checked constructors and derived ground-set size n (methods of
 # both classes, matched by their plain names), and the degree d that
 # MonicPoly, CumulantVector and MCEstimate derive from their entries, with
-# the first two's constructors and JSON readers
+# the first two's constructors and JSON readers, and the integer-size gate
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -217,6 +226,7 @@ KERNELS = [
     ("transforms.py", "__init__", VALUE_TESTS),
     ("polynomial.py", "from_json", VALUE_TESTS),
     ("transforms.py", "from_json", VALUE_TESTS),
+    ("util.py", "_check_int", SIZE_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}

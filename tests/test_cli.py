@@ -18,6 +18,7 @@ from finfree import (
     clt_rescaled_sum,
     enumerate_noncrossing,
     enumerate_partitions,
+    lattice,
     mobius_from_zero,
 )
 from finfree.cli import (
@@ -480,7 +481,7 @@ def test_documented_errors_keep_their_codes(capsys):
     # a cumulant vector of degree 0
     code, _, err = run(capsys, "coeffs", '{"d":0,"kappa":[]}')
     assert code == 3 and err["error"] == {"type": "InputFormatError",
-                                          "message": "degree must be >= 1"}
+                                          "message": "degree must be an integer >= 1, got 0"}
     # a non-integral degree is reported as written
     for argv in (["converge", "--r", "0,1", "--n", "2", "--d", "5/2"],
                  ["coeffs", '{"m":["0","1"],"d":"5/2"}']):
@@ -505,7 +506,7 @@ def test_documented_errors_keep_their_codes(capsys):
     # one of 40 digits is shown in full, its sign not counted as a digit
     assert main(["partitions", "--n", "-" + "9" * 40]) == 3
     assert json.loads(capsys.readouterr().err)["error"]["message"] == (
-        "ground-set size must be >= 1, got -" + "9" * 40)
+        "ground-set size must be an integer >= 1, got -" + "9" * 40)
 
 
 def test_big_rational_literals(capsys):
@@ -547,13 +548,15 @@ def test_stated_sizes_are_checked_against_the_entries(capsys):
     cases = [
         ("cumulants", '{"degree":3,"a":["1","2"]}',
          "degree 3 needs d + 1 signed coefficients, got 2"),
-        ("cumulants", '{"degree":0,"a":["1","2"]}', "degree must be >= 1"),
+        ("cumulants", '{"degree":0,"a":["1","2"]}', "degree must be an integer >= 1, got 0"),
         ("coeffs", '{"d":3,"kappa":["1"]}', "need exactly 3 cumulants, got 1"),
         # a stated size of thousands of digits is shortened
         ("cumulants", '{"degree":%s,"a":["1"]}' % ("9" * 4300),
          "degree 99999999999999999999...(4300 digits) needs d + 1 signed coefficients, got 1"),
         ("coeffs", '{"d":%s,"kappa":["1"]}' % ("9" * 4300),
          "need exactly 99999999999999999999...(4300 digits) cumulants, got 1"),
+        ("coeffs", '{"d":-%s,"kappa":["1"]}' % ("9" * 4300),
+         "degree must be an integer >= 1, got -99999999999999999999...(4300 digits)"),
         # two faults: the float entry is refused before the degree
         ("cumulants", '{"degree":0,"a":["1",0.5]}',
          "refusing float 0.5 for an exact slot; pass a string like '1/3'"),
@@ -589,6 +592,8 @@ def test_long_rationals_are_shortened_in_refusals(capsys):
          "kappa_1 = 1/2; center the polynomial before rescaling"),
         (lambda: clt_rescaled_sum(MonicPoly(1, [1, long]), 4),
          "kappa_1 = 77777777777777777777...(41 digits); center the polynomial before rescaling"),
+        (lambda: lattice.cumulant_from_moments([1, 2, 3], -int(big), 3),
+         "integer d = -77777777777777777777...(4000 digits) below the order n = 3"),
     ]
     for call, message in cases:
         with pytest.raises(FinFreeError) as caught:

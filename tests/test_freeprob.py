@@ -33,7 +33,7 @@ def ref_free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVe
     """Triangular inversion in L = log(1 + R): L_n enters m_n only as the term
     L_n itself, so L_n = m_n - (m_n with L_n = 0); then 1 + R = exp(L).  The
     log series holds -n L_n, as _log_derivative writes it."""
-    _check_int(N, "N")
+    _check_int(N, "N", 1)
     if len(m) < N:
         raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
     log = []
@@ -106,9 +106,9 @@ def test_inversion_matches_the_term_by_term_reference():
 
 
 @pytest.mark.parametrize("N, m, error, message", [
-    (0, [1, 2], InputFormatError, "need at least one free cumulant"),
-    (-1, [1, 2, 3], InputFormatError, "need at least one free cumulant"),
-    (2.0, [1, 2], InputFormatError, "N must be an integer, got 2.0"),
+    (0, [1, 2], InputFormatError, "N must be an integer >= 1, got 0"),
+    (-1, [1, 2, 3], InputFormatError, "N must be an integer >= 1, got -1"),
+    (2.0, [1, 2], InputFormatError, "N must be an integer >= 1, got 2.0"),
     (4, [1, 2, 3], DomainError, "need 4 moments, got 3"),
     (10**50, [1], DomainError, "need 10000000000000000000...(51 digits) moments, got 1"),
 ])

@@ -393,7 +393,7 @@ def test_domain_errors_are_unchanged():
         cumulant_from_moments(m, "-4", 3)
     with pytest.raises(DomainError, match=r"^need 4 moments, got 3$"):
         cumulant_from_moments(m, 9, 4)
-    with pytest.raises(DomainError, match=r"^cumulant order must be >= 1, got 0$"):
+    with pytest.raises(InputFormatError, match=r"^cumulant order n must be an integer >= 1, got 0$"):
         cumulant_from_moments(m, 9, 0)
     with pytest.raises(DomainError, match=r"^need 4 moments, got 3$"):
         cumulants_from_moments(m, 4)

@@ -55,6 +55,7 @@ from finfree import (
 )
 from finfree.cli import main
 from finfree.errors import DomainError, InputFormatError
+from finfree.matrix_oracle import mc_boxplus
 from finfree.polynomial import _primitive_form, _sturm_counts
 from finfree.util import VarPoly
 
@@ -180,38 +181,63 @@ def test_integer_d_below_the_order_is_a_domain_error(nd, mv):
 _P = MonicPoly.from_roots([1, -1])
 _M = MomentSequence(tuple(map(Fraction, (0, 1, 0, 2))))
 _R = FreeCumulantVector.make([0, 1])
-# (call on a size, an int size it takes); a size that is not an int is refused
+# (call on a size, an int size it takes, what the refusal calls the size,
+# its least value); each size with a least is taken at it, and one without
+# has a lower limit that is a rule about the value, with its own error
 SIZED = {
-    "MonicPoly": (lambda n: MonicPoly(n, (Fraction(1),) + (Fraction(0),) * 2), 2),
-    "MomentSequence": (lambda n: MomentSequence((Fraction(1),), n), 2),
-    "x_power": (x_power, 2),
-    "hermite_clt": (hermite_clt, 2),
-    "finite_poisson": (lambda n: finite_poisson(1, n), 2),
-    "clt_rescaled_sum": (lambda n: clt_rescaled_sum(_P, n), 4),
-    "cramer_counterexample": (lambda n: cramer_counterexample(n, Fraction(1, 32)), 4),
-    "moments": (lambda n: moments(_P, n), 2),
-    "coefficients_from_moments": (lambda n: coefficients_from_moments(_M, n), 2),
-    "cumulants_from_moments": (lambda n: cumulants_from_moments(_M, n), 2),
-    "cumulant_from_moments": (lambda n: cumulant_from_moments(_M, 3, n), 2),
+    "MonicPoly": (lambda n: MonicPoly(n, (Fraction(1), Fraction(0))), 1, "degree", 1),
+    "MomentSequence": (lambda n: MomentSequence((Fraction(1),), n), 1, "degree context d", 1),
+    "x_power": (x_power, 1, "degree", 1),
+    "hermite_clt": (hermite_clt, 1, "degree", 1),
+    "finite_poisson": (lambda n: finite_poisson(1, n), 1, "degree", 1),
+    "clt_rescaled_sum": (lambda n: clt_rescaled_sum(_P, n), 1, "n", 1),
+    "cramer_counterexample": (
+        lambda n: cramer_counterexample(n, Fraction(1, 32)), 4, "degree", None),
+    "moments": (lambda n: moments(_P, n), 1, "N", 1),
+    "moments_from_cumulants": (
+        lambda n: moments_from_cumulants(CumulantVector([0, 1]), n), 1, "N", 1),
+    "coefficients_from_moments": (lambda n: coefficients_from_moments(_M, n), 1, "d", 1),
+    "cumulants_from_moments": (lambda n: cumulants_from_moments(_M, n), 1, "d", 1),
+    "cumulant_from_moments": (
+        lambda n: cumulant_from_moments(_M, 3, n), 1, "cumulant order n", 1),
     "free_moments_from_free_cumulants": (
-        lambda n: free_moments_from_free_cumulants(_R, n), 2),
-    "free_cumulants_from_moments": (lambda n: free_cumulants_from_moments(_M, n), 2),
-    "convergence_report": (lambda n: convergence_report(_R, n, [10]), 2),
-    "iter_types": (lambda n: list(iter_types(n)), 3),
-    "enumerate_partitions": (enumerate_partitions, 3),
-    "enumerate_noncrossing": (enumerate_noncrossing, 3),
+        lambda n: free_moments_from_free_cumulants(_R, n), 1, "N", 1),
+    "free_cumulants_from_moments": (lambda n: free_cumulants_from_moments(_M, n), 1, "N", 1),
+    "convergence_report": (
+        lambda n: convergence_report(_R, n, [10]), 1, "cumulant order n", 1),
+    "convergence_report d": (lambda n: convergence_report(_R, 2, [n]), 10, "d", None),
+    "iter_types": (lambda n: list(iter_types(n)), 1, "ground-set size", 1),
+    "enumerate_partitions": (enumerate_partitions, 1, "ground-set size", 1),
+    "enumerate_noncrossing": (enumerate_noncrossing, 1, "ground-set size", 1),
+    "zero_partition": (lattice.zero_partition, 1, "ground-set size", 1),
+    "one_partition": (lattice.one_partition, 1, "ground-set size", 1),
+    "real_rooted_threshold steps": (
+        lambda n: real_rooted_threshold(_P, 4, steps=n), 0, "steps", 0),
+    "mc_boxplus seed": (lambda n: mc_boxplus(_P, _P, 1000, seed=n), 0, "seed", 0),
+    "mc_boxplus samples": (lambda n: mc_boxplus(_P, _P, n), 1000, "samples", None),
 }
+# a value that is not an int, however integral, and how the refusal shows it
+NOT_INTS = [(True, "True"), (2.0, "2.0"), (Fraction(3), "Fraction(3, 1)"), ("3", "'3'")]
 
 
 @pytest.mark.parametrize("name", sorted(SIZED))
 def test_size_arguments_must_be_ints(name):
-    # a float, a Fraction or a bool is refused where it enters, however
-    # integral, rather than ending in a TypeError or passing through
-    call, n = SIZED[name]
+    # every size passes one gate, util._check_int: a value that is not an
+    # int, or one below the least, is refused where it enters with one
+    # InputFormatError in one shape, rather than ending in a TypeError or
+    # passing through, and a long integer is shortened
+    call, n, what, least = SIZED[name]
     call(n)
-    for bad in (float(n), Fraction(n), True):
-        with pytest.raises(InputFormatError, match="must be an integer"):
-            call(bad)
+    bad, bound = NOT_INTS, ""
+    if least is not None:
+        bad = [*NOT_INTS, (least - 1, str(least - 1)),
+               (-10**50, "-10000000000000000000...(51 digits)")]
+        bound = " >= %d" % least
+    for value, shown in bad:
+        with pytest.raises(InputFormatError) as caught:
+            call(value)
+        assert type(caught.value) is InputFormatError
+        assert str(caught.value) == "%s must be an integer%s, got %s" % (what, bound, shown), value
 
 
 # (call on an exact rational, a value it takes); every rational argument or

@@ -307,6 +307,23 @@ def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
                                         ("polynomial.py", "_sturm_counts")]
 
 
+def _modules_using(wanted) -> set:
+    """The modules of src/ that import or read the name wanted."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
+        if wanted in imported | {name for name, _ in _reads(tree)}:
+            found.add(path.name)
+    return found
+
+
+def test_only_util_reads_is_int():
+    # an integer size is refused in one place, util._check_int, so no other
+    # module imports or reads the bare test behind it
+    assert sorted(_modules_using("_is_int")) == ["util.py"]
+
+
 def test_translate_and_the_isolation_share_one_taylor_shift():
     # one exact shift: translate scales its coefficients onto _taylor_shift
     # rather than summing binomials of its own
@@ -332,26 +349,14 @@ def test_only_the_monte_carlo_oracle_reads_comb():
     # the exact core takes binomials from its Taylor shift's prefix sums;
     # the float oracle's pass rule, MCEstimate.passes, bounds the rounding
     # of each a_k by math.comb(d, k) R^k
-    found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
-        if "comb" in imported | {name for name, _ in _reads(tree)}:
-            found.add(path.name)
-    assert sorted(found) == ["matrix_oracle.py"]
+    assert sorted(_modules_using("comb")) == ["matrix_oracle.py"]
 
 
 def test_only_polynomial_clears_denominators_by_an_lcm():
     # one common-denominator helper: the kernels, boxplus and the Sturm
     # input take their integers from polynomial._over_lcm; the lattice
     # reference is exempt
-    found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = set().union(*(_import_parts(node) for node, _ in _imports(tree)))
-        if "lcm" in imported | {name for name, _ in _reads(tree)}:
-            found.add(path.name)
-    assert sorted(found - {"lattice.py"}) == ["polynomial.py"]
+    assert sorted(_modules_using("lcm") - {"lattice.py"}) == ["polynomial.py"]
 
 
 def test_only_transforms_turns_cumulants_into_coefficients():

@@ -135,7 +135,7 @@ def test_polynomial_values_store_only_what_fixes_d():
     # and drops it
     with pytest.raises(InputFormatError, match="degree 3 needs d \\+ 1 signed"):
         MonicPoly(3, [1, 0, -1])
-    with pytest.raises(InputFormatError, match="degree must be >= 1"):
+    with pytest.raises(InputFormatError, match="^degree must be an integer >= 1, got 0$"):
         MonicPoly(0, [1])
 
 
