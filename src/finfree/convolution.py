@@ -6,8 +6,8 @@ from fractions import Fraction
 from math import factorial
 from operator import mul
 
-from .errors import DimensionError, DomainError, _rational_digits
-from .polynomial import MonicPoly, _exp_series, _over_lcm
+from .errors import DomainError, _rational_digits
+from .polynomial import MonicPoly, _exp_series, _over_lcm, _same_degree
 from .transforms import _primitive_plain, cumulants_from_coefficients
 from .util import parse_rational
 
@@ -25,11 +25,7 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
     A + Q B Q^T over Haar-random orthogonal Q when p, q are the
     characteristic polynomials of the symmetric matrices A, B.
     """
-    if p.d != q.d:
-        raise DimensionError(
-            "degree mismatch: %d vs %d" % (p.d, q.d)
-        )
-    d = p.d
+    d = _same_degree(p, q)
     (a, A), (b, B) = _over_lcm(p.a), _over_lcm(q.a)
     alpha = [factorial(d - i) * x for i, x in enumerate(a)]
     beta = [factorial(d - j) * y for j, y in enumerate(b)]

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, InputFormatError, _digits
+from .errors import InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative, _over_lcm
-from .transforms import cumulant_from_moments
+from .transforms import _first_moments, _order_parameter, cumulant_from_moments
 from .util import Value, _check_int, _store, format_rational, parse_rational_array
 
 
@@ -62,12 +62,10 @@ def free_moments_from_free_cumulants(r: FreeCumulantVector, N: int) -> MomentSeq
 
 def free_cumulants_from_moments(m: MomentSequence, N: int) -> FreeCumulantVector:
     """r_1..r_N from m_1..m_N, the inverse map, by Lagrange inversion."""
-    _check_int(N, "N", 1)
-    if len(m) < N:
-        raise DomainError("need %s moments, got %d" % (_digits(N), len(m)))
-    log = _log_derivative(_over_lcm((1, *m.entries[:N]))[0], 1, N)
+    mv = _first_moments(m, N, "N")
+    log = _log_derivative(_over_lcm((1, *mv))[0], 1, N)
     r = [_lagrange(log, 1 - n, n) for n in range(2, N + 1)]
-    return FreeCumulantVector([m.entries[0], *r])
+    return FreeCumulantVector([mv[0], *r])
 
 
 class ConvergenceReport(Value):
@@ -102,9 +100,7 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     ds = tuple(d_values)
     for d in ds:
         _check_int(d, "d")
-        if d < n:
-            raise DomainError("d = %s below the cumulant order n = %s"
-                              % (_digits(d), _digits(n)))
+        _order_parameter(d, n)
     m = free_moments_from_free_cumulants(r, n)
     finite = tuple(cumulant_from_moments(m, d, n) for d in ds)
     target = r.entries[n - 1] if n <= len(r) else Fraction(0)

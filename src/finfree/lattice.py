@@ -33,7 +33,7 @@ from itertools import combinations, product
 from math import factorial, prod
 from operator import and_
 
-from .errors import DimensionError, DomainError, _digits
+from .errors import DimensionError
 from .partitions import (
     PartitionType,
     SetPartition,
@@ -45,8 +45,8 @@ from .partitions import (
     mobius_of_type,
 )
 from .polynomial import MomentSequence, MonicPoly
-from .transforms import CumulantVector, _standardize
-from .util import VarPoly, _check_int, parse_rational, parse_rational_array
+from .transforms import CumulantVector, _first_moments, _order_parameter, _standardize
+from .util import VarPoly, _check_int, parse_rational_array
 
 # Established by exhaustive comparison of the two sums for every sigma in
 # P(n), n <= 6, and re-checked by the test suite up to n = 8:
@@ -277,10 +277,9 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_n = (1/n!) * sum over P(n) of d^{|pi|} mu(0,pi) m_pi."""
     _check_cap(d)
-    if len(m) < d:
-        raise DomainError("need %d moments, got %d" % (d, len(m)))
+    mv = _first_moments(m, d, "d")
     return MonicPoly(d, (Fraction(1),) + tuple(
-        _mobius_sum(m.entries, Fraction(d), n) / factorial(n) for n in range(1, d + 1)
+        _mobius_sum(mv, Fraction(d), n) / factorial(n) for n in range(1, d + 1)
     ))
 
 
@@ -326,13 +325,7 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     not be an integer below n, where (d)_pi vanishes.
     """
     _check_cap(n)
-    mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
-    if len(mv) < n:
-        raise DomainError("need %d moments, got %d" % (n, len(mv)))
-    dq = parse_rational(d)
-    if dq.denominator == 1 and dq < n:
-        raise DomainError("integer d = %s below the order n = %d"
-                          % (_digits(dq.numerator), n))
+    mv, dq = _first_moments(m, n, "cumulant order n"), _order_parameter(d, n)
     f = [1 / falling(dq, t) for t in range(1, n + 1)]
     s = _mobius_sum(mv, dq, n, lambda sizes: _interval_sum(sizes, f))
     return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s

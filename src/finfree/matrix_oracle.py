@@ -28,8 +28,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FinFreeError, _digits
-from .polynomial import MonicPoly, _primitive_form, _sturm_chain, is_real_rooted
+from .errors import DomainError, FinFreeError, _digits
+from .polynomial import (MonicPoly, _primitive_form, _same_degree, _sturm_chain,
+                         is_real_rooted)
 from .util import Value, _check_int
 
 _CHUNK = 4096
@@ -58,11 +59,10 @@ class MCEstimate(Value):
         a sum of binom(d, k) products of k eigenvalues at most R: compared
         exactly, and scale-free, with no absolute floor.  An exact polynomial
         of another degree raises DimensionError."""
-        if exact.d != self.d:
-            raise DimensionError("degree mismatch: %d vs %d" % (self.d, exact.d))
+        d = _same_degree(self, exact)
         return tuple(
             abs(a - Fraction(mean))
-            <= 5 * Fraction(se) + _ROUNDING * math.comb(self.d, k) * self.radius**k
+            <= 5 * Fraction(se) + _ROUNDING * math.comb(d, k) * self.radius**k
             for k, (a, mean, se) in enumerate(zip(exact.a, self.coeff_mean, self.coeff_stderr))
         )
 
@@ -213,11 +213,9 @@ def mc_boxplus(p: MonicPoly, q: MonicPoly, samples: int, seed: int = 0) -> MCEst
     """
     _check_int(seed, "seed", 0)
     _check_int(samples, "samples")
-    if p.d != q.d:
-        raise DimensionError("degree mismatch: %d vs %d" % (p.d, q.d))
+    d = _same_degree(p, q)
     if samples < 1000:
         raise DomainError("need at least 1000 samples, got %s" % _digits(samples))
-    d = p.d
     mean_root = (p.a[1] + q.a[1]) / d
     pc, qc = (r.translate(r.a[1] / d) for r in (p, q))
     radius = abs(mean_root) + _spread(pc) + _spread(qc)

@@ -26,8 +26,8 @@ from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, ne
 
-from .errors import (FinFreeError, InputFormatError, NonMonicError, _digits,
-                     _rational_digits)
+from .errors import (DimensionError, FinFreeError, InputFormatError, NonMonicError,
+                     _digits, _rational_digits)
 from .util import (Value, _check_int, _store, format_rational, parse_int,
                    parse_rational, parse_rational_array, read_record)
 
@@ -128,6 +128,13 @@ def x_power(d: int) -> MonicPoly:
     """x^d."""
     _check_int(d, "degree", 1)
     return MonicPoly(d, (1,) + (0,) * d)
+
+
+def _same_degree(p, q) -> int:
+    """The degree d that p and q share; DimensionError when they differ."""
+    if p.d != q.d:
+        raise DimensionError("degree mismatch: %d vs %d" % (p.d, q.d))
+    return p.d
 
 
 def moments(p: MonicPoly, N: int) -> "MomentSequence":

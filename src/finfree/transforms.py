@@ -57,8 +57,7 @@ class CumulantVector(Value):
 
     def __init__(self, kappa, variant: str = "standard"):
         kappa = parse_rational_array(kappa, "'kappa'")
-        if not kappa:
-            raise InputFormatError("degree must be >= 1")
+        _check_int(len(kappa), "degree", 1)
         if variant not in ("standard", "rescaled"):
             raise InputFormatError("variant must be 'standard' or 'rescaled'")
         _store(self, "kappa", kappa)
@@ -150,13 +149,30 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
     return CumulantVector(_log_derivative(S, d, d))
 
 
+def _first_moments(m, n: int, what: str) -> tuple:
+    """m_1..m_n of a MomentSequence or of an array of rationals, with n
+    through the integer gate as what; fewer than n moments are refused."""
+    mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
+    _check_int(n, what, 1)
+    if len(mv) < n:
+        raise DomainError("need %s moments, got %d" % (_digits(n), len(mv)))
+    return mv[:n]
+
+
+def _order_parameter(d, n: int) -> Fraction:
+    """The degree (or parameter) d of a cumulant of order n, as a Fraction;
+    an integer d below n, where (d)_n vanishes, is refused."""
+    dq = parse_rational(d)
+    if dq.denominator == 1 and dq < n:
+        raise DomainError("integer d = %s below the order n = %s"
+                          % (_digits(dq.numerator), _digits(n)))
+    return dq
+
+
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_i = (-1)^i S_i with S the exp of the moment series: Newton's
     identities with power sums p_i = d m_i."""
-    _check_int(d, "d", 1)
-    if len(m) < d:
-        raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
-    Snum, DS = _exp_series(m.entries, d, d)
+    Snum, DS = _exp_series(_first_moments(m, d, "d"), d, d)
     return MonicPoly(d, tuple(Fraction(s, DS) for s in _alternate(Snum)))
 
 
@@ -178,23 +194,13 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     d may be any rational except an integer below n; the cost is O(n^2)
     whatever d is.
     """
-    mv = m.entries if isinstance(m, MomentSequence) else parse_rational_array(m, "'m'")
-    _check_int(n, "cumulant order n", 1)
-    if len(mv) < n:
-        raise DomainError("need %s moments, got %d" % (_digits(n), len(mv)))
-    dq = parse_rational(d)
-    if dq.denominator == 1 and dq < n:
-        raise DomainError("integer d = %s below the order n = %d"
-                          % (_digits(dq.numerator), n))
-    return _cumulants_from_moments(mv, dq, n)[-1]
+    mv = _first_moments(m, n, "cumulant order n")
+    return _cumulants_from_moments(mv, _order_parameter(d, n), n)[-1]
 
 
 def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
     """All d cumulants from the first d moments."""
-    _check_int(d, "d", 1)
-    if len(m) < d:
-        raise DomainError("need %s moments, got %d" % (_digits(d), len(m)))
-    return CumulantVector(_cumulants_from_moments(m.entries, d, d))
+    return CumulantVector(_cumulants_from_moments(_first_moments(m, d, "d"), d, d))
 
 
 def _primitive_plain(Snum, d: int) -> list:

@@ -6,7 +6,8 @@ Carlo oracle's exact input path, its characteristic polynomials and
 Householder reflector, and the set partition walk with the values and the
 listing built on it, the partition values' checked constructors, and the
 polynomial values' derived degree, checked constructors and JSON readers,
-and the one gate for an integer size.
+the one gate for an integer size, and the moment side's three one-site
+rules: the moment reader, the order rule and the degree-pair check.
 
 Each mutant is one small edit to one kernel, made with ast in a temporary
 copy of src/, never in the tree itself.  The operators: swap + and -, shift
@@ -160,6 +161,30 @@ SIZE_TESTS = ["tests/test_properties.py::test_size_arguments_must_be_ints",
               "tests/test_values.py::test_polynomial_values_store_only_what_fixes_d",
               "tests/test_kernels.py::test_domain_errors_are_unchanged",
               "tests/test_freeprob.py::test_inversion_refuses_what_the_reference_refuses"]
+# the moment reader, transforms._first_moments: the table of the six readers
+# over a MomentSequence and an array first, then the pinned refusals, then
+# the series tests, whose values read the moments it returns
+MOMENTS_TESTS = ["tests/test_freeprob.py::test_inversion_refuses_what_the_reference_refuses",
+                 "tests/test_kernels.py::test_domain_errors_are_unchanged",
+                 "tests/test_properties.py::test_size_arguments_must_be_ints",
+                 *SERIES_TESTS]
+# the order rule, transforms._order_parameter: the pinned wordings, by
+# library and by CLI, then the series tests, which read the d it returns,
+# then the hypothesis sweep of integer d below n, which shrinks for about
+# 30 s on a failure
+ORDER_TESTS = ["tests/test_kernels.py::test_domain_errors_are_unchanged",
+               "tests/test_freeprob.py::test_convergence_rejects_small_d",
+               "tests/test_cli.py::test_documented_errors_keep_their_codes",
+               *SERIES_TESTS,
+               "tests/test_properties.py::test_integer_d_below_the_order_is_a_domain_error"]
+# the degree-pair check, polynomial._same_degree: its refusals by boxplus,
+# the CLI, mc_boxplus and the pass rule, then boxplus's values at the d it
+# returns
+DEGREE_PAIR_TESTS = ["tests/test_convolution.py::test_degree_mismatch",
+                     "tests/test_cli.py::test_degree_mismatch_is_one_error_type",
+                     "tests/test_matrix_oracle.py::test_mc_rejects_bad_requests",
+                     "tests/test_matrix_oracle.py::test_pass_rule_refuses_another_degree",
+                     *BOXPLUS_TESTS]
 # a mutant whose run takes this many times as long as the unmutated run, at
 # least MIN_TIMEOUT_S, loops or runs away, and counts as killed
 SLOWDOWN = 5
@@ -183,7 +208,8 @@ MAX_ADDRESS_SPACE = 2**31
 # values' checked constructors and derived ground-set size n (methods of
 # both classes, matched by their plain names), and the degree d that
 # MonicPoly, CumulantVector and MCEstimate derive from their entries, with
-# the first two's constructors and JSON readers, and the integer-size gate
+# the first two's constructors and JSON readers, the integer-size gate, and
+# the moment reader, the order rule and the degree-pair check
 KERNELS = [
     ("polynomial.py", "_log_derivative", SERIES_TESTS),
     ("polynomial.py", "_exp_series", SERIES_TESTS),
@@ -227,6 +253,9 @@ KERNELS = [
     ("polynomial.py", "from_json", VALUE_TESTS),
     ("transforms.py", "from_json", VALUE_TESTS),
     ("util.py", "_check_int", SIZE_TESTS),
+    ("transforms.py", "_first_moments", MOMENTS_TESTS),
+    ("transforms.py", "_order_parameter", ORDER_TESTS),
+    ("polynomial.py", "_same_degree", DEGREE_PAIR_TESTS),
 ]
 
 _SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}

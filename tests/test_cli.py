@@ -477,7 +477,8 @@ def test_documented_errors_keep_their_codes(capsys):
     assert code == 3 and err["error"]["type"] == "InputFormatError"
     # an integer degree below the cumulant order
     code, _, err = run(capsys, "converge", "--r", "0,1", "--n", "4", "--d", "3")
-    assert code == 5 and err["error"]["type"] == "DomainError"
+    assert code == 5 and err["error"] == {"type": "DomainError",
+                                          "message": "integer d = 3 below the order n = 4"}
     # a cumulant vector of degree 0
     code, _, err = run(capsys, "coeffs", '{"d":0,"kappa":[]}')
     assert code == 3 and err["error"] == {"type": "InputFormatError",

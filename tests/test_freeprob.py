@@ -10,16 +10,20 @@ from fractions import Fraction
 import pytest
 
 from finfree import (
+    DEFAULT_N_MAX,
     FreeCumulantVector,
     lattice,
     MomentSequence,
     MonicPoly,
+    coefficients_from_moments,
     convergence_report,
+    cumulant_from_moments,
+    cumulants_from_moments,
     free_cumulants_from_moments,
     free_moments_from_free_cumulants,
     moments,
 )
-from finfree.errors import DomainError, InputFormatError, _digits
+from finfree.errors import DomainError, FinFreeError, InputFormatError, SizeCapError, _digits
 from finfree.polynomial import _exp_series
 from finfree.util import _check_int
 
@@ -105,18 +109,55 @@ def test_inversion_matches_the_term_by_term_reference():
             assert all(type(x) is Fraction for x in got), N
 
 
+# every reader of a moment argument, as (label, reader(m, N), the name its
+# size N goes by): a degree d, a cumulant order n at d = 7/2, a count N, and
+# the lattice reference's ground-set size
+MOMENT_READERS = [
+    ("coefficients_from_moments", coefficients_from_moments, "d"),
+    ("cumulants_from_moments", cumulants_from_moments, "d"),
+    ("cumulant_from_moments", lambda m, n: cumulant_from_moments(m, Fraction(7, 2), n),
+     "cumulant order n"),
+    ("free_cumulants_from_moments", free_cumulants_from_moments, "N"),
+    ("lattice.coefficients_from_moments", lattice.coefficients_from_moments,
+     "ground-set size"),
+    ("lattice.cumulant_from_moments",
+     lambda m, n: lattice.cumulant_from_moments(m, Fraction(7, 2), n), "ground-set size"),
+]
+
+
+def _outcome(call):
+    """("value", the value), or the type and message of the FinFreeError."""
+    try:
+        return "value", call()
+    except FinFreeError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("N, m, error, message", [
-    (0, [1, 2], InputFormatError, "N must be an integer >= 1, got 0"),
-    (-1, [1, 2, 3], InputFormatError, "N must be an integer >= 1, got -1"),
-    (2.0, [1, 2], InputFormatError, "N must be an integer >= 1, got 2.0"),
+    (3, [1, 2, 3], None, None),
+    (2, ["1/2", 0, -3, "7/5"], None, None),
+    (0, [1, 2], InputFormatError, "{} must be an integer >= 1, got 0"),
+    (-1, [1, 2, 3], InputFormatError, "{} must be an integer >= 1, got -1"),
+    (2.0, [1, 2], InputFormatError, "{} must be an integer >= 1, got 2.0"),
     (4, [1, 2, 3], DomainError, "need 4 moments, got 3"),
     (10**50, [1], DomainError, "need 10000000000000000000...(51 digits) moments, got 1"),
-])
+], ids=["exact", "more-than-N", "N-zero", "N-negative", "N-float", "too-few", "N-long"])
 def test_inversion_refuses_what_the_reference_refuses(N, m, error, message):
-    for inversion in (free_cumulants_from_moments, ref_free_cumulants_from_moments):
-        with pytest.raises(error) as caught:
-            inversion(MomentSequence(m), N)
-        assert type(caught.value) is error and str(caught.value) == message
+    # each moment reader takes a MomentSequence or a plain array with the
+    # same value or the same refusal, and the free inversion refuses what
+    # its term-by-term reference refuses; the lattice reference checks its
+    # partition cap before the moments
+    free = _outcome(lambda: free_cumulants_from_moments(MomentSequence(m), N))
+    assert _outcome(lambda: ref_free_cumulants_from_moments(MomentSequence(m), N)) == free
+    for label, reader, size in MOMENT_READERS:
+        got = _outcome(lambda: reader(MomentSequence(m), N))
+        assert _outcome(lambda: reader(m, N)) == got, label
+        if error is None:
+            assert got[0] == "value", (label, got)
+        elif label.startswith("lattice.") and N > DEFAULT_N_MAX:
+            assert got[0] is SizeCapError, (label, got)
+        else:
+            assert got == (error, message.format(size)), label
 
 
 def test_semicircle_inversion():
@@ -161,8 +202,11 @@ def test_convergence_monotone_decay():
 
 def test_convergence_rejects_small_d():
     r = FreeCumulantVector.make([0, 1, 0, 0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^integer d = 3 below the order n = 4$"):
         convergence_report(r, 4, [16, 3])
+    with pytest.raises(DomainError, match=r"^integer d = 16 below the order n = "
+                                          r"10000000000000000000\.\.\.\(51 digits\)$"):
+        convergence_report(r, 10**50, [16])
     # a degree is an int: 7/2 and 10.9 are refused, not truncated, and an
     # integral Fraction, float or string is refused too
     for bad in (Fraction(7, 2), 10.9, Fraction(16), 16.0, "32", True):

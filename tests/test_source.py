@@ -386,15 +386,45 @@ def _message(node) -> str:
     return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
 
 
+# (the start of a refusal's message, its error class): each rule is stated
+# once, in transforms._first_moments, transforms._order_parameter and
+# polynomial._same_degree, so every reader refuses it alike
+ONE_SITE_RULES = [("need %s moments", "DomainError"),
+                  ("integer d = %s below the order", "DomainError"),
+                  ("degree mismatch", "DimensionError")]
+
+
 def test_degree_mismatch_is_a_dimension_error():
     # operands of different degrees are refused with one error type, so the
-    # CLI reports convolve and verify-mc alike
+    # CLI reports convolve and verify-mc alike; too few moments and an
+    # integer d below the cumulant order likewise have one raise each
+    raises = [(path.name, node) for path in sorted(SRC.rglob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+              if isinstance(node, ast.Raise)]
+    for start, kind in ONE_SITE_RULES:
+        # a copy may write its numbers with %d instead of %s
+        found = [(name, node.exc.func.id) for name, node in raises
+                 if _message(node).replace("%d", "%s").startswith(start)]
+        assert len(found) == 1 and found[0][1] == kind, (start, found)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a copy of a rule that moves into a helper leaves its imports behind;
+    # the package root is exempt, since its imports are its exports
     found = []
     for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Raise) and _message(node).startswith("degree mismatch"):
-                found.append((path.name, node.exc.func.id))
-    assert found and {kind for _, kind in found} == {"DimensionError"}, found
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node, _ in _imports(tree):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            found += ["%s:%s" % (path.name, name) for name in
+                      (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                      if name not in read]
+    assert found == []
 
 
 def test_divisibility_builds_one_polynomial_from_cumulants():

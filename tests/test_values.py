@@ -109,7 +109,7 @@ def test_a_wrong_number_of_arguments_is_a_type_error(v, names):
 @pytest.mark.parametrize("make, message", [
     (lambda: FreeCumulantVector([]), "need at least one free cumulant"),
     (lambda: MomentSequence([]), "moment sequence must be nonempty"),
-    (lambda: CumulantVector([]), "degree must be >= 1"),
+    (lambda: CumulantVector([]), "degree must be an integer >= 1, got 0"),
 ], ids=["FreeCumulantVector", "MomentSequence", "CumulantVector"])
 def test_an_empty_vector_is_refused(make, message):
     with pytest.raises(InputFormatError) as caught:
