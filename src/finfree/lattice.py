@@ -276,8 +276,8 @@ def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
 
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
     """a_n = (1/n!) * sum over P(n) of d^{|pi|} mu(0,pi) m_pi."""
-    _check_cap(d)
     mv = _first_moments(m, d, "d")
+    _check_cap(d)
     return MonicPoly(d, (Fraction(1),) + tuple(
         _mobius_sum(mv, Fraction(d), n) / factorial(n) for n in range(1, d + 1)
     ))
@@ -324,8 +324,9 @@ def cumulant_from_moments(m, d, n: int) -> Fraction:
     d may exceed the lattice cap (the sum runs over P(n), not P(d)); it must
     not be an integer below n, where (d)_pi vanishes.
     """
+    mv = _first_moments(m, n, "cumulant order n")
     _check_cap(n)
-    mv, dq = _first_moments(m, n, "cumulant order n"), _order_parameter(d, n)
+    dq = _order_parameter(d, n)
     f = [1 / falling(dq, t) for t in range(1, n + 1)]
     s = _mobius_sum(mv, dq, n, lambda sizes: _interval_sum(sizes, f))
     return Fraction((-1) ** n) * dq ** (n - 1) / factorial(n - 1) * s

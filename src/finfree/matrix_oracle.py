@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, FinFreeError, _digits
-from .polynomial import (MonicPoly, _primitive_form, _same_degree, _sturm_chain,
-                         is_real_rooted)
+from .polynomial import (MonicPoly, _chain_counts, _primitive_form, _same_degree,
+                         _sturm_chain)
 from .util import Value, _check_int
 
 _CHUNK = 4096
@@ -155,19 +155,22 @@ def _jacobi(p: MonicPoly) -> np.ndarray:
     Monic consecutive elements s, t of the Sturm chain of p satisfy
     s = (x - alpha) t - beta u with u the next one, so alpha and beta come
     from their top three coefficients: the diagonal entry and the square of
-    the next off-diagonal one, beta > 0 as p is real-rooted.  The chain ends
-    at g = gcd(p, p'), where t divides s and beta = 0, so the block so far
-    has characteristic polynomial p / g and the chain of g gives the next
-    one.  All of this is exact; only the final floats are rounded.
+    the next off-diagonal one.  The chain ends at g = gcd(p, p'), where t
+    divides s and beta = 0, so the block so far has characteristic
+    polynomial p / g and the chain of g gives the next one.  A block's two
+    root counts (_chain_counts) agree, so its degrees fall by one and
+    beta > 0, exactly when it is real-rooted; DomainError refuses p
+    otherwise.  All of this is exact; only the final floats are rounded.
     """
-    if is_real_rooted(p) == "no":
-        raise DomainError("Monte-Carlo oracle needs real-rooted input")
     alpha, beta = [], []
     f = _primitive_form(p)
     for _ in range(p.d):  # each pass lowers the degree of f
         if len(f) == 1:
             break
         chain = _sturm_chain(f)
+        real, distinct = _chain_counts(chain)
+        if real != distinct:
+            raise DomainError("Monte-Carlo oracle needs real-rooted input")
         top = [[Fraction(c, s[0]) for c in (s + [0, 0])[1:3]] for s in chain]
         for (s1, s2), (t1, t2) in zip(top, top[1:]):
             alpha.append(t1 - s1)

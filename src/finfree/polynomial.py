@@ -14,9 +14,9 @@ roots are counted in integers: below degree _ISOLATION_DEGREE by a Sturm
 chain; from it up, once f and f' are shown coprime modulo the prime
 2^61 - 1 (so f is squarefree), by Descartes' rule of signs on the Taylor
 shifts of Vincent-Akritas-Strzebonski continued fractions, with the chain
-as the fallback for a repeated root or an unlucky prime.  The chain also
-gives matrix_oracle, the one module that works in floating point, its
-Jacobi matrices.
+as the fallback for a repeated root or an unlucky prime.  The chain and its
+counts also give matrix_oracle, the one module that works in floating
+point, its Jacobi matrices and its refusal of input with non-real roots.
 """
 
 from __future__ import annotations
@@ -444,6 +444,21 @@ def _isolated_count(f):
     return None
 
 
+def _chain_counts(chain):
+    """(distinct real roots, distinct roots) of f, read off its Sturm chain.
+
+    Dividing the chain's last element, gcd(f, f'), out of every element
+    leaves a Sturm chain of the squarefree part, so V(-oo) - V(+oo) counts
+    the distinct real roots, and deg f - deg(gcd) the distinct roots.  The
+    two agree exactly when the degrees fall by one and the leading
+    coefficients keep one sign.
+    """
+    # V(-oo) - V(+oo): the leading coefficients, those of odd degree negated at -oo
+    real = _variations([q[0] if len(q) % 2 else -q[0] for q in chain]) - _variations(
+        [q[0] for q in chain])
+    return real, len(chain[0]) - len(chain[-1])
+
+
 def _sturm_counts(f):
     """(distinct real roots, distinct roots) of primitive integer f.
 
@@ -451,21 +466,14 @@ def _sturm_counts(f):
     squarefree has deg f distinct roots, and _isolated_count counts the real
     ones in integer Taylor shifts, far cheaper than a chain whose remainders
     grow to hundreds of times the bits of f.  A repeated root, an unlucky
-    prime or an isolation past its loop bound falls back to the chain, as
-    does f below that degree.  Dividing the chain's last element,
-    gcd(f, f'), out of every element leaves a Sturm chain of the squarefree
-    part, so V(-oo) - V(+oo) counts the distinct real roots, and
-    deg f - deg(gcd) the distinct roots.
+    prime or an isolation past its loop bound falls back to the chain's
+    counts (_chain_counts), as does f below that degree.
     """
     if len(f) > _ISOLATION_DEGREE and _squarefree_mod(f):
         real = _isolated_count(f)
         if real is not None:
             return real, len(f) - 1
-    chain = _sturm_chain(f)
-    # V(-oo) - V(+oo): the leading coefficients, those of odd degree negated at -oo
-    real = _variations([q[0] if len(q) % 2 else -q[0] for q in chain]) - _variations(
-        [q[0] for q in chain])
-    return real, len(f) - len(chain[-1])
+    return _chain_counts(_sturm_chain(f))
 
 
 def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:

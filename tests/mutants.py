@@ -199,7 +199,8 @@ MAX_ADDRESS_SPACE = 2**31
 # reads plain coefficients off the series, the free side's Lagrange step
 # with its two directions, boxplus, the threshold search with its power
 # family, the exact PSD elimination, the Sturm chain with the counts read
-# off it, the squarefree certificate, the isolation with its shift, root
+# off it (by the oracle's Jacobi matrix too) and the count that falls back
+# to it, the squarefree certificate, the isolation with its shift, root
 # bound and sign changes, the oracle's Jacobi matrix with the MonicPoly
 # methods (matched by their plain names) that build and centre its input,
 # the oracle's characteristic polynomials with the reflector they share with
@@ -226,6 +227,7 @@ KERNELS = [
     ("convolution.py", "_power_family", POWER_TESTS),
     ("polynomial.py", "_remainder", STURM_TESTS),
     ("polynomial.py", "_sturm_chain", STURM_TESTS),
+    ("polynomial.py", "_chain_counts", STURM_TESTS + ORACLE_TESTS),
     ("polynomial.py", "_sturm_counts", STURM_TESTS),
     ("polynomial.py", "_squarefree_mod", CERT_TESTS),
     ("polynomial.py", "_isolated_count", ISOLATION_TESTS),

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from finfree import (
-    DEFAULT_N_MAX,
     FreeCumulantVector,
     lattice,
     MomentSequence,
@@ -23,7 +22,7 @@ from finfree import (
     free_moments_from_free_cumulants,
     moments,
 )
-from finfree.errors import DomainError, FinFreeError, InputFormatError, SizeCapError, _digits
+from finfree.errors import DomainError, FinFreeError, InputFormatError, _digits
 from finfree.polynomial import _exp_series
 from finfree.util import _check_int
 
@@ -110,18 +109,17 @@ def test_inversion_matches_the_term_by_term_reference():
 
 
 # every reader of a moment argument, as (label, reader(m, N), the name its
-# size N goes by): a degree d, a cumulant order n at d = 7/2, a count N, and
-# the lattice reference's ground-set size
+# size N goes by): a degree d, a cumulant order n at d = 7/2 and a count N;
+# the lattice reference names its sizes as the production path does
 MOMENT_READERS = [
     ("coefficients_from_moments", coefficients_from_moments, "d"),
     ("cumulants_from_moments", cumulants_from_moments, "d"),
     ("cumulant_from_moments", lambda m, n: cumulant_from_moments(m, Fraction(7, 2), n),
      "cumulant order n"),
     ("free_cumulants_from_moments", free_cumulants_from_moments, "N"),
-    ("lattice.coefficients_from_moments", lattice.coefficients_from_moments,
-     "ground-set size"),
+    ("lattice.coefficients_from_moments", lattice.coefficients_from_moments, "d"),
     ("lattice.cumulant_from_moments",
-     lambda m, n: lattice.cumulant_from_moments(m, Fraction(7, 2), n), "ground-set size"),
+     lambda m, n: lattice.cumulant_from_moments(m, Fraction(7, 2), n), "cumulant order n"),
 ]
 
 
@@ -145,8 +143,8 @@ def _outcome(call):
 def test_inversion_refuses_what_the_reference_refuses(N, m, error, message):
     # each moment reader takes a MomentSequence or a plain array with the
     # same value or the same refusal, and the free inversion refuses what
-    # its term-by-term reference refuses; the lattice reference checks its
-    # partition cap before the moments
+    # its term-by-term reference refuses; the lattice reference reads its
+    # moments before it checks its partition cap
     free = _outcome(lambda: free_cumulants_from_moments(MomentSequence(m), N))
     assert _outcome(lambda: ref_free_cumulants_from_moments(MomentSequence(m), N)) == free
     for label, reader, size in MOMENT_READERS:
@@ -154,8 +152,6 @@ def test_inversion_refuses_what_the_reference_refuses(N, m, error, message):
         assert _outcome(lambda: reader(m, N)) == got, label
         if error is None:
             assert got[0] == "value", (label, got)
-        elif label.startswith("lattice.") and N > DEFAULT_N_MAX:
-            assert got[0] is SizeCapError, (label, got)
         else:
             assert got == (error, message.format(size)), label
 

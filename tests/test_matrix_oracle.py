@@ -3,6 +3,7 @@ characteristic polynomials, the randomized convolution estimator and its
 pass rule."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from finfree import (
     MonicPoly,
     boxplus,
+    is_real_rooted,
     x_power,
 )
 from finfree.errors import DimensionError, DomainError, InputFormatError
@@ -51,10 +53,55 @@ def test_jacobi_matrix_has_the_rational_roots_as_eigenvalues(d):
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
+def _times(f, g) -> list:
+    """The product of two plain descending coefficient lists."""
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _refusal_sweep_inputs(rng, d) -> list:
+    """Degree-d inputs of each class: rational roots with repeats,
+    (x^2 + c)^m times rational roots, random rational coefficients, and
+    powers of a few roots."""
+    def root():
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+
+    roots = [root() for _ in range(d)]
+    repeated = [roots[rng.randrange(max(1, d // 3))] for _ in range(d)]
+    m = rng.randint(0, d // 2)
+    mixed = [Fraction(1)]
+    for r in roots[:d - 2 * m]:
+        mixed = _times(mixed, [1, -r])
+    for _ in range(m):
+        mixed = _times(mixed, [1, 0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+    base = [root() for _ in range(rng.choice([b for b in (1, 2, 3) if d % b == 0]))]
+    return [MonicPoly.from_roots(repeated), MonicPoly.from_plain_coefficients(mixed),
+            MonicPoly.from_plain_coefficients(
+                [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)]),
+            MonicPoly.from_roots(base * (d // len(base)))]
+
+
 def test_jacobi_refuses_non_real_roots():
     for plain in ([1, 0, 1], [1, 0, 0, 1], [1, -1, 0, 0, 1], [1, 0, 2, 0, 1]):
         with pytest.raises(DomainError):
             _jacobi(MonicPoly.from_plain_coefficients(plain))
+    # a seeded sweep: _jacobi refuses exactly what is_real_rooted calls "no",
+    # many of them from degree 18 up, where is_real_rooted counts by isolation
+    rng = random.Random(44)
+    high_refusals = 0
+    for d in range(1, 31):
+        for p in [x_power(d)] + [q for _ in range(3) for q in _refusal_sweep_inputs(rng, d)]:
+            try:
+                _jacobi(p)
+                refused = False
+            except DomainError:
+                refused = True
+            assert refused == (is_real_rooted(p) == "no"), p.a
+            high_refusals += refused and d >= 18
+    assert high_refusals >= 20
 
 
 def reflector_q(seed, count, d):

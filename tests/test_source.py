@@ -333,9 +333,18 @@ def test_translate_and_the_isolation_share_one_taylor_shift():
 
 def test_the_chain_and_the_isolation_share_one_sign_change_count():
     # Sturm's V(-oo) - V(+oo) and Descartes' rule both count through
-    # _variations
-    assert _readers("_variations") == [("polynomial.py", "_isolated_count"),
-                                       ("polynomial.py", "_sturm_counts")]
+    # _variations, the chain's count in _chain_counts alone
+    assert _readers("_variations") == [("polynomial.py", "_chain_counts"),
+                                       ("polynomial.py", "_isolated_count")]
+
+
+def test_the_oracle_reads_real_rootedness_off_its_own_chain():
+    # one decision: _sturm_counts and the oracle's _jacobi read a chain's
+    # root counts through _chain_counts, and the oracle never runs the
+    # squarefree certificate or the isolation behind is_real_rooted
+    assert _readers("_chain_counts") == [("matrix_oracle.py", "_jacobi"),
+                                         ("polynomial.py", "_sturm_counts")]
+    assert "matrix_oracle.py" not in _modules_using("is_real_rooted")
 
 
 def test_the_haar_conjugation_and_the_tridiagonalization_share_one_reflector():

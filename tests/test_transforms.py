@@ -267,6 +267,8 @@ def test_size_caps():
         lattice.cumulants_from_coefficients(p)
     with pytest.raises(SizeCapError):
         lattice.cumulant_from_moments([Fraction(1)] * 13, 13, 13)
+    with pytest.raises(SizeCapError):
+        lattice.coefficients_from_moments([Fraction(1)] * 13, 13)
     k = CumulantVector([0, 1, 0, 0])
     with pytest.raises(SizeCapError):
         lattice.moment_from_cumulants(k, 13)
