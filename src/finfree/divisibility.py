@@ -14,7 +14,7 @@ from math import floor, isqrt
 
 from .convolution import _power_family, boxplus
 from .errors import DomainError
-from .polynomial import MonicPoly, _sturm_counts, is_real_rooted
+from .polynomial import MonicPoly, _distinct_if_real, is_real_rooted
 from .transforms import (
     CumulantVector,
     coefficients_from_cumulants,
@@ -119,8 +119,8 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     from which every point up to t_max passes, and the grid point below it,
     bound one bisection refinement (steps iterations).  kappa(p) is computed
     once; each probe is one integer exp series of t kappa(p), from
-    convolution._power_family, and one count of its real roots,
-    polynomial._sturm_counts.
+    convolution._power_family, and one test of whether its roots are real
+    and distinct, polynomial._distinct_if_real.
 
     The passing grid points form an up-set, for every p.  Lemma: if p is
     real-rooted and q has d simple real roots, then so has p boxplus q.
@@ -151,7 +151,7 @@ def real_rooted_threshold(p: MonicPoly, t_max, steps: int = 16):
     power = _power_family(p)
 
     def ok(t) -> bool:
-        return _sturm_counts(power(t))[0] == p.d
+        return _distinct_if_real(power(t)) == p.d
 
     lo, hi = -1, len(grid)  # grid[lo] fails, grid[hi] passes
     mid, step = min(4, len(grid) - 1), 1  # grid[4] is t = 1

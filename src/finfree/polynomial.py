@@ -9,14 +9,15 @@ so a_i is the i-th elementary symmetric function of the roots.  All
 transform identities downstream are stated in these a_i; ordinary
 ("plain") coefficients appear only at the I/O boundary.
 
-Exact rational arithmetic throughout, and no root is ever computed.  Real
-roots are counted in integers: below degree _ISOLATION_DEGREE by a Sturm
-chain; from it up, once f and f' are shown coprime modulo the prime
-2^61 - 1 (so f is squarefree), by Descartes' rule of signs on the Taylor
-shifts of Vincent-Akritas-Strzebonski continued fractions, with the chain
-as the fallback for a repeated root or an unlucky prime.  The chain and its
-counts also give matrix_oracle, the one module that works in floating
-point, its Jacobi matrices and its refusal of input with non-real roots.
+Exact rational arithmetic throughout, and no root is ever computed.
+Real-rootedness is decided in integers: below degree _ISOLATION_DEGREE by
+a Sturm chain that stops at its first sign of a non-real root; from it
+up, once f and f' are shown coprime modulo the prime 2^61 - 1 (so f is
+squarefree), by Descartes' rule of signs on the Taylor shifts of
+Vincent-Akritas-Strzebonski continued fractions, with the chain as the
+fallback for a repeated root or an unlucky prime.  The chain also gives
+matrix_oracle, the one module that works in floating point, its Jacobi
+matrices and its refusal of input with non-real roots.
 """
 
 from __future__ import annotations
@@ -295,18 +296,26 @@ def _primitive_form(p: MonicPoly) -> list:
     return _primitive(_over_lcm(p.plain_coefficients())[0])
 
 
-def _sturm_chain(f) -> list:
-    """The Sturm chain of a primitive integer polynomial f (descending).
+def _sturm_chain(f):
+    """The Sturm chain of a primitive integer polynomial f (descending), or
+    None as soon as it shows a non-real root.
 
     f, f', then minus each remainder, all primitive: positive multiples of
     the Euclidean chain, so the signs Sturm's theorem reads are unchanged.
-    The last element is gcd(f, f') up to a constant factor.
+    The last element is gcd(f, f') up to a constant factor.  Divided out,
+    it leaves a chain of the squarefree part, whose V(-oo) - V(+oo) real
+    roots reach its deg f - deg(gcd) roots exactly when each degree is one
+    below the last and every lead has the sign of f's: the first remainder
+    that breaks this stops the chain.
     """
     chain = [f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])]
     for _ in range(len(f) - 1):  # deg f remainders at most, the last one zero
         r = _remainder(chain[-2], chain[-1])
         if not r:
             return chain
+        # the new element -r / content leads with the sign of -r[0]
+        if len(r) != len(chain[-1]) - 1 or (r[0] > 0) == (f[0] > 0):
+            return None
         g = -gcd(*r)  # the content, negated: one exact division per entry
         chain.append([x // g for x in r])
     raise FinFreeError("a Sturm chain did not end within deg f remainders")
@@ -444,36 +453,24 @@ def _isolated_count(f):
     return None
 
 
-def _chain_counts(chain):
-    """(distinct real roots, distinct roots) of f, read off its Sturm chain.
-
-    Dividing the chain's last element, gcd(f, f'), out of every element
-    leaves a Sturm chain of the squarefree part, so V(-oo) - V(+oo) counts
-    the distinct real roots, and deg f - deg(gcd) the distinct roots.  The
-    two agree exactly when the degrees fall by one and the leading
-    coefficients keep one sign.
-    """
-    # V(-oo) - V(+oo): the leading coefficients, those of odd degree negated at -oo
-    real = _variations([q[0] if len(q) % 2 else -q[0] for q in chain]) - _variations(
-        [q[0] for q in chain])
-    return real, len(chain[0]) - len(chain[-1])
-
-
-def _sturm_counts(f):
-    """(distinct real roots, distinct roots) of primitive integer f.
+def _distinct_if_real(f):
+    """The number of distinct roots of primitive integer f when every root
+    is real, None otherwise.
 
     From deg f = _ISOLATION_DEGREE up, f that _squarefree_mod certifies
     squarefree has deg f distinct roots, and _isolated_count counts the real
     ones in integer Taylor shifts, far cheaper than a chain whose remainders
     grow to hundreds of times the bits of f.  A repeated root, an unlucky
-    prime or an isolation past its loop bound falls back to the chain's
-    counts (_chain_counts), as does f below that degree.
+    prime or an isolation past its loop bound falls back to the chain, as
+    does f below that degree: deg f - deg gcd(f, f') distinct roots, unless
+    the chain stops at a non-real root.
     """
     if len(f) > _ISOLATION_DEGREE and _squarefree_mod(f):
         real = _isolated_count(f)
         if real is not None:
-            return real, len(f) - 1
-    return _chain_counts(_sturm_chain(f))
+            return real if real == len(f) - 1 else None
+    chain = _sturm_chain(f)
+    return None if chain is None else len(f) - len(chain[-1])
 
 
 def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
@@ -481,13 +478,14 @@ def is_real_rooted(p: MonicPoly, require_distinct: bool = False) -> str:
 
     "yes" iff all d roots (with multiplicity) are real.  With
     require_distinct=True, repeated real roots answer "boundary" instead.
-    One call of _sturm_counts on the primitive integer form of p: from
+    One call of _distinct_if_real on the primitive integer form of p: from
     degree _ISOLATION_DEGREE up, a squarefree certificate modulo a 61-bit
     prime and a count by continued fractions; otherwise, or for p with a
-    repeated root, one Sturm chain.
+    repeated root, one Sturm chain, which stops at its first sign of a
+    non-real root.
     """
-    real, distinct = _sturm_counts(_primitive_form(p))
-    if real != distinct:
+    distinct = _distinct_if_real(_primitive_form(p))
+    if distinct is None:
         return "no"
     if require_distinct and distinct != p.d:
         return "boundary"

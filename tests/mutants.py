@@ -61,14 +61,14 @@ POWER_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power", *TH
 # moments_from_cumulants: the family's == tests, then the series tests
 PLAIN_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power",
                DIV + "test_power_family_at_large_degree", *SERIES_TESTS]
-# the Sturm chain: the == reference and its gcd count first, then the
-# counts of is_real_rooted, against Hermite's criterion and by Rolle's
-# theorem; the hypothesis test runs after the plain count tests, since on a
-# failure it shrinks its example for about 30 s
+# the Sturm chain: the == reference with its early stop and its gcd count
+# first, then the answers of _distinct_if_real and is_real_rooted, against
+# Hermite's criterion and by Rolle's theorem; the hypothesis test runs after
+# the plain tests, since on a failure it shrinks its example for about 30 s
 STURM_TESTS = ["tests/test_kernels.py::test_sturm_chain_matches_the_reference",
                "tests/test_kernels.py::test_sturm_chain_takes_one_gcd_per_element",
                "tests/test_kernels.py::test_isolation_counts_match_the_chain",
-               "tests/test_polynomial.py::test_distinct_real_root_count",
+               "tests/test_polynomial.py::test_distinct_root_count_if_real",
                "tests/test_polynomial.py::test_is_real_rooted_three_answers",
                "tests/test_polynomial.py::test_real_rooted_random_from_roots",
                "tests/test_properties.py::test_sturm_agrees_with_hermite",
@@ -198,9 +198,9 @@ MAX_ADDRESS_SPACE = 2**31
 # the two callers that build Fractions from their integers, the scaling that
 # reads plain coefficients off the series, the free side's Lagrange step
 # with its two directions, boxplus, the threshold search with its power
-# family, the exact PSD elimination, the Sturm chain with the counts read
-# off it (by the oracle's Jacobi matrix too) and the count that falls back
-# to it, the squarefree certificate, the isolation with its shift, root
+# family, the exact PSD elimination, the Sturm chain (which the oracle's
+# Jacobi matrix reads too) and the real-rootedness test that falls back to
+# it, the squarefree certificate, the isolation with its shift, root
 # bound and sign changes, the oracle's Jacobi matrix with the MonicPoly
 # methods (matched by their plain names) that build and centre its input,
 # the oracle's characteristic polynomials with the reflector they share with
@@ -226,9 +226,8 @@ KERNELS = [
     ("divisibility.py", "_exact_psd", CPD_TESTS),
     ("convolution.py", "_power_family", POWER_TESTS),
     ("polynomial.py", "_remainder", STURM_TESTS),
-    ("polynomial.py", "_sturm_chain", STURM_TESTS),
-    ("polynomial.py", "_chain_counts", STURM_TESTS + ORACLE_TESTS),
-    ("polynomial.py", "_sturm_counts", STURM_TESTS),
+    ("polynomial.py", "_sturm_chain", STURM_TESTS + ORACLE_TESTS),
+    ("polynomial.py", "_distinct_if_real", STURM_TESTS),
     ("polynomial.py", "_squarefree_mod", CERT_TESTS),
     ("polynomial.py", "_isolated_count", ISOLATION_TESTS),
     ("polynomial.py", "_taylor_shift", SHIFT_TESTS),

@@ -32,7 +32,7 @@ from finfree.convolution import _power_family
 from finfree.divisibility import _exact_psd
 from finfree.errors import DomainError, InputFormatError
 from finfree.lattice import falling
-from finfree.polynomial import _exp_series, _primitive_form, _sturm_counts
+from finfree.polynomial import _distinct_if_real, _exp_series, _primitive_form
 
 
 def rand_real_rooted(rng, d):
@@ -443,15 +443,15 @@ def test_threshold_runs_no_fraction_series():
     # series of t kappa(p), and no probe builds p^{boxplus t} through
     # Fractions
     funcs = (cumulants_from_coefficients, coefficients_from_cumulants, boxplus_power,
-             _exp_series, _power_family, _sturm_counts)
+             _exp_series, _power_family, _distinct_if_real)
     rng = random.Random(143)
     for d in (2, 5, 9):
         for p in _threshold_inputs(rng, d):
             calls = _count_calls(funcs, lambda: real_rooted_threshold(p, 2**20, 30))
-            probes = calls["_sturm_counts"]
+            probes = calls["_distinct_if_real"]
             assert probes >= 1 and calls == Counter(
                 {"cumulants_from_coefficients": 1, "_power_family": 1,
-                 "_exp_series": probes, "_sturm_counts": probes}), (p, calls)
+                 "_exp_series": probes, "_distinct_if_real": probes}), (p, calls)
 
 
 def test_integer_powers_keep_distinct_real_roots():
@@ -500,15 +500,15 @@ def test_threshold_probes_no_integer_point_it_can_decide():
         p = _distinct_real_rooted(rng, d)
         for t_max in (2**20, 2**64):
             for steps in (0, 16):
-                calls = _count_calls((_sturm_counts,),
+                calls = _count_calls((_distinct_if_real,),
                                      lambda: real_rooted_threshold(p, t_max, steps))
-                assert calls["_sturm_counts"] <= 5 + steps, (p, t_max, steps, calls)
+                assert calls["_distinct_if_real"] <= 5 + steps, (p, t_max, steps, calls)
     # the README's roots 0,0,1,3 fail at t = 1, a double root: the search
     # gallops up the 65 grid indices from t = 1 to 2^64, then bisects
     p = MonicPoly.from_roots([0, 0, 1, 3])
     for steps in (0, 16):
-        calls = _count_calls((_sturm_counts,), lambda: real_rooted_threshold(p, 2**64, steps))
-        assert calls["_sturm_counts"] <= 2 + 7 + steps, (steps, calls)
+        calls = _count_calls((_distinct_if_real,), lambda: real_rooted_threshold(p, 2**64, steps))
+        assert calls["_distinct_if_real"] <= 2 + 7 + steps, (steps, calls)
     # every input, real-rooted or not: at most 2 bit_length(len(grid)) grid
     # probes, then the refinement
     rng = random.Random(179)
@@ -517,9 +517,9 @@ def test_threshold_probes_no_integer_point_it_can_decide():
             for t_max in (Fraction(3, 4), 5, 2**20, 2**64):
                 n = floor(16 * t_max).bit_length()  # len(grid)
                 for steps in (0, 16):
-                    calls = _count_calls((_sturm_counts,),
+                    calls = _count_calls((_distinct_if_real,),
                                          lambda: real_rooted_threshold(p, t_max, steps))
-                    assert calls["_sturm_counts"] <= 2 * n.bit_length() + steps, (
+                    assert calls["_distinct_if_real"] <= 2 * n.bit_length() + steps, (
                         p, t_max, steps, calls)
 
 
@@ -530,12 +530,12 @@ def test_threshold_search_over_every_grid_length(monkeypatch):
     # 2 bit_length(len(grid)), which some lengths reach
     p, probed = hermite_clt(2), []
 
-    def counts(t):
+    def distinct_if_real(t):
         probed.append(t)
-        return (2 if t >= cut else 0), 2
+        return 2 if t >= cut else None
 
     monkeypatch.setattr(divisibility, "_power_family", lambda p: lambda t: t)
-    monkeypatch.setattr(divisibility, "_sturm_counts", counts)
+    monkeypatch.setattr(divisibility, "_distinct_if_real", distinct_if_real)
     reached = set()
     for n in range(1, 70):
         grid = [Fraction(2**k, 16) for k in range(n)]
@@ -553,15 +553,15 @@ def test_threshold_search_over_every_grid_length(monkeypatch):
 
 
 def test_threshold_probes_no_point_twice(monkeypatch):
-    # each t gives another primitive polynomial to the Sturm chain, since p
+    # each t gives another primitive polynomial to the real-rootedness test, since p
     # is not x^d
-    probed, counts = [], divisibility._sturm_counts
+    probed, distinct_if_real = [], divisibility._distinct_if_real
 
     def record(f):
         probed.append(tuple(f))
-        return counts(f)
+        return distinct_if_real(f)
 
-    monkeypatch.setattr(divisibility, "_sturm_counts", record)
+    monkeypatch.setattr(divisibility, "_distinct_if_real", record)
     rng = random.Random(163)
     for d in (2, 5, 8):
         for p in _threshold_inputs(rng, d):
@@ -645,11 +645,11 @@ def test_cramer_flags_match_each_factor():
 
 
 def test_cramer_builds_one_factor_and_runs_one_sturm_count():
-    funcs = (coefficients_from_cumulants, _exp_series, _sturm_counts)
+    funcs = (coefficients_from_cumulants, _exp_series, _distinct_if_real)
     for d, eps in ((3, Fraction(1, 32)), (12, 0), (20, 3)):
         calls = _count_calls(funcs, lambda: cramer_counterexample(d, eps))
         assert calls == Counter({"coefficients_from_cumulants": 1, "_exp_series": 1,
-                                 "_sturm_counts": 1}), (d, eps, calls)
+                                 "_distinct_if_real": 1}), (d, eps, calls)
 
 
 def test_cramer_rejects_small_d():

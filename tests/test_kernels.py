@@ -36,8 +36,8 @@ from finfree.matrix_oracle import _jacobi
 from finfree.polynomial import (_ELL, _ISOLATION_DEGREE, MomentSequence, MonicPoly,
                                 _alternate, _exp_series, _isolated_count,
                                 _log_derivative, _over_lcm, _primitive_form,
-                                _root_bound, _squarefree_mod, _sturm_chain,
-                                _sturm_counts, _taylor_shift, is_real_rooted, moments)
+                                _distinct_if_real, _root_bound, _squarefree_mod,
+                                _sturm_chain, _taylor_shift, is_real_rooted, moments)
 from finfree.transforms import (CumulantVector, _standardize,
                                 coefficients_from_cumulants,
                                 coefficients_from_moments, cumulant_from_moments,
@@ -190,6 +190,15 @@ def ref_sturm_chain(f) -> list:
         if not r:
             return chain
         chain.append([-x for x in ref_primitive(r)])
+
+
+def ref_first_break(chain):
+    """The index of the first element of a full Sturm chain whose degree is
+    not one below the last one's or whose leading coefficient has not the
+    sign of f's, or None when there is none."""
+    lead = chain[0][0] > 0
+    return next((i for i in range(2, len(chain))
+                 if len(chain[i]) != len(chain[i - 1]) - 1 or (chain[i][0] > 0) != lead), None)
 
 
 def ref_jacobi(p: MonicPoly, shift=0, scale=1) -> np.ndarray:
@@ -485,29 +494,55 @@ def sturm_inputs(seed):
             yield power(Fraction(k, 2**16))
 
 
-def test_sturm_chain_matches_the_reference():
+def test_sturm_chain_matches_the_reference(monkeypatch):
     # the primitive part with a fixed sign is unique, so the chains are
     # equal element for element, whatever positive multiple of each
-    # remainder the kernel computes
-    for f in sturm_inputs(2301):
-        assert _sturm_chain(f) == ref_sturm_chain(f), f
+    # remainder the kernel computes.  Where the reference breaks the
+    # pattern that holds exactly when every root is real, the kernel
+    # returns None, after as many remainders as the reference needs to
+    # reach its first break and no more.  The reference breaks exactly
+    # where its own Sturm counts show a non-real root
+    inputs = [(f, ref_sturm_chain(f)) for f in sturm_inputs(2301)]
+    for f, want in inputs:
+        assert (ref_first_break(want) is None) == (if_real(ref_counts(f)) is not None), f
+    calls, remainder = [0], polynomial._remainder
+
+    def counted(a, b):
+        calls[0] += 1
+        return remainder(a, b)
+
+    monkeypatch.setattr(polynomial, "_remainder", counted)
+    broken = 0
+    for f, want in inputs:
+        at = ref_first_break(want)
+        calls[0] = 0
+        got = _sturm_chain(f)
+        if at is None:
+            assert got == want and calls[0] == len(want) - 1, f
+        else:
+            assert got is None and calls[0] == at - 1, (f, at, calls[0])
+            broken += 1
+    assert 0 < broken < len(inputs) - broken, broken
 
 
 def test_sturm_chain_takes_one_gcd_per_element(monkeypatch):
     # one gcd makes f' primitive and one each remainder: the remainder
-    # itself takes none
+    # itself takes none, and a break takes none
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
         return math.gcd(*args)
 
-    inputs = [f for f in sturm_inputs(2302) if len(f) <= 30]  # the count is the same at any d
+    inputs = [(f, ref_sturm_chain(f)) for f in sturm_inputs(2302)
+              if len(f) <= 30]  # the count is the same at any d
     monkeypatch.setattr(polynomial, "gcd", counted)
-    for f in inputs:
+    for f, want in inputs:
+        at = ref_first_break(want)
+        built = len(want) - 1 if at is None else at - 1  # f' and the remainders
         calls[0] = 0
-        chain = _sturm_chain(f)
-        assert calls[0] <= len(chain) - 1, (f, calls[0], len(chain))
+        _sturm_chain(f)
+        assert calls[0] <= built, (f, calls[0], built)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +557,12 @@ def ref_counts(f):
     changes = [sum((x[0] > 0) != (y[0] > 0) for x, y in zip(c, c[1:]))
                for c in (chain, at_minus_oo)]
     return changes[1] - changes[0], len(f) - len(chain[-1])
+
+
+def if_real(counts):
+    """The distinct roots of ref_counts' counts when they are all real, or None."""
+    real, distinct = counts
+    return distinct if real == distinct else None
 
 
 def isolation_inputs(seed):
@@ -557,7 +598,7 @@ def test_isolation_counts_match_the_chain(monkeypatch):
     for f, want in inputs:
         assert want[1] == len(f) - 1 and _squarefree_mod(f), f
         assert _isolated_count(f) == want[0], f
-        assert _sturm_counts(f) == want, f
+        assert _distinct_if_real(f) == if_real(want), f
 
 
 def test_repeated_roots_fall_back_to_the_chain():
@@ -568,7 +609,8 @@ def test_repeated_roots_fall_back_to_the_chain():
         p = MonicPoly.from_roots(roots + roots[:2])
         f = _primitive_form(p)
         assert not _squarefree_mod(f)
-        assert _sturm_counts(f) == ref_counts(f) == (d - 2, d - 2)
+        assert ref_counts(f) == (d - 2, d - 2)
+        assert _distinct_if_real(f) == d - 2
         assert is_real_rooted(p) == "yes"
         assert is_real_rooted(p, require_distinct=True) == "boundary"
     # a double irrational root keeps two sign changes at every depth, so
@@ -589,7 +631,8 @@ def test_an_unlucky_prime_falls_back_to_the_chain():
                 for j, y in enumerate(ints):
                     f[i + j] += x * int(y)
             assert not _squarefree_mod(f)
-            assert _sturm_counts(f) == ref_counts(f) == want
+            assert ref_counts(f) == want
+            assert _distinct_if_real(f) == want[1]
 
 
 def test_isolation_makes_few_taylor_shifts(monkeypatch):

@@ -299,12 +299,12 @@ def _readers(wanted) -> list:
                    if name == wanted})
 
 
-def test_only_sturm_counts_and_the_oracle_read_the_sturm_chain():
-    # one sign-counting path: real-rootedness and the threshold probes count
-    # roots through polynomial._sturm_counts, and the oracle reads its Jacobi
-    # matrices off the chain in matrix_oracle._jacobi
+def test_only_the_real_rootedness_test_and_the_oracle_read_the_sturm_chain():
+    # one chain: real-rootedness and the threshold probes fall back to it
+    # through polynomial._distinct_if_real, and the oracle reads its Jacobi
+    # matrices off it in matrix_oracle._jacobi
     assert _readers("_sturm_chain") == [("matrix_oracle.py", "_jacobi"),
-                                        ("polynomial.py", "_sturm_counts")]
+                                        ("polynomial.py", "_distinct_if_real")]
 
 
 def _modules_using(wanted) -> set:
@@ -331,20 +331,19 @@ def test_translate_and_the_isolation_share_one_taylor_shift():
                                          ("polynomial.py", "translate")]
 
 
-def test_the_chain_and_the_isolation_share_one_sign_change_count():
-    # Sturm's V(-oo) - V(+oo) and Descartes' rule both count through
-    # _variations, the chain's count in _chain_counts alone
-    assert _readers("_variations") == [("polynomial.py", "_chain_counts"),
-                                       ("polynomial.py", "_isolated_count")]
+def test_only_the_isolation_counts_sign_changes():
+    # Descartes' rule counts through _variations; the chain counts no sign
+    # changes, as _sturm_chain decides real-rootedness by its pattern alone
+    assert _readers("_variations") == [("polynomial.py", "_isolated_count")]
 
 
 def test_the_oracle_reads_real_rootedness_off_its_own_chain():
-    # one decision: _sturm_counts and the oracle's _jacobi read a chain's
-    # root counts through _chain_counts, and the oracle never runs the
-    # squarefree certificate or the isolation behind is_real_rooted
-    assert _readers("_chain_counts") == [("matrix_oracle.py", "_jacobi"),
-                                         ("polynomial.py", "_sturm_counts")]
-    assert "matrix_oracle.py" not in _modules_using("is_real_rooted")
+    # one decision: the oracle's _jacobi refuses the chain that _sturm_chain
+    # stops, and never reads a root count or runs the squarefree certificate
+    # or the isolation behind is_real_rooted
+    for name in ("_distinct_if_real", "_isolated_count", "_variations", "_squarefree_mod",
+                 "is_real_rooted"):
+        assert "matrix_oracle.py" not in _modules_using(name), name
 
 
 def test_the_haar_conjugation_and_the_tridiagonalization_share_one_reflector():
