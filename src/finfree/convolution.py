@@ -7,7 +7,7 @@ from math import factorial
 from operator import mul
 
 from .errors import DomainError, _rational_digits
-from .polynomial import MonicPoly, _exp_series, _over_lcm, _same_degree
+from .polynomial import MonicPoly, _exp_series, _from_plain, _over_lcm, _same_degree
 from .transforms import _primitive_plain, cumulants_from_coefficients
 from .util import parse_rational
 
@@ -37,7 +37,7 @@ def boxplus(p: MonicPoly, q: MonicPoly) -> MonicPoly:
 
 
 def _power_family(p: MonicPoly):
-    """t -> p^{boxplus t} as a primitive integer polynomial, for rational t > 0.
+    """t -> the plain coefficients of p^{boxplus t} over their lcm, t > 0.
 
     kappa(p^{boxplus t}) = t kappa(p), so the exp recurrence of p^{boxplus t}
     at degree d, i S_i = -d sum_j t kappa_j S_{i-j}, is that of kappa(p) with
@@ -61,5 +61,4 @@ def boxplus_power(p: MonicPoly, t) -> MonicPoly:
     t = parse_rational(t)
     if t <= 0:
         raise DomainError("convolution power needs t > 0, got %s" % _rational_digits(t))
-    f = _power_family(p)(t)
-    return MonicPoly.from_plain_coefficients([Fraction(c, f[0]) for c in f])
+    return _from_plain(_power_family(p)(t))

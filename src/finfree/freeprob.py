@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InputFormatError
 from .polynomial import MomentSequence, _exp_series, _log_derivative, _over_lcm
-from .transforms import _first_moments, _order_parameter, cumulant_from_moments
+from .transforms import _cumulants_from_moments, _first_moments, _order_parameter
 from .util import Value, _check_int, _store, format_rational, parse_rational_array
 
 
@@ -98,11 +98,12 @@ def convergence_report(r: FreeCumulantVector, n: int, d_values) -> ConvergenceRe
     """
     _check_int(n, "cumulant order n", 1)
     ds = tuple(d_values)
+    dqs = []
     for d in ds:
         _check_int(d, "d")
-        _order_parameter(d, n)
-    m = free_moments_from_free_cumulants(r, n)
-    finite = tuple(cumulant_from_moments(m, d, n) for d in ds)
+        dqs.append(_order_parameter(d, n))
+    mv = _first_moments(free_moments_from_free_cumulants(r, n), n, "cumulant order n")
+    finite = tuple(_cumulants_from_moments(mv, dq, n)[-1] for dq in dqs)
     target = r.entries[n - 1] if n <= len(r) else Fraction(0)
     errors = tuple(abs(k - target) for k in finite)
     return ConvergenceReport(n, ds, finite, target, errors)

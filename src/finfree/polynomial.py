@@ -5,9 +5,9 @@ with a_0 = 1 and d = len(a) - 1, meaning
 
     p(x) = sum_{i=0}^{d} x^{d-i} (-1)^i a_i,
 
-so a_i is the i-th elementary symmetric function of the roots.  All
-transform identities downstream are stated in these a_i; ordinary
-("plain") coefficients appear only at the I/O boundary.
+so a_i is the i-th elementary symmetric function of the roots.  The
+kernels meet a polynomial as its ordinary ("plain") coefficients (-1)^i a_i
+over their lcm, read by _primitive_form and written by _from_plain.
 
 Exact rational arithmetic throughout, and no root is ever computed.
 Real-rootedness is decided in integers: below degree _ISOLATION_DEGREE by
@@ -82,10 +82,6 @@ class MonicPoly(Value):
             V *= r.denominator
         return cls(len(e) - 1, [Fraction(x, V) for x in e])
 
-    def plain_coefficients(self) -> list:
-        """Ordinary descending coefficients, leading 1 first."""
-        return _alternate(self.a)
-
     def dilate(self, lam) -> "MonicPoly":
         """D_lam p(x) = lam^{-d} p(lam x); coefficientwise a_i -> lam^{-i} a_i.
 
@@ -145,7 +141,7 @@ def moments(p: MonicPoly, N: int) -> "MomentSequence":
     -(1/d) S'/S is the moment series; a_k = 0 past the degree, so N may
     exceed d and costs O(N d).  Roots are never computed.
     """
-    return _moments(_alternate(_over_lcm(p.a)[0]), p.d, N)
+    return _moments(_primitive_form(p), p.d, N)
 
 
 def _moments(S, d: int, N: int) -> "MomentSequence":
@@ -157,6 +153,18 @@ def _moments(S, d: int, N: int) -> "MomentSequence":
 def _alternate(v) -> list:
     """(-1)^i v_i: the coefficients a_i and those of prod (1 - r s)."""
     return [-x if i % 2 else x for i, x in enumerate(v)]
+
+
+def _primitive_form(p: MonicPoly) -> list:
+    """The plain coefficients of p over their lcm D, with content 1: D is
+    the first, and a prime of D divides no entry whose denominator holds
+    its full power in D."""
+    return _alternate(_over_lcm(p.a)[0])
+
+
+def _from_plain(f) -> MonicPoly:
+    """The monic polynomial with plain coefficients f / f_0, f integers."""
+    return MonicPoly(len(f) - 1, tuple(Fraction(x, f[0]) for x in _alternate(f)))
 
 
 def _over_lcm(v) -> tuple:
@@ -289,11 +297,6 @@ def _remainder(a, b):
             a = a[1:]
     lead = next((i for i, x in enumerate(a) if x), len(a))
     return a[lead:]
-
-
-def _primitive_form(p: MonicPoly) -> list:
-    """The plain coefficients of p as a primitive integer polynomial."""
-    return _primitive(_over_lcm(p.plain_coefficients())[0])
 
 
 def _sturm_chain(f):

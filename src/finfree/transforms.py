@@ -11,11 +11,11 @@ any rational d except an integer below the order n, where (d)_n vanishes.
 
 The pair stays in integers: each step is one integer dot product over a
 running common denominator, and a Fraction is built only for an entry a
-function returns, one per output entry.  The log step takes integers, since
-S'/S does not see the scale of S: with the integer weights W_i = W_0 w_i,
-the integers W_i num(a_i) for the cumulants, and the integer coefficients
-of prod (1 - r s) for the moments.  The exp step takes the rationals kappa
-or m as they come, over their lcm.
+function returns, one per output entry.  A polynomial meets the pair as its
+plain coefficients c_i = (-1)^i a_i over their lcm (polynomial._primitive_form,
+_from_plain).  S'/S does not see scale: the log step takes c for the moments
+and V_i c_i, integers with V_i / V_0 = d^i / (d)_i, for the cumulants.  The
+exp step's series is c for the moments; _primitive_plain reads c for kappa.
 
 The paper states these maps as sums over the set partition lattice; those
 sums live in lattice.py, the reference the tests compare this module with.
@@ -34,12 +34,12 @@ from .errors import DomainError, InputFormatError, _digits
 from .polynomial import (
     MomentSequence,
     MonicPoly,
-    _alternate,
     _exp_series,
+    _from_plain,
     _log_derivative,
     _moments,
-    _over_lcm,
     _primitive,
+    _primitive_form,
     moments,
 )
 from .util import (Value, VarPoly, _check_int, _store, format_rational,
@@ -122,30 +122,27 @@ def rescale_cumulants(k: CumulantVector) -> CumulantVector:
 
 
 def _series_weights(d, n: int) -> list:
-    """Integers W_0..W_n with W_i / W_0 = w_i = (-d)^i / (d)_i, the weights of
-    S_i = w_i a_i: with d = p/q, W_i = (-p)^i prod_{j=i}^{n-1} (p - jq).  d
-    must not be an integer in 0..n-1."""
+    """Integers V_0..V_n with V_i / V_0 = d^i / (d)_i, the weights of the
+    plain coefficients c_i in S_i: with d = p/q,
+    V_i = p^i prod_{j=i}^{n-1} (p - jq).  d must not be an integer in 0..n-1."""
     p, q = d.numerator, d.denominator
-    W, suffix = [0] * (n + 1), 1
+    V, suffix = [0] * (n + 1), 1
     for i in range(n, -1, -1):
-        W[i] = (-p) ** i * suffix
+        V[i] = p ** i * suffix
         suffix *= p - (i - 1) * q
-    return W
+    return V
 
 
 def coefficients_from_cumulants(k: CumulantVector) -> MonicPoly:
-    """a_i = S_i W_0 / W_i with S from the exp recurrence."""
+    """The plain coefficients read off the exp series of kappa."""
     d = k.d
-    W = _series_weights(d, d)
-    Snum, DS = _exp_series(_standardize(k), d, d)
-    return MonicPoly(d, tuple(Fraction(s * W[0], DS * w) for s, w in zip(Snum, W)))
+    return _from_plain(_primitive_plain(_exp_series(_standardize(k), d, d)[0], d))
 
 
 def cumulants_from_coefficients(p: MonicPoly) -> CumulantVector:
-    """kappa_n = -(1/d) [s^{n-1}] S'/S, with the integers W_i num(a_i) for S."""
+    """kappa_n = -(1/d) [s^{n-1}] S'/S, with the integers V_i c_i for S."""
     d = p.d
-    a, _ = _over_lcm(p.a)
-    S = list(map(mul, _series_weights(d, d), a))
+    S = list(map(mul, _series_weights(d, d), _primitive_form(p)))
     return CumulantVector(_log_derivative(S, d, d))
 
 
@@ -170,10 +167,9 @@ def _order_parameter(d, n: int) -> Fraction:
 
 
 def coefficients_from_moments(m: MomentSequence, d: int) -> MonicPoly:
-    """a_i = (-1)^i S_i with S the exp of the moment series: Newton's
+    """The plain coefficients are the exp S of the moment series: Newton's
     identities with power sums p_i = d m_i."""
-    Snum, DS = _exp_series(_first_moments(m, d, "d"), d, d)
-    return MonicPoly(d, tuple(Fraction(s, DS) for s in _alternate(Snum)))
+    return _from_plain(_exp_series(_first_moments(m, d, "d"), d, d)[0])
 
 
 def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
@@ -183,9 +179,9 @@ def moments_from_coefficients(p: MonicPoly, N: int) -> MomentSequence:
 
 def _cumulants_from_moments(mv, d, n: int) -> tuple:
     """kappa_1..kappa_n from m_1..m_n at degree (or parameter) d: the exp
-    step gives the coefficients a_i, the weighted log step the cumulants."""
+    step gives the plain coefficients, the weighted log step the cumulants."""
     Snum, _ = _exp_series(mv, d, n)
-    return _log_derivative(list(map(mul, _series_weights(d, n), _alternate(Snum))), d, n)
+    return _log_derivative(list(map(mul, _series_weights(d, n), Snum)), d, n)
 
 
 def cumulant_from_moments(m, d, n: int) -> Fraction:
@@ -204,12 +200,13 @@ def cumulants_from_moments(m: MomentSequence, d: int) -> CumulantVector:
 
 
 def _primitive_plain(Snum, d: int) -> list:
-    """The plain coefficients of the degree-d polynomial whose exp series S
-    has the numerators Snum, as a primitive integer vector.
+    """The plain coefficients of the degree-d polynomial whose cumulant exp
+    series S has the numerators Snum, as a primitive integer vector: the one
+    kappa -> a read, of both cumulant directions and the power family.
 
-    (-1)^i a_i = S_i (d)_i / d^i, so the integers Snum_i (d)_i d^(d-i) are
-    the plain coefficients up to a positive scale.  Their content is divided
-    out, which leaves the vector that the coefficients' own lcm would give.
+    c_i = S_i (d)_i / d^i, so the integers Snum_i (d)_i d^(d-i) are the
+    plain coefficients up to a positive scale; without their content they
+    are polynomial._primitive_form of the polynomial.
     """
     weights = [(1, 1), *_falling_and_power(d)]
     top = weights[-1][1]
@@ -223,8 +220,7 @@ def moments_from_cumulants(k: CumulantVector, N: int) -> MomentSequence:
     the coefficients of prod (1 - r s): all that the moments' log step reads.
     """
     d = k.d
-    Snum, _ = _exp_series(_standardize(k), d, d)
-    return _moments(_primitive_plain(Snum, d), d, N)
+    return _moments(_primitive_plain(_exp_series(_standardize(k), d, d)[0], d), d, N)
 
 
 def truncated_r_transform(p: MonicPoly) -> VarPoly:

@@ -1,5 +1,6 @@
-"""Mutation check for the exact series kernels, the free side's Lagrange
-step, boxplus, the threshold search with its power family, the exact PSD
+"""Mutation check for the exact series kernels, the plain integer form
+through which a polynomial meets them, the free side's Lagrange step,
+boxplus, the threshold search with its power family, the exact PSD
 elimination behind the conditional-PSD test, the Sturm chain, the
 squarefree certificate and the continued-fraction isolation, the Monte
 Carlo oracle's exact input path, its characteristic polynomials and
@@ -61,6 +62,10 @@ POWER_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power", *TH
 # moments_from_cumulants: the family's == tests, then the series tests
 PLAIN_TESTS = [DIV + "test_power_family_is_the_primitive_form_of_the_power",
                DIV + "test_power_family_at_large_degree", *SERIES_TESTS]
+# the plain integer form's reader and writer: their round trip first, then
+# the series tests, whose every direction enters or leaves through them
+PLAIN_FORM_TESTS = ["tests/test_polynomial.py::test_plain_integer_form_round_trips",
+                    *SERIES_TESTS]
 # the Sturm chain: the == reference with its early stop and its gcd count
 # first, then the answers of _distinct_if_real and is_real_rooted, against
 # Hermite's criterion and by Rolle's theorem; the hypothesis test runs after
@@ -195,8 +200,9 @@ MIN_TIMEOUT_S = 60
 MAX_ADDRESS_SPACE = 2**31
 
 # (module under src/finfree, function, tests): the series pair, the weights,
-# the two callers that build Fractions from their integers, the scaling that
-# reads plain coefficients off the series, the free side's Lagrange step
+# the kappa -> a direction, the scaling that reads plain coefficients off
+# the series, the plain integer form's reader and writer, which every
+# direction enters or leaves through, the free side's Lagrange step
 # with its two directions, boxplus, the threshold search with its power
 # family, the exact PSD elimination, the Sturm chain (which the oracle's
 # Jacobi matrix reads too) and the real-rootedness test that falls back to
@@ -216,8 +222,9 @@ KERNELS = [
     ("polynomial.py", "_exp_series", SERIES_TESTS),
     ("transforms.py", "_series_weights", SERIES_TESTS),
     ("transforms.py", "coefficients_from_cumulants", SERIES_TESTS),
-    ("transforms.py", "_cumulants_from_moments", SERIES_TESTS),
     ("transforms.py", "_primitive_plain", PLAIN_TESTS),
+    ("polynomial.py", "_from_plain", PLAIN_FORM_TESTS),
+    ("polynomial.py", "_primitive_form", PLAIN_FORM_TESTS),
     ("freeprob.py", "_lagrange", SERIES_TESTS),
     ("freeprob.py", "free_moments_from_free_cumulants", SERIES_TESTS),
     ("freeprob.py", "free_cumulants_from_moments", SERIES_TESTS),

@@ -170,7 +170,7 @@ def test_criterion_06_fractional_power_loses_real_roots():
     assert got == want
     assert is_real_rooted(got) == "no"
     rts = sorted(
-        np.roots([float(c) for c in got.plain_coefficients()]),
+        np.roots([(-1) ** i * float(a) for i, a in enumerate(got.a)]),
         key=lambda z: (z.real, z.imag),
     )
     pinned = sorted(

@@ -11,6 +11,7 @@ import pytest
 
 from finfree import (
     FreeCumulantVector,
+    freeprob,
     lattice,
     MomentSequence,
     MonicPoly,
@@ -210,6 +211,35 @@ def test_convergence_rejects_small_d():
             convergence_report(r, 3, [bad])
     # the order is not capped here (the command line bounds it)
     assert convergence_report(r, 13, [16]).free_kappa == 0
+
+
+def test_convergence_checks_each_d_once_and_reads_the_moments_once(monkeypatch):
+    # every d passes the order rule once, before any row; the moments are
+    # read once for all rows, and a bad last d is refused before any work
+    calls = {"_first_moments": 0, "_order_parameter": 0, "free_moments_from_free_cumulants": 0}
+
+    def counted(name):
+        real = getattr(freeprob, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(freeprob, name, counted(name))
+    r = FreeCumulantVector.make([0, 1, Fraction(1, 3)])
+    d_values = [5, 16, 10**6, 7]
+    want = [cumulant_from_moments(free_moments_from_free_cumulants(r, 4), d, 4)
+            for d in d_values]
+    assert list(convergence_report(r, 4, d_values).finite_kappa) == want
+    assert calls == {"_first_moments": 1, "_order_parameter": len(d_values),
+                     "free_moments_from_free_cumulants": 1}
+    calls.update(dict.fromkeys(calls, 0))
+    with pytest.raises(DomainError, match=r"^integer d = 3 below the order n = 4$"):
+        convergence_report(r, 4, [16, 32, 3])
+    assert calls == {"_first_moments": 0, "_order_parameter": 3,
+                     "free_moments_from_free_cumulants": 0}
 
 
 def test_convergence_rejects_order_below_1():

@@ -14,7 +14,7 @@ the chain from degree 18 up must give the reference chain's counts, fall
 back to it on a repeated root or an unlucky prime, and stay within a
 bound on their Taylor shifts.  The last tests check identities known by
 construction at d = 100 to 300 with a map that shares no code with the
-kernels: the normalised derivative on plain coefficients.
+kernels: the normalised derivative, a_i -> a_i (d - i) / d.
 """
 
 import math
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from finfree import lattice, polynomial
-from finfree.convolution import _power_family, boxplus
+from finfree.convolution import _power_family, boxplus, boxplus_power
 from finfree.errors import DomainError, InputFormatError
 from finfree.freeprob import (FreeCumulantVector, free_cumulants_from_moments,
                               free_moments_from_free_cumulants)
@@ -353,7 +353,7 @@ def test_each_direction_builds_one_fraction_per_output_entry():
     # the series stay in integers; a Fraction is built only for a value a
     # public function returns
     rng = random.Random(2501)
-    d, N, n, dq = 10, 13, 8, Fraction(-7, 3)
+    d, N, n, dq, t = 10, 13, 8, Fraction(-7, 3), Fraction(5, 3)
     p = rand_poly(rng, d)
     k = CumulantVector([rand_q(rng) for _ in range(d)])
     kt = rescale_cumulants(k)
@@ -381,6 +381,8 @@ def test_each_direction_builds_one_fraction_per_output_entry():
         (lambda: free_moments_from_free_cumulants(r, N), 2 * N),
         # likewise N for log M, and one per cumulant past r_1 = m_1
         (lambda: free_cumulants_from_moments(m, N), 2 * N),
+        # d for kappa(p), d + 1 for the output, and t and d t
+        (lambda: boxplus_power(p, t), 2 * d + 3),
     ]
     for i, (call, bound) in enumerate(bounds):
         assert fractions_built(call) <= bound, i
@@ -623,7 +625,7 @@ def test_an_unlucky_prime_falls_back_to_the_chain():
     # its degree mod _ELL.  Both are squarefree with two real roots.  The
     # square (_ELL x - 1)^2 has a double root but is squarefree mod _ELL.
     for d in (_ISOLATION_DEGREE, 26):
-        ints = MonicPoly.from_roots(range(1, d - 1)).plain_coefficients()
+        ints = [(-1) ** i * a for i, a in enumerate(MonicPoly.from_roots(range(1, d - 1)).a)]
         for quadratic, want in (([1, 0, -_ELL], (d, d)), ([_ELL, 0, -1], (d, d)),
                                 ([_ELL**2, -2 * _ELL, 1], (d - 1, d - 1))):
             f = [0] * (d + 1)
@@ -685,8 +687,8 @@ def test_taylor_shift_matches_the_fraction_synthetic_division():
         p = rand_poly(rng, d)
         f = _primitive_form(p)
         for k in (0, 1, 5, 60):
-            assert [Fraction(x, f[0]) for x in _taylor_shift(f, k)] == \
-                ref_translate(p, 2**k).plain_coefficients(), (d, k)
+            shifted = [Fraction(x, f[0]) for x in _taylor_shift(f, k)]
+            assert MonicPoly.from_plain_coefficients(shifted) == ref_translate(p, 2**k), (d, k)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +698,7 @@ def test_taylor_shift_matches_the_fraction_synthetic_division():
 
 def derivative(p: MonicPoly) -> MonicPoly:
     """The normalised derivative p'/d, monic of degree d - 1."""
-    return MonicPoly.from_plain_coefficients(
-        [c * Fraction(p.d - i, p.d) for i, c in enumerate(p.plain_coefficients()[:-1])])
+    return MonicPoly(p.d - 1, [a * Fraction(p.d - i, p.d) for i, a in enumerate(p.a[:-1])])
 
 
 @pytest.mark.parametrize("d, steps", [(100, (1, 3)), (200, (1, 2)), (300, (1,))])
@@ -740,7 +741,7 @@ def test_rolle_gives_real_rooted_derivatives():
     grid = sorted({Fraction(k, m) for k in range(-40, 41) for m in range(1, 4)})
     p = derivative(derivative(MonicPoly.from_roots(rng.sample(grid, 102))))
     assert is_real_rooted(p, require_distinct=True) == "yes"
-    plain = p.plain_coefficients()
+    plain = [(-1) ** i * a for i, a in enumerate(p.a)]
     q = [x + Fraction(y, 3) for x, y in zip(plain + [0, 0], [0, 0] + plain)]
     assert is_real_rooted(MonicPoly.from_plain_coefficients(q)) == "no"
 

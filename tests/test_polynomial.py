@@ -1,6 +1,7 @@
 """Exact polynomial layer: constructors, shifts, Newton moments, Sturm."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from finfree import (
     x_power,
 )
 from finfree.errors import InputFormatError, NonMonicError
-from finfree.polynomial import _distinct_if_real, _primitive_form
+from finfree.polynomial import _distinct_if_real, _from_plain, _primitive_form
 
 
 def rand_roots(rng, d):
@@ -24,7 +25,7 @@ def rand_roots(rng, d):
 
 def value_at(p, x):
     """p(x): the constant term of p.translate(x), the polynomial p(y + x)."""
-    return p.translate(x).plain_coefficients()[-1]
+    return (-1) ** p.d * p.translate(x).a[-1]
 
 
 def test_monic_validation():
@@ -39,11 +40,29 @@ def test_monic_validation():
         MonicPoly.from_plain_coefficients([Fraction(3), Fraction(1)])
 
 
+def test_plain_integer_form_round_trips():
+    # the one integer form of the kernels: _primitive_form is primitive with
+    # no gcd of its own, _from_plain inverts it and ignores a positive scale
+    rng = random.Random(46)
+    for d in range(1, 61):
+        ps = [MonicPoly.from_signed([1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                           for _ in range(d)]),
+              MonicPoly.from_signed([1] + [rng.randint(-9, 9) for _ in range(d)]),
+              MonicPoly.from_roots(rand_roots(rng, d)), x_power(d)]
+        for p in ps:
+            f = _primitive_form(p)
+            assert len(f) == d + 1 and all(type(x) is int for x in f), (d, p)
+            assert math.gcd(*f) == 1, (d, p)
+            assert _from_plain(f) == p, (d, p)
+            for scale in (2, 3**40):
+                assert _from_plain([scale * x for x in f]) == p, (d, p, scale)
+
+
 def test_sign_convention():
     # p(x) = sum x^{d-i} (-1)^i a_i, so a alternates against plain coefficients
     p = MonicPoly.from_plain_coefficients([1, -6, 11, -6])
     assert p.a == (Fraction(1), Fraction(6), Fraction(11), Fraction(6))
-    assert p.plain_coefficients() == [Fraction(1), Fraction(-6), Fraction(11), Fraction(-6)]
+    assert [(-1) ** i * a for i, a in enumerate(p.a)] == [1, -6, 11, -6]
     q = MonicPoly.from_roots([1, 2, 3])
     assert q == p  # a_i are the elementary symmetric functions of the roots
 
@@ -68,7 +87,7 @@ def test_dilate_defining_equation():
     # D_lam p(x) = lam^{-d} p(lam x); for x^2 - 1 and lam = 2 this is x^2 - 1/4
     p = MonicPoly.from_plain_coefficients([1, 0, -1])
     q = p.dilate(2)
-    assert q.plain_coefficients() == [Fraction(1), Fraction(0), Fraction(-1, 4)]
+    assert q == MonicPoly.from_plain_coefficients([1, 0, Fraction(-1, 4)])
     rng = random.Random(7)
     for _ in range(40):
         d = rng.randint(1, 6)
@@ -181,7 +200,7 @@ def test_is_real_rooted_three_answers():
         p = MonicPoly.from_roots(roots + roots[:1])
         assert is_real_rooted(p) == "yes"
         assert is_real_rooted(p, require_distinct=True) == "boundary"
-        plain = p.plain_coefficients()
+        plain = [(-1) ** i * a for i, a in enumerate(p.a)]
         q = [x + Fraction(y, 3) for x, y in zip(plain + [0, 0], [0, 0] + plain)]
         assert is_real_rooted(MonicPoly.from_plain_coefficients(q)) == "no"
     # (x-2)^2 (x^2+1): repeated real root plus a complex pair stays "no"

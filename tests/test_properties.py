@@ -365,7 +365,8 @@ def factored_polys(draw, min_d=1, max_d=12, quadratics=True):
     cs = draw(st.lists(small, max_size=d // 2 if quadratics else 0))
     n_roots = d - 2 * len(cs)
     roots = draw(st.lists(small, min_size=n_roots, max_size=n_roots))
-    plain = MonicPoly.from_roots(roots).plain_coefficients() if roots else [Fraction(1)]
+    a = MonicPoly.from_roots(roots).a if roots else [Fraction(1)]
+    plain = [(-1) ** i * x for i, x in enumerate(a)]
     for c in cs:
         plain = _times_quadratic(plain, c)
     return MonicPoly.from_plain_coefficients(plain)

@@ -367,6 +367,31 @@ def test_only_polynomial_clears_denominators_by_an_lcm():
     assert sorted(_modules_using("lcm") - {"lattice.py"}) == ["polynomial.py"]
 
 
+def test_polynomial_alone_reads_and_writes_the_plain_integer_form():
+    # the kernels meet a polynomial as its plain coefficients over their
+    # lcm, through polynomial._primitive_form and polynomial._from_plain:
+    # the sign (-1)^i between a_i and the plain coefficients is applied in
+    # polynomial.py alone, and transforms.py builds no MonicPoly itself
+    assert {module for module, _ in _readers("_alternate")} == {"polynomial.py"}
+    tree = ast.parse((SRC / "transforms.py").read_text())
+    built = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "MonicPoly" in (getattr(node.func, "id", None),
+                                 getattr(getattr(node.func, "value", None), "id", None))]
+    assert built == []
+
+
+def test_kappa_to_coefficients_has_one_production_path():
+    # transforms._primitive_plain reads the plain coefficients off a
+    # cumulant exp series for both cumulant directions and for each probe
+    # of the power family (its nested function at); the weights V_i serve
+    # the two log-side directions alone
+    assert _readers("_primitive_plain") == [("convolution.py", "at"),
+                                            ("transforms.py", "coefficients_from_cumulants"),
+                                            ("transforms.py", "moments_from_cumulants")]
+    assert _readers("_series_weights") == [("transforms.py", "_cumulants_from_moments"),
+                                           ("transforms.py", "cumulants_from_coefficients")]
+
+
 def test_only_transforms_turns_cumulants_into_coefficients():
     # the kappa -> a map and its (d)_n / d^n weights live in transforms.py,
     # with the lattice reference's own sums and falling factorial beside it;
@@ -460,8 +485,9 @@ def _definitions(tree):
                        rest + others + stmt.bases + stmt.decorator_list)
 
 
-# paper constructions with no other path, kept for library users
-UNREAD_BY_DESIGN = {"free_cumulants_from_moments", "clt_rescaled_sum"}
+# paper constructions with no other path, kept for library users;
+# cumulant_from_moments is the one path to kappa_n at a rational d
+UNREAD_BY_DESIGN = {"free_cumulants_from_moments", "clt_rescaled_sum", "cumulant_from_moments"}
 
 
 def test_every_public_name_of_a_production_module_is_read_elsewhere():
